@@ -19,7 +19,7 @@ import tempfile
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .exactnum import binomial, hyp2f1_terminating, rising_pochhammer
+from .exactnum import hyp2f1_terminating, rising_pochhammer
 from .intertwine import (
     ChannelSpec,
     apply_channel,
@@ -27,11 +27,11 @@ from .intertwine import (
     c_squared,
     channel_report,
     choi_min_eigenvalue,
-    jk_product,
     pk_orthogonality_check,
 )
 from .quadrature import (
     ConvergenceRecord,
+    channel_output_spectrum,
     entropy_poly_coeffs,
     fund_ineq_check,
     functional_convergence,
@@ -248,18 +248,26 @@ def cmd_converge(args) -> int:
     if args.mu < 0 or args.k < 0 or args.k > args.mu:
         print("error: need 0 <= k <= mu", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    nus = args.nu or [10, 20, 40, 80]
-    if not nus or min(nus) < args.mu:
-        print("error: every nu must be >= mu", file=sys.stderr)
+    nus = [10, 20, 40, 80] if args.nu is None else args.nu
+    if len(nus) < 2 or nus[0] < args.mu \
+            or any(a >= b for a, b in zip(nus, nus[1:])):
+        print("error: --nu needs two or more strictly increasing levels, "
+              "each >= mu", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    if any(n < 1 for n in args.n):
+        print("error: every moment order n must be >= 1", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     rng = random.Random(args.seed)
     _, f = random_band_limited_state(args.mu, rng)
-    records: List[ConvergenceRecord] = []
-    for n in args.n:
-        records.append(moment_convergence(args.mu, args.k, f, n, nus))
+    # one spectrum per level, shared by every moment order and by phi
+    spectra = [channel_output_spectrum(ChannelSpec(args.mu, nu, args.k), f)
+               for nu in nus]
+    records: List[ConvergenceRecord] = [
+        moment_convergence(args.mu, args.k, f, n, nus, spectra=spectra)
+        for n in args.n]
     if args.phi:
-        records.append(functional_convergence(args.mu, args.k, f,
-                                              args.phi, nus))
+        records.append(functional_convergence(args.mu, args.k, f, args.phi,
+                                              nus, spectra=spectra))
     for rec in records:
         rec.floor = args.tol
     csv_text = _records_to_csv(records)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -62,19 +62,28 @@ class ChannelSpec:
         return a * (self.nu + 1) + b
 
 
-def _jk_column_coefficient(spec: ChannelSpec, a: int, b: int) -> Fraction:
-    """Coefficient c with J_k(z^a w^b) = c xi^(a + b - k)."""
+def jk_columns(spec: ChannelSpec) -> List[List[Fraction]]:
+    """Column coefficients: J_k(z^a w^b) = cols[a][b] xi^(a + b - k), with
+    cols[a][b] = 0 where a + b - k lies outside the target level.  All
+    columns share the weights of the k + 1 differential-operator terms."""
     mu, nu, k = spec.mu, spec.nu, spec.k
-    total = Fraction(0)
+    terms = []
     for j in range(k + 1):
         den = rising_pochhammer(-mu, j) * rising_pochhammer(-nu, k - j)
         # (-mu)_j vanishes only for j > mu, where the derivative factor
         # (a)_j^- also vanishes; skip such terms.
         if den == 0:
             continue
-        total += (Fraction(-1) ** j * binomial(k, j) / den
-                  * falling_pochhammer(a, j) * falling_pochhammer(b, k - j))
-    return Fraction(-1) ** k * total
+        weight = Fraction(-1) ** (k + j) * binomial(k, j) / den
+        terms.append((weight,
+                      [falling_pochhammer(a, j) for a in range(mu + 1)],
+                      [falling_pochhammer(b, k - j) for b in range(nu + 1)]))
+    cols = [[Fraction(0)] * (nu + 1) for _ in range(mu + 1)]
+    for a in range(mu + 1):
+        for b in range(max(0, k - a), min(nu, spec.target_level + k - a) + 1):
+            cols[a][b] = sum((w * fa[a] * fb[b] for w, fa, fb in terms),
+                             Fraction(0))
+    return cols
 
 
 @dataclass
@@ -87,35 +96,31 @@ class IntertwinerMatrix:
 
 def jk_matrix(spec: ChannelSpec) -> IntertwinerMatrix:
     """Matrix of J_k; column (a, b) has a single nonzero row a + b - k."""
-    mu, nu, k = spec.mu, spec.nu, spec.k
-    rows = spec.target_level + 1
-    m = [[Fraction(0)] * spec.tensor_dim for _ in range(rows)]
-    for a in range(mu + 1):
-        for b in range(nu + 1):
-            r = a + b - k
-            if 0 <= r <= spec.target_level:
-                m[r][spec.tensor_index(a, b)] = _jk_column_coefficient(spec, a, b)
+    m = [[Fraction(0)] * spec.tensor_dim
+         for _ in range(spec.target_level + 1)]
+    for a, row in enumerate(jk_columns(spec)):
+        for b, v in enumerate(row):
+            if v:
+                m[a + b - spec.k][spec.tensor_index(a, b)] = v
     return IntertwinerMatrix(spec, m)
-
-
-def tensor_gram_diagonal(spec: ChannelSpec) -> List[Fraction]:
-    gm = gram_diagonal(spec.mu)
-    gn = gram_diagonal(spec.nu)
-    return [gm[a] * gn[b]
-            for a in range(spec.mu + 1) for b in range(spec.nu + 1)]
 
 
 def jk_adjoint_matrix(spec: ChannelSpec) -> List[List[Fraction]]:
     """Adjoint of J_k w.r.t. the Gram forms: G_tensor^{-1} J^T G_target.
 
-    J_k has real rational entries, so conjugation is transposition.
+    J_k has real rational entries, so conjugation is transposition; row
+    (a, b) has its single nonzero in column a + b - k.
     """
-    jk = jk_matrix(spec).matrix
-    gt = tensor_gram_diagonal(spec)
+    gm, gn = gram_diagonal(spec.mu), gram_diagonal(spec.nu)
     go = gram_diagonal(spec.target_level)
-    rows = spec.tensor_dim
-    cols = spec.target_level + 1
-    return [[jk[c][r] * go[c] / gt[r] for c in range(cols)] for r in range(rows)]
+    adj = [[Fraction(0)] * (spec.target_level + 1)
+           for _ in range(spec.tensor_dim)]
+    for a, row in enumerate(jk_columns(spec)):
+        for b, v in enumerate(row):
+            if v:
+                c = a + b - spec.k
+                adj[spec.tensor_index(a, b)][c] = v * go[c] / (gm[a] * gn[b])
+    return adj
 
 
 def c_squared(spec: ChannelSpec) -> Fraction:
@@ -212,53 +217,54 @@ def pk_orthogonality_check(mu: int, nu: int) -> dict:
     return report
 
 
+def _to_integers(rows: List[List[Fraction]]) -> Tuple[int, List[List[int]]]:
+    """A common denominator d of a matrix and the matrix times d."""
+    d = math.lcm(*(v.denominator for row in rows for v in row))
+    return d, [[v.numerator * (d // v.denominator) for v in row]
+               for row in rows]
+
+
 def apply_channel(spec: ChannelSpec, a: KernelOperator,
                   _c2_override: Optional[Fraction] = None) -> KernelOperator:
     """T(A) = c^2 J_k (A (x) I) J_k* as exact kernel coefficients.
 
-    The tensor factor A (x) I is never materialized densely: on monomial
-    coefficients it maps z^j w^q to (sum_i a_ij g_j z^i) w^q.
-    ``_c2_override`` exists for fault-injection tests only.
+    In J_k* = G_tensor^{-1} J^T G_target both Gram factors cancel.  With
+    J(a, b) the column coefficients, b = c + k - a' and i = r - c + a':
+
+        T(A)[r][c] = c^2 sum_{a'} C(nu, b) J(i, b) J(a', b) A[i][a'],
+
+    zero for |r - c| > mu, so a call costs O(L mu^2) integer operations
+    over common denominators.  ``_c2_override`` exists for
+    fault-injection tests only.
     """
     if a.level != spec.mu:
         raise LevelMismatchError(
             f"operator level {a.level} does not match spec mu={spec.mu}")
     mu, nu, k = spec.mu, spec.nu, spec.k
     out_level = spec.target_level
-    gm = gram_diagonal(mu)
-    go = gram_diagonal(out_level)
-    jk = jk_matrix(spec).matrix
-    adj = jk_adjoint_matrix(spec)
-    c2 = c_squared(spec) if _c2_override is None else _c2_override
+    c2 = Fraction(c_squared(spec) if _c2_override is None else _c2_override)
+    dj, jint = _to_integers(jk_columns(spec))
+    dre, are = _to_integers([[v.re for v in row] for row in a.coeffs])
+    dim, aim = _to_integers([[v.im for v in row] for row in a.coeffs])
+    binom = [math.comb(nu, b) for b in range(nu + 1)]
 
-    # columns of the output operator matrix, indexed by target monomial c
-    out = [[CRational(0) for _ in range(out_level + 1)]
-           for _ in range(out_level + 1)]
-    for c in range(out_level + 1):
-        # (A (x) I) J* applied to xi^c, as a sparse tensor coefficient map
-        tensor_col: Dict[Tuple[int, int], CRational] = {}
-        for a_idx in range(mu + 1):
-            for b_idx in range(nu + 1):
-                v = adj[spec.tensor_index(a_idx, b_idx)][c]
-                if not v:
-                    continue
-                w = gm[a_idx] * v
-                for i in range(mu + 1):
-                    if a.coeffs[i][a_idx]:
-                        key = (i, b_idx)
-                        cur = tensor_col.get(key, CRational(0))
-                        tensor_col[key] = cur + a.coeffs[i][a_idx] * w
-        # apply J_k
-        for (i, b_idx), v in tensor_col.items():
-            r = i + b_idx - k
-            if 0 <= r <= out_level:
-                jv = jk[r][spec.tensor_index(i, b_idx)]
-                if jv:
-                    out[r][c] = out[r][c] + v * jv * c2
-    # operator matrix -> kernel coefficients
-    coeffs = [[out[i][c] / go[c] for c in range(out_level + 1)]
-              for i in range(out_level + 1)]
-    return KernelOperator(out_level, coeffs)
+    n = out_level + 1
+    sre = [[0] * n for _ in range(n)]
+    sim = [[0] * n for _ in range(n)]
+    for c in range(n):
+        for a2 in range(max(0, c + k - nu), min(mu, c + k) + 1):
+            b = c + k - a2
+            w = binom[b] * jint[a2][b]
+            for i in range(max(0, a2 - c), min(mu, out_level - c + a2) + 1):
+                v = w * jint[i][b]
+                sre[c + i - a2][c] += v * are[i][a2]
+                sim[c + i - a2][c] += v * aim[i][a2]
+    p, q = c2.numerator, c2.denominator * dj * dj
+    zero = CRational()      # shared by the entries outside the band
+    return KernelOperator(out_level, [
+        [CRational(Fraction(x * p, q * dre), Fraction(y * p, q * dim))
+         if x or y else zero for x, y in zip(rr, ri)]
+        for rr, ri in zip(sre, sim)])
 
 
 def normalization_factor(spec: ChannelSpec) -> Fraction:

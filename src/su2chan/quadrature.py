@@ -10,7 +10,6 @@ exactly and only diagonalized in floats.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -195,11 +194,14 @@ def trace_functional(spec: ChannelSpec, f: IsotypicFunction, phi,
 
 
 def limit_functional(mu: int, k: int, f: IsotypicFunction, phi,
-                     grid: Optional[QuadratureGrid] = None,
-                     poly_degree: int = 8) -> float:
-    """Integral of phi(E(f)) against the invariant measure."""
+                     grid: Optional[QuadratureGrid] = None) -> float:
+    """Integral of phi(E(f)) against the invariant measure.
+
+    The default grid is exact for polynomial coefficients ``phi`` of
+    degree len(phi) - 1; a callable phi needs an explicit grid.
+    """
     if grid is None:
-        grid = QuadratureGrid.for_degree(poly_degree * mu if mu else 1)
+        grid = QuadratureGrid.for_degree(max(1, (len(phi) - 1) * mu))
     e = e_limit_apply(mu, k, f)
     vals = np.real(function_values(e, grid.points))
     phif = _as_callable(phi)
@@ -319,48 +321,32 @@ class ConvergenceRecord:
 
 
 def moment_convergence(mu: int, k: int, f: IsotypicFunction, n: int,
-                       nus: Sequence[int]) -> ConvergenceRecord:
-    """Gap sequence for the n-th trace moment against its limit integral."""
-    lhs = []
-    for nu in nus:
-        spec = ChannelSpec(mu, nu, k)
-        lhs.append(trace_moment(spec, f, n))
+                       nus: Sequence[int],
+                       spectra: Optional[Sequence[np.ndarray]] = None) \
+        -> ConvergenceRecord:
+    """Gap sequence for the n-th trace moment against its limit integral;
+    ``spectra``, if given, are the channel output spectra at ``nus``."""
+    lams = [None] * len(nus) if spectra is None else spectra
+    lhs = [trace_moment(ChannelSpec(mu, nu, k), f, n, eigenvalues=lam)
+           for nu, lam in zip(nus, lams, strict=True)]
     rhs = limit_moment(mu, k, f, n)
     return ConvergenceRecord(mu, k, list(nus), f"n={n}", lhs, rhs)
 
 
 def functional_convergence(mu: int, k: int, f: IsotypicFunction,
                            phi_coeffs: Sequence[float],
-                           nus: Sequence[int]) -> ConvergenceRecord:
-    """Gap sequence for the polynomial functional calculus trace."""
-    lhs = []
-    for nu in nus:
-        spec = ChannelSpec(mu, nu, k)
-        lhs.append(trace_functional(spec, f, phi_coeffs))
-    grid = QuadratureGrid.for_degree(max(1, (len(phi_coeffs) - 1) * mu))
-    rhs = limit_functional(mu, k, f, phi_coeffs, grid=grid)
+                           nus: Sequence[int],
+                           spectra: Optional[Sequence[np.ndarray]] = None) \
+        -> ConvergenceRecord:
+    """Gap sequence for the polynomial functional calculus trace;
+    ``spectra`` as in :func:`moment_convergence`."""
+    lams = [None] * len(nus) if spectra is None else spectra
+    lhs = [trace_functional(ChannelSpec(mu, nu, k), f, phi_coeffs,
+                            eigenvalues=lam)
+           for nu, lam in zip(nus, lams, strict=True)]
+    rhs = limit_functional(mu, k, f, phi_coeffs)
     label = f"phi=deg{len(phi_coeffs) - 1}"
     return ConvergenceRecord(mu, k, list(nus), label, lhs, rhs)
-
-
-def moment_symbol_convergence(nus: Sequence[int], f: IsotypicFunction,
-                              n: int,
-                              grid: Optional[QuadratureGrid] = None) \
-        -> List[float]:
-    """Sup-norm gaps of (nu+1)^n R_nu(R_nu*(f)^n) - f^n over the grid."""
-    if grid is None:
-        grid = QuadratureGrid(16, 17)
-    zs = grid.points
-    target = function_values(f, zs) ** n
-    gaps = []
-    for nu in nus:
-        t = toeplitz(f, nu)
-        p = t
-        for _ in range(n - 1):
-            p = compose(p, t)
-        vals = (nu + 1) ** n * symbol_values(p, zs)
-        gaps.append(float(np.max(np.abs(vals - target))))
-    return gaps
 
 
 def entropy_poly_coeffs(degree: int = 8) -> List[float]:

@@ -3,9 +3,11 @@ report formats, and deterministic output."""
 
 import csv
 import json
+import warnings
 
 import pytest
 
+from su2chan import cli, quadrature
 from su2chan.cli import (
     EXIT_ASSERTION_FAILED,
     EXIT_CONFIG_ERROR,
@@ -136,6 +138,39 @@ class TestConverge:
         summary = json.loads((tmp_path / "conv.csv.summary.json").read_text())
         # at the floor the fitted decay order is meaningless, so absent
         assert summary["records"][0]["fitted_slope"] is None
+
+    @pytest.mark.parametrize("nus", ["20", "40,20", "20,20,40", ""])
+    def test_bad_nu_list_is_config_error(self, tmp_path, capsys, nus):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["converge", "--mu", "2", "--k", "1", "--nu", nus,
+                         "--n", "2", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_moment_order_below_one_is_config_error(self, tmp_path):
+        code = main(["converge", "--mu", "1", "--k", "0", "--nu", "8,16",
+                     "--n", "0,2", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG_ERROR
+
+    def test_each_spectrum_built_once(self, tmp_path, monkeypatch):
+        # every moment order and phi share one spectrum per level
+        real = quadrature.channel_output_spectrum
+        calls = []
+
+        def counting(spec, f):
+            calls.append(spec.nu)
+            return real(spec, f)
+
+        for mod in (quadrature, cli):
+            if hasattr(mod, "channel_output_spectrum"):
+                monkeypatch.setattr(mod, "channel_output_spectrum", counting)
+        code = main(["converge", "--mu", "2", "--k", "1", "--nu", "10,20",
+                     "--n", "1,2,3", "--phi", "entropy8",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code in (EXIT_OK, EXIT_ASSERTION_FAILED)
+        assert sorted(calls) == [10, 20]
 
     def test_deterministic_csv(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -7,7 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2chan.exactnum import binomial, falling_pochhammer, rising_pochhammer
+from su2chan.exactnum import (
+    CRational,
+    binomial,
+    falling_pochhammer,
+    rising_pochhammer,
+)
 from su2chan.intertwine import (
     ChannelSpec,
     InvalidSpecError,
@@ -25,13 +30,64 @@ from su2chan.intertwine import (
 )
 from su2chan.quadrature import random_operator, random_psd_trace_one
 from su2chan.repspace import (
-    compose,
+    KernelOperator,
+    gram_diagonal,
     operator_trace,
     reproducing_identity_operator,
     to_orthonormal_matrix,
 )
 
 RNG_SEED = 777
+
+
+def dense_apply_channel(spec, a, c2=None):
+    """T(A) = c^2 J_k (A (x) I) J_k* through the dense J_k and J_k*
+    matrices, column by column: the route apply_channel took before its
+    banded kernel.  It shares only the column coefficients with that
+    kernel (which pk_orthogonality_check verifies), so it is an oracle
+    for the kernel's index algebra and Gram-factor cancellation."""
+    mu, nu, k = spec.mu, spec.nu, spec.k
+    out_level = spec.target_level
+    gm = gram_diagonal(mu)
+    go = gram_diagonal(out_level)
+    jk = jk_matrix(spec).matrix
+    adj = jk_adjoint_matrix(spec)
+    if c2 is None:
+        c2 = c_squared(spec)
+    out = [[CRational(0) for _ in range(out_level + 1)]
+           for _ in range(out_level + 1)]
+    for c in range(out_level + 1):
+        # (A (x) I) J* applied to xi^c, as a sparse tensor coefficient map
+        tensor_col = {}
+        for a_idx in range(mu + 1):
+            for b_idx in range(nu + 1):
+                v = adj[spec.tensor_index(a_idx, b_idx)][c]
+                if not v:
+                    continue
+                w = gm[a_idx] * v
+                for i in range(mu + 1):
+                    if a.coeffs[i][a_idx]:
+                        key = (i, b_idx)
+                        cur = tensor_col.get(key, CRational(0))
+                        tensor_col[key] = cur + a.coeffs[i][a_idx] * w
+        # apply J_k
+        for (i, b_idx), v in tensor_col.items():
+            r = i + b_idx - k
+            if 0 <= r <= out_level:
+                jv = jk[r][spec.tensor_index(i, b_idx)]
+                if jv:
+                    out[r][c] = out[r][c] + v * jv * c2
+    # operator matrix -> kernel coefficients
+    return KernelOperator(out_level, [
+        [out[i][c] / go[c] for c in range(out_level + 1)]
+        for i in range(out_level + 1)])
+
+
+def random_nonhermitian(mu, rng):
+    while True:
+        a = random_operator(mu, rng)
+        if not a.is_hermitian():
+            return a
 
 
 class TestSpec:
@@ -155,6 +211,53 @@ class TestChannel:
     def test_normalization_factor(self):
         spec = ChannelSpec(2, 6, 1)
         assert normalization_factor(spec) == Fraction(3, 7)
+
+
+class TestBandedKernel:
+    """apply_channel against the dense oracle, bit for bit over Q(i)."""
+
+    def test_matches_dense_oracle(self):
+        rng = random.Random(RNG_SEED)
+        for mu in range(0, 4):
+            for nu in range(mu, 12):
+                for k in range(mu + 1):
+                    spec = ChannelSpec(mu, nu, k)
+                    for _ in range(2):
+                        a = random_nonhermitian(mu, rng)
+                        assert apply_channel(spec, a) == \
+                            dense_apply_channel(spec, a), (mu, nu, k)
+
+    # mu = 0, nu = mu, and output levels L = mu + nu - 2k below mu
+    @pytest.mark.parametrize("mu,nu,k", [(0, 0, 0), (0, 6, 0), (1, 1, 1),
+                                         (2, 2, 1), (3, 3, 0), (3, 3, 2),
+                                         (3, 3, 3), (3, 4, 3), (2, 3, 2)])
+    def test_edge_levels(self, mu, nu, k):
+        rng = random.Random(RNG_SEED)
+        spec = ChannelSpec(mu, nu, k)
+        for _ in range(5):
+            a = random_nonhermitian(mu, rng)
+            out = apply_channel(spec, a)
+            assert out.level == spec.target_level
+            assert out == dense_apply_channel(spec, a)
+
+    def test_output_is_banded(self):
+        rng = random.Random(RNG_SEED)
+        spec = ChannelSpec(2, 9, 1)
+        out = apply_channel(spec, random_nonhermitian(2, rng))
+        for r, row in enumerate(out.coeffs):
+            for c, v in enumerate(row):
+                if abs(r - c) > spec.mu:
+                    assert v == 0, (r, c)
+
+    def test_c2_override_scales_exactly(self):
+        rng = random.Random(RNG_SEED)
+        spec = ChannelSpec(3, 7, 2)
+        factor = Fraction(3, 2)
+        c2 = c_squared(spec) * factor
+        a = random_nonhermitian(3, rng)
+        out = apply_channel(spec, a, _c2_override=c2)
+        assert out == apply_channel(spec, a).scale(factor)
+        assert out == dense_apply_channel(spec, a, c2=c2)
 
 
 class TestChoi:
