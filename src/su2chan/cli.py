@@ -44,7 +44,7 @@ from .repspace import operator_trace, reproducing_identity_operator
 from .symbolcalc import (
     berezin_eigenvalue,
     e_eigenvalue_3f2,
-    e_eigenvalue_sum,
+    e_limit_eigenvalue,
     e_nu_apply,
     functions_equal,
     inverse_berezin,
@@ -209,7 +209,7 @@ def spectrum_rows(mu: int) -> List[dict]:
         for m in range(mu + 1):
             b = berezin_eigenvalue(mu, m)
             e3 = e_eigenvalue_3f2(mu, k, m)
-            es = e_eigenvalue_sum(mu, k, m)
+            es = e_limit_eigenvalue(mu, k, m)
             rows.append({
                 "mu": mu, "k": k, "m": m,
                 "berezin_exact": str(b), "berezin_float": float(b),

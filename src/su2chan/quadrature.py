@@ -174,28 +174,30 @@ def _as_callable(phi) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: np.polynomial.polynomial.polyval(x, coeffs)
 
 
-def trace_functional(spec: ChannelSpec, f: IsotypicFunction, phi,
-                     eigenvalues: Optional[np.ndarray] = None,
-                     tol: float = 1e-10) -> float:
-    """(1/dim) sum phi(lambda_i) over the channel output spectrum.
+def _unit_interval(vals: np.ndarray) -> np.ndarray:
+    """Values clamped to [0, 1]; anything beyond 1e-8 outside is an error
+    (the hypothesis R*_mu f >= 0, trace 1 forces spectrum and limit
+    function into [0, 1])."""
+    if vals.min() < -1e-8 or vals.max() > 1 + 1e-8:
+        raise SpectrumOutOfRangeError(
+            f"values [{vals.min()}, {vals.max()}] exit [0, 1]")
+    return np.clip(vals, 0.0, 1.0)
 
-    Eigenvalues are clamped to [0, 1]; anything beyond 1e-8 outside is
-    an error (the hypothesis R*_mu f >= 0, trace 1 forces the spectrum
-    into [0, 1]).
-    """
+
+def trace_functional(spec: ChannelSpec, f: IsotypicFunction, phi,
+                     eigenvalues: Optional[np.ndarray] = None) -> float:
+    """(1/dim) sum phi(lambda_i) over the channel output spectrum,
+    range-checked by :func:`_unit_interval`."""
     lam = channel_output_spectrum(spec, f) if eigenvalues is None \
         else eigenvalues
-    if lam.min() < -1e-8 or lam.max() > 1 + 1e-8:
-        raise SpectrumOutOfRangeError(
-            f"spectrum [{lam.min()}, {lam.max()}] exits [0, 1]")
-    clamped = np.clip(lam, 0.0, 1.0)
     phif = _as_callable(phi)
-    return float(np.sum(phif(clamped)) / (spec.target_level + 1))
+    return float(np.sum(phif(_unit_interval(lam))) / (spec.target_level + 1))
 
 
 def limit_functional(mu: int, k: int, f: IsotypicFunction, phi,
                      grid: Optional[QuadratureGrid] = None) -> float:
-    """Integral of phi(E(f)) against the invariant measure.
+    """Integral of phi(E(f)) against the invariant measure, with E(f)
+    range-checked on the grid by :func:`_unit_interval`.
 
     The default grid is exact for polynomial coefficients ``phi`` of
     degree len(phi) - 1; a callable phi needs an explicit grid.
@@ -205,7 +207,7 @@ def limit_functional(mu: int, k: int, f: IsotypicFunction, phi,
     e = e_limit_apply(mu, k, f)
     vals = np.real(function_values(e, grid.points))
     phif = _as_callable(phi)
-    return float(np.sum(grid.weights * phif(np.clip(vals, 0.0, 1.0))))
+    return float(np.sum(grid.weights * phif(_unit_interval(vals))))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +217,10 @@ def limit_functional(mu: int, k: int, f: IsotypicFunction, phi,
 def i_n_integral(n: int, nu: int) -> Fraction:
     """The chained-kernel integral I_n at level nu.
 
-    Even nu: exact combinatorial sum over n-1 indices.  Odd nu: the
-    comparison bound ((nu+1)/nu)^n I_n(nu-1), an upper estimate.
+    Even nu = 2 kappa: the exact sum over chains of n-1 indices
+    0..kappa, summed as a product of (kappa+1)-square transfer matrices
+    in O(n kappa^2).  Odd nu: the comparison bound
+    ((nu+1)/nu)^n I_n(nu-1), an upper estimate.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -229,30 +233,13 @@ def i_n_integral(n: int, nu: int) -> Fraction:
     if nu % 2 == 1:
         return Fraction(nu + 1, nu) ** n * i_n_integral(n, nu - 1)
     kappa = nu // 2
-    total = Fraction(0)
-    idx = [0] * (n - 1)
-
-    def term(indices: Sequence[int]) -> Fraction:
-        v = Fraction(1)
-        for i in indices:
-            v *= binomial(kappa, i) ** 2
-        v /= binomial(2 * kappa, indices[0])
-        for a, b in zip(indices, indices[1:]):
-            v /= binomial(2 * kappa, a + b)
-        v /= binomial(2 * kappa, indices[-1])
-        return v
-
-    def rec(pos: int):
-        nonlocal total
-        if pos == n - 1:
-            total += term(idx)
-            return
-        for i in range(kappa + 1):
-            idx[pos] = i
-            rec(pos + 1)
-
-    rec(0)
-    return total
+    sq = [binomial(kappa, a) ** 2 for a in range(kappa + 1)]
+    c2 = [binomial(2 * kappa, s) for s in range(2 * kappa + 1)]
+    v = [sq[a] / c2[a] for a in range(kappa + 1)]
+    for _ in range(n - 2):
+        v = [sq[b] * sum(v[a] / c2[a + b] for a in range(kappa + 1))
+             for b in range(kappa + 1)]
+    return sum(v[b] / c2[b] for b in range(kappa + 1))
 
 
 def fund_ineq_check(kappa: int, j: int) -> dict:

@@ -15,9 +15,10 @@ Everything in this module is exact; floats appear only in
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -142,21 +143,6 @@ class KernelOperator:
         return self.level == other.level and all(
             a == b for ra, rb in zip(self.coeffs, other.coeffs)
             for a, b in zip(ra, rb))
-
-    def kernel_at(self, x, y) -> CRational:
-        """A(x, y) = sum a_ij x^i y~^j for exact CRational arguments."""
-        x = CRational.of(x)
-        y = CRational.of(y)
-        xp = [CRational(1)]
-        yp = [CRational(1)]
-        for _ in range(self.level):
-            xp.append(xp[-1] * x)
-            yp.append(yp[-1] * y.conj())
-        out = CRational(0)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out = out + self.coeffs[i][j] * xp[i] * yp[j]
-        return out
 
     def kernel_at_float(self, x: complex, y: complex) -> complex:
         c = np.array([[complex(v) for v in row] for row in self.coeffs])
@@ -352,65 +338,8 @@ def _matmul(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Casimir of the adjoint action and isotypic projectors
+# Isotypic projectors of the adjoint action
 # ---------------------------------------------------------------------------
-
-def su2_generator_matrices(mu: int):
-    """Monomial-basis matrices of the sl2 triple (E, F, H) at level mu.
-
-    E = z^2 d/dz - mu z (raising), F = -d/dz (lowering) and
-    H = 2 z d/dz - mu (weight), so [E, F] = H, [H, E] = 2E,
-    [H, F] = -2F.  Integer entries.
-    """
-    n = mu + 1
-    e = [[Fraction(0)] * n for _ in range(n)]
-    f = [[Fraction(0)] * n for _ in range(n)]
-    h = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        if j + 1 <= mu:
-            e[j + 1][j] = Fraction(j - mu)
-        if j >= 1:
-            f[j - 1][j] = Fraction(-j)
-        h[j][j] = Fraction(2 * j - mu)
-    return e, f, h
-
-
-def casimir_on_operators(mu: int) -> Callable[[KernelOperator], KernelOperator]:
-    """Quadratic Casimir of the adjoint action on operators at level mu.
-
-    Normalized so the component isomorphic to the spin-m irreducible has
-    eigenvalue m (m + 1):  Cas(A) = ([E,[F,A]] + [F,[E,A]]) / 2 + [H,[H,A]] / 4.
-    """
-    e, f, h = su2_generator_matrices(mu)
-    gram = gram_diagonal(mu)
-    n = mu + 1
-
-    def to_op(a: KernelOperator):
-        return [[a.coeffs[i][j] * gram[j] for j in range(n)] for i in range(n)]
-
-    def to_kernel(m):
-        return KernelOperator(mu, [[m[i][j] / gram[j] for j in range(n)]
-                                   for i in range(n)])
-
-    def comm(x, m):
-        xm = _matmul(x, m)
-        mx = _matmul(m, x)
-        return [[xm[i][j] - mx[i][j] for j in range(n)] for i in range(n)]
-
-    def cas(a: KernelOperator) -> KernelOperator:
-        if a.level != mu:
-            raise LevelMismatchError(f"expected level {mu}, got {a.level}")
-        m = to_op(a)
-        ef = comm(e, comm(f, m))
-        fe = comm(f, comm(e, m))
-        hh = comm(h, comm(h, m))
-        out = [[(ef[i][j] + fe[i][j]) * Fraction(1, 2)
-                + hh[i][j] * Fraction(1, 4) for j in range(n)]
-               for i in range(n)]
-        return to_kernel(out)
-
-    return cas
-
 
 class IsotypicDecomposition:
     """Spectral projectors of the adjoint-action Casimir at level mu.
@@ -419,77 +348,57 @@ class IsotypicDecomposition:
     (the 2m+1-dimensional component of functions of sharp degree 2m).
     Projectors are exact, idempotent, mutually annihilating and sum to
     the identity on the operator space.
+
+    The Casimir keeps each coefficient diagonal i - j = d.  On the matrix
+    units E_ij of that diagonal it is the integer tridiagonal map
+
+      E_ij -> (s_i + s_j + d^2) E_ij - (L-i)(L-j) E_{i+1,j+1} - ij E_{i-1,j-1},
+
+    with s_i = (i(L-i+1) + (i+1)(L-i))/2 and L = mu, whose eigenvalues
+    m(m+1), m = |d|..L, are simple.  So projector m on diagonal d is the
+    rank-one map v w^T / (w^T v): v is the eigenvector (a dual-Hahn or
+    Clebsch-Gordan vector), found exactly by its three-term recurrence,
+    and w_t = v_t / (C(L,i) C(L,j)) is its dual under the Hilbert-Schmidt
+    form, for which the Casimir is self-adjoint.  The map is symmetric in
+    i and j, so the diagonals d and -d share their vectors.
     """
 
     def __init__(self, mu: int):
-        self.level = mu
-        self._cas = casimir_on_operators(mu)
-        self._eigenvalues = [Fraction(m * (m + 1)) for m in range(mu + 1)]
-        # the Casimir preserves each coefficient diagonal i - j = d, and
-        # on that diagonal only the components m >= |d| occur, so the
-        # projectors reduce to small per-diagonal blocks built once
-        self._blocks: dict = {}
-
-    def _diag_pairs(self, d: int) -> List:
-        L = self.level
-        if d >= 0:
-            return [(t + d, t) for t in range(L + 1 - d)]
-        return [(t, t - d) for t in range(L + 1 + d)]
-
-    def _block(self, m: int, d: int) -> List[List[CRational]]:
-        """s x s matrix of projector m restricted to diagonal d."""
-        key = (m, d)
-        blk = self._blocks.get(key)
-        if blk is not None:
-            return blk
-        pairs = self._diag_pairs(d)
-        s = len(pairs)
-        pos = {p: t for t, p in enumerate(pairs)}
-        # restricted Casimir matrix, column by column on matrix units
-        cmat = [[CRational(0)] * s for _ in range(s)]
-        for t, (i, j) in enumerate(pairs):
-            unit = KernelOperator.zero(self.level)
-            unit.coeffs[i][j] = CRational(1)
-            img = self._cas(unit)
-            for (p, q), r in pos.items():
-                cmat[r][t] = img.coeffs[p][q]
-        lam = self._eigenvalues
-        for mm in range(abs(d), self.level + 1):
-            prod = [[CRational(1 if a == b else 0) for b in range(s)]
-                    for a in range(s)]
-            for mp in range(abs(d), self.level + 1):
-                if mp == mm:
-                    continue
-                shifted = [[cmat[a][b] - (lam[mp] if a == b else 0)
-                            for b in range(s)] for a in range(s)]
-                prod = _matmul(prod, shifted)
-                w = 1 / (lam[mm] - lam[mp])
-                prod = [[v * w for v in row] for row in prod]
-            self._blocks[(mm, d)] = prod
-        return self._blocks[key]
+        self.level = L = mu
+        # (m, |d|) -> (v, w / (w.v))
+        self._rank_one: dict = {}
+        for d in range(L + 1):
+            for m in range(d, L + 1):
+                lam = m * (m + 1)
+                # row (i, j) of (Cas - lam) v = 0 gives v at (i+1, j+1)
+                v = [Fraction(1)]
+                for j in range(L - d):
+                    i = j + d
+                    # s_i + s_j + d^2 - lam
+                    a = (i + j + 1) * L - i * i - j * j + d * d - lam
+                    below = (L - i + 1) * (L - j + 1) * v[j - 1] if j else 0
+                    v.append((a * v[j] - below) / ((i + 1) * (j + 1)))
+                w = [x / (math.comb(L, j + d) * math.comb(L, j))
+                     for j, x in enumerate(v)]
+                norm = sum(x * y for x, y in zip(v, w))
+                self._rank_one[(m, d)] = (v, [x / norm for x in w])
 
     def project(self, m: int, a: KernelOperator) -> KernelOperator:
-        """Spectral projector Pi_m applied to A, diagonal block by block."""
+        """Spectral projector Pi_m applied to A, one diagonal at a time."""
         if not 0 <= m <= self.level:
             raise IndexError(f"component {m} out of range for level {self.level}")
         if a.level != self.level:
             raise LevelMismatchError(
                 f"expected level {self.level}, got {a.level}")
         out = KernelOperator.zero(self.level)
-        for d in range(-self.level, self.level + 1):
-            if m < abs(d):
-                continue
-            pairs = self._diag_pairs(d)
-            vec = [a.coeffs[i][j] for (i, j) in pairs]
-            if not any(vec):
-                continue
-            blk = self._block(m, d)
-            for r, (i, j) in enumerate(pairs):
-                acc = CRational(0)
-                for t, v in enumerate(vec):
-                    if v:
-                        acc = acc + blk[r][t] * v
-                out.coeffs[i][j] = acc
+        for d in range(-m, m + 1):
+            v, dual = self._rank_one[(m, abs(d))]
+            pairs = [(j + d, j) if d >= 0 else (j, j - d)
+                     for j in range(len(v))]
+            re = sum(c * a.coeffs[i][j].re for c, (i, j) in zip(dual, pairs))
+            im = sum(c * a.coeffs[i][j].im for c, (i, j) in zip(dual, pairs))
+            for x, (i, j) in zip(v, pairs):
+                out.coeffs[i][j] = CRational(x * re, x * im)
         return out
 
     def components(self, a: KernelOperator) -> List[KernelOperator]:

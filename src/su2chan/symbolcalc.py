@@ -94,11 +94,6 @@ class IsotypicFunction:
         n = self.numerator()
         return n.kernel_at_float(z, z) / (1 + abs(z) ** 2) ** self.level
 
-    def evaluate_exact(self, z) -> CRational:
-        z = CRational.of(z)
-        n = self.numerator()
-        return n.kernel_at(z, z) / (1 + z.abs2()) ** self.level
-
     def component_numerator_at_level(self, m: int, level: int) \
             -> List[List[CRational]]:
         """Kernel coefficients of component m rewritten over
@@ -119,9 +114,6 @@ class IsotypicFunction:
                     if src[i][j]:
                         out[i + t][j + t] = out[i + t][j + t] + src[i][j] * w
         return out
-
-    def is_real_valued(self) -> bool:
-        return all(c.is_hermitian() for c in self.components)
 
 
 def functions_equal(f: IsotypicFunction, g: IsotypicFunction) -> bool:
@@ -283,21 +275,6 @@ def e_limit_apply(mu: int, k: int, f: IsotypicFunction) -> IsotypicFunction:
             f"band limit {f.level} exceeds level {mu}")
     return f.scale_components(
         [e_limit_eigenvalue(mu, k, m) for m in range(f.level + 1)])
-
-
-def e_eigenvalue_sum(mu: int, k: int, m: int) -> Fraction:
-    """Direct binomial-sum form of the limit eigenvalue (oracle form)."""
-    if not 0 <= k <= mu:
-        raise ValueError(f"need 0 <= k <= mu, got k={k}, mu={mu}")
-    if m > mu:
-        return Fraction(0)
-    acc = Fraction(0)
-    for l in range(0, mu - m + 1):
-        acc += (Fraction(-1) ** (k - l) * binomial(k, l)
-                * Fraction(math.factorial(mu - l) ** 2,
-                           math.factorial(mu - l + m + 1)
-                           * math.factorial(mu - l - m)))
-    return binomial(mu, k) * acc
 
 
 def e_eigenvalue_3f2(mu: int, k: int, m: int) -> Fraction:

@@ -39,8 +39,8 @@ from su2chan.repspace import operator_trace
 from su2chan.symbolcalc import (
     berezin_eigenvalue,
     e_eigenvalue_3f2,
-    e_eigenvalue_sum,
     e_limit_apply,
+    e_limit_eigenvalue,
     e_nu_apply,
     functions_equal,
     inverse_berezin,
@@ -165,7 +165,7 @@ class TestAcceptance:
             for k in range(mu + 1):
                 for m in range(mu + 4):
                     a = e_eigenvalue_3f2(mu, k, m)
-                    if a != e_eigenvalue_sum(mu, k, m):
+                    if a != e_limit_eigenvalue(mu, k, m):
                         ok = False
                     if m > mu and a != 0:
                         ok = False

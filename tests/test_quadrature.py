@@ -1,12 +1,14 @@
 """Tests for invariant-measure quadrature, spectral sampling, the exact
 kernel-integral bounds, and the convergence harness."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from su2chan.exactnum import binomial
 from su2chan.intertwine import ChannelSpec, apply_channel
 from su2chan.quadrature import (
     ConvergenceRecord,
@@ -14,10 +16,12 @@ from su2chan.quadrature import (
     SpectrumOutOfRangeError,
     channel_output_spectrum,
     entropy_poly_coeffs,
+    function_values,
     functional_convergence,
     fund_ineq_check,
     i_n_integral,
     integrate_invariant,
+    limit_functional,
     limit_moment,
     moment_convergence,
     random_band_limited_state,
@@ -28,9 +32,30 @@ from su2chan.quadrature import (
     trace_moment,
 )
 from su2chan.repspace import operator_trace
-from su2chan.symbolcalc import integrate_exact, invariant_monomial_integral, symbol
+from su2chan.symbolcalc import (
+    e_limit_apply,
+    integrate_exact,
+    invariant_monomial_integral,
+    symbol,
+)
 
 RNG_SEED = 9001
+
+
+def i_n_enumerated(n, nu):
+    """I_n at even nu = 2 kappa, n >= 2, by enumerating every chain of
+    n-1 indices in 0..kappa: the oracle for the transfer-matrix sum."""
+    kappa = nu // 2
+    total = Fraction(0)
+    for idx in itertools.product(range(kappa + 1), repeat=n - 1):
+        v = Fraction(1)
+        for i in idx:
+            v *= binomial(kappa, i) ** 2
+        v /= binomial(2 * kappa, idx[0]) * binomial(2 * kappa, idx[-1])
+        for a, b in zip(idx, idx[1:]):
+            v /= binomial(2 * kappa, a + b)
+        total += v
+    return total
 
 
 class TestGrid:
@@ -122,6 +147,25 @@ class TestSpectralFunctionals:
         mom = 2 * trace_moment(spec, f, 2) - trace_moment(spec, f, 1)
         assert abs(val - mom) < 1e-12
 
+    def test_functionals_reject_values_outside_unit_interval(self):
+        rng = random.Random(RNG_SEED)
+        mu, k = 2, 1
+        _, f = random_band_limited_state(mu, rng)
+        phi = entropy_poly_coeffs(8)
+        # scale f by an integer so that E(f) exceeds 1 on the default grid
+        grid = QuadratureGrid.for_degree(8 * mu)
+        peak = np.max(np.real(function_values(e_limit_apply(mu, k, f),
+                                              grid.points)))
+        assert 0 < peak <= 1
+        limit_functional(mu, k, f, phi)
+        with pytest.raises(SpectrumOutOfRangeError):
+            limit_functional(mu, k, f.scale(int(2 / peak) + 1), phi)
+        spec = ChannelSpec(mu, 8, k)
+        with pytest.raises(SpectrumOutOfRangeError):
+            trace_functional(spec, f, phi, eigenvalues=np.array([0.5, 1.1]))
+        with pytest.raises(SpectrumOutOfRangeError):
+            trace_functional(spec, f, phi, eigenvalues=np.array([-0.1, 0.5]))
+
 
 class TestKernelBounds:
 
@@ -144,6 +188,11 @@ class TestKernelBounds:
             for nu in (3, 7, 11):
                 assert i_n_integral(n, nu) == \
                     Fraction(nu + 1, nu) ** n * i_n_integral(n, nu - 1)
+
+    def test_transfer_matrix_equals_chain_enumeration(self):
+        for n in range(2, 5):
+            for nu in range(0, 13, 2):
+                assert i_n_integral(n, nu) == i_n_enumerated(n, nu)
 
     def test_quadrature_oracle(self):
         # the exact combinatorial sum equals the chain integral

@@ -27,7 +27,6 @@ from su2chan.symbolcalc import (
     berezin_apply,
     berezin_eigenvalue,
     e_eigenvalue_3f2,
-    e_eigenvalue_sum,
     e_limit_apply,
     e_limit_coefficient,
     e_limit_eigenvalue,
@@ -223,7 +222,7 @@ class TestLimitEigenvalues:
             for k in range(mu + 1):
                 for m in range(mu + 1):
                     assert e_eigenvalue_3f2(mu, k, m) == \
-                        e_eigenvalue_sum(mu, k, m)
+                        e_limit_eigenvalue(mu, k, m)
 
     def test_vanishing_above_band_limit(self):
         for mu in range(0, 5):
@@ -249,10 +248,3 @@ class TestLimitEigenvalues:
         expected = f.scale_components(
             [e_eigenvalue_3f2(mu, k, m) for m in range(mu + 1)])
         assert functions_equal(out, expected)
-
-    def test_sum_forms_agree(self):
-        for mu in range(0, 5):
-            for k in range(mu + 1):
-                for m in range(mu + 1):
-                    assert e_limit_eigenvalue(mu, k, m) == \
-                        e_eigenvalue_sum(mu, k, m)
