@@ -24,7 +24,6 @@ from .intertwine import (
     ChannelSpec,
     apply_channel,
     apply_normalized_channel,
-    c_squared,
     channel_report,
     choi_min_eigenvalue,
     pk_orthogonality_check,
@@ -89,7 +88,7 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
     """Run the exact-identity suites; returns a JSON-ready report.
 
     ``corrupt_c_squared`` is a fault-injection hook for harness tests:
-    it perturbs the Schur constant fed to the channel check, which must
+    it scales the Schur constant of the trace check by 3/2, which must
     then fail with a witness.
     """
     rng = random.Random(seed)
@@ -106,10 +105,11 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
                 for c in {ac, -ac} if ac else {0}:
                     if abs(c) < max(n, 1):
                         continue
-                    if rising_pochhammer(c, n) == 0:
+                    den = rising_pochhammer(c, n)
+                    if den == 0:
                         continue
                     lhs = hyp2f1_terminating(n, b, c)
-                    rhs = rising_pochhammer(c - b, n) / rising_pochhammer(c, n)
+                    rhs = rising_pochhammer(c - b, n) / den
                     if lhs != rhs:
                         ok, wit = False, {"n": n, "b": b, "c": c,
                                           "lhs": str(lhs), "rhs": str(rhs)}
@@ -131,13 +131,12 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
         for nu in range(mu, nu_max + 1):
             for k in range(mu + 1):
                 spec = ChannelSpec(mu, nu, k)
-                c2 = c_squared(spec)
-                if corrupt_c_squared:
-                    c2 = c2 * Fraction(3, 2)
                 for _ in range(n_random):
                     a = random_operator(mu, rng)
-                    ta = apply_channel(spec, a, _c2_override=c2) \
-                        .scale(Fraction(mu + 1, spec.target_level + 1))
+                    ta = apply_normalized_channel(spec, a)
+                    if corrupt_c_squared:
+                        # the channel is linear in c^2
+                        ta = ta.scale(Fraction(3, 2))
                     if operator_trace(ta) != operator_trace(a):
                         ok, wit = False, {
                             "mu": mu, "nu": nu, "k": k,

@@ -9,9 +9,9 @@ the differential-operator form
     J_k = (-1)^k sum_j (-1)^j C(k,j) [(-mu)_j (-nu)_{k-j}]^{-1}
           d_z^j d_w^{k-j}  evaluated at z = w = xi.
 
-All matrices map monomial coefficient vectors to monomial coefficient
-vectors, so composition of maps is plain matrix multiplication and the
-Gram forms enter only through adjoints.
+J_k is kept only in this one-nonzero-per-column form (:func:`jk_columns`);
+the channel kernel and the orthogonality check work from the columns by
+total degree a + b, and the Gram forms enter only through adjoints.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -86,43 +86,6 @@ def jk_columns(spec: ChannelSpec) -> List[List[Fraction]]:
     return cols
 
 
-@dataclass
-class IntertwinerMatrix:
-    """J_k as a (target_dim) x (tensor_dim) exact matrix on coefficients."""
-
-    spec: ChannelSpec
-    matrix: List[List[Fraction]]
-
-
-def jk_matrix(spec: ChannelSpec) -> IntertwinerMatrix:
-    """Matrix of J_k; column (a, b) has a single nonzero row a + b - k."""
-    m = [[Fraction(0)] * spec.tensor_dim
-         for _ in range(spec.target_level + 1)]
-    for a, row in enumerate(jk_columns(spec)):
-        for b, v in enumerate(row):
-            if v:
-                m[a + b - spec.k][spec.tensor_index(a, b)] = v
-    return IntertwinerMatrix(spec, m)
-
-
-def jk_adjoint_matrix(spec: ChannelSpec) -> List[List[Fraction]]:
-    """Adjoint of J_k w.r.t. the Gram forms: G_tensor^{-1} J^T G_target.
-
-    J_k has real rational entries, so conjugation is transposition; row
-    (a, b) has its single nonzero in column a + b - k.
-    """
-    gm, gn = gram_diagonal(spec.mu), gram_diagonal(spec.nu)
-    go = gram_diagonal(spec.target_level)
-    adj = [[Fraction(0)] * (spec.target_level + 1)
-           for _ in range(spec.tensor_dim)]
-    for a, row in enumerate(jk_columns(spec)):
-        for b, v in enumerate(row):
-            if v:
-                c = a + b - spec.k
-                adj[spec.tensor_index(a, b)][c] = v * go[c] / (gm[a] * gn[b])
-    return adj
-
-
 def c_squared(spec: ChannelSpec) -> Fraction:
     """Schur constant with J_k J_k* = C^{-2} I on the target space."""
     mu, nu, k = spec.mu, spec.nu, spec.k
@@ -132,31 +95,6 @@ def c_squared(spec: ChannelSpec) -> Fraction:
     return num / den
 
 
-def jk_product(spec_k: ChannelSpec, spec_l: ChannelSpec) -> List[List[Fraction]]:
-    """J_k J_l* as an exact matrix on the level-(mu+nu-2l) target space.
-
-    Both specs must share (mu, nu).  For k = l this is C^{-2} I; for
-    k != l it vanishes (nonisomorphic irreducible targets).
-    """
-    if (spec_k.mu, spec_k.nu) != (spec_l.mu, spec_l.nu):
-        raise InvalidSpecError("specs must share (mu, nu)")
-    jk = jk_matrix(spec_k).matrix
-    jl_adj = jk_adjoint_matrix(spec_l)
-    rows = len(jk)
-    cols = len(jl_adj[0])
-    inner = len(jl_adj)
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        for t in range(inner):
-            v = jk[i][t]
-            if v:
-                row = jl_adj[t]
-                for j in range(cols):
-                    if row[j]:
-                        out[i][j] += v * row[j]
-    return out
-
-
 def pk_orthogonality_check(mu: int, nu: int) -> dict:
     """Exact verification of the orthogonal decomposition at (mu, nu).
 
@@ -164,7 +102,18 @@ def pk_orthogonality_check(mu: int, nu: int) -> dict:
       * c_squared(k) J_k J_k* = I on the target space,
       * J_k J_l* = 0 for k != l,
       * sum_k c_squared(k) J_k* J_k = I on the tensor space.
-    Returns a report dict with a witness entry for the first failure.
+
+    With x_k the column coefficients and g_k the Gram diagonal of level
+    mu + nu - 2k, J_k* = G_tensor^{-1} J_k^T G_target carries the weight
+    C(mu,a) C(nu,b) g_k(c), so every entry is a sum over one total degree:
+
+      (J_k J_l*)[r][r+k-l] = g_l(r+k-l) sum_{a+b=r+k} x_k x_l C(mu,a) C(nu,b),
+      (sum_k c_k^2 J_k* J_k)[(a,b)][(a',b')]
+          = C(mu,a) C(nu,b) sum_k c_k^2 g_k(s-k) x_k[a][b] x_k[a'][b'],
+
+    with s = a + b = a' + b'; all other entries vanish by construction.
+    Entries are visited in row-major order, so the witness in the returned
+    report is the first failing entry of the dense matrices.
     """
     report = {"mu": mu, "nu": nu, "schur_scalar": True,
               "cross_vanish": True, "completeness": True, "witness": None}
@@ -175,43 +124,45 @@ def pk_orthogonality_check(mu: int, nu: int) -> dict:
                                  "row": i, "col": j, "value": str(value)}
 
     specs = [ChannelSpec(mu, nu, k) for k in range(mu + 1)]
-    for k, sk in enumerate(specs):
-        for l, sl in enumerate(specs):
-            prod = jk_product(sk, sl)
-            if k == l:
-                c2 = c_squared(sk)
-                for i, row in enumerate(prod):
-                    for j, v in enumerate(row):
-                        want = (1 / c2) if i == j else Fraction(0)
-                        if v != want:
-                            report["schur_scalar"] = False
-                            witness("schur_scalar", k, l, i, j, v)
-            else:
-                for i, row in enumerate(prod):
-                    for j, v in enumerate(row):
-                        if v != 0:
-                            report["cross_vanish"] = False
-                            witness("cross_vanish", k, l, i, j, v)
+    cols = [jk_columns(spec) for spec in specs]
+    c2 = [c_squared(spec) for spec in specs]
+    grams = [gram_diagonal(spec.target_level) for spec in specs]
+    weight = [[math.comb(mu, a) * math.comb(nu, b) for b in range(nu + 1)]
+              for a in range(mu + 1)]
 
-    dim = (mu + 1) * (nu + 1)
-    total = [[Fraction(0)] * dim for _ in range(dim)]
-    for sk in specs:
-        jk = jk_matrix(sk).matrix
-        adj = jk_adjoint_matrix(sk)
-        c2 = c_squared(sk)
-        for i in range(dim):
-            for t in range(len(jk)):
-                v = adj[i][t]
-                if v:
-                    for j in range(dim):
-                        if jk[t][j]:
-                            total[i][j] += c2 * v * jk[t][j]
-    for i in range(dim):
-        for j in range(dim):
-            want = Fraction(1) if i == j else Fraction(0)
-            if total[i][j] != want:
-                report["completeness"] = False
-                witness("completeness", None, None, i, j, total[i][j])
+    def degree(s):
+        """The (a, b) of the tensor basis with a + b = s."""
+        return [(a, s - a) for a in range(max(0, s - nu), min(mu, s) + 1)]
+
+    for k, xk in enumerate(cols):
+        for l, xl in enumerate(cols):
+            for r in range(specs[k].target_level + 1):
+                c = r + k - l
+                if not 0 <= c <= specs[l].target_level:
+                    continue
+                v = grams[l][c] * sum((xk[a][b] * xl[a][b] * weight[a][b]
+                                       for a, b in degree(r + k)), Fraction(0))
+                if k == l and v != 1 / c2[k]:
+                    report["schur_scalar"] = False
+                    witness("schur_scalar", k, l, r, c, v)
+                elif k != l and v:
+                    report["cross_vanish"] = False
+                    witness("cross_vanish", k, l, r, c, v)
+
+    for a in range(mu + 1):
+        for b in range(nu + 1):
+            s = a + b
+            terms = [(c2[k] * grams[k][s - k] * x[a][b], x)
+                     for k, x in enumerate(cols)
+                     if 0 <= s - k <= specs[k].target_level]
+            for a2, b2 in degree(s):
+                v = weight[a][b] * sum((t * x[a2][b2] for t, x in terms),
+                                       Fraction(0))
+                if v != (1 if (a2, b2) == (a, b) else 0):
+                    report["completeness"] = False
+                    witness("completeness", None, None,
+                            specs[0].tensor_index(a, b),
+                            specs[0].tensor_index(a2, b2), v)
     report["ok"] = (report["schur_scalar"] and report["cross_vanish"]
                     and report["completeness"])
     return report
@@ -224,25 +175,23 @@ def _to_integers(rows: List[List[Fraction]]) -> Tuple[int, List[List[int]]]:
                for row in rows]
 
 
-def apply_channel(spec: ChannelSpec, a: KernelOperator,
-                  _c2_override: Optional[Fraction] = None) -> KernelOperator:
-    """T(A) = c^2 J_k (A (x) I) J_k* as exact kernel coefficients.
+def _channel(spec: ChannelSpec, a: KernelOperator,
+             scalar: Fraction) -> KernelOperator:
+    """scalar J_k (A (x) I) J_k* as exact kernel coefficients.
 
     In J_k* = G_tensor^{-1} J^T G_target both Gram factors cancel.  With
     J(a, b) the column coefficients, b = c + k - a' and i = r - c + a':
 
-        T(A)[r][c] = c^2 sum_{a'} C(nu, b) J(i, b) J(a', b) A[i][a'],
+        T(A)[r][c] = scalar sum_{a'} C(nu, b) J(i, b) J(a', b) A[i][a'],
 
     zero for |r - c| > mu, so a call costs O(L mu^2) integer operations
-    over common denominators.  ``_c2_override`` exists for
-    fault-injection tests only.
+    over common denominators, and the scalar enters once, in p/q.
     """
     if a.level != spec.mu:
         raise LevelMismatchError(
             f"operator level {a.level} does not match spec mu={spec.mu}")
     mu, nu, k = spec.mu, spec.nu, spec.k
     out_level = spec.target_level
-    c2 = Fraction(c_squared(spec) if _c2_override is None else _c2_override)
     dj, jint = _to_integers(jk_columns(spec))
     dre, are = _to_integers([[v.re for v in row] for row in a.coeffs])
     dim, aim = _to_integers([[v.im for v in row] for row in a.coeffs])
@@ -259,7 +208,7 @@ def apply_channel(spec: ChannelSpec, a: KernelOperator,
                 v = w * jint[i][b]
                 sre[c + i - a2][c] += v * are[i][a2]
                 sim[c + i - a2][c] += v * aim[i][a2]
-    p, q = c2.numerator, c2.denominator * dj * dj
+    p, q = scalar.numerator, scalar.denominator * dj * dj
     zero = CRational()      # shared by the entries outside the band
     return KernelOperator(out_level, [
         [CRational(Fraction(x * p, q * dre), Fraction(y * p, q * dim))
@@ -267,14 +216,19 @@ def apply_channel(spec: ChannelSpec, a: KernelOperator,
         for rr, ri in zip(sre, sim)])
 
 
+def apply_channel(spec: ChannelSpec, a: KernelOperator) -> KernelOperator:
+    """T(A) = c^2 J_k (A (x) I) J_k*."""
+    return _channel(spec, a, c_squared(spec))
+
+
 def normalization_factor(spec: ChannelSpec) -> Fraction:
     return Fraction(spec.mu + 1, spec.target_level + 1)
 
 
-def apply_normalized_channel(spec: ChannelSpec, a: KernelOperator,
-                             **kwargs) -> KernelOperator:
+def apply_normalized_channel(spec: ChannelSpec,
+                             a: KernelOperator) -> KernelOperator:
     """Trace-preserving rescaling (mu+1)/(mu+nu-2k+1) of the channel."""
-    return apply_channel(spec, a, **kwargs).scale(normalization_factor(spec))
+    return _channel(spec, a, c_squared(spec) * normalization_factor(spec))
 
 
 def choi_matrix(spec: ChannelSpec) -> np.ndarray:

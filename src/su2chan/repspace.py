@@ -202,27 +202,9 @@ def rank_one(level: int, f: Sequence, g: Sequence) -> KernelOperator:
 def compose(a: KernelOperator, b: KernelOperator) -> KernelOperator:
     """Kernel composition: coefficient matrix a . G . b."""
     a._check_level(b)
-    n = a.dim
     g = gram_diagonal(a.level)
-    out = _zero_coeffs(n)
-    for i in range(n):
-        for j in range(n):
-            acc = CRational(0)
-            for m in range(n):
-                aim = a.coeffs[i][m]
-                if aim:
-                    acc = acc + aim * g[m] * b.coeffs[m][j]
-            out[i][j] = acc
-    return KernelOperator(a.level, out)
-
-
-def operator_power(a: KernelOperator, n: int) -> KernelOperator:
-    if n < 0:
-        raise ValueError("power must be >= 0")
-    out = reproducing_identity_operator(a.level)
-    for _ in range(n):
-        out = compose(out, a)
-    return out
+    ag = [[v * g[m] for m, v in enumerate(row)] for row in a.coeffs]
+    return KernelOperator(a.level, _matmul(ag, b.coeffs))
 
 
 def operator_trace(a: KernelOperator) -> CRational:
@@ -241,7 +223,9 @@ def to_orthonormal_matrix(a: KernelOperator) -> np.ndarray:
     """
     g = np.array([float(v) for v in gram_diagonal(a.level)])
     s = np.sqrt(g)
-    c = np.array([[complex(v) for v in row] for row in a.coeffs])
+    # a channel output is banded, so most entries are exact zeros
+    c = np.array([[complex(v) if v else 0j for v in row]
+                  for row in a.coeffs])
     return c * np.outer(s, s)
 
 

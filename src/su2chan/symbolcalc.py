@@ -12,6 +12,7 @@ used only as an independent cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,13 +127,9 @@ def functions_equal(f: IsotypicFunction, g: IsotypicFunction) -> bool:
     return True
 
 
-_projector_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _projectors(level: int) -> IsotypicDecomposition:
-    if level not in _projector_cache:
-        _projector_cache[level] = isotypic_projectors(level)
-    return _projector_cache[level]
+    return isotypic_projectors(level)
 
 
 def symbol(a: KernelOperator) -> IsotypicFunction:

@@ -18,7 +18,6 @@ from su2chan.intertwine import (
     apply_normalized_channel,
     c_squared,
     choi_min_eigenvalue,
-    jk_product,
     pk_orthogonality_check,
 )
 from su2chan.quadrature import (
@@ -47,6 +46,7 @@ from su2chan.symbolcalc import (
     symbol,
 )
 from su2chan.intertwine import apply_channel
+from test_intertwine import dense_jk_product
 
 SEED = 20240817
 STATE_SEED = 1   # seed for the shared random-state input set (crit. 8/9)
@@ -79,7 +79,7 @@ class TestAcceptance:
             for nu in range(mu, 9):
                 for k in range(mu + 1):
                     spec = ChannelSpec(mu, nu, k)
-                    prod = jk_product(spec, spec)
+                    prod = dense_jk_product(spec, spec)
                     inv_c2 = 1 / c_squared(spec)
                     n = spec.target_level + 1
                     for i in range(n):

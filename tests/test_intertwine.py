@@ -13,6 +13,7 @@ from su2chan.exactnum import (
     falling_pochhammer,
     rising_pochhammer,
 )
+from su2chan import intertwine
 from su2chan.intertwine import (
     ChannelSpec,
     InvalidSpecError,
@@ -22,9 +23,7 @@ from su2chan.intertwine import (
     choi_matrix,
     choi_min_eigenvalue,
     choi_partial_trace_output,
-    jk_adjoint_matrix,
-    jk_matrix,
-    jk_product,
+    jk_columns,
     normalization_factor,
     pk_orthogonality_check,
 )
@@ -40,7 +39,94 @@ from su2chan.repspace import (
 RNG_SEED = 777
 
 
-def dense_apply_channel(spec, a, c2=None):
+# ---------------------------------------------------------------------------
+# Dense oracles: J_k and J_k* as full exact matrices.  They share only the
+# column coefficients with the package (looked up on the module, so a
+# monkeypatched fault reaches both), and multiply them out entry by entry.
+# ---------------------------------------------------------------------------
+
+def dense_jk_matrix(spec):
+    """J_k as a (target_dim) x (tensor_dim) matrix; column (a, b) has its
+    single nonzero in row a + b - k."""
+    m = [[Fraction(0)] * spec.tensor_dim
+         for _ in range(spec.target_level + 1)]
+    for a, row in enumerate(intertwine.jk_columns(spec)):
+        for b, v in enumerate(row):
+            if v:
+                m[a + b - spec.k][spec.tensor_index(a, b)] = v
+    return m
+
+
+def dense_jk_adjoint(spec):
+    """J_k* = G_tensor^{-1} J_k^T G_target (J_k is real)."""
+    jk = dense_jk_matrix(spec)
+    gm, gn = gram_diagonal(spec.mu), gram_diagonal(spec.nu)
+    go = gram_diagonal(spec.target_level)
+    return [[jk[c][spec.tensor_index(a, b)] * go[c] / (gm[a] * gn[b])
+             for c in range(spec.target_level + 1)]
+            for a in range(spec.mu + 1) for b in range(spec.nu + 1)]
+
+
+def dense_matmul(x, y):
+    out = [[Fraction(0)] * len(y[0]) for _ in x]
+    for row, out_row in zip(x, out):
+        for v, y_row in zip(row, y):
+            if v:
+                for j, w in enumerate(y_row):
+                    if w:
+                        out_row[j] += v * w
+    return out
+
+
+def dense_jk_product(spec_k, spec_l):
+    """J_k J_l* on the level-(mu+nu-2l) target space."""
+    return dense_matmul(dense_jk_matrix(spec_k), dense_jk_adjoint(spec_l))
+
+
+def dense_pk_orthogonality_check(mu, nu):
+    """pk_orthogonality_check through the dense products, scanning every
+    entry in row-major order; the report has the same keys and witness."""
+    report = {"mu": mu, "nu": nu, "schur_scalar": True,
+              "cross_vanish": True, "completeness": True, "witness": None}
+
+    def witness(kind, k, l, i, j, value):
+        if report["witness"] is None:
+            report["witness"] = {"identity": kind, "k": k, "l": l,
+                                 "row": i, "col": j, "value": str(value)}
+
+    specs = [ChannelSpec(mu, nu, k) for k in range(mu + 1)]
+    c2 = [c_squared(sk) for sk in specs]
+    for k, sk in enumerate(specs):
+        for l, sl in enumerate(specs):
+            for i, row in enumerate(dense_jk_product(sk, sl)):
+                for j, v in enumerate(row):
+                    if k == l:
+                        want = 1 / c2[k] if i == j else 0
+                        if v != want:
+                            report["schur_scalar"] = False
+                            witness("schur_scalar", k, l, i, j, v)
+                    elif v != 0:
+                        report["cross_vanish"] = False
+                        witness("cross_vanish", k, l, i, j, v)
+    dim = (mu + 1) * (nu + 1)
+    total = [[Fraction(0)] * dim for _ in range(dim)]
+    for k, sk in enumerate(specs):
+        term = dense_matmul(dense_jk_adjoint(sk), dense_jk_matrix(sk))
+        for i in range(dim):
+            for j in range(dim):
+                if term[i][j]:
+                    total[i][j] += c2[k] * term[i][j]
+    for i in range(dim):
+        for j in range(dim):
+            if total[i][j] != (1 if i == j else 0):
+                report["completeness"] = False
+                witness("completeness", None, None, i, j, total[i][j])
+    report["ok"] = (report["schur_scalar"] and report["cross_vanish"]
+                    and report["completeness"])
+    return report
+
+
+def dense_apply_channel(spec, a):
     """T(A) = c^2 J_k (A (x) I) J_k* through the dense J_k and J_k*
     matrices, column by column: the route apply_channel took before its
     banded kernel.  It shares only the column coefficients with that
@@ -50,10 +136,9 @@ def dense_apply_channel(spec, a, c2=None):
     out_level = spec.target_level
     gm = gram_diagonal(mu)
     go = gram_diagonal(out_level)
-    jk = jk_matrix(spec).matrix
-    adj = jk_adjoint_matrix(spec)
-    if c2 is None:
-        c2 = c_squared(spec)
+    jk = dense_jk_matrix(spec)
+    adj = dense_jk_adjoint(spec)
+    c2 = c_squared(spec)
     out = [[CRational(0) for _ in range(out_level + 1)]
            for _ in range(out_level + 1)]
     for c in range(out_level + 1):
@@ -116,7 +201,7 @@ class TestIntertwiner:
         # (z the first-factor variable, w the second)
         for (mu, nu, k) in [(2, 4, 2), (1, 3, 1), (3, 3, 3)]:
             spec = ChannelSpec(mu, nu, k)
-            adj = jk_adjoint_matrix(spec)
+            adj = dense_jk_adjoint(spec)
             for a in range(mu + 1):
                 for b in range(nu + 1):
                     expected = Fraction(0)
@@ -136,14 +221,17 @@ class TestIntertwiner:
                     assert c_squared(spec) == expected
 
     def test_schur_scalar_and_orthogonality_sweep(self):
-        for mu in range(0, 3):
-            for nu in range(mu, 6):
+        # the total-degree check against the dense products; mu = 0,
+        # nu = mu and output levels below mu all occur on this grid
+        for mu in range(0, 5):
+            for nu in range(mu, 9):
                 rep = pk_orthogonality_check(mu, nu)
                 assert rep["ok"], rep["witness"]
+                assert rep == dense_pk_orthogonality_check(mu, nu), (mu, nu)
 
     def test_product_is_scalar(self):
         spec = ChannelSpec(2, 4, 1)
-        prod = jk_product(spec, spec)
+        prod = dense_jk_product(spec, spec)
         n = spec.target_level + 1
         inv_c2 = 1 / c_squared(spec)
         for i in range(n):
@@ -156,19 +244,50 @@ class TestIntertwiner:
             for l in range(mu + 1):
                 if k == l:
                     continue
-                prod = jk_product(ChannelSpec(mu, nu, k),
-                                  ChannelSpec(mu, nu, l))
+                prod = dense_jk_product(ChannelSpec(mu, nu, k),
+                                        ChannelSpec(mu, nu, l))
                 assert all(v == 0 for row in prod for v in row)
 
     def test_jk_columns_have_single_output_degree(self):
-        spec = ChannelSpec(2, 5, 1)
-        m = jk_matrix(spec)
-        for a in range(3):
-            for b in range(6):
-                col = spec.tensor_index(a, b)
-                for r in range(spec.target_level + 1):
-                    if r != a + b - spec.k and m.matrix[r][col] != 0:
-                        raise AssertionError((a, b, r))
+        # cols[a][b] is the coefficient of xi^(a+b-k): zero exactly where
+        # that degree lies outside the target level, and every target
+        # degree is reached (J_k is onto)
+        for (mu, nu, k) in [(2, 5, 1), (0, 3, 0), (3, 3, 3), (3, 4, 3),
+                            (2, 2, 1)]:
+            spec = ChannelSpec(mu, nu, k)
+            cols = jk_columns(spec)
+            reached = set()
+            for a in range(mu + 1):
+                for b in range(nu + 1):
+                    r = a + b - k
+                    if not 0 <= r <= spec.target_level:
+                        assert cols[a][b] == 0, (spec, a, b)
+                    elif cols[a][b]:
+                        reached.add(r)
+            assert reached == set(range(spec.target_level + 1)), spec
+
+    # one coefficient scaled, or (a = b = None) all of J_k, which breaks
+    # every row of its Schur block and so tests the scan order
+    @pytest.mark.parametrize("mu,nu,k,a,b", [(3, 5, 1, 1, 2), (2, 2, 2, 2, 0),
+                                             (4, 8, 0, 0, 3), (1, 1, 0, 1, 1),
+                                             (3, 6, 2, None, None)])
+    def test_fault_gives_dense_witness(self, monkeypatch, mu, nu, k, a, b):
+        clean = intertwine.jk_columns
+
+        def faulty(spec):
+            cols = clean(spec)
+            if spec.k == k:
+                for i, row in enumerate(cols):
+                    for j in range(len(row)):
+                        if a is None or (i, j) == (a, b):
+                            row[j] *= Fraction(3, 2)
+            return cols
+
+        monkeypatch.setattr(intertwine, "jk_columns", faulty)
+        rep = pk_orthogonality_check(mu, nu)
+        assert not rep["ok"]
+        assert rep["witness"] is not None
+        assert rep == dense_pk_orthogonality_check(mu, nu)
 
 
 class TestChannel:
@@ -249,15 +368,16 @@ class TestBandedKernel:
                 if abs(r - c) > spec.mu:
                     assert v == 0, (r, c)
 
-    def test_c2_override_scales_exactly(self):
+    def test_normalized_channel_matches_dense_oracle(self):
         rng = random.Random(RNG_SEED)
-        spec = ChannelSpec(3, 7, 2)
-        factor = Fraction(3, 2)
-        c2 = c_squared(spec) * factor
-        a = random_nonhermitian(3, rng)
-        out = apply_channel(spec, a, _c2_override=c2)
-        assert out == apply_channel(spec, a).scale(factor)
-        assert out == dense_apply_channel(spec, a, c2=c2)
+        for mu in range(0, 4):
+            for nu in range(mu, 12):
+                for k in range(mu + 1):
+                    spec = ChannelSpec(mu, nu, k)
+                    a = random_nonhermitian(mu, rng)
+                    assert apply_normalized_channel(spec, a) == \
+                        dense_apply_channel(spec, a).scale(
+                            normalization_factor(spec)), (mu, nu, k)
 
 
 class TestChoi:

@@ -23,7 +23,6 @@ from su2chan.repspace import (
     inner_product,
     isotypic_projectors,
     monomial_norm_sq,
-    operator_power,
     operator_trace,
     rank_one,
     reproducing_identity_operator,
@@ -186,12 +185,6 @@ class TestKernelOperator:
         f, g = random_poly(rng, nu), random_poly(rng, nu)
         assert inner_product(space, a.apply(f), g) == \
             inner_product(space, f, a.adjoint().apply(g))
-
-    def test_operator_power(self):
-        rng = random.Random(RNG_SEED)
-        a = random_operator(3, rng)
-        assert operator_power(a, 0) == reproducing_identity_operator(3)
-        assert operator_power(a, 3) == compose(a, compose(a, a))
 
     def test_orthonormal_matrix_preserves_trace_and_products(self):
         rng = random.Random(RNG_SEED)
