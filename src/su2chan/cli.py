@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -375,8 +376,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else 0
-    if getattr(args, "phi", None) == []:
-        print("error: empty phi list", file=sys.stderr)
+    phi, tol = getattr(args, "phi", None), getattr(args, "tol", 0.0)
+    if phi is not None and not (phi and all(map(math.isfinite, phi))):
+        print("error: --phi needs finite coefficients", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    if not (math.isfinite(tol) and tol >= 0):
+        print("error: --tol must be finite and >= 0", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     return args.func(args)
 

@@ -134,26 +134,53 @@ def rising_pochhammer(a: RationalLike, n: int) -> Fraction:
     """(a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
     if n < 0:
         raise ValueError(f"rising_pochhammer requires n >= 0, got n={n}")
-    a = Fraction(a)
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
-    return out
+    p, q = Fraction(a).as_integer_ratio()
+    return Fraction(math.prod(p + i * q for i in range(n)), q ** n)
 
 
 def falling_pochhammer(a: RationalLike, n: int) -> Fraction:
     """a (a-1) ... (a-n+1), with the empty product equal to 1."""
     if n < 0:
         raise ValueError(f"falling_pochhammer requires n >= 0, got n={n}")
-    a = Fraction(a)
-    out = Fraction(1)
-    for i in range(n):
-        out *= a - i
-    return out
+    p, q = Fraction(a).as_integer_ratio()
+    return Fraction(math.prod(p - i * q for i in range(n)), q ** n)
+
+
+def _terminating_sum(nums, dens) -> Fraction:
+    """pFq(nums; dens; 1) for a series that terminates.
+
+    It stops at m = min(j) over the numerator parameters -j that are
+    nonpositive integers; a denominator parameter -j with j < m divides
+    a term with a nonzero numerator by zero.  With each parameter p/q,
+    1 + r_0 (1 + r_1 (1 + ... r_{m-1})) over the term ratios r_i is
+    summed by Horner in integers and reduced to one Fraction at the end.
+    """
+    pn = [Fraction(v).as_integer_ratio() for v in nums]
+    pd = [Fraction(v).as_integer_ratio() for v in dens]
+    stops = [-p for p, q in pn if q == 1 and p <= 0]
+    if not stops:
+        raise NonTerminatingError(
+            f"{len(pn)}F{len(pd)}({', '.join(map(str, nums))}; ...; 1) has "
+            "no nonpositive-integer numerator parameter")
+    m = min(stops)
+    for p, q in pd:
+        if q == 1 and -m < p <= 0:
+            raise ZeroDivisionError(
+                f"denominator parameter {p} vanishes before the series "
+                f"stops at term {m}")
+    # r_i = qd prod(p + i q over nums) / (qn (i + 1) prod(p + i q over dens))
+    qn = math.prod(q for _, q in pn)
+    qd = math.prod(q for _, q in pd)
+    top, bot = 1, 1
+    for i in range(m - 1, -1, -1):
+        a = qd * math.prod(p + i * q for p, q in pn)
+        b = qn * (i + 1) * math.prod(p + i * q for p, q in pd)
+        top, bot = b * bot + a * top, b * bot
+    return Fraction(top, bot)
 
 
 def hyp2f1_terminating(n: int, b: RationalLike, c: RationalLike) -> Fraction:
-    """2F1(-n, b; c; 1) summed term by term in exact arithmetic.
+    """2F1(-n, b; c; 1) in exact arithmetic.
 
     The first parameter -n makes the series terminate after n+1 terms.
     A vanishing denominator factor (c)_i is only an error when the
@@ -161,33 +188,7 @@ def hyp2f1_terminating(n: int, b: RationalLike, c: RationalLike) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"hyp2f1_terminating requires n >= 0, got n={n}")
-    b = Fraction(b)
-    c = Fraction(c)
-    total = Fraction(0)
-    num = Fraction(1)    # (-n)_i (b)_i / i!
-    den = Fraction(1)    # (c)_i
-    for i in range(n + 1):
-        if den == 0:
-            if num != 0:
-                raise ZeroDivisionError(
-                    f"2F1(-{n},{b};{c};1): denominator Pochhammer ({c})_{i} = 0 "
-                    "with nonzero numerator")
-        else:
-            total += num / den
-        num *= Fraction(-n + i) * (b + i) / (i + 1)
-        den *= c + i
-    return total
-
-
-def _termination_index(a1: Fraction, a2: Fraction, a3: Fraction) -> int:
-    """Smallest n with some a_j = -n a nonpositive integer."""
-    candidates = [int(-a) for a in (a1, a2, a3)
-                  if a <= 0 and a.denominator == 1]
-    if not candidates:
-        raise NonTerminatingError(
-            f"3F2({a1},{a2},{a3};...;1) has no nonpositive-integer "
-            "numerator parameter")
-    return min(candidates)
+    return _terminating_sum((-n, b), (c,))
 
 
 def hyp3f2_terminating(a1: RationalLike, a2: RationalLike, a3: RationalLike,
@@ -196,20 +197,4 @@ def hyp3f2_terminating(a1: RationalLike, a2: RationalLike, a3: RationalLike,
 
     At least one numerator parameter must be a nonpositive integer.
     """
-    a1, a2, a3 = Fraction(a1), Fraction(a2), Fraction(a3)
-    b1, b2 = Fraction(b1), Fraction(b2)
-    n = _termination_index(a1, a2, a3)
-    total = Fraction(0)
-    num = Fraction(1)    # (a1)_i (a2)_i (a3)_i / i!
-    den = Fraction(1)    # (b1)_i (b2)_i
-    for i in range(n + 1):
-        if den == 0:
-            if num != 0:
-                raise ZeroDivisionError(
-                    f"3F2: denominator Pochhammer vanished at i={i} "
-                    "with nonzero numerator")
-        else:
-            total += num / den
-        num *= (a1 + i) * (a2 + i) * (a3 + i) / (i + 1)
-        den *= (b1 + i) * (b2 + i)
-    return total
+    return _terminating_sum((a1, a2, a3), (b1, b2))

@@ -16,6 +16,7 @@ total degree a + b, and the Gram forms enter only through adjoints.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,11 +169,18 @@ def pk_orthogonality_check(mu: int, nu: int) -> dict:
     return report
 
 
-def _to_integers(rows: List[List[Fraction]]) -> Tuple[int, List[List[int]]]:
+def _to_integers(rows: List[List[Fraction]]
+                 ) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """A common denominator d of a matrix and the matrix times d."""
     d = math.lcm(*(v.denominator for row in rows for v in row))
-    return d, [[v.numerator * (d // v.denominator) for v in row]
-               for row in rows]
+    return d, tuple(tuple(v.numerator * (d // v.denominator) for v in row)
+                    for row in rows)
+
+
+@functools.lru_cache(maxsize=256)
+def _jk_integers(spec: ChannelSpec) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """The J_k columns over a common denominator, built once per spec."""
+    return _to_integers(jk_columns(spec))
 
 
 def _channel(spec: ChannelSpec, a: KernelOperator,
@@ -192,7 +200,7 @@ def _channel(spec: ChannelSpec, a: KernelOperator,
             f"operator level {a.level} does not match spec mu={spec.mu}")
     mu, nu, k = spec.mu, spec.nu, spec.k
     out_level = spec.target_level
-    dj, jint = _to_integers(jk_columns(spec))
+    dj, jint = _jk_integers(spec)
     dre, are = _to_integers([[v.re for v in row] for row in a.coeffs])
     dim, aim = _to_integers([[v.im for v in row] for row in a.coeffs])
     binom = [math.comb(nu, b) for b in range(nu + 1)]

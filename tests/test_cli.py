@@ -54,6 +54,25 @@ class TestVerify:
         assert out2.read_text() == text1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mu", "1", "--nu-max", "2", "--tol", "nan"],
+    ["verify", "--mu", "1", "--nu-max", "2", "--tol", "inf"],
+    ["verify", "--mu", "1", "--nu-max", "2", "--tol", "-1"],
+    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "nan"],
+    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol=-inf"],
+    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--phi", "nan,1"],
+    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--phi", "0,inf"],
+])
+def test_nonfinite_or_negative_option_is_config_error(tmp_path, capsys, argv):
+    # a NaN tolerance would silently switch the Choi positivity check off
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--out", str(tmp_path / "x.txt")])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestSpectrum:
 
     def test_table_contents(self, tmp_path):

@@ -368,6 +368,27 @@ class TestBandedKernel:
                 if abs(r - c) > spec.mu:
                     assert v == 0, (r, c)
 
+    def test_columns_built_once_per_spec(self, monkeypatch):
+        real = intertwine.jk_columns
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        intertwine._jk_integers.cache_clear()
+        monkeypatch.setattr(intertwine, "jk_columns", counting)
+        rng = random.Random(RNG_SEED)
+        spec = ChannelSpec(3, 5, 1)
+        choi_matrix(spec)
+        for _ in range(5):
+            apply_normalized_channel(spec, random_nonhermitian(3, rng))
+        assert calls == [spec]
+        # cached rows are shared between calls, so they must be immutable
+        _, rows = intertwine._jk_integers(spec)
+        assert isinstance(rows, tuple)
+        assert all(isinstance(row, tuple) for row in rows)
+
     def test_normalized_channel_matches_dense_oracle(self):
         rng = random.Random(RNG_SEED)
         for mu in range(0, 4):
