@@ -370,10 +370,26 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _attach_dash_values(argv: Sequence[str]) -> List[str]:
+    """Write '--opt -x' as '--opt=-x': argparse takes a token such as
+    '-0.5,1', '-inf' or '-1e-3' for an unknown option, but reads the '='
+    form as the value.  -h is the only single-dash option."""
+    out: List[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and prev != "--" and "=" not in prev \
+                and tok.startswith("-") and tok[:2] != "--" and tok != "-h":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else 0
     phi, tol = getattr(args, "phi", None), getattr(args, "tol", 0.0)

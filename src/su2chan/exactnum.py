@@ -41,10 +41,6 @@ class CRational:
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __add__(self, other):
         o = CRational.of(other)
         return CRational(self.re + o.re, self.im + o.im)
@@ -57,14 +53,6 @@ class CRational:
 
     def __rsub__(self, other):
         return CRational.of(other).__sub__(self)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = CRational(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __mul__(self, other):
         o = CRational.of(other)

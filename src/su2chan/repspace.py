@@ -144,12 +144,6 @@ class KernelOperator:
             a == b for ra, rb in zip(self.coeffs, other.coeffs)
             for a, b in zip(ra, rb))
 
-    def kernel_at_float(self, x: complex, y: complex) -> complex:
-        c = np.array([[complex(v) for v in row] for row in self.coeffs])
-        xp = np.array([x ** i for i in range(self.dim)])
-        yp = np.conj(np.array([y ** j for j in range(self.dim)]))
-        return complex(xp @ c @ yp)
-
     def apply(self, vec: Sequence) -> List[CRational]:
         """Apply to a monomial coefficient vector: (A f)_i = sum_j a_ij g_j f_j."""
         if len(vec) != self.dim:
@@ -345,6 +339,13 @@ class IsotypicDecomposition:
     and w_t = v_t / (C(L,i) C(L,j)) is its dual under the Hilbert-Schmidt
     form, for which the Casimir is self-adjoint.  The map is symmetric in
     i and j, so the diagonals d and -d share their vectors.
+
+    The scalars c_{m,d} = w^T A / (w^T v), |d| <= m, are the (L+1)^2 spin
+    coordinates of A: Pi_m A is c_{m,d} v on diagonal d.  Each v starts at
+    v_0 = 1 in the corner cell (d, 0) or (0, -d).  Multiplying a kernel by
+    the invariant (1 + x y~)^D keeps its spin and its corner cells, so it
+    maps v at level L to exactly v at level L + D: spin coordinates do not
+    depend on the level.
     """
 
     def __init__(self, mu: int):
@@ -367,23 +368,46 @@ class IsotypicDecomposition:
                 norm = sum(x * y for x, y in zip(v, w))
                 self._rank_one[(m, d)] = (v, [x / norm for x in w])
 
-    def project(self, m: int, a: KernelOperator) -> KernelOperator:
-        """Spectral projector Pi_m applied to A, one diagonal at a time."""
-        if not 0 <= m <= self.level:
-            raise IndexError(f"component {m} out of range for level {self.level}")
+    def _diagonal(self, m: int, d: int):
+        """Vector, scaled dual and kernel cells (i, j) of spin m on diagonal d."""
+        v, dual = self._rank_one[(m, abs(d))]
+        return v, dual, [(j + d, j) if d >= 0 else (j, j - d)
+                         for j in range(len(v))]
+
+    def _row(self, a: KernelOperator, m: int) -> List[CRational]:
+        """The 2m+1 spin-m coordinates c_{m,d} of A, d = -m..m."""
         if a.level != self.level:
             raise LevelMismatchError(
                 f"expected level {self.level}, got {a.level}")
-        out = KernelOperator.zero(self.level)
+        row = []
         for d in range(-m, m + 1):
-            v, dual = self._rank_one[(m, abs(d))]
-            pairs = [(j + d, j) if d >= 0 else (j, j - d)
-                     for j in range(len(v))]
-            re = sum(c * a.coeffs[i][j].re for c, (i, j) in zip(dual, pairs))
-            im = sum(c * a.coeffs[i][j].im for c, (i, j) in zip(dual, pairs))
-            for x, (i, j) in zip(v, pairs):
-                out.coeffs[i][j] = CRational(x * re, x * im)
+            _, dual, cells = self._diagonal(m, d)
+            entries = [a.coeffs[i][j] for i, j in cells]
+            row.append(CRational(sum(c * e.re for c, e in zip(dual, entries)),
+                                 sum(c * e.im for c, e in zip(dual, entries))))
+        return row
+
+    def coordinates(self, a: KernelOperator) -> List[List[CRational]]:
+        """Spin coordinates of A: row m holds c_{m,d} for d = -m..m."""
+        return [self._row(a, m) for m in range(self.level + 1)]
+
+    def operator(self, coords: Sequence[Sequence]) -> KernelOperator:
+        """The operator with the given spin coordinates; rows past the end
+        of ``coords``, and empty rows, are zero components."""
+        out = KernelOperator.zero(self.level)
+        for m, row in enumerate(coords):
+            for d, c in zip(range(-m, m + 1), row):
+                if c:
+                    v, _, cells = self._diagonal(m, d)
+                    for x, (i, j) in zip(v, cells):
+                        out.coeffs[i][j] = out.coeffs[i][j] + c * x
         return out
+
+    def project(self, m: int, a: KernelOperator) -> KernelOperator:
+        """Spectral projector Pi_m applied to A."""
+        if not 0 <= m <= self.level:
+            raise IndexError(f"component {m} out of range for level {self.level}")
+        return self.operator([[]] * m + [self._row(a, m)])
 
     def components(self, a: KernelOperator) -> List[KernelOperator]:
         return [self.project(m, a) for m in range(self.level + 1)]

@@ -2,12 +2,15 @@
 operators obtained from channels.
 
 A band-limited function on the projective line is stored as an
-:class:`IsotypicFunction`: a level mu and, for each m = 0..mu, the kernel
-operator component lying in the sharp-degree-2m subspace of B(H_mu).
-The function's value is sum_m A_m(z, z) / (1 + |z|^2)^mu.  All the
-transforms here act diagonally on components through exact closed-form
-eigenvalues; numerical integration lives in the quadrature module and is
-used only as an independent cross-check.
+:class:`IsotypicFunction`: a level L and its (L+1)^2 spin coordinates,
+the 2m+1 scalars of each spin-m component.  Its value is N(z, z) /
+(1 + |z|^2)^L, with the kernel N rebuilt from the coordinates only where
+values are needed.  Raising the level multiplies N by a power of
+(1 + |z|^2) and leaves the coordinates as they are (see
+:class:`~su2chan.repspace.IsotypicDecomposition`), so functions of any
+levels compare coordinate by coordinate; dense lifting of N is the test
+oracle.  The transforms here scale spin components by exact closed-form
+eigenvalues; quadrature is only an independent cross-check.
 """
 
 from __future__ import annotations
@@ -46,85 +49,54 @@ def invariant_monomial_integral(a: int, level: int) -> Fraction:
 
 @dataclass
 class IsotypicFunction:
-    """Band-limited function with components indexed by sharp degree 2m."""
+    """Band-limited function in spin coordinates: ``coords[m][m + d]`` is
+    the coordinate of spin m on kernel diagonal d, for |d| <= m <= level."""
 
     level: int
-    components: List[KernelOperator]
+    coords: List[List[CRational]]
 
     def __post_init__(self):
-        if len(self.components) != self.level + 1:
+        if [len(row) for row in self.coords] != \
+                [2 * m + 1 for m in range(self.level + 1)]:
             raise ValueError(
-                f"expected {self.level + 1} components, got "
-                f"{len(self.components)}")
-        for c in self.components:
-            if c.level != self.level:
-                raise ValueError("component level mismatch")
+                f"expected 2m+1 coordinates for each m = 0..{self.level}")
 
     @classmethod
     def constant(cls, level: int, value) -> "IsotypicFunction":
-        from .repspace import reproducing_identity_operator
-        comps = [KernelOperator.zero(level) for _ in range(level + 1)]
-        comps[0] = reproducing_identity_operator(level) \
-            .scale(CRational.of(value))
-        return cls(level, comps)
+        # (1 + x y~)^level is spin 0 with coordinate 1
+        return cls(level, [[CRational.of(value)]] + [
+            [CRational(0)] * (2 * m + 1) for m in range(1, level + 1)])
 
     def numerator(self) -> KernelOperator:
-        """Sum of components: the kernel N with f = N(z, z)/(1+|z|^2)^level."""
-        out = self.components[0]
-        for c in self.components[1:]:
-            out = out + c
-        return out
+        """The kernel N with f = N(z, z)/(1+|z|^2)^level."""
+        return _projectors(self.level).operator(self.coords)
+
+    @property
+    def components(self) -> List[KernelOperator]:
+        """Kernel operator of each spin component.  Nothing in the package
+        needs them; the benchmark tracer (perfbench/tracer.py) keys
+        channel_output_spectrum calls by them."""
+        dec = _projectors(self.level)
+        return [dec.operator([[]] * m + [row])
+                for m, row in enumerate(self.coords)]
 
     def scale(self, v) -> "IsotypicFunction":
-        return IsotypicFunction(self.level,
-                                [c.scale(v) for c in self.components])
+        return self.scale_components([v] * (self.level + 1))
 
     def scale_components(self, factors) -> "IsotypicFunction":
         if len(factors) != self.level + 1:
             raise ValueError("one factor per component required")
         return IsotypicFunction(self.level, [
-            c.scale(v) for c, v in zip(self.components, factors)])
-
-    def __add__(self, other: "IsotypicFunction") -> "IsotypicFunction":
-        if self.level != other.level:
-            raise BandLimitExceededError("levels differ")
-        return IsotypicFunction(self.level, [
-            a + b for a, b in zip(self.components, other.components)])
-
-    def evaluate(self, z: complex) -> complex:
-        n = self.numerator()
-        return n.kernel_at_float(z, z) / (1 + abs(z) ** 2) ** self.level
-
-    def component_numerator_at_level(self, m: int, level: int) \
-            -> List[List[CRational]]:
-        """Kernel coefficients of component m rewritten over
-        (1 + |z|^2)^level, i.e. convolved with (1 + z z~)^(level - self.level)."""
-        if level < self.level:
-            raise BandLimitExceededError(
-                f"cannot lower level {self.level} to {level}")
-        d = level - self.level
-        src = self.components[m].coeffs if m <= self.level else None
-        out = [[CRational(0) for _ in range(level + 1)]
-               for _ in range(level + 1)]
-        if src is None:
-            return out
-        for t in range(d + 1):
-            w = binomial(d, t)
-            for i in range(self.level + 1):
-                for j in range(self.level + 1):
-                    if src[i][j]:
-                        out[i + t][j + t] = out[i + t][j + t] + src[i][j] * w
-        return out
+            [c * v for c in row] for row, v in zip(self.coords, factors)])
 
 
 def functions_equal(f: IsotypicFunction, g: IsotypicFunction) -> bool:
-    """Exact componentwise equality as functions (levels may differ)."""
-    level = max(f.level, g.level)
-    for m in range(level + 1):
-        if f.component_numerator_at_level(m, level) \
-                != g.component_numerator_at_level(m, level):
-            return False
-    return True
+    """Exact equality as functions (levels may differ).  Coordinates do not
+    depend on the level, so the lower-level function is padded with zero
+    coordinates above its band."""
+    low, high = sorted((f.coords, g.coords), key=len)
+    return high[:len(low)] == low \
+        and not any(c for row in high[len(low):] for c in row)
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,9 +105,8 @@ def _projectors(level: int) -> IsotypicDecomposition:
 
 
 def symbol(a: KernelOperator) -> IsotypicFunction:
-    """The function A(z, z) / (1 + |z|^2)^level, split into components."""
-    dec = _projectors(a.level)
-    return IsotypicFunction(a.level, dec.components(a))
+    """The function A(z, z) / (1 + |z|^2)^level in spin coordinates."""
+    return IsotypicFunction(a.level, _projectors(a.level).coordinates(a))
 
 
 def toeplitz(f: IsotypicFunction, nu: int) -> KernelOperator:
@@ -167,12 +138,10 @@ def toeplitz(f: IsotypicFunction, nu: int) -> KernelOperator:
 
 
 def integrate_exact(f: IsotypicFunction) -> CRational:
-    """Integral of f against the invariant probability measure, exactly."""
-    n = f.numerator()
-    out = CRational(0)
-    for i in range(f.level + 1):
-        out = out + n.coeffs[i][i] * invariant_monomial_integral(i, f.level)
-    return out
+    """Integral of f against the invariant probability measure, exactly:
+    the spin-0 part of f is the constant c_{0,0}, and spin m >= 1
+    integrates to 0."""
+    return f.coords[0][0]
 
 
 def berezin_eigenvalue(nu: int, m: int) -> Fraction:

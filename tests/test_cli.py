@@ -58,6 +58,9 @@ class TestVerify:
     ["verify", "--mu", "1", "--nu-max", "2", "--tol", "nan"],
     ["verify", "--mu", "1", "--nu-max", "2", "--tol", "inf"],
     ["verify", "--mu", "1", "--nu-max", "2", "--tol", "-1"],
+    ["verify", "--mu", "1", "--nu-max", "2", "--tol", "-1e-3"],
+    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "-inf"],
+    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "-nan"],
     ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "nan"],
     ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol=-inf"],
     ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--phi", "nan,1"],
@@ -125,6 +128,17 @@ class TestConverge:
             for row in csv.DictReader(fh):
                 assert abs(abs(float(row["lhs"]) - float(row["rhs"]))
                            - float(row["gap"])) < 1e-15
+
+    def test_negative_phi_coefficient_is_a_value(self, tmp_path):
+        # '-0.5,1' follows --phi as its value, as in the '=' form
+        argv = ["converge", "--mu", "1", "--k", "0", "--nu", "8,16",
+                "--n", "1", "--seed", "13"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--phi", "-0.5,1", "--out", str(a)]) == EXIT_OK
+        assert main(argv + ["--phi=-0.5,1", "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+        with open(a) as fh:
+            assert "phi=deg1" in {r["n_or_phi"] for r in csv.DictReader(fh)}
 
     def test_k_out_of_range_is_config_error(self, tmp_path):
         code = main(["converge", "--mu", "1", "--k", "2", "--out",

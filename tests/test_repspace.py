@@ -125,8 +125,11 @@ class TestInnerProduct:
             space = PolySpaceParams(nu)
             f = random_poly(rng, nu)
             w = CRational(Fraction(2, 3), Fraction(-1, 4))
-            kw = [binomial(nu, j) * w.conj() ** j for j in range(nu + 1)]
-            fw = sum((f[j] * w ** j for j in range(nu + 1)), CRational(0))
+            wp = [CRational(1)]
+            for _ in range(nu):
+                wp.append(wp[-1] * w)
+            kw = [binomial(nu, j) * wp[j].conj() for j in range(nu + 1)]
+            fw = sum((f[j] * wp[j] for j in range(nu + 1)), CRational(0))
             assert inner_product(space, f, kw) == fw
 
     def test_gram_diagonal(self):
@@ -296,6 +299,18 @@ class TestIsotypicProjectors:
                 for l in range(mu + 1):
                     if l != m:
                         assert dec.project(l, parts[m]).is_zero()
+
+    def test_coordinates_and_operator_are_inverse(self):
+        # (mu+1)^2 spin coordinates fix an operator, and every list of
+        # coordinates is some operator's
+        rng = random.Random(RNG_SEED)
+        for mu in range(7):
+            dec = isotypic_projectors(mu)
+            a = random_operator(mu, rng)
+            assert dec.operator(dec.coordinates(a)) == a
+            coords = [[CRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                       for _ in range(2 * m + 1)] for m in range(mu + 1)]
+            assert dec.coordinates(dec.operator(coords)) == coords
 
     def test_equivariance_under_group_conjugation(self):
         g = GroupElement(CRational(Fraction(3, 5)), CRational(Fraction(4, 5)))

@@ -16,6 +16,7 @@ from su2chan.quadrature import (
     random_band_limited_state,
 )
 from su2chan.repspace import (
+    KernelOperator,
     compose,
     operator_trace,
     reproducing_identity_operator,
@@ -70,12 +71,17 @@ class TestSymbolToeplitz:
                 .scale(Fraction(1, nu + 1))
 
     def test_symbol_trace_identity(self):
-        # integral of the symbol recovers the normalized trace
+        # integral of the symbol recovers the normalized trace, and equals
+        # the moment sum over the numerator's diagonal
         rng = random.Random(RNG_SEED)
-        for mu in (1, 3):
+        for mu in range(5):
             a = random_operator(mu, rng)
-            assert integrate_exact(symbol(a)) == \
-                operator_trace(a) / Fraction(mu + 1)
+            f = symbol(a)
+            assert integrate_exact(f) == operator_trace(a) / Fraction(mu + 1)
+            n = f.numerator()
+            assert integrate_exact(f) == sum(
+                n.coeffs[i][i] * invariant_monomial_integral(i, mu)
+                for i in range(mu + 1))
 
     def test_toeplitz_is_adjoint_of_symbol(self):
         # <T_f/(nu+1), A> = integral of f * conj(symbol(A))
@@ -157,19 +163,100 @@ class TestBerezin:
 def _lift_constant_with_top_component(g):
     # put mass on the top isotypic component so a lower-level inverse
     # must reject it
-    comps = list(g.components)
-    comps[-1] = comps[-1] + _harmonic_component(g.level, g.level)
-    return IsotypicFunction(g.level, comps)
+    coords = [list(row) for row in g.coords]
+    coords[-1][-1] = coords[-1][-1] + 1
+    return IsotypicFunction(g.level, coords)
 
 
-def _harmonic_component(level, m):
-    from su2chan.repspace import KernelOperator
-    coeffs = [[CRational(0) for _ in range(level + 1)]
-              for _ in range(level + 1)]
-    coeffs[m][0] = CRational(1)
-    op = KernelOperator(level, coeffs)
-    from su2chan.symbolcalc import _projectors
-    return _projectors(level).project(m, op)
+def component_numerator_at_level(f, m, level):
+    """Dense oracle: kernel coefficients of spin component m of f rewritten
+    over (1 + |z|^2)^level, i.e. convolved with (1 + z z~)^(level - f.level)."""
+    if level < f.level:
+        raise BandLimitExceededError(
+            f"cannot lower level {f.level} to {level}")
+    d = level - f.level
+    src = f.components[m].coeffs if m <= f.level else None
+    out = [[CRational(0) for _ in range(level + 1)]
+           for _ in range(level + 1)]
+    if src is None:
+        return out
+    for t in range(d + 1):
+        w = binomial(d, t)
+        for i in range(f.level + 1):
+            for j in range(f.level + 1):
+                if src[i][j]:
+                    out[i + t][j + t] = out[i + t][j + t] + src[i][j] * w
+    return out
+
+
+def dense_functions_equal(f, g):
+    """Oracle for functions_equal: lift every component to the higher level
+    and compare the dense kernel matrices."""
+    level = max(f.level, g.level)
+    return all(component_numerator_at_level(f, m, level)
+               == component_numerator_at_level(g, m, level)
+               for m in range(level + 1))
+
+
+def _lifted(f, level):
+    # the same function written as a kernel at a higher level
+    num = [[CRational(0)] * (level + 1) for _ in range(level + 1)]
+    for m in range(f.level + 1):
+        part = component_numerator_at_level(f, m, level)
+        num = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(num, part)]
+    return symbol(KernelOperator(level, num))
+
+
+def _bumped(f, m, d):
+    coords = [list(row) for row in f.coords]
+    coords[m][m + d] = coords[m][m + d] + CRational(Fraction(1, 3), 1)
+    return IsotypicFunction(f.level, coords)
+
+
+def _assert_equality_agrees(f, g, expected):
+    assert functions_equal(f, g) is expected
+    assert functions_equal(g, f) is expected
+    assert dense_functions_equal(f, g) is expected
+
+
+class TestFunctionsEqual:
+
+    def test_coordinates_equal_dense_lifting_across_levels(self):
+        rng = random.Random(RNG_SEED)
+        for mu in range(5):
+            f = symbol(random_operator(mu, rng))
+            for level in range(mu, mu + 4):
+                g = _lifted(f, level)
+                _assert_equality_agrees(f, g, True)
+                _assert_equality_agrees(
+                    f, symbol(random_operator(level, rng)), False)
+                m = rng.randint(0, mu)
+                _assert_equality_agrees(
+                    f, _bumped(g, m, rng.randint(-m, m)), False)
+                if level > mu:
+                    m = rng.randint(mu + 1, level)
+                    _assert_equality_agrees(
+                        f, _bumped(g, m, rng.randint(-m, m)), False)
+
+    @pytest.mark.parametrize("mu,nu,k", [
+        (0, 0, 0), (1, 1, 1), (2, 2, 1), (2, 5, 2), (3, 3, 3), (3, 4, 3),
+        (3, 6, 1)])
+    def test_channel_outputs_at_edge_levels(self, mu, nu, k):
+        # output level L = mu + nu - 2k may be below the input level mu
+        rng = random.Random(RNG_SEED + 100 * mu + 10 * nu + k)
+        spec = ChannelSpec(mu, nu, k)
+        a = random_operator(mu, rng)
+        lhs = e_nu_apply(spec, inverse_berezin(mu, symbol(a)))
+        rhs = symbol(apply_channel(spec, a))
+        _assert_equality_agrees(lhs, rhs, True)
+        for f, g in ((lhs, rhs), (rhs, lhs)):
+            m = rng.randint(0, f.level)
+            _assert_equality_agrees(_bumped(f, m, rng.randint(-m, m)), g,
+                                    False)
+            if f.level > g.level:
+                m = rng.randint(g.level + 1, f.level)
+                _assert_equality_agrees(_bumped(f, m, rng.randint(-m, m)), g,
+                                        False)
 
 
 class TestFunctionChannel:
