@@ -15,16 +15,12 @@ from .exactnum import (
     rising_pochhammer,
 )
 from .repspace import (
-    GroupElement,
     IsotypicDecomposition,
     KernelOperator,
     LevelMismatchError,
-    NotUnitaryInputError,
     PolySpaceParams,
     compose,
-    conjugate_operator,
     gram_diagonal,
-    group_action_matrix,
     inner_product,
     isotypic_projectors,
     monomial_norm_sq,

@@ -257,6 +257,10 @@ def cmd_converge(args) -> int:
     if any(n < 1 for n in args.n):
         print("error: every moment order n must be >= 1", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    if not args.n and args.phi is None:
+        print("error: nothing to check: give a moment order (--n) or --phi",
+              file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     rng = random.Random(args.seed)
     _, f = random_band_limited_state(args.mu, rng)
     # one spectrum per level, shared by every moment order and by phi
@@ -321,8 +325,16 @@ def _phi_arg(text: str) -> List[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a value it cannot parse, a missing or an unknown argument
+    as one 'error:' line, as every other config error is reported."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG_ERROR, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="su2chan",
         description="Exact verification and convergence experiments for "
                     "component channels of tensor-product decompositions.")

@@ -24,12 +24,13 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .exactnum import CRational, binomial, falling_pochhammer, rising_pochhammer
+from .exactnum import binomial, falling_pochhammer, rising_pochhammer
 from .repspace import (
     KernelOperator,
     LevelMismatchError,
+    _common_denominator,
+    _orthonormal_scale,
     gram_diagonal,
-    to_orthonormal_matrix,
 )
 
 
@@ -169,18 +170,12 @@ def pk_orthogonality_check(mu: int, nu: int) -> dict:
     return report
 
 
-def _to_integers(rows: List[List[Fraction]]
-                 ) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """A common denominator d of a matrix and the matrix times d."""
-    d = math.lcm(*(v.denominator for row in rows for v in row))
-    return d, tuple(tuple(v.numerator * (d // v.denominator) for v in row)
-                    for row in rows)
-
-
 @functools.lru_cache(maxsize=256)
 def _jk_integers(spec: ChannelSpec) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
     """The J_k columns over a common denominator, built once per spec."""
-    return _to_integers(jk_columns(spec))
+    n = spec.nu + 1
+    d, flat = _common_denominator(v for row in jk_columns(spec) for v in row)
+    return d, tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n))
 
 
 def _channel(spec: ChannelSpec, a: KernelOperator,
@@ -193,7 +188,8 @@ def _channel(spec: ChannelSpec, a: KernelOperator,
         T(A)[r][c] = scalar sum_{a'} C(nu, b) J(i, b) J(a', b) A[i][a'],
 
     zero for |r - c| > mu, so a call costs O(L mu^2) integer operations
-    over common denominators, and the scalar enters once, in p/q.
+    on A's integer form, and the scalar p/q enters once: p in the
+    weights, q in the denominator.
     """
     if a.level != spec.mu:
         raise LevelMismatchError(
@@ -201,9 +197,8 @@ def _channel(spec: ChannelSpec, a: KernelOperator,
     mu, nu, k = spec.mu, spec.nu, spec.k
     out_level = spec.target_level
     dj, jint = _jk_integers(spec)
-    dre, are = _to_integers([[v.re for v in row] for row in a.coeffs])
-    dim, aim = _to_integers([[v.im for v in row] for row in a.coeffs])
-    binom = [math.comb(nu, b) for b in range(nu + 1)]
+    p, q = scalar.numerator, scalar.denominator
+    weight = [p * math.comb(nu, b) for b in range(nu + 1)]
 
     n = out_level + 1
     sre = [[0] * n for _ in range(n)]
@@ -211,17 +206,12 @@ def _channel(spec: ChannelSpec, a: KernelOperator,
     for c in range(n):
         for a2 in range(max(0, c + k - nu), min(mu, c + k) + 1):
             b = c + k - a2
-            w = binom[b] * jint[a2][b]
+            w = weight[b] * jint[a2][b]
             for i in range(max(0, a2 - c), min(mu, out_level - c + a2) + 1):
                 v = w * jint[i][b]
-                sre[c + i - a2][c] += v * are[i][a2]
-                sim[c + i - a2][c] += v * aim[i][a2]
-    p, q = scalar.numerator, scalar.denominator * dj * dj
-    zero = CRational()      # shared by the entries outside the band
-    return KernelOperator(out_level, [
-        [CRational(Fraction(x * p, q * dre), Fraction(y * p, q * dim))
-         if x or y else zero for x, y in zip(rr, ri)]
-        for rr, ri in zip(sre, sim)])
+                sre[c + i - a2][c] += v * a.re[i][a2]
+                sim[c + i - a2][c] += v * a.im[i][a2]
+    return KernelOperator(out_level, q * dj * dj * a.d, sre, sim)
 
 
 def apply_channel(spec: ChannelSpec, a: KernelOperator) -> KernelOperator:
@@ -245,22 +235,34 @@ def choi_matrix(spec: ChannelSpec) -> np.ndarray:
     Entry [(i, a), (j, b)] equals <e_a, That(E_ij) e_b> with E_ij the
     orthonormal matrix units at level mu.  Positive semidefiniteness of
     this hermitian matrix certifies complete positivity.
+
+    With p/q the scalar of the normalized channel, the kernel unit E_ij
+    has one image entry p C(nu, b) J(i, b) J(j, b) / q at (c + i - j, c),
+    b = c + k - j, in each column c (the :func:`_channel` sum with
+    A = E_ij), so each block is read from the columns and scaled to
+    orthonormal bases in floats.
     """
-    mu = spec.mu
+    mu, nu, k = spec.mu, spec.nu, spec.k
     out_dim = spec.target_level + 1
     n_in = mu + 1
-    gm = gram_diagonal(mu)
+    dj, jint = _jk_integers(spec)
+    scalar = c_squared(spec) * normalization_factor(spec)
+    q = scalar.denominator * dj * dj
+    weight = [scalar.numerator * math.comb(nu, b) for b in range(nu + 1)]
+    s = _orthonormal_scale(spec.target_level)
+    ss = np.outer(s, s)
     choi = np.zeros((n_in * out_dim, n_in * out_dim), dtype=complex)
     for i in range(n_in):
         for j in range(n_in):
-            # orthonormal matrix unit e_i e_j^H as a kernel operator:
-            # coeffs = delta / sqrt(g_i g_j); build exactly up to the sqrt
-            unit = KernelOperator.zero(mu)
-            unit.coeffs[i][j] = CRational(1)
-            img = apply_normalized_channel(spec, unit)
-            m = to_orthonormal_matrix(img) / np.sqrt(float(gm[i] * gm[j]))
+            block = np.zeros((out_dim, out_dim), dtype=complex)
+            for c in range(max(0, j - k), min(out_dim, nu + j - k + 1)):
+                b, r = c + k - j, c + i - j
+                if 0 <= r < out_dim:
+                    block[r, c] = weight[b] * jint[i][b] * jint[j][b] / q
+            # E_ij in kernel form is 1 / sqrt(g_i g_j) at (i, j)
             choi[i * out_dim:(i + 1) * out_dim,
-                 j * out_dim:(j + 1) * out_dim] = m
+                 j * out_dim:(j + 1) * out_dim] = block * ss / np.sqrt(
+                     1 / (math.comb(mu, i) * math.comb(mu, j)))
     return choi
 
 

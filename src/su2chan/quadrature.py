@@ -87,10 +87,8 @@ def symbol_values(a: KernelOperator, zs: np.ndarray) -> np.ndarray:
 
     Avoids the isotypic split, so it stays cheap at large levels.
     """
-    n = a.dim
-    c = np.array([[complex(v) for v in row] for row in a.coeffs])
-    p = np.vander(zs, n, increasing=True)
-    num = np.einsum("ai,ij,aj->a", p, c, p.conj())
+    p = np.vander(zs, a.dim, increasing=True)
+    num = np.einsum("ai,ij,aj->a", p, a.complex_matrix(), p.conj())
     return num / (1.0 + np.abs(zs) ** 2) ** a.level
 
 
@@ -108,7 +106,7 @@ def random_operator(mu: int, rng: random.Random,
     def entry():
         return CRational(Fraction(rng.randint(-span, span), rng.randint(1, 2)),
                          Fraction(rng.randint(-span, span), rng.randint(1, 2)))
-    return KernelOperator(
+    return KernelOperator.from_rows(
         mu, [[entry() for _ in range(mu + 1)] for _ in range(mu + 1)])
 
 

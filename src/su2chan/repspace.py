@@ -3,22 +3,22 @@
 The space of level nu has orthogonal monomial basis {z^i} with
 ``||z^i||^2 = 1/C(nu, i)`` (the convention forced by the reproducing
 kernel (1 + z w~)^nu) and carries the standard SU(2) action.  Operators
-are stored by their kernel coefficient matrices: an operator with kernel
-A(x, y) = sum a_ij x^i y~^j acts by integration against the level
-measure, so the matrix of the operator on the monomial basis is
-``coeffs @ diag(norms)``.
+are stored by their kernel coefficient matrices, as two integer matrices
+over one denominator: an operator with kernel A(x, y) = sum a_ij x^i y~^j
+acts by integration against the level measure, so the matrix of the
+operator on the monomial basis is ``coeffs @ diag(norms)``.
 
 Everything in this module is exact; floats appear only in
-:func:`to_orthonormal_matrix`.
+:meth:`KernelOperator.complex_matrix` and :func:`to_orthonormal_matrix`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from itertools import chain
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,10 +26,6 @@ from .exactnum import CRational, Rational, binomial
 
 
 class LevelMismatchError(ValueError):
-    pass
-
-
-class NotUnitaryInputError(ValueError):
     pass
 
 
@@ -73,30 +69,61 @@ def inner_product(space: PolySpaceParams, f: Sequence, g: Sequence) -> CRational
     return out
 
 
-def _zero_coeffs(n: int) -> List[List[CRational]]:
-    return [[CRational(0) for _ in range(n)] for _ in range(n)]
+def _common_denominator(values) -> Tuple[int, List[int]]:
+    """The lcm d of the denominators of some rationals, and each times d."""
+    pairs = [v.as_integer_ratio() for v in values]
+    d = math.lcm(1, *(q for _, q in pairs))
+    return d, [p * (d // q) for p, q in pairs]
 
 
 class KernelOperator:
     """Operator on the level-mu space stored as its kernel coefficients.
 
-    ``coeffs[i][j]`` is the coefficient of x^i y~^j in the kernel A(x, y).
+    The coefficient of x^i y~^j in the kernel A(x, y) is
+    (re[i][j] + i im[i][j]) / d over one positive integer denominator d,
+    kept in lowest terms (d and all entries have gcd 1), so equal
+    operators have equal (level, d, re, im).  :attr:`coeffs` gives the
+    coefficients as :class:`CRational` rows.
     """
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level", "d", "re", "im")
 
-    def __init__(self, level: int, coeffs: Sequence[Sequence]):
+    def __init__(self, level: int, d: int, re: Sequence[Sequence[int]],
+                 im: Sequence[Sequence[int]]):
         if level < 0:
             raise ValueError(f"level must be nonnegative, got {level}")
         n = level + 1
-        if len(coeffs) != n or any(len(row) != n for row in coeffs):
-            raise ValueError(f"coefficient matrix must be {n}x{n}")
-        self.level = level
-        self.coeffs = [[CRational.of(v) for v in row] for row in coeffs]
+        if len(re) != n or len(im) != n \
+                or any(len(row) != n for row in (*re, *im)):
+            raise ValueError(f"coefficient matrices must be {n}x{n}")
+        if d <= 0:
+            raise ValueError(f"denominator must be positive, got {d}")
+        # most entries of a banded operator are 0: they take no part in
+        # the gcd and need no division
+        g = math.gcd(d, *filter(None, chain(*re, *im)))
+        self.level, self.d = level, d // g
+        self.re, self.im = (tuple(tuple(row) if g == 1 else
+                                  tuple([x // g if x else 0 for x in row])
+                                  for row in m) for m in (re, im))
 
     @classmethod
-    def zero(cls, level: int) -> "KernelOperator":
-        return cls(level, _zero_coeffs(level + 1))
+    def from_rows(cls, level: int, coeffs: Sequence[Sequence]) \
+            -> "KernelOperator":
+        """The operator whose kernel coefficients are the given scalars."""
+        n = level + 1
+        if len(coeffs) != n or any(len(row) != n for row in coeffs):
+            raise ValueError(f"coefficient matrix must be {n}x{n}")
+        flat = [CRational.of(v) for row in coeffs for v in row]
+        d, ints = _common_denominator([v.re for v in flat]
+                                      + [v.im for v in flat])
+        return cls(level, d, [ints[i:i + n] for i in range(0, n * n, n)],
+                   [ints[i:i + n] for i in range(n * n, 2 * n * n, n)])
+
+    @property
+    def coeffs(self) -> List[List[CRational]]:
+        """``coeffs[i][j]`` is the coefficient of x^i y~^j, as a new list."""
+        return [[CRational(Fraction(x, self.d), Fraction(y, self.d))
+                 for x, y in zip(rr, ri)] for rr, ri in zip(self.re, self.im)]
 
     @property
     def dim(self) -> int:
@@ -107,70 +134,54 @@ class KernelOperator:
             raise LevelMismatchError(
                 f"levels differ: {self.level} vs {other.level}")
 
-    def __add__(self, other: "KernelOperator") -> "KernelOperator":
+    def _combine(self, other: "KernelOperator", sign: int) -> "KernelOperator":
         self._check_level(other)
-        return KernelOperator(self.level, [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.coeffs, other.coeffs)])
+        d = math.lcm(self.d, other.d)
+        s, t = d // self.d, sign * (d // other.d)
+        return KernelOperator(self.level, d, *(
+            [[x * s + y * t for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+            for a, b in ((self.re, other.re), (self.im, other.im))))
+
+    def __add__(self, other: "KernelOperator") -> "KernelOperator":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "KernelOperator") -> "KernelOperator":
-        self._check_level(other)
-        return KernelOperator(self.level, [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, -1)
 
     def scale(self, c) -> "KernelOperator":
         c = CRational.of(c)
-        return KernelOperator(self.level,
-                              [[c * v for v in row] for row in self.coeffs])
+        cd, (p, q) = _common_denominator((c.re, c.im))
+        return KernelOperator(self.level, self.d * cd, [
+            [p * x - q * y for x, y in zip(rr, ri)]
+            for rr, ri in zip(self.re, self.im)], [
+            [p * y + q * x for x, y in zip(rr, ri)]
+            for rr, ri in zip(self.re, self.im)])
 
     def adjoint(self) -> "KernelOperator":
-        n = self.dim
-        return KernelOperator(self.level, [
-            [self.coeffs[j][i].conj() for j in range(n)] for i in range(n)])
+        return KernelOperator(self.level, self.d, list(zip(*self.re)),
+                              [[-y for y in col] for col in zip(*self.im)])
 
     def is_hermitian(self) -> bool:
-        n = self.dim
-        return all(self.coeffs[i][j] == self.coeffs[j][i].conj()
-                   for i in range(n) for j in range(i, n))
-
-    def is_zero(self) -> bool:
-        return all(not v for row in self.coeffs for v in row)
+        return self.re == tuple(zip(*self.re)) and self.im == tuple(
+            tuple(-y for y in col) for col in zip(*self.im))
 
     def __eq__(self, other):
         if not isinstance(other, KernelOperator):
             return NotImplemented
-        return self.level == other.level and all(
-            a == b for ra, rb in zip(self.coeffs, other.coeffs)
-            for a, b in zip(ra, rb))
+        return (self.level, self.d, self.re, self.im) == \
+            (other.level, other.d, other.re, other.im)
 
-    def apply(self, vec: Sequence) -> List[CRational]:
-        """Apply to a monomial coefficient vector: (A f)_i = sum_j a_ij g_j f_j."""
-        if len(vec) != self.dim:
-            raise ValueError(f"expected vector of length {self.dim}")
-        g = gram_diagonal(self.level)
-        return [sum((self.coeffs[i][j] * g[j] * CRational.of(vec[j])
-                     for j in range(self.dim)), CRational(0))
-                for i in range(self.dim)]
+    def complex_matrix(self) -> np.ndarray:
+        """The kernel coefficients in floats; x / d rounds correctly."""
+        d = self.d
+        return np.array([[complex(x / d, y / d) if x or y else 0j
+                          for x, y in zip(rr, ri)]
+                         for rr, ri in zip(self.re, self.im)])
 
     def to_json_dict(self) -> dict:
-        def fmt(v: CRational) -> dict:
-            return {"re": str(v.re), "im": str(v.im)}
         return {"level": self.level,
-                "coeffs": [fmt(v) for row in self.coeffs for v in row]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "KernelOperator":
-        level = int(d["level"])
-        n = level + 1
-        flat = [CRational(Fraction(v["re"]), Fraction(v["im"]))
-                for v in d["coeffs"]]
-        if len(flat) != n * n:
-            raise ValueError("coefficient array has wrong length")
-        return cls(level, [flat[i * n:(i + 1) * n] for i in range(n)])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+                "coeffs": [{"re": str(v.re), "im": str(v.im)}
+                           for row in self.coeffs for v in row]}
 
     def __repr__(self):
         return f"KernelOperator(level={self.level})"
@@ -178,35 +189,39 @@ class KernelOperator:
 
 def reproducing_identity_operator(mu: int) -> KernelOperator:
     """The kernel (1 + x y~)^mu, which acts as the identity."""
-    coeffs = _zero_coeffs(mu + 1)
-    for i in range(mu + 1):
-        coeffs[i][i] = CRational(binomial(mu, i))
-    return KernelOperator(mu, coeffs)
+    n = mu + 1
+    return KernelOperator(mu, 1, [[math.comb(mu, i) if i == j else 0
+                                   for j in range(n)] for i in range(n)],
+                          [[0] * n for _ in range(n)])
 
 
 def rank_one(level: int, f: Sequence, g: Sequence) -> KernelOperator:
     """The operator f (x) g~ with kernel f(x) g(y)~."""
     fv = [CRational.of(v) for v in f]
     gv = [CRational.of(v) for v in g]
-    return KernelOperator(level, [[fv[i] * gv[j].conj()
-                                   for j in range(level + 1)]
-                                  for i in range(level + 1)])
+    return KernelOperator.from_rows(level, [[fv[i] * gv[j].conj()
+                                             for j in range(level + 1)]
+                                            for i in range(level + 1)])
 
 
 def compose(a: KernelOperator, b: KernelOperator) -> KernelOperator:
-    """Kernel composition: coefficient matrix a . G . b."""
+    """Kernel composition: coefficient matrix a . G . b, with the complex
+    product as one real product [[a_re, -a_im], [a_im, a_re]] [b_re; b_im]."""
     a._check_level(b)
-    g = gram_diagonal(a.level)
-    ag = [[v * g[m] for m, v in enumerate(row)] for row in a.coeffs]
-    return KernelOperator(a.level, _matmul(ag, b.coeffs))
+    big_w, w = _common_denominator(gram_diagonal(a.level))
+    ar = [[x * v for x, v in zip(row, w)] for row in a.re]
+    ai = [[x * v for x, v in zip(row, w)] for row in a.im]
+    out = _matmul([r + [-x for x in i] for r, i in zip(ar, ai)]
+                  + [i + r for r, i in zip(ar, ai)], b.re + b.im)
+    return KernelOperator(a.level, a.d * b.d * big_w,
+                          out[:a.dim], out[a.dim:])
 
 
 def operator_trace(a: KernelOperator) -> CRational:
-    g = gram_diagonal(a.level)
-    out = CRational(0)
-    for i in range(a.dim):
-        out = out + a.coeffs[i][i] * g[i]
-    return out
+    big_w, w = _common_denominator(gram_diagonal(a.level))
+    den = big_w * a.d
+    return CRational(*(Fraction(sum(x * m[i][i] for i, x in enumerate(w)), den)
+                       for m in (a.re, a.im)))
 
 
 def to_orthonormal_matrix(a: KernelOperator) -> np.ndarray:
@@ -215,93 +230,21 @@ def to_orthonormal_matrix(a: KernelOperator) -> np.ndarray:
     M[i][j] = a_ij sqrt(g_i g_j); hermitian iff the operator is
     self-adjoint, and its eigenvalues are the operator's spectrum.
     """
-    g = np.array([float(v) for v in gram_diagonal(a.level)])
-    s = np.sqrt(g)
-    # a channel output is banded, so most entries are exact zeros
-    c = np.array([[complex(v) if v else 0j for v in row]
-                  for row in a.coeffs])
-    return c * np.outer(s, s)
+    s = _orthonormal_scale(a.level)
+    return a.complex_matrix() * np.outer(s, s)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Rational point (a, b) of SU(2): |a|^2 + |b|^2 = 1 exactly."""
-
-    a: CRational
-    b: CRational
-
-    def __post_init__(self):
-        if self.a.abs2() + self.b.abs2() != 1:
-            raise NotUnitaryInputError(
-                "group element requires |a|^2 + |b|^2 = 1 exactly")
-
-    @classmethod
-    def identity(cls) -> "GroupElement":
-        return cls(CRational(1), CRational(0))
-
-    @classmethod
-    def from_rationals(cls, a_re, a_im, b_re, b_im) -> "GroupElement":
-        return cls(CRational(Fraction(a_re), Fraction(a_im)),
-                   CRational(Fraction(b_re), Fraction(b_im)))
-
-
-def _poly_mul(p: List[CRational], q: List[CRational]) -> List[CRational]:
-    out = [CRational(0)] * (len(p) + len(q) - 1)
-    for i, pv in enumerate(p):
-        if not pv:
-            continue
-        for j, qv in enumerate(q):
-            if qv:
-                out[i + j] = out[i + j] + pv * qv
-    return out
-
-
-def _poly_pow(p: List[CRational], n: int) -> List[CRational]:
-    out = [CRational(1)]
-    for _ in range(n):
-        out = _poly_mul(out, p)
-    return out
-
-
-def group_action_matrix(space: PolySpaceParams, g: GroupElement) \
-        -> List[List[CRational]]:
-    """Matrix of the action on the monomial basis.
-
-    Column j holds the coefficients of (a z + b)^j (-b~ z + a~)^(nu - j),
-    the image of z^j.  The result is unitary for the Gram form G:
-    M* G M = G exactly.
-    """
-    nu = space.nu
-    cols = []
-    for j in range(nu + 1):
-        p = _poly_pow([g.b, g.a], j)
-        q = _poly_pow([g.a.conj(), -g.b.conj()], nu - j)
-        col = _poly_mul(p, q)
-        col += [CRational(0)] * (nu + 1 - len(col))
-        cols.append(col[:nu + 1])
-    return [[cols[j][i] for j in range(nu + 1)] for i in range(nu + 1)]
-
-
-def conjugate_operator(a: KernelOperator, g: GroupElement) -> KernelOperator:
-    """g A g^{-1} computed on operator matrices, returned as kernel coeffs."""
-    nu = a.level
-    m = group_action_matrix(PolySpaceParams(nu), g)
-    gram = gram_diagonal(nu)
-    n = nu + 1
-    # operator matrix of A on monomials
-    op = [[a.coeffs[i][j] * gram[j] for j in range(n)] for i in range(n)]
-    # m_inv = G^{-1} m^H G  (unitarity w.r.t. the Gram form)
-    m_inv = [[m[j][i].conj() * gram[j] / gram[i] for j in range(n)]
-             for i in range(n)]
-    prod = _matmul(_matmul(m, op), m_inv)
-    coeffs = [[prod[i][j] / gram[j] for j in range(n)] for i in range(n)]
-    return KernelOperator(nu, coeffs)
+def _orthonormal_scale(level: int) -> np.ndarray:
+    """sqrt(g_i) in floats; 1 / C rounds correctly."""
+    return np.sqrt(np.array([1 / math.comb(level, i)
+                             for i in range(level + 1)]))
 
 
 def _matmul(a, b):
-    """Exact matrix product over any mix of int/Fraction/CRational entries."""
+    """Exact matrix product of integer (or any exact) matrices; zero
+    entries are skipped."""
     n, k, mcols = len(a), len(b), len(b[0])
-    out = [[CRational(0) for _ in range(mcols)] for _ in range(n)]
+    out = [[0] * mcols for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -350,7 +293,8 @@ class IsotypicDecomposition:
 
     def __init__(self, mu: int):
         self.level = L = mu
-        # (m, |d|) -> (v, w / (w.v))
+        # (m, |d|) -> (dv, v dv, dw, dual dw): v and its dual w / (w.v),
+        # each over its common denominator
         self._rank_one: dict = {}
         for d in range(L + 1):
             for m in range(d, L + 1):
@@ -366,13 +310,16 @@ class IsotypicDecomposition:
                 w = [x / (math.comb(L, j + d) * math.comb(L, j))
                      for j, x in enumerate(v)]
                 norm = sum(x * y for x, y in zip(v, w))
-                self._rank_one[(m, d)] = (v, [x / norm for x in w])
+                self._rank_one[(m, d)] = (
+                    *_common_denominator(v),
+                    *_common_denominator(x / norm for x in w))
 
     def _diagonal(self, m: int, d: int):
-        """Vector, scaled dual and kernel cells (i, j) of spin m on diagonal d."""
-        v, dual = self._rank_one[(m, abs(d))]
-        return v, dual, [(j + d, j) if d >= 0 else (j, j - d)
-                         for j in range(len(v))]
+        """dv, v dv, dw, dual dw and the kernel cells (i, j) of spin m on
+        diagonal d."""
+        dv, v, dw, dual = self._rank_one[(m, abs(d))]
+        return dv, v, dw, dual, [(j + d, j) if d >= 0 else (j, j - d)
+                                 for j in range(len(v))]
 
     def _row(self, a: KernelOperator, m: int) -> List[CRational]:
         """The 2m+1 spin-m coordinates c_{m,d} of A, d = -m..m."""
@@ -381,10 +328,13 @@ class IsotypicDecomposition:
                 f"expected level {self.level}, got {a.level}")
         row = []
         for d in range(-m, m + 1):
-            _, dual, cells = self._diagonal(m, d)
-            entries = [a.coeffs[i][j] for i, j in cells]
-            row.append(CRational(sum(c * e.re for c, e in zip(dual, entries)),
-                                 sum(c * e.im for c, e in zip(dual, entries))))
+            _, _, dw, dual, cells = self._diagonal(m, d)
+            den = dw * a.d
+            row.append(CRational(
+                Fraction(sum(c * a.re[i][j] for c, (i, j) in zip(dual, cells)),
+                         den),
+                Fraction(sum(c * a.im[i][j] for c, (i, j) in zip(dual, cells)),
+                         den)))
         return row
 
     def coordinates(self, a: KernelOperator) -> List[List[CRational]]:
@@ -394,14 +344,24 @@ class IsotypicDecomposition:
     def operator(self, coords: Sequence[Sequence]) -> KernelOperator:
         """The operator with the given spin coordinates; rows past the end
         of ``coords``, and empty rows, are zero components."""
-        out = KernelOperator.zero(self.level)
+        terms = []      # (denominator, re, im numerators, v dv, cells)
         for m, row in enumerate(coords):
             for d, c in zip(range(-m, m + 1), row):
                 if c:
-                    v, _, cells = self._diagonal(m, d)
-                    for x, (i, j) in zip(v, cells):
-                        out.coeffs[i][j] = out.coeffs[i][j] + c * x
-        return out
+                    c = CRational.of(c)
+                    cd, (p, q) = _common_denominator((c.re, c.im))
+                    dv, v, _, _, cells = self._diagonal(m, d)
+                    terms.append((cd * dv, p, q, v, cells))
+        den = math.lcm(1, *(t[0] for t in terms))
+        n = self.level + 1
+        re = [[0] * n for _ in range(n)]
+        im = [[0] * n for _ in range(n)]
+        for t, p, q, v, cells in terms:
+            p, q = p * (den // t), q * (den // t)
+            for x, (i, j) in zip(v, cells):
+                re[i][j] += p * x
+                im[i][j] += q * x
+        return KernelOperator(self.level, den, re, im)
 
     def project(self, m: int, a: KernelOperator) -> KernelOperator:
         """Spectral projector Pi_m applied to A."""

@@ -113,8 +113,9 @@ def toeplitz(f: IsotypicFunction, nu: int) -> KernelOperator:
     """The operator (1/(nu+1)) T_f at level nu >= f.level, exactly.
 
     Expands the kernel integral of the compression of multiplication by
-    f through monomial orthogonality; every integral reduces to a
-    rational moment since f is a polynomial ratio.
+    f through monomial orthogonality; every integral reduces to the
+    rational moment of |z|^(2t) against (1 + |z|^2)^(-total), which is
+    1 / ((total + 1) C(total, t)), taken over the lcm of the binomials.
     """
     if nu < f.level:
         raise BandLimitExceededError(
@@ -122,19 +123,20 @@ def toeplitz(f: IsotypicFunction, nu: int) -> KernelOperator:
     mu = f.level
     n = f.numerator()
     total = mu + nu
-    coeffs = [[CRational(0) for _ in range(nu + 1)] for _ in range(nu + 1)]
+    binoms = [math.comb(total, t) for t in range(total + 1)]
+    den = math.lcm(*binoms)
+    moment = [den // b for b in binoms]
+    re = [[0] * (nu + 1) for _ in range(nu + 1)]
+    im = [[0] * (nu + 1) for _ in range(nu + 1)]
     for p in range(nu + 1):
-        bp = binomial(nu, p)
-        for q in range(nu + 1):
-            w = bp * binomial(nu, q)
-            acc = CRational(0)
-            for i in range(mu + 1):
-                j = q + i - p
-                if 0 <= j <= mu and n.coeffs[i][j]:
-                    acc = acc + n.coeffs[i][j] \
-                        * invariant_monomial_integral(q + i, total)
-            coeffs[p][q] = acc * w
-    return KernelOperator(nu, coeffs)
+        for q in range(max(0, p - mu), min(nu, p + mu) + 1):
+            # kernel cells (i, j = q + i - p) of N inside the band
+            cells = [(i, q + i - p) for i in range(max(0, p - q),
+                                                   min(mu, mu + p - q) + 1)]
+            w = math.comb(nu, p) * math.comb(nu, q)
+            re[p][q] = w * sum(n.re[i][j] * moment[q + i] for i, j in cells)
+            im[p][q] = w * sum(n.im[i][j] * moment[q + i] for i, j in cells)
+    return KernelOperator(nu, n.d * den * (total + 1), re, im)
 
 
 def integrate_exact(f: IsotypicFunction) -> CRational:

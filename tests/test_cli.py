@@ -76,6 +76,30 @@ def test_nonfinite_or_negative_option_is_config_error(tmp_path, capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "abc"],
+    ["converge", "--mu", "1", "--k", "0", "--nu", "8,x"],
+    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--phi", "a,1"],
+    ["verify", "--nu-max", "x"],
+    ["verify", "--mu", "1.5"],
+    ["spectrum"],
+    ["verify", "--no-such-option"],
+])
+def test_unparsable_argument_is_one_error_line(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path / "x.txt")])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "usage:" not in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"],
+                                  ["converge", "--help"]])
+def test_help_still_prints_usage(capsys, argv):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage:")
+
+
 class TestSpectrum:
 
     def test_table_contents(self, tmp_path):
@@ -181,6 +205,23 @@ class TestConverge:
         assert code == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_nothing_to_check_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["converge", "--mu", "2", "--k", "1", "--nu", "10,20",
+                     "--n", "", "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_phi_alone_runs(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = main(["converge", "--mu", "2", "--k", "1", "--nu", "10,20",
+                     "--n", "", "--phi", "entropy8", "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_ASSERTION_FAILED)
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert [r[3] for r in rows[1:]] == ["phi=deg8", "phi=deg8"]
 
     def test_moment_order_below_one_is_config_error(self, tmp_path):
         code = main(["converge", "--mu", "1", "--k", "0", "--nu", "8,16",

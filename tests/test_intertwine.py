@@ -139,6 +139,7 @@ def dense_apply_channel(spec, a):
     jk = dense_jk_matrix(spec)
     adj = dense_jk_adjoint(spec)
     c2 = c_squared(spec)
+    coeffs = a.coeffs
     out = [[CRational(0) for _ in range(out_level + 1)]
            for _ in range(out_level + 1)]
     for c in range(out_level + 1):
@@ -151,10 +152,10 @@ def dense_apply_channel(spec, a):
                     continue
                 w = gm[a_idx] * v
                 for i in range(mu + 1):
-                    if a.coeffs[i][a_idx]:
+                    if coeffs[i][a_idx]:
                         key = (i, b_idx)
                         cur = tensor_col.get(key, CRational(0))
-                        tensor_col[key] = cur + a.coeffs[i][a_idx] * w
+                        tensor_col[key] = cur + coeffs[i][a_idx] * w
         # apply J_k
         for (i, b_idx), v in tensor_col.items():
             r = i + b_idx - k
@@ -163,7 +164,7 @@ def dense_apply_channel(spec, a):
                 if jv:
                     out[r][c] = out[r][c] + v * jv * c2
     # operator matrix -> kernel coefficients
-    return KernelOperator(out_level, [
+    return KernelOperator.from_rows(out_level, [
         [out[i][c] / go[c] for c in range(out_level + 1)]
         for i in range(out_level + 1)])
 
@@ -412,3 +413,39 @@ class TestChoi:
         assert choi_min_eigenvalue(spec) > -1e-10
         pt = choi_partial_trace_output(choi, spec)
         assert np.max(np.abs(pt - np.eye(mu + 1))) < 1e-10
+
+    @staticmethod
+    def dense_choi_matrix(spec):
+        """The Choi matrix from each orthonormal unit's image through the
+        dense channel, turned to floats entry by entry with
+        float(Fraction), with choi_matrix's float operations in the same
+        order."""
+        mu = spec.mu
+        out_dim = spec.target_level + 1
+        gm, go = gram_diagonal(mu), gram_diagonal(spec.target_level)
+        s = np.sqrt(np.array([float(v) for v in go]))
+        choi = np.zeros(((mu + 1) * out_dim, (mu + 1) * out_dim),
+                        dtype=complex)
+        for i in range(mu + 1):
+            for j in range(mu + 1):
+                unit = KernelOperator.from_rows(mu, [
+                    [int((r, c) == (i, j)) for c in range(mu + 1)]
+                    for r in range(mu + 1)])
+                img = dense_apply_channel(spec, unit).scale(
+                    normalization_factor(spec))
+                c = np.array([[complex(v) if v else 0j for v in row]
+                              for row in img.coeffs])
+                choi[i * out_dim:(i + 1) * out_dim,
+                     j * out_dim:(j + 1) * out_dim] = \
+                    c * np.outer(s, s) / np.sqrt(float(gm[i] * gm[j]))
+        return choi
+
+    # every spec of the default verify sweep; it holds the edge levels
+    # mu = 0, nu = mu and output levels below mu, (3, 3, 3) and (3, 4, 3)
+    @pytest.mark.parametrize("mu,nu,k", [
+        (mu, nu, k) for mu in range(4) for nu in range(mu, 8)
+        for k in range(mu + 1)])
+    def test_choi_bit_identical_to_dense_unit_images(self, mu, nu, k):
+        spec = ChannelSpec(mu, nu, k)
+        assert choi_matrix(spec).tobytes() == \
+            self.dense_choi_matrix(spec).tobytes()

@@ -3,6 +3,7 @@ group action, and isotypic decomposition of the operator algebra."""
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -11,15 +12,11 @@ import pytest
 from su2chan.exactnum import CRational, binomial
 from su2chan.quadrature import QuadratureGrid, random_operator
 from su2chan.repspace import (
-    GroupElement,
     KernelOperator,
     LevelMismatchError,
-    NotUnitaryInputError,
     PolySpaceParams,
     compose,
-    conjugate_operator,
     gram_diagonal,
-    group_action_matrix,
     inner_product,
     isotypic_projectors,
     monomial_norm_sq,
@@ -80,16 +77,153 @@ def casimir_on_operators(mu):
 
     def cas(a):
         assert a.level == mu
-        m = [[a.coeffs[i][j] * gram[j] for j in range(n)] for i in range(n)]
+        m = [[v * gram[j] for j, v in enumerate(row)] for row in a.coeffs]
         ef = comm(e, comm(f, m))
         fe = comm(f, comm(e, m))
         hh = comm(h, comm(h, m))
-        return KernelOperator(mu, [
+        return KernelOperator.from_rows(mu, [
             [((ef[i][j] + fe[i][j]) * Fraction(1, 2)
               + hh[i][j] * Fraction(1, 4)) / gram[j] for j in range(n)]
             for i in range(n)])
 
     return cas
+
+
+# ---------------------------------------------------------------------------
+# The group action on monomials, the oracle for equivariance
+# ---------------------------------------------------------------------------
+
+class NotUnitaryInputError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class GroupElement:
+    """Rational point (a, b) of SU(2): |a|^2 + |b|^2 = 1 exactly."""
+
+    a: CRational
+    b: CRational
+
+    def __post_init__(self):
+        if self.a.abs2() + self.b.abs2() != 1:
+            raise NotUnitaryInputError(
+                "group element requires |a|^2 + |b|^2 = 1 exactly")
+
+
+def _poly_mul(p, q):
+    out = [CRational(0)] * (len(p) + len(q) - 1)
+    for i, pv in enumerate(p):
+        if not pv:
+            continue
+        for j, qv in enumerate(q):
+            if qv:
+                out[i + j] = out[i + j] + pv * qv
+    return out
+
+
+def _poly_pow(p, n):
+    out = [CRational(1)]
+    for _ in range(n):
+        out = _poly_mul(out, p)
+    return out
+
+
+def _dense_matmul(x, y):
+    return [[sum((xi[t] * y[t][j] for t in range(len(y))), CRational(0))
+             for j in range(len(y[0]))] for xi in x]
+
+
+def group_action_matrix(space, g):
+    """Matrix of the action on the monomial basis.
+
+    Column j holds the coefficients of (a z + b)^j (-b~ z + a~)^(nu - j),
+    the image of z^j.  The result is unitary for the Gram form G:
+    M* G M = G exactly.
+    """
+    nu = space.nu
+    cols = []
+    for j in range(nu + 1):
+        p = _poly_pow([g.b, g.a], j)
+        q = _poly_pow([g.a.conj(), -g.b.conj()], nu - j)
+        col = _poly_mul(p, q)
+        col += [CRational(0)] * (nu + 1 - len(col))
+        cols.append(col[:nu + 1])
+    return [[cols[j][i] for j in range(nu + 1)] for i in range(nu + 1)]
+
+
+def conjugate_operator(a, g):
+    """g A g^{-1} computed on operator matrices, returned as kernel coeffs."""
+    nu = a.level
+    m = group_action_matrix(PolySpaceParams(nu), g)
+    gram = gram_diagonal(nu)
+    n = nu + 1
+    # operator matrix of A on monomials
+    op = [[v * gram[j] for j, v in enumerate(row)] for row in a.coeffs]
+    # m_inv = G^{-1} m^H G  (unitarity w.r.t. the Gram form)
+    m_inv = [[m[j][i].conj() * gram[j] / gram[i] for j in range(n)]
+             for i in range(n)]
+    prod = _dense_matmul(_dense_matmul(m, op), m_inv)
+    coeffs = [[prod[i][j] / gram[j] for j in range(n)] for i in range(n)]
+    return KernelOperator.from_rows(nu, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Operations only the tests need, over the CRational coefficient rows
+# ---------------------------------------------------------------------------
+
+def apply(a, vec):
+    """Apply to a monomial coefficient vector: (A f)_i = sum_j a_ij g_j f_j."""
+    if len(vec) != a.dim:
+        raise ValueError(f"expected vector of length {a.dim}")
+    g = gram_diagonal(a.level)
+    coeffs = a.coeffs
+    return [sum((coeffs[i][j] * g[j] * CRational.of(vec[j])
+                 for j in range(a.dim)), CRational(0))
+            for i in range(a.dim)]
+
+
+def from_json_dict(d):
+    level = int(d["level"])
+    n = level + 1
+    flat = [CRational(Fraction(v["re"]), Fraction(v["im"]))
+            for v in d["coeffs"]]
+    if len(flat) != n * n:
+        raise ValueError("coefficient array has wrong length")
+    return KernelOperator.from_rows(
+        level, [flat[i * n:(i + 1) * n] for i in range(n)])
+
+
+def is_zero(a):
+    return all(not v for row in a.coeffs for v in row)
+
+
+def fraction_dual_coordinates(a):
+    """Spin coordinates c_{m,d} = w.A / (w.v) with the dual-Hahn vector v
+    and its dual w as Fraction vectors, summed in Fractions over the
+    CRational coefficient rows: the form coordinates had before the duals
+    were kept over common integer denominators."""
+    L = a.level
+    coeffs = a.coeffs
+    out = []
+    for m in range(L + 1):
+        row = []
+        for d in range(-m, m + 1):
+            e = abs(d)
+            v = [Fraction(1)]
+            for j in range(L - e):
+                i = j + e
+                t = (i + j + 1) * L - i * i - j * j + e * e - m * (m + 1)
+                below = (L - i + 1) * (L - j + 1) * v[j - 1] if j else 0
+                v.append((t * v[j] - below) / ((i + 1) * (j + 1)))
+            w = [x / (math.comb(L, j + e) * math.comb(L, j))
+                 for j, x in enumerate(v)]
+            norm = sum(x * y for x, y in zip(v, w))
+            cells = [(j + d, j) if d >= 0 else (j, j - d)
+                     for j in range(len(v))]
+            row.append(sum((coeffs[i][j] * (x / norm)
+                            for x, (i, j) in zip(w, cells)), CRational(0)))
+        out.append(row)
+    return out
 
 
 def random_poly(rng, deg):
@@ -141,8 +275,9 @@ class TestKernelOperator:
 
     def test_identity_kernel_coefficients(self):
         ident = reproducing_identity_operator(4)
+        coeffs = ident.coeffs
         for i in range(5):
-            assert ident.coeffs[i][i] == binomial(4, i)
+            assert coeffs[i][i] == binomial(4, i)
 
     def test_identity_is_neutral_for_composition(self):
         rng = random.Random(RNG_SEED)
@@ -155,7 +290,7 @@ class TestKernelOperator:
         rng = random.Random(RNG_SEED)
         ident = reproducing_identity_operator(4)
         f = random_poly(rng, 4)
-        assert ident.apply(f) == f
+        assert apply(ident, f) == f
 
     def test_rank_one_composition(self):
         # (f x g*)(h x l*) = <h, g> (f x l*)
@@ -186,8 +321,8 @@ class TestKernelOperator:
         a = random_operator(nu, rng)
         assert a.adjoint().adjoint() == a
         f, g = random_poly(rng, nu), random_poly(rng, nu)
-        assert inner_product(space, a.apply(f), g) == \
-            inner_product(space, f, a.adjoint().apply(g))
+        assert inner_product(space, apply(a, f), g) == \
+            inner_product(space, f, apply(a.adjoint(), g))
 
     def test_orthonormal_matrix_preserves_trace_and_products(self):
         rng = random.Random(RNG_SEED)
@@ -202,10 +337,36 @@ class TestKernelOperator:
             compose(reproducing_identity_operator(2),
                     reproducing_identity_operator(3))
 
+    def test_one_form_over_any_common_denominator(self):
+        # the same coefficients over d and over 6d are one operator, kept
+        # in lowest terms, and the CRational rows give it back
+        rng = random.Random(RNG_SEED)
+        for mu in range(5):
+            a = random_operator(mu, rng)
+            assert math.gcd(a.d, *(x for row in a.re + a.im for x in row)) == 1
+            b = KernelOperator(mu, 6 * a.d,
+                               [[6 * x for x in row] for row in a.re],
+                               [[6 * y for y in row] for row in a.im])
+            assert b == a
+            assert (b.d, b.re, b.im) == (a.d, a.re, a.im)
+            assert KernelOperator.from_rows(mu, b.coeffs) == a
+            assert b.coeffs == a.coeffs
+
+    def test_zero_has_denominator_one(self):
+        a = random_operator(2, random.Random(RNG_SEED))
+        z = a - a
+        assert (z.d, z.re, z.im) == (1, ((0,) * 3,) * 3, ((0,) * 3,) * 3)
+
+    def test_coefficient_rows_are_a_copy(self):
+        a = random_operator(2, random.Random(RNG_SEED))
+        rows = a.coeffs
+        rows[0][0] = CRational(99)
+        assert a.coeffs[0][0] != 99
+
     def test_json_round_trip(self):
         rng = random.Random(RNG_SEED)
         a = random_operator(3, rng)
-        assert KernelOperator.from_json_dict(a.to_json_dict()) == a
+        assert from_json_dict(a.to_json_dict()) == a
 
 
 class TestGroupAction:
@@ -298,7 +459,7 @@ class TestIsotypicProjectors:
                 assert dec.project(m, parts[m]) == parts[m]
                 for l in range(mu + 1):
                     if l != m:
-                        assert dec.project(l, parts[m]).is_zero()
+                        assert is_zero(dec.project(l, parts[m]))
 
     def test_coordinates_and_operator_are_inverse(self):
         # (mu+1)^2 spin coordinates fix an operator, and every list of
@@ -311,6 +472,14 @@ class TestIsotypicProjectors:
             coords = [[CRational(rng.randint(-3, 3), rng.randint(-3, 3))
                        for _ in range(2 * m + 1)] for m in range(mu + 1)]
             assert dec.coordinates(dec.operator(coords)) == coords
+
+    def test_coordinates_match_fraction_dual_oracle(self):
+        rng = random.Random(RNG_SEED)
+        for mu in range(7):
+            dec = isotypic_projectors(mu)
+            for _ in range(2):
+                a = random_operator(mu, rng)
+                assert dec.coordinates(a) == fraction_dual_coordinates(a)
 
     def test_equivariance_under_group_conjugation(self):
         g = GroupElement(CRational(Fraction(3, 5)), CRational(Fraction(4, 5)))

@@ -78,9 +78,9 @@ class TestSymbolToeplitz:
             a = random_operator(mu, rng)
             f = symbol(a)
             assert integrate_exact(f) == operator_trace(a) / Fraction(mu + 1)
-            n = f.numerator()
+            n = f.numerator().coeffs
             assert integrate_exact(f) == sum(
-                n.coeffs[i][i] * invariant_monomial_integral(i, mu)
+                n[i][i] * invariant_monomial_integral(i, mu)
                 for i in range(mu + 1))
 
     def test_toeplitz_is_adjoint_of_symbol(self):
@@ -204,7 +204,7 @@ def _lifted(f, level):
     for m in range(f.level + 1):
         part = component_numerator_at_level(f, m, level)
         num = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(num, part)]
-    return symbol(KernelOperator(level, num))
+    return symbol(KernelOperator.from_rows(level, num))
 
 
 def _bumped(f, m, d):
