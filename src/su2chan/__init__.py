@@ -21,11 +21,9 @@ from .repspace import (
     PolySpaceParams,
     compose,
     gram_diagonal,
-    inner_product,
     isotypic_projectors,
     monomial_norm_sq,
     operator_trace,
-    rank_one,
     reproducing_identity_operator,
     to_orthonormal_matrix,
 )
@@ -38,7 +36,6 @@ from .intertwine import (
     channel_report,
     choi_matrix,
     choi_min_eigenvalue,
-    choi_partial_trace_output,
     normalization_factor,
     pk_orthogonality_check,
 )
@@ -54,7 +51,6 @@ from .symbolcalc import (
     e_limit_eigenvalue,
     e_nu_apply,
     e_nu_coefficient,
-    e_nu_coefficient_sum,
     e_nu_eigenvalue,
     functions_equal,
     integrate_exact,
@@ -73,7 +69,6 @@ from .quadrature import (
     functional_convergence,
     fund_ineq_check,
     i_n_integral,
-    integrate_invariant,
     limit_functional,
     limit_moment,
     moment_convergence,

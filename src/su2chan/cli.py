@@ -20,6 +20,7 @@ import tempfile
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+from . import __version__
 from .exactnum import hyp2f1_terminating, rising_pochhammer
 from .intertwine import (
     ChannelSpec,
@@ -338,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="su2chan",
         description="Exact verification and convergence experiments for "
                     "component channels of tensor-product decompositions.")
+    p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run the exact-identity suites")

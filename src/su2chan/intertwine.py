@@ -24,7 +24,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .exactnum import binomial, falling_pochhammer, rising_pochhammer
+from .exactnum import rising_pochhammer
 from .repspace import (
     KernelOperator,
     LevelMismatchError,
@@ -67,24 +67,21 @@ class ChannelSpec:
 def jk_columns(spec: ChannelSpec) -> List[List[Fraction]]:
     """Column coefficients: J_k(z^a w^b) = cols[a][b] xi^(a + b - k), with
     cols[a][b] = 0 where a + b - k lies outside the target level.  All
-    columns share the weights of the k + 1 differential-operator terms."""
+    columns share the weights of the k + 1 differential-operator terms;
+    (-mu)_j (-nu)_{k-j} = (-1)^k mu!/(mu-j)! nu!/(nu-k+j)! is nonzero, so
+    over the lcm d of those products each column is an integer sum."""
     mu, nu, k = spec.mu, spec.nu, spec.k
-    terms = []
-    for j in range(k + 1):
-        den = rising_pochhammer(-mu, j) * rising_pochhammer(-nu, k - j)
-        # (-mu)_j vanishes only for j > mu, where the derivative factor
-        # (a)_j^- also vanishes; skip such terms.
-        if den == 0:
-            continue
-        weight = Fraction(-1) ** (k + j) * binomial(k, j) / den
-        terms.append((weight,
-                      [falling_pochhammer(a, j) for a in range(mu + 1)],
-                      [falling_pochhammer(b, k - j) for b in range(nu + 1)]))
+    dens = [math.perm(mu, j) * math.perm(nu, k - j) for j in range(k + 1)]
+    d = math.lcm(*dens)
+    terms = [((-1) ** j * math.comb(k, j) * (d // den),
+              [math.perm(a, j) for a in range(mu + 1)],
+              [math.perm(b, k - j) for b in range(nu + 1)])
+             for j, den in enumerate(dens)]
     cols = [[Fraction(0)] * (nu + 1) for _ in range(mu + 1)]
     for a in range(mu + 1):
         for b in range(max(0, k - a), min(nu, spec.target_level + k - a) + 1):
-            cols[a][b] = sum((w * fa[a] * fb[b] for w, fa, fb in terms),
-                             Fraction(0))
+            cols[a][b] = Fraction(
+                sum(w * fa[a] * fb[b] for w, fa, fb in terms), d)
     return cols
 
 
@@ -268,19 +265,6 @@ def choi_matrix(spec: ChannelSpec) -> np.ndarray:
 
 def choi_min_eigenvalue(spec: ChannelSpec) -> float:
     return float(np.linalg.eigvalsh(choi_matrix(spec)).min())
-
-
-def choi_partial_trace_output(choi: np.ndarray, spec: ChannelSpec) -> np.ndarray:
-    """Trace out the output factor; trace preservation gives the identity."""
-    n_in = spec.mu + 1
-    out_dim = spec.target_level + 1
-    pt = np.zeros((n_in, n_in), dtype=complex)
-    for i in range(n_in):
-        for j in range(n_in):
-            block = choi[i * out_dim:(i + 1) * out_dim,
-                         j * out_dim:(j + 1) * out_dim]
-            pt[i, j] = np.trace(block)
-    return pt
 
 
 def channel_report(spec: ChannelSpec, operators: List[KernelOperator]) -> dict:

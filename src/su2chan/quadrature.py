@@ -10,6 +10,9 @@ exactly and only diagonalized in floats.
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,7 +20,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactnum import CRational, binomial
+from .exactnum import CRational
 from .intertwine import ChannelSpec, apply_channel
 from .repspace import (
     KernelOperator,
@@ -71,15 +74,6 @@ class QuadratureGrid:
     def _radial(self) -> Tuple[np.ndarray, np.ndarray]:
         x, w = np.polynomial.legendre.leggauss(self.n_radial)
         return (x + 1.0) / 2.0, w / 2.0
-
-
-def integrate_invariant(f: Callable[[complex], complex],
-                        grid: QuadratureGrid) -> float:
-    """Quadrature of f against the invariant probability measure."""
-    vals = np.array([f(z) for z in grid.points])
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteSampleError("integrand not finite on the grid")
-    return float(np.real(np.sum(grid.weights * vals)))
 
 
 def symbol_values(a: KernelOperator, zs: np.ndarray) -> np.ndarray:
@@ -217,38 +211,44 @@ def i_n_integral(n: int, nu: int) -> Fraction:
 
     Even nu = 2 kappa: the exact sum over chains of n-1 indices
     0..kappa, summed as a product of (kappa+1)-square transfer matrices
-    in O(n kappa^2).  Odd nu: the comparison bound
-    ((nu+1)/nu)^n I_n(nu-1), an upper estimate.
+    in O(n kappa^2) integer operations, with each 1/C(2kappa, s) taken
+    as the integer d/C(2kappa, s) over d = lcm_s C(2kappa, s).  Odd nu:
+    the comparison bound ((nu+1)/nu)^n I_n(nu-1), an upper estimate.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if nu < 0:
         raise ValueError(f"need nu >= 0, got {nu}")
-    if n == 1:
-        return Fraction(1)
-    if nu == 0:
+    if n == 1 or nu == 0:
         return Fraction(1)
     if nu % 2 == 1:
         return Fraction(nu + 1, nu) ** n * i_n_integral(n, nu - 1)
     kappa = nu // 2
-    sq = [binomial(kappa, a) ** 2 for a in range(kappa + 1)]
-    c2 = [binomial(2 * kappa, s) for s in range(2 * kappa + 1)]
-    v = [sq[a] / c2[a] for a in range(kappa + 1)]
+    c2 = [math.comb(nu, s) for s in range(nu + 1)]
+    d = math.lcm(*c2)
+    w = [d // c for c in c2]
+    sq = [math.comb(kappa, a) ** 2 for a in range(kappa + 1)]
+    v = [sq[a] * w[a] for a in range(kappa + 1)]
     for _ in range(n - 2):
-        v = [sq[b] * sum(v[a] / c2[a + b] for a in range(kappa + 1))
+        v = [sq[b] * sum(map(operator.mul, v, w[b:]))
              for b in range(kappa + 1)]
-    return sum(v[b] / c2[b] for b in range(kappa + 1))
+    return Fraction(sum(map(operator.mul, v, w)), d ** n)
 
 
 def fund_ineq_check(kappa: int, j: int) -> dict:
     """Exact check of sum_i C(kappa,i)/C(2kappa,i+j) against its closed
-    form (2kappa+1)/(kappa+1) / C(kappa,j) and the bound 2/C(kappa,j)."""
+    form (2kappa+1)/(kappa+1) / C(kappa,j) and the bound 2/C(kappa,j);
+    as 1/C(2kappa,s) = s! (2kappa-s)! / (2kappa)!, the sum is the integer
+    sum_i C(kappa,i) (i+j)! (2kappa-i-j)! over (2kappa)!."""
     if not 0 <= j <= kappa:
         raise ValueError(f"need 0 <= j <= kappa, got j={j}, kappa={kappa}")
-    s = sum((binomial(kappa, i) / binomial(2 * kappa, i + j)
-             for i in range(kappa + 1)), Fraction(0))
-    identity_value = Fraction(2 * kappa + 1, kappa + 1) / binomial(kappa, j)
-    bound = 2 / binomial(kappa, j)
+    n = 2 * kappa
+    fact = list(itertools.accumulate(range(1, n + 1), operator.mul,
+                                     initial=1))
+    s = Fraction(sum(math.comb(kappa, i) * fact[i + j] * fact[n - i - j]
+                     for i in range(kappa + 1)), fact[n])
+    identity_value = Fraction(n + 1, (kappa + 1) * math.comb(kappa, j))
+    bound = Fraction(2, math.comb(kappa, j))
     return {
         "kappa": kappa,
         "j": j,

@@ -152,8 +152,7 @@ def berezin_eigenvalue(nu: int, m: int) -> Fraction:
         raise ValueError(f"component index must be nonnegative, got {m}")
     if m > nu:
         return Fraction(0)
-    return Fraction(math.factorial(nu) ** 2,
-                    math.factorial(nu + m + 1) * math.factorial(nu - m))
+    return Fraction(math.perm(nu, m) ** 2, math.perm(nu + m + 1, 2 * m + 1))
 
 
 def berezin_apply(nu: int, f: IsotypicFunction) -> IsotypicFunction:
@@ -195,23 +194,29 @@ def e_nu_coefficient(spec: ChannelSpec, l: int) -> Fraction:
                        math.factorial(nu) * math.factorial(l)))
 
 
-def e_nu_coefficient_sum(spec: ChannelSpec, l: int) -> Fraction:
-    """Independent inner-sum form of the same weight:
-    c^2 sum_{i=l}^k C(k,i)^2 C(nu,k-i)^{-1} C(i,l) (-1)^(i-l)."""
-    k, nu = spec.k, spec.nu
-    if not 0 <= l <= k:
-        raise IndexError(f"need 0 <= l <= {k}, got {l}")
-    acc = Fraction(0)
-    for i in range(l, k + 1):
-        acc += (binomial(k, i) ** 2 / binomial(nu, k - i) * binomial(i, l)
-                * Fraction(-1) ** (i - l))
-    return c_squared(spec) * acc
+def _berezin_numerators(mu: int, k: int, m: int) -> List[int]:
+    """berezin_eigenvalue(mu - l, m) (mu+m+1)! (mu-m)!, integers, for
+    l = 0..min(k, mu - m); the eigenvalues with l > mu - m vanish."""
+    if m < 0:
+        raise ValueError(f"component index must be nonnegative, got {m}")
+    return [math.factorial(mu - l) ** 2 * math.perm(mu + m + 1, l)
+            * math.perm(mu - m, l) for l in range(min(k, mu - m) + 1)]
 
 
 def e_nu_eigenvalue(spec: ChannelSpec, m: int) -> Fraction:
-    """Eigenvalue of the finite-level operator on sharp degree 2m."""
-    return sum(e_nu_coefficient(spec, l) * berezin_eigenvalue(spec.mu - l, m)
-               for l in range(spec.k + 1))
+    """Eigenvalue of the finite-level operator on sharp degree 2m: the sum
+    of e_nu_coefficient(spec, l) berezin_eigenvalue(mu - l, m), in
+    integers over (nu!/k!) (mu+m+1)! (mu-m)!, times c^2."""
+    mu, nu, k = spec.mu, spec.nu, spec.k
+    berezin = _berezin_numerators(mu, k, m)
+    if not berezin:
+        return Fraction(0)
+    c2 = c_squared(spec)
+    s = sum((-1) ** (k - l) * math.comb(nu - k, k - l)
+            * math.perm(nu - k + l, nu - k) * b
+            for l, b in enumerate(berezin))
+    return Fraction(c2.numerator * s, c2.denominator * math.perm(nu, nu - k)
+                    * math.factorial(mu + m + 1) * math.factorial(mu - m))
 
 
 def e_nu_apply(spec: ChannelSpec, f: IsotypicFunction) -> IsotypicFunction:
@@ -229,11 +234,18 @@ def e_limit_coefficient(mu: int, k: int, l: int) -> Fraction:
 
 
 def e_limit_eigenvalue(mu: int, k: int, m: int) -> Fraction:
-    """Limit-operator eigenvalue as the direct alternating binomial sum."""
+    """Limit-operator eigenvalue as the direct alternating binomial sum of
+    e_limit_coefficient(mu, k, l) berezin_eigenvalue(mu - l, m), in
+    integers over (mu+m+1)! (mu-m)!."""
     if not 0 <= k <= mu:
         raise ValueError(f"need 0 <= k <= mu, got k={k}, mu={mu}")
-    return sum(e_limit_coefficient(mu, k, l) * berezin_eigenvalue(mu - l, m)
-               for l in range(k + 1))
+    berezin = _berezin_numerators(mu, k, m)
+    if not berezin:
+        return Fraction(0)
+    s = sum((-1) ** (k - l) * math.comb(k, l) * b
+            for l, b in enumerate(berezin))
+    return Fraction(math.comb(mu, k) * s,
+                    math.factorial(mu + m + 1) * math.factorial(mu - m))
 
 
 def e_limit_apply(mu: int, k: int, f: IsotypicFunction) -> IsotypicFunction:
@@ -246,13 +258,14 @@ def e_limit_apply(mu: int, k: int, f: IsotypicFunction) -> IsotypicFunction:
 
 
 def e_eigenvalue_3f2(mu: int, k: int, m: int) -> Fraction:
-    """Terminating-3F2 closed form of the limit eigenvalue."""
+    """Terminating-3F2 closed form of the limit eigenvalue, (-1)^k C(mu,k)
+    (mu!/(mu-m)!)^2 / ((mu+m+1)!/(mu-m)!) 3F2(-k, -m-mu-1, m-mu; -mu, -mu;
+    1), as one integer product over the 3F2's denominator."""
     if not 0 <= k <= mu:
         raise ValueError(f"need 0 <= k <= mu, got k={k}, mu={mu}")
     if m > mu:
         return Fraction(0)
     hyp = hyp3f2_terminating(-k, -m - mu - 1, m - mu, -mu, -mu)
-    return (Fraction(-1) ** k * binomial(mu, k)
-            * Fraction(math.factorial(mu) ** 2,
-                       math.factorial(mu - m) * math.factorial(mu + m + 1))
-            * hyp)
+    return Fraction((-1) ** k * math.comb(mu, k) * math.perm(mu, m) ** 2
+                    * hyp.numerator,
+                    math.perm(mu + m + 1, 2 * m + 1) * hyp.denominator)

@@ -3,7 +3,9 @@ report formats, and deterministic output."""
 
 import csv
 import json
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,16 @@ from su2chan.cli import (
     EXIT_OK,
     main,
 )
+
+
+def test_version_matches_pyproject(capsys):
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = pyproject.read_text().split("[project]", 1)[1]
+    version = re.search(r'^version = "([^"]+)"', project, re.M).group(1)
+    assert main(["--version"]) == EXIT_OK
+    out = capsys.readouterr()
+    assert out.out == version + "\n"
+    assert out.err == ""
 
 
 def run(tmp_path, *argv):

@@ -127,6 +127,19 @@ class TestCombinatorics:
         assert rising_pochhammer(-7, 8) == 0
         assert falling_pochhammer(4, 5) == 0
 
+    def test_integer_arguments_match_fraction_route(self):
+        # an int argument skips the Fraction conversion; the value and
+        # its type stay those of the Fraction argument
+        for a in range(-20, 21):
+            for n in range(13):
+                for fn in (rising_pochhammer, falling_pochhammer):
+                    got = fn(a, n)
+                    assert type(got) is Fraction
+                    assert got == fn(Fraction(a), n) \
+                        == fraction_product(Fraction(a), n,
+                                            1 if fn is rising_pochhammer
+                                            else -1), (fn, a, n)
+
     def test_pochhammers_reject_negative_n(self):
         for fn in (rising_pochhammer, falling_pochhammer):
             with pytest.raises(ValueError):
@@ -187,6 +200,16 @@ class TestKernelAgainstFractionOracle:
                 for c in range(-20, 21):
                     assert outcome(hyp2f1_terminating, n, b, c) \
                         == outcome(fraction_2f1, n, b, c), (n, b, c)
+
+    def test_integer_parameters_match_fraction_parameters(self):
+        for n in range(9):
+            for b in range(-8, 9):
+                for c in range(-10, 11):
+                    ints = outcome(hyp2f1_terminating, n, b, c)
+                    fracs = outcome(hyp2f1_terminating, n, Fraction(b),
+                                    Fraction(c))
+                    assert ints == fracs, (n, b, c)
+                    assert type(ints) is type(fracs)
 
     def test_2f1_rational_parameters(self):
         values = [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3),

@@ -22,7 +22,6 @@ from su2chan.intertwine import (
     c_squared,
     choi_matrix,
     choi_min_eigenvalue,
-    choi_partial_trace_output,
     jk_columns,
     normalization_factor,
     pk_orthogonality_check,
@@ -55,6 +54,23 @@ def dense_jk_matrix(spec):
             if v:
                 m[a + b - spec.k][spec.tensor_index(a, b)] = v
     return m
+
+
+def fraction_jk_columns(spec):
+    """The column coefficients summed term by term in Fractions, with the
+    Pochhammer weights of the differential-operator form: the oracle for
+    the package's integer sums over one denominator."""
+    mu, nu, k = spec.mu, spec.nu, spec.k
+    cols = [[Fraction(0)] * (nu + 1) for _ in range(mu + 1)]
+    for j in range(k + 1):
+        w = Fraction(-1) ** (k + j) * binomial(k, j) \
+            / (rising_pochhammer(-mu, j) * rising_pochhammer(-nu, k - j))
+        for a in range(mu + 1):
+            for b in range(max(0, k - a),
+                           min(nu, spec.target_level + k - a) + 1):
+                cols[a][b] += w * falling_pochhammer(a, j) \
+                    * falling_pochhammer(b, k - j)
+    return cols
 
 
 def dense_jk_adjoint(spec):
@@ -169,6 +185,19 @@ def dense_apply_channel(spec, a):
         for i in range(out_level + 1)])
 
 
+def choi_partial_trace_output(choi, spec):
+    """Trace out the output factor; trace preservation gives the identity."""
+    n_in = spec.mu + 1
+    out_dim = spec.target_level + 1
+    pt = np.zeros((n_in, n_in), dtype=complex)
+    for i in range(n_in):
+        for j in range(n_in):
+            block = choi[i * out_dim:(i + 1) * out_dim,
+                         j * out_dim:(j + 1) * out_dim]
+            pt[i, j] = np.trace(block)
+    return pt
+
+
 def random_nonhermitian(mu, rng):
     while True:
         a = random_operator(mu, rng)
@@ -248,6 +277,13 @@ class TestIntertwiner:
                 prod = dense_jk_product(ChannelSpec(mu, nu, k),
                                         ChannelSpec(mu, nu, l))
                 assert all(v == 0 for row in prod for v in row)
+
+    def test_jk_columns_match_fraction_oracle(self):
+        specs = [ChannelSpec(mu, nu, k) for mu in range(6)
+                 for nu in range(mu, 15) for k in range(mu + 1)]
+        specs += [ChannelSpec(3, 160, k) for k in range(4)]
+        for spec in specs:
+            assert jk_columns(spec) == fraction_jk_columns(spec), spec
 
     def test_jk_columns_have_single_output_degree(self):
         # cols[a][b] is the coefficient of xi^(a+b-k): zero exactly where

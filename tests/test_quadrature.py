@@ -12,6 +12,7 @@ from su2chan.exactnum import binomial
 from su2chan.intertwine import ChannelSpec, apply_channel
 from su2chan.quadrature import (
     ConvergenceRecord,
+    NonFiniteSampleError,
     QuadratureGrid,
     SpectrumOutOfRangeError,
     channel_output_spectrum,
@@ -20,7 +21,6 @@ from su2chan.quadrature import (
     functional_convergence,
     fund_ineq_check,
     i_n_integral,
-    integrate_invariant,
     limit_functional,
     limit_moment,
     moment_convergence,
@@ -56,6 +56,37 @@ def i_n_enumerated(n, nu):
             v /= binomial(2 * kappa, a + b)
         total += v
     return total
+
+
+def integrate_invariant(f, grid):
+    """Quadrature of f against the invariant probability measure."""
+    vals = np.array([f(z) for z in grid.points])
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteSampleError("integrand not finite on the grid")
+    return float(np.real(np.sum(grid.weights * vals)))
+
+
+def fraction_i_n_transfer(n, nu):
+    """I_n by the transfer-matrix product in Fractions, term by term: the
+    oracle for the package's integer weights over lcm^n."""
+    if n == 1 or nu == 0:
+        return Fraction(1)
+    if nu % 2 == 1:
+        return Fraction(nu + 1, nu) ** n * fraction_i_n_transfer(n, nu - 1)
+    kappa = nu // 2
+    sq = [binomial(kappa, a) ** 2 for a in range(kappa + 1)]
+    c2 = [binomial(2 * kappa, s) for s in range(2 * kappa + 1)]
+    v = [sq[a] / c2[a] for a in range(kappa + 1)]
+    for _ in range(n - 2):
+        v = [sq[b] * sum(v[a] / c2[a + b] for a in range(kappa + 1))
+             for b in range(kappa + 1)]
+    return sum(v[b] / c2[b] for b in range(kappa + 1))
+
+
+def fraction_fund_sum(kappa, j):
+    """sum_i C(kappa,i)/C(2kappa,i+j), one Fraction per term."""
+    return sum((binomial(kappa, i) / binomial(2 * kappa, i + j)
+                for i in range(kappa + 1)), Fraction(0))
 
 
 def _evaluate(f, z):
@@ -202,6 +233,20 @@ class TestKernelBounds:
             for nu in range(0, 13, 2):
                 assert i_n_integral(n, nu) == i_n_enumerated(n, nu)
 
+    def test_integer_transfer_matches_fraction_oracle(self):
+        # even and odd levels, nu = 0 and the trivial n = 1
+        for n in range(1, 7):
+            for nu in range(0, 41):
+                value = i_n_integral(n, nu)
+                assert type(value) is Fraction
+                assert value == fraction_i_n_transfer(n, nu), (n, nu)
+
+    def test_odd_level_equals_scaled_chain_enumeration(self):
+        for n in range(2, 5):
+            for nu in range(1, 12, 2):
+                assert i_n_integral(n, nu) == Fraction(nu + 1, nu) ** n \
+                    * i_n_enumerated(n, nu - 1)
+
     def test_quadrature_oracle(self):
         # the exact combinatorial sum equals the chain integral
         # (nu+1)^n int |prod (1 + s_t conj(s_{t+1}))|^nu
@@ -222,6 +267,28 @@ class TestKernelBounds:
                 rep = fund_ineq_check(kappa, j)
                 assert rep["identity_holds"]
                 assert rep["bound_holds"]
+
+
+    def test_fund_ineq_matches_fraction_oracle(self):
+        for kappa in range(0, 41):
+            for j in range(kappa + 1):
+                rep = fund_ineq_check(kappa, j)
+                total = fraction_fund_sum(kappa, j)
+                closed = Fraction(2 * kappa + 1, kappa + 1) \
+                    / binomial(kappa, j)
+                bound = 2 / binomial(kappa, j)
+                assert type(rep["sum"]) is Fraction
+                assert type(rep["identity_value"]) is Fraction
+                assert rep == {"kappa": kappa, "j": j, "sum": total,
+                               "identity_value": closed,
+                               "identity_holds": total == closed,
+                               "bound_holds": total <= bound}, (kappa, j)
+                assert total == closed and closed <= bound
+
+    def test_fund_ineq_rejects_j_out_of_range(self):
+        for kappa, j in ((0, 1), (3, -1), (3, 4)):
+            with pytest.raises(ValueError):
+                fund_ineq_check(kappa, j)
 
 
 class TestConvergenceHarness:

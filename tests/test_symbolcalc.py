@@ -7,8 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2chan.exactnum import CRational, binomial, factorial
-from su2chan.intertwine import ChannelSpec, apply_channel
+from su2chan.exactnum import (
+    CRational,
+    binomial,
+    factorial,
+    hyp3f2_terminating,
+)
+from su2chan.intertwine import ChannelSpec, apply_channel, c_squared
 from su2chan.quadrature import (
     QuadratureGrid,
     function_values,
@@ -33,7 +38,6 @@ from su2chan.symbolcalc import (
     e_limit_eigenvalue,
     e_nu_apply,
     e_nu_coefficient,
-    e_nu_coefficient_sum,
     e_nu_eigenvalue,
     functions_equal,
     integrate_exact,
@@ -44,6 +48,58 @@ from su2chan.symbolcalc import (
 )
 
 RNG_SEED = 4242
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles: the scalar sums term by term, for the package's
+# integer sums over one denominator.
+# ---------------------------------------------------------------------------
+
+def fraction_berezin_eigenvalue(nu, m):
+    if m > nu:
+        return Fraction(0)
+    return Fraction(factorial(nu) ** 2,
+                    factorial(nu + m + 1) * factorial(nu - m))
+
+
+def e_nu_coefficient_sum(spec, l):
+    """Independent inner-sum form of e_nu_coefficient:
+    c^2 sum_{i=l}^k C(k,i)^2 C(nu,k-i)^{-1} C(i,l) (-1)^(i-l)."""
+    k, nu = spec.k, spec.nu
+    if not 0 <= l <= k:
+        raise IndexError(f"need 0 <= l <= {k}, got {l}")
+    acc = Fraction(0)
+    for i in range(l, k + 1):
+        acc += (binomial(k, i) ** 2 / binomial(nu, k - i) * binomial(i, l)
+                * Fraction(-1) ** (i - l))
+    return c_squared(spec) * acc
+
+
+def fraction_e_nu_eigenvalue(spec, m):
+    return sum(e_nu_coefficient(spec, l)
+               * fraction_berezin_eigenvalue(spec.mu - l, m)
+               for l in range(spec.k + 1))
+
+
+def fraction_e_limit_eigenvalue(mu, k, m):
+    return sum(e_limit_coefficient(mu, k, l)
+               * fraction_berezin_eigenvalue(mu - l, m)
+               for l in range(k + 1))
+
+
+def fraction_e_eigenvalue_3f2(mu, k, m):
+    if m > mu:
+        return Fraction(0)
+    hyp = hyp3f2_terminating(-k, -m - mu - 1, m - mu, -mu, -mu)
+    return (Fraction(-1) ** k * binomial(mu, k)
+            * Fraction(factorial(mu) ** 2,
+                       factorial(mu - m) * factorial(mu + m + 1))
+            * hyp)
+
+
+def assert_same_fraction(got, want, case):
+    assert type(got) is Fraction, case
+    assert got == want, case
 
 
 class TestSymbolToeplitz:
@@ -270,6 +326,20 @@ class TestFunctionChannel:
                         assert e_nu_coefficient(spec, l) == \
                             e_nu_coefficient_sum(spec, l)
 
+    def test_eigenvalue_matches_fraction_oracle(self):
+        # nu = mu, and output levels L = mu + nu - 2k below mu, included
+        below = 0
+        for mu in range(0, 6):
+            for nu in range(mu, mu + 9):
+                for k in range(mu + 1):
+                    spec = ChannelSpec(mu, nu, k)
+                    below += spec.target_level < mu
+                    for m in range(mu + 4):
+                        assert_same_fraction(
+                            e_nu_eigenvalue(spec, m),
+                            fraction_e_nu_eigenvalue(spec, m), (spec, m))
+        assert below > 0
+
     def test_symbol_intertwines_channel(self):
         # the central identity: E^nu applied to f equals the symbol of
         # the channel output of the operator with symbol transform f
@@ -335,3 +405,28 @@ class TestLimitEigenvalues:
         expected = f.scale_components(
             [e_eigenvalue_3f2(mu, k, m) for m in range(mu + 1)])
         assert functions_equal(out, expected)
+
+    def test_integer_sums_match_fraction_oracles(self):
+        # mu = 0, k = mu and m > mu included
+        for mu in range(0, 9):
+            for k in range(mu + 1):
+                for m in range(mu + 4):
+                    case = (mu, k, m)
+                    assert_same_fraction(e_limit_eigenvalue(mu, k, m),
+                                         fraction_e_limit_eigenvalue(*case),
+                                         case)
+                    assert_same_fraction(e_eigenvalue_3f2(mu, k, m),
+                                         fraction_e_eigenvalue_3f2(*case),
+                                         case)
+                    assert_same_fraction(berezin_eigenvalue(mu, m),
+                                         fraction_berezin_eigenvalue(mu, m),
+                                         case)
+
+    def test_negative_component_index_raises(self):
+        spec = ChannelSpec(2, 4, 1)
+        for call in (lambda: berezin_eigenvalue(3, -1),
+                     lambda: e_limit_eigenvalue(3, 1, -1),
+                     lambda: e_eigenvalue_3f2(3, 1, -1),
+                     lambda: e_nu_eigenvalue(spec, -1)):
+            with pytest.raises(ValueError):
+                call()
