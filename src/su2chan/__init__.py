@@ -9,7 +9,6 @@ from .exactnum import (
     Rational,
     binomial,
     factorial,
-    falling_pochhammer,
     hyp2f1_terminating,
     hyp3f2_terminating,
     rising_pochhammer,
@@ -21,9 +20,11 @@ from .repspace import (
     PolySpaceParams,
     compose,
     gram_diagonal,
+    inner_product,
     isotypic_projectors,
     monomial_norm_sq,
     operator_trace,
+    rank_one,
     reproducing_identity_operator,
     to_orthonormal_matrix,
 )
@@ -36,6 +37,7 @@ from .intertwine import (
     channel_report,
     choi_matrix,
     choi_min_eigenvalue,
+    choi_partial_trace_output,
     normalization_factor,
     pk_orthogonality_check,
 )
@@ -47,10 +49,8 @@ from .symbolcalc import (
     berezin_eigenvalue,
     e_eigenvalue_3f2,
     e_limit_apply,
-    e_limit_coefficient,
     e_limit_eigenvalue,
     e_nu_apply,
-    e_nu_coefficient,
     e_nu_eigenvalue,
     functions_equal,
     integrate_exact,
@@ -69,6 +69,7 @@ from .quadrature import (
     functional_convergence,
     fund_ineq_check,
     i_n_integral,
+    integrate_invariant,
     limit_functional,
     limit_moment,
     moment_convergence,

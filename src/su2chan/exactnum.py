@@ -123,20 +123,8 @@ def rising_pochhammer(a: RationalLike, n: int) -> Fraction:
     """(a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
     if n < 0:
         raise ValueError(f"rising_pochhammer requires n >= 0, got n={n}")
-    if type(a) is int:
-        return Fraction(math.prod(range(a, a + n)))
-    p, q = Fraction(a).as_integer_ratio()
+    p, q = a.numerator, a.denominator
     return Fraction(math.prod(p + i * q for i in range(n)), q ** n)
-
-
-def falling_pochhammer(a: RationalLike, n: int) -> Fraction:
-    """a (a-1) ... (a-n+1), with the empty product equal to 1."""
-    if n < 0:
-        raise ValueError(f"falling_pochhammer requires n >= 0, got n={n}")
-    if type(a) is int:
-        return Fraction(math.prod(range(a, a - n, -1)))
-    p, q = Fraction(a).as_integer_ratio()
-    return Fraction(math.prod(p - i * q for i in range(n)), q ** n)
 
 
 def _terminating_sum(nums, dens) -> Fraction:
@@ -148,8 +136,8 @@ def _terminating_sum(nums, dens) -> Fraction:
     1 + r_0 (1 + r_1 (1 + ... r_{m-1})) over the term ratios r_i is
     summed by Horner in integers and reduced to one Fraction at the end.
     """
-    pn, pd = ([(v, 1) if type(v) is int else Fraction(v).as_integer_ratio()
-               for v in vs] for vs in (nums, dens))
+    pn = [(v.numerator, v.denominator) for v in nums]
+    pd = [(v.numerator, v.denominator) for v in dens]
     stops = [-p for p, q in pn if q == 1 and p <= 0]
     if not stops:
         raise NonTerminatingError(

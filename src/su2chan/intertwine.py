@@ -267,6 +267,19 @@ def choi_min_eigenvalue(spec: ChannelSpec) -> float:
     return float(np.linalg.eigvalsh(choi_matrix(spec)).min())
 
 
+def choi_partial_trace_output(choi: np.ndarray, spec: ChannelSpec) -> np.ndarray:
+    """Trace out the output factor; trace preservation gives the identity."""
+    n_in = spec.mu + 1
+    out_dim = spec.target_level + 1
+    pt = np.zeros((n_in, n_in), dtype=complex)
+    for i in range(n_in):
+        for j in range(n_in):
+            block = choi[i * out_dim:(i + 1) * out_dim,
+                         j * out_dim:(j + 1) * out_dim]
+            pt[i, j] = np.trace(block)
+    return pt
+
+
 def channel_report(spec: ChannelSpec, operators: List[KernelOperator]) -> dict:
     """JSON-ready structural report for one channel spec."""
     from .repspace import operator_trace

@@ -76,6 +76,15 @@ class QuadratureGrid:
         return (x + 1.0) / 2.0, w / 2.0
 
 
+def integrate_invariant(f: Callable[[complex], complex],
+                        grid: QuadratureGrid) -> float:
+    """Quadrature of f against the invariant probability measure."""
+    vals = np.array([f(z) for z in grid.points])
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteSampleError("integrand not finite on the grid")
+    return float(np.real(np.sum(grid.weights * vals)))
+
+
 def symbol_values(a: KernelOperator, zs: np.ndarray) -> np.ndarray:
     """Values of A(z, z)/(1 + |z|^2)^level on an array of points.
 
@@ -235,6 +244,11 @@ def i_n_integral(n: int, nu: int) -> Fraction:
     return Fraction(sum(map(operator.mul, v, w)), d ** n)
 
 
+def _fund_bound(kappa: int, j: int) -> Fraction:
+    """The bound 2/C(kappa,j) that fund_ineq_check holds its sum to."""
+    return Fraction(2, math.comb(kappa, j))
+
+
 def fund_ineq_check(kappa: int, j: int) -> dict:
     """Exact check of sum_i C(kappa,i)/C(2kappa,i+j) against its closed
     form (2kappa+1)/(kappa+1) / C(kappa,j) and the bound 2/C(kappa,j);
@@ -248,14 +262,13 @@ def fund_ineq_check(kappa: int, j: int) -> dict:
     s = Fraction(sum(math.comb(kappa, i) * fact[i + j] * fact[n - i - j]
                      for i in range(kappa + 1)), fact[n])
     identity_value = Fraction(n + 1, (kappa + 1) * math.comb(kappa, j))
-    bound = Fraction(2, math.comb(kappa, j))
     return {
         "kappa": kappa,
         "j": j,
         "sum": s,
         "identity_value": identity_value,
         "identity_holds": s == identity_value,
-        "bound_holds": s <= bound,
+        "bound_holds": s <= _fund_bound(kappa, j),
     }
 
 

@@ -56,6 +56,19 @@ def gram_diagonal(nu: int) -> List[Rational]:
     return [monomial_norm_sq(space, i) for i in range(nu + 1)]
 
 
+def inner_product(space: PolySpaceParams, f: Sequence, g: Sequence) -> CRational:
+    """<f, g> for monomial coefficient vectors of length nu + 1."""
+    if len(f) != space.dim or len(g) != space.dim:
+        raise ValueError(
+            f"coefficient vectors must have length {space.dim}, "
+            f"got {len(f)} and {len(g)}")
+    out = CRational(0)
+    for i in range(space.dim):
+        out = out + CRational.of(f[i]) * CRational.of(g[i]).conj() \
+            * monomial_norm_sq(space, i)
+    return out
+
+
 def _common_denominator(values) -> Tuple[int, List[int]]:
     """The lcm d of the denominators of some rationals, and each times d."""
     pairs = [v.as_integer_ratio() for v in values]
@@ -180,6 +193,15 @@ def reproducing_identity_operator(mu: int) -> KernelOperator:
     return KernelOperator(mu, 1, [[math.comb(mu, i) if i == j else 0
                                    for j in range(n)] for i in range(n)],
                           [[0] * n for _ in range(n)])
+
+
+def rank_one(level: int, f: Sequence, g: Sequence) -> KernelOperator:
+    """The operator f (x) g~ with kernel f(x) g(y)~."""
+    fv = [CRational.of(v) for v in f]
+    gv = [CRational.of(v) for v in g]
+    return KernelOperator.from_rows(level, [[fv[i] * gv[j].conj()
+                                             for j in range(level + 1)]
+                                            for i in range(level + 1)])
 
 
 def compose(a: KernelOperator, b: KernelOperator) -> KernelOperator:

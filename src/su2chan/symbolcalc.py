@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
-from .exactnum import CRational, binomial, hyp3f2_terminating
+from .exactnum import CRational, hyp3f2_terminating
 from .intertwine import ChannelSpec, c_squared
 from .repspace import (
     IsotypicDecomposition,
@@ -183,17 +183,6 @@ def inverse_berezin(nu: int, f: IsotypicFunction) -> IsotypicFunction:
 # The channel-induced function operators
 # ---------------------------------------------------------------------------
 
-def e_nu_coefficient(spec: ChannelSpec, l: int) -> Fraction:
-    """Closed-form weight of B_{mu-l} in the Berezin-sum expansion:
-    c^2 (-1)^(k-l) C(nu-k, k-l) (nu-k+l)! k! / (nu! l!)."""
-    k, nu = spec.k, spec.nu
-    if not 0 <= l <= k:
-        raise IndexError(f"need 0 <= l <= {k}, got {l}")
-    return (c_squared(spec) * Fraction(-1) ** (k - l) * binomial(nu - k, k - l)
-            * Fraction(math.factorial(nu - k + l) * math.factorial(k),
-                       math.factorial(nu) * math.factorial(l)))
-
-
 def _berezin_numerators(mu: int, k: int, m: int) -> List[int]:
     """berezin_eigenvalue(mu - l, m) (mu+m+1)! (mu-m)!, integers, for
     l = 0..min(k, mu - m); the eigenvalues with l > mu - m vanish."""
@@ -205,8 +194,9 @@ def _berezin_numerators(mu: int, k: int, m: int) -> List[int]:
 
 def e_nu_eigenvalue(spec: ChannelSpec, m: int) -> Fraction:
     """Eigenvalue of the finite-level operator on sharp degree 2m: the sum
-    of e_nu_coefficient(spec, l) berezin_eigenvalue(mu - l, m), in
-    integers over (nu!/k!) (mu+m+1)! (mu-m)!, times c^2."""
+    over l = 0..k of the weight c^2 (-1)^(k-l) C(nu-k, k-l) (nu-k+l)! k! /
+    (nu! l!) of B_{mu-l} times berezin_eigenvalue(mu - l, m), summed in
+    integers over (nu!/k!) (mu+m+1)! (mu-m)! with c^2 entering once."""
     mu, nu, k = spec.mu, spec.nu, spec.k
     berezin = _berezin_numerators(mu, k, m)
     if not berezin:
@@ -229,14 +219,10 @@ def e_nu_apply(spec: ChannelSpec, f: IsotypicFunction) -> IsotypicFunction:
         [e_nu_eigenvalue(spec, m) for m in range(f.level + 1)])
 
 
-def e_limit_coefficient(mu: int, k: int, l: int) -> Fraction:
-    return (binomial(mu, k) * Fraction(-1) ** (k - l) * binomial(k, l))
-
-
 def e_limit_eigenvalue(mu: int, k: int, m: int) -> Fraction:
     """Limit-operator eigenvalue as the direct alternating binomial sum of
-    e_limit_coefficient(mu, k, l) berezin_eigenvalue(mu - l, m), in
-    integers over (mu+m+1)! (mu-m)!."""
+    C(mu,k) (-1)^(k-l) C(k,l) berezin_eigenvalue(mu - l, m), in integers
+    over (mu+m+1)! (mu-m)!."""
     if not 0 <= k <= mu:
         raise ValueError(f"need 0 <= k <= mu, got k={k}, mu={mu}")
     berezin = _berezin_numerators(mu, k, m)

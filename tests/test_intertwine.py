@@ -1,6 +1,7 @@
 """Tests for the component intertwiners, the Schur constant, and the
 induced quantum channels."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ import pytest
 from su2chan.exactnum import (
     CRational,
     binomial,
-    falling_pochhammer,
     rising_pochhammer,
 )
 from su2chan import intertwine
@@ -22,6 +22,7 @@ from su2chan.intertwine import (
     c_squared,
     choi_matrix,
     choi_min_eigenvalue,
+    choi_partial_trace_output,
     jk_columns,
     normalization_factor,
     pk_orthogonality_check,
@@ -54,6 +55,14 @@ def dense_jk_matrix(spec):
             if v:
                 m[a + b - spec.k][spec.tensor_index(a, b)] = v
     return m
+
+
+def falling_pochhammer(a, n):
+    """a (a-1) ... (a-n+1), with the empty product equal to 1."""
+    if n < 0:
+        raise ValueError(f"falling_pochhammer requires n >= 0, got n={n}")
+    p, q = Fraction(a).as_integer_ratio()
+    return Fraction(math.prod(p - i * q for i in range(n)), q ** n)
 
 
 def fraction_jk_columns(spec):
@@ -183,19 +192,6 @@ def dense_apply_channel(spec, a):
     return KernelOperator.from_rows(out_level, [
         [out[i][c] / go[c] for c in range(out_level + 1)]
         for i in range(out_level + 1)])
-
-
-def choi_partial_trace_output(choi, spec):
-    """Trace out the output factor; trace preservation gives the identity."""
-    n_in = spec.mu + 1
-    out_dim = spec.target_level + 1
-    pt = np.zeros((n_in, n_in), dtype=complex)
-    for i in range(n_in):
-        for j in range(n_in):
-            block = choi[i * out_dim:(i + 1) * out_dim,
-                         j * out_dim:(j + 1) * out_dim]
-            pt[i, j] = np.trace(block)
-    return pt
 
 
 def random_nonhermitian(mu, rng):

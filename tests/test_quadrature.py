@@ -11,8 +11,8 @@ import pytest
 from su2chan.exactnum import binomial
 from su2chan.intertwine import ChannelSpec, apply_channel
 from su2chan.quadrature import (
+    _fund_bound,
     ConvergenceRecord,
-    NonFiniteSampleError,
     QuadratureGrid,
     SpectrumOutOfRangeError,
     channel_output_spectrum,
@@ -21,6 +21,7 @@ from su2chan.quadrature import (
     functional_convergence,
     fund_ineq_check,
     i_n_integral,
+    integrate_invariant,
     limit_functional,
     limit_moment,
     moment_convergence,
@@ -56,14 +57,6 @@ def i_n_enumerated(n, nu):
             v /= binomial(2 * kappa, a + b)
         total += v
     return total
-
-
-def integrate_invariant(f, grid):
-    """Quadrature of f against the invariant probability measure."""
-    vals = np.array([f(z) for z in grid.points])
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteSampleError("integrand not finite on the grid")
-    return float(np.real(np.sum(grid.weights * vals)))
 
 
 def fraction_i_n_transfer(n, nu):
@@ -268,7 +261,6 @@ class TestKernelBounds:
                 assert rep["identity_holds"]
                 assert rep["bound_holds"]
 
-
     def test_fund_ineq_matches_fraction_oracle(self):
         for kappa in range(0, 41):
             for j in range(kappa + 1):
@@ -284,6 +276,7 @@ class TestKernelBounds:
                                "identity_holds": total == closed,
                                "bound_holds": total <= bound}, (kappa, j)
                 assert total == closed and closed <= bound
+                assert _fund_bound(kappa, j) == bound, (kappa, j)
 
     def test_fund_ineq_rejects_j_out_of_range(self):
         for kappa, j in ((0, 1), (3, -1), (3, 4)):

@@ -17,9 +17,11 @@ from su2chan.repspace import (
     PolySpaceParams,
     compose,
     gram_diagonal,
+    inner_product,
     isotypic_projectors,
     monomial_norm_sq,
     operator_trace,
+    rank_one,
     reproducing_identity_operator,
     to_orthonormal_matrix,
 )
@@ -168,28 +170,6 @@ def conjugate_operator(a, g):
 # ---------------------------------------------------------------------------
 # Operations only the tests need, over the CRational coefficient rows
 # ---------------------------------------------------------------------------
-
-def inner_product(space, f, g):
-    """<f, g> for monomial coefficient vectors of length nu + 1."""
-    if len(f) != space.dim or len(g) != space.dim:
-        raise ValueError(
-            f"coefficient vectors must have length {space.dim}, "
-            f"got {len(f)} and {len(g)}")
-    out = CRational(0)
-    for i in range(space.dim):
-        out = out + CRational.of(f[i]) * CRational.of(g[i]).conj() \
-            * monomial_norm_sq(space, i)
-    return out
-
-
-def rank_one(level, f, g):
-    """The operator f (x) g~ with kernel f(x) g(y)~."""
-    fv = [CRational.of(v) for v in f]
-    gv = [CRational.of(v) for v in g]
-    return KernelOperator.from_rows(level, [[fv[i] * gv[j].conj()
-                                             for j in range(level + 1)]
-                                            for i in range(level + 1)])
-
 
 def apply(a, vec):
     """Apply to a monomial coefficient vector: (A f)_i = sum_j a_ij g_j f_j."""

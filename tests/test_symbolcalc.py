@@ -34,10 +34,8 @@ from su2chan.symbolcalc import (
     berezin_eigenvalue,
     e_eigenvalue_3f2,
     e_limit_apply,
-    e_limit_coefficient,
     e_limit_eigenvalue,
     e_nu_apply,
-    e_nu_coefficient,
     e_nu_eigenvalue,
     functions_equal,
     integrate_exact,
@@ -62,6 +60,17 @@ def fraction_berezin_eigenvalue(nu, m):
                     factorial(nu + m + 1) * factorial(nu - m))
 
 
+def e_nu_coefficient(spec, l):
+    """Closed-form weight of B_{mu-l} in the Berezin-sum expansion:
+    c^2 (-1)^(k-l) C(nu-k, k-l) (nu-k+l)! k! / (nu! l!)."""
+    k, nu = spec.k, spec.nu
+    if not 0 <= l <= k:
+        raise IndexError(f"need 0 <= l <= {k}, got {l}")
+    return (c_squared(spec) * Fraction(-1) ** (k - l) * binomial(nu - k, k - l)
+            * factorial(nu - k + l) * factorial(k)
+            / (factorial(nu) * factorial(l)))
+
+
 def e_nu_coefficient_sum(spec, l):
     """Independent inner-sum form of e_nu_coefficient:
     c^2 sum_{i=l}^k C(k,i)^2 C(nu,k-i)^{-1} C(i,l) (-1)^(i-l)."""
@@ -79,6 +88,11 @@ def fraction_e_nu_eigenvalue(spec, m):
     return sum(e_nu_coefficient(spec, l)
                * fraction_berezin_eigenvalue(spec.mu - l, m)
                for l in range(spec.k + 1))
+
+
+def e_limit_coefficient(mu, k, l):
+    """Weight of B_{mu-l} in the limit operator: C(mu,k) (-1)^(k-l) C(k,l)."""
+    return binomial(mu, k) * Fraction(-1) ** (k - l) * binomial(k, l)
 
 
 def fraction_e_limit_eigenvalue(mu, k, m):
