@@ -7,8 +7,6 @@ from .exactnum import (
     CRational,
     NonTerminatingError,
     Rational,
-    binomial,
-    factorial,
     hyp2f1_terminating,
     hyp3f2_terminating,
     rising_pochhammer,
@@ -17,14 +15,9 @@ from .repspace import (
     IsotypicDecomposition,
     KernelOperator,
     LevelMismatchError,
-    PolySpaceParams,
     compose,
-    gram_diagonal,
-    inner_product,
     isotypic_projectors,
-    monomial_norm_sq,
     operator_trace,
-    rank_one,
     reproducing_identity_operator,
     to_orthonormal_matrix,
 )
@@ -37,7 +30,6 @@ from .intertwine import (
     channel_report,
     choi_matrix,
     choi_min_eigenvalue,
-    choi_partial_trace_output,
     normalization_factor,
     pk_orthogonality_check,
 )
@@ -69,7 +61,6 @@ from .quadrature import (
     functional_convergence,
     fund_ineq_check,
     i_n_integral,
-    integrate_invariant,
     limit_functional,
     limit_moment,
     moment_convergence,

@@ -72,6 +72,21 @@ def _atomic_write(path: str, data: str):
         raise
 
 
+def _unwritable(path: str) -> Optional[str]:
+    """Why a report cannot be written to path, or None.  The probe makes
+    and removes a temporary file where :func:`_atomic_write` makes one."""
+    if os.path.isdir(path):
+        return "is a directory"
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-")
+    except OSError as exc:
+        return exc.strerror or str(exc)
+    os.close(fd)
+    os.unlink(tmp)
+    return None
+
+
 def _emit(path: Optional[str], data: str):
     if path:
         _atomic_write(path, data)
@@ -99,22 +114,25 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
     def record(name: str, ok: bool, witness=None):
         results.append({"identity": name, "ok": ok, "witness": witness})
 
-    # Gauss summation
+    # Gauss summation 2F1(-n, b; c; 1) = (c-b)_n / (c)_n.  For integer
+    # b, c the Pochhammers are integers, read from one table per n over
+    # the range of c and c - b, and the sides are compared crosswise.
     ok, wit = True, None
     for n in range(0, 13):
+        poch = {c: rising_pochhammer(c, n).numerator for c in range(-32, 33)}
         for b in range(-12, 13):
             for ac in range(n, 21):
                 for c in {ac, -ac} if ac else {0}:
                     if abs(c) < max(n, 1):
                         continue
-                    den = rising_pochhammer(c, n)
+                    den = poch[c]
                     if den == 0:
                         continue
                     lhs = hyp2f1_terminating(n, b, c)
-                    rhs = rising_pochhammer(c - b, n) / den
-                    if lhs != rhs:
-                        ok, wit = False, {"n": n, "b": b, "c": c,
-                                          "lhs": str(lhs), "rhs": str(rhs)}
+                    if lhs.numerator * den != lhs.denominator * poch[c - b]:
+                        ok, wit = False, {
+                            "n": n, "b": b, "c": c, "lhs": str(lhs),
+                            "rhs": str(Fraction(poch[c - b], den))}
     record("gauss_summation", ok, wit)
 
     # Schur constant / orthogonality / completeness
@@ -413,6 +431,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not (math.isfinite(tol) and tol >= 0):
         print("error: --tol must be finite and >= 0", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    # every report target is checked before anything runs
+    out = getattr(args, "out", None)
+    if out:
+        targets = [out] + ([out + ".summary.json"]
+                           if args.command == "converge" else [])
+        for target in targets:
+            problem = _unwritable(target)
+            if problem:
+                print(f"error: cannot write --out {target}: {problem}",
+                      file=sys.stderr)
+                return EXIT_CONFIG_ERROR
     return args.func(args)
 
 

@@ -1,5 +1,5 @@
-"""Exact rational and complex-rational scalars, Pochhammer symbols,
-binomials and terminating hypergeometric sums.
+"""Exact rational and complex-rational scalars, Pochhammer symbols and
+terminating hypergeometric sums.
 
 Every quantity here is a ``fractions.Fraction`` (or a :class:`CRational`
 pair of them); nothing in this module ever rounds.
@@ -8,6 +8,7 @@ pair of them); nothing in this module ever rounds.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -101,24 +102,6 @@ class CRational:
         return f"{self.re}+{self.im}j"
 
 
-def binomial(n: int, k: int) -> Fraction:
-    """C(n, k) with the out-of-range convention C(n, k) = 0.
-
-    Requires n >= 0; k may be any integer.
-    """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(math.comb(n, k))
-
-
-def factorial(n: int) -> Fraction:
-    if n < 0:
-        raise ValueError(f"factorial requires n >= 0, got n={n}")
-    return Fraction(math.factorial(n))
-
-
 def rising_pochhammer(a: RationalLike, n: int) -> Fraction:
     """(a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
     if n < 0:
@@ -149,13 +132,18 @@ def _terminating_sum(nums, dens) -> Fraction:
             raise ZeroDivisionError(
                 f"denominator parameter {p} vanishes before the series "
                 f"stops at term {m}")
-    # r_i = qd prod(p + i q over nums) / (qn (i + 1) prod(p + i q over dens))
+    # r_i = qd prod(p + i q over nums) / (qn (i + 1) prod(p + i q over dens)),
+    # each product built over i = 0..m-1 by one list per parameter, whose
+    # factors p + i q are range(p, p + m q, q)
+    ups = [math.prod(q for _, q in pd)] * m
+    for p, q in pn:
+        ups = list(map(operator.mul, ups, range(p, p + m * q, q)))
     qn = math.prod(q for _, q in pn)
-    qd = math.prod(q for _, q in pd)
+    downs = range(qn, qn * (m + 1), qn)
+    for p, q in pd:
+        downs = list(map(operator.mul, downs, range(p, p + m * q, q)))
     top, bot = 1, 1
-    for i in range(m - 1, -1, -1):
-        a = qd * math.prod(p + i * q for p, q in pn)
-        b = qn * (i + 1) * math.prod(p + i * q for p, q in pd)
+    for a, b in zip(reversed(ups), reversed(downs)):
         top, bot = b * bot + a * top, b * bot
     return Fraction(top, bot)
 

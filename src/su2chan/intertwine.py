@@ -29,8 +29,8 @@ from .repspace import (
     KernelOperator,
     LevelMismatchError,
     _common_denominator,
+    _gram_integers,
     _orthonormal_scale,
-    gram_diagonal,
 )
 
 
@@ -111,57 +111,74 @@ def pk_orthogonality_check(mu: int, nu: int) -> dict:
           = C(mu,a) C(nu,b) sum_k c_k^2 g_k(s-k) x_k[a][b] x_k[a'][b'],
 
     with s = a + b = a' + b'; all other entries vanish by construction.
-    Entries are visited in row-major order, so the witness in the returned
-    report is the first failing entry of the dense matrices.
+    The columns, the Gram weights and c_k^2 = p_k/q_k each enter over one
+    integer denominator, so the sums run in integers and an entry is
+    compared with its target crosswise; a Fraction is made only for a
+    witness.  Entries are visited in row-major order, so the witness in
+    the returned report is the first failing entry of the dense matrices.
     """
     report = {"mu": mu, "nu": nu, "schur_scalar": True,
               "cross_vanish": True, "completeness": True, "witness": None}
 
-    def witness(kind, k, l, i, j, value):
+    def witness(kind, k, l, i, j, num, den):
         if report["witness"] is None:
             report["witness"] = {"identity": kind, "k": k, "l": l,
-                                 "row": i, "col": j, "value": str(value)}
+                                 "row": i, "col": j,
+                                 "value": str(Fraction(num, den))}
 
     specs = [ChannelSpec(mu, nu, k) for k in range(mu + 1)]
-    cols = [jk_columns(spec) for spec in specs]
-    c2 = [c_squared(spec) for spec in specs]
-    grams = [gram_diagonal(spec.target_level) for spec in specs]
-    weight = [[math.comb(mu, a) * math.comb(nu, b) for b in range(nu + 1)]
-              for a in range(mu + 1)]
+    index = specs[0].tensor_index
+    # x_k[a][b] = cols[k][1][index(a, b)] / cols[k][0]; jk_columns is
+    # looked up on the module on every call, so a patched column reaches
+    # the check
+    cols = [_common_denominator(v for row in jk_columns(spec) for v in row)
+            for spec in specs]
+    c2 = [c_squared(spec).as_integer_ratio() for spec in specs]
+    grams = [_gram_integers(spec.target_level) for spec in specs]
+    weight = [math.comb(mu, a) * math.comb(nu, b)
+              for a in range(mu + 1) for b in range(nu + 1)]
 
     def degree(s):
-        """The (a, b) of the tensor basis with a + b = s."""
-        return [(a, s - a) for a in range(max(0, s - nu), min(mu, s) + 1)]
+        """The tensor indices of the (a, b) with a + b = s."""
+        return [index(a, s - a)
+                for a in range(max(0, s - nu), min(mu, s) + 1)]
 
-    for k, xk in enumerate(cols):
-        for l, xl in enumerate(cols):
+    for k, (dk, xk) in enumerate(cols):
+        p, q = c2[k]
+        for l, (dl, xl) in enumerate(cols):
+            big_w, w = grams[l]
+            den = big_w * dk * dl
             for r in range(specs[k].target_level + 1):
                 c = r + k - l
                 if not 0 <= c <= specs[l].target_level:
                     continue
-                v = grams[l][c] * sum((xk[a][b] * xl[a][b] * weight[a][b]
-                                       for a, b in degree(r + k)), Fraction(0))
-                if k == l and v != 1 / c2[k]:
+                # the entry is v / den; the Schur target is 1/c_k^2 = q/p
+                v = w[c] * sum(xk[t] * xl[t] * weight[t]
+                               for t in degree(r + k))
+                if k == l and v * p != q * den:
                     report["schur_scalar"] = False
-                    witness("schur_scalar", k, l, r, c, v)
+                    witness("schur_scalar", k, l, r, c, v, den)
                 elif k != l and v:
                     report["cross_vanish"] = False
-                    witness("cross_vanish", k, l, r, c, v)
+                    witness("cross_vanish", k, l, r, c, v, den)
 
+    # term k of the completeness sum is c_k^2 g_k x_k x_k over q_k W_k D_k^2;
+    # over their lcm R it is scale[k] w_k x_k x_k with integer x_k
+    dens = [q * big_w * d * d
+            for (_, q), (big_w, _), (d, _) in zip(c2, grams, cols)]
+    big_r = math.lcm(*dens)
+    scale = [p * (big_r // den) for (p, _), den in zip(c2, dens)]
     for a in range(mu + 1):
         for b in range(nu + 1):
-            s = a + b
-            terms = [(c2[k] * grams[k][s - k] * x[a][b], x)
-                     for k, x in enumerate(cols)
+            s, row = a + b, index(a, b)
+            terms = [(scale[k] * grams[k][1][s - k] * x[row], x)
+                     for k, (_, x) in enumerate(cols)
                      if 0 <= s - k <= specs[k].target_level]
-            for a2, b2 in degree(s):
-                v = weight[a][b] * sum((t * x[a2][b2] for t, x in terms),
-                                       Fraction(0))
-                if v != (1 if (a2, b2) == (a, b) else 0):
+            for col in degree(s):
+                v = weight[row] * sum(u * x[col] for u, x in terms)
+                if v != (big_r if col == row else 0):
                     report["completeness"] = False
-                    witness("completeness", None, None,
-                            specs[0].tensor_index(a, b),
-                            specs[0].tensor_index(a2, b2), v)
+                    witness("completeness", None, None, row, col, v, big_r)
     report["ok"] = (report["schur_scalar"] and report["cross_vanish"]
                     and report["completeness"])
     return report
@@ -265,19 +282,6 @@ def choi_matrix(spec: ChannelSpec) -> np.ndarray:
 
 def choi_min_eigenvalue(spec: ChannelSpec) -> float:
     return float(np.linalg.eigvalsh(choi_matrix(spec)).min())
-
-
-def choi_partial_trace_output(choi: np.ndarray, spec: ChannelSpec) -> np.ndarray:
-    """Trace out the output factor; trace preservation gives the identity."""
-    n_in = spec.mu + 1
-    out_dim = spec.target_level + 1
-    pt = np.zeros((n_in, n_in), dtype=complex)
-    for i in range(n_in):
-        for j in range(n_in):
-            block = choi[i * out_dim:(i + 1) * out_dim,
-                         j * out_dim:(j + 1) * out_dim]
-            pt[i, j] = np.trace(block)
-    return pt
 
 
 def channel_report(spec: ChannelSpec, operators: List[KernelOperator]) -> dict:

@@ -20,7 +20,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exactnum import CRational
 from .intertwine import ChannelSpec, apply_channel
 from .repspace import (
     KernelOperator,
@@ -76,15 +75,6 @@ class QuadratureGrid:
         return (x + 1.0) / 2.0, w / 2.0
 
 
-def integrate_invariant(f: Callable[[complex], complex],
-                        grid: QuadratureGrid) -> float:
-    """Quadrature of f against the invariant probability measure."""
-    vals = np.array([f(z) for z in grid.points])
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteSampleError("integrand not finite on the grid")
-    return float(np.real(np.sum(grid.weights * vals)))
-
-
 def symbol_values(a: KernelOperator, zs: np.ndarray) -> np.ndarray:
     """Values of A(z, z)/(1 + |z|^2)^level on an array of points.
 
@@ -105,12 +95,17 @@ def function_values(f: IsotypicFunction, zs: np.ndarray) -> np.ndarray:
 
 def random_operator(mu: int, rng: random.Random,
                     span: int = 3) -> KernelOperator:
-    """Kernel operator with small random rational entries."""
-    def entry():
-        return CRational(Fraction(rng.randint(-span, span), rng.randint(1, 2)),
-                         Fraction(rng.randint(-span, span), rng.randint(1, 2)))
-    return KernelOperator.from_rows(
-        mu, [[entry() for _ in range(mu + 1)] for _ in range(mu + 1)])
+    """Kernel operator with small random rational entries: the real and
+    the imaginary part of each entry, row by row, is a numerator in
+    [-span, span] over a denominator 1 or 2, drawn in that order, so the
+    kernel is integers over 2."""
+    def part():
+        num = rng.randint(-span, span)
+        return num * (2 // rng.randint(1, 2))
+
+    rows = [[(part(), part()) for _ in range(mu + 1)] for _ in range(mu + 1)]
+    return KernelOperator(mu, 2, [[x for x, _ in row] for row in rows],
+                          [[y for _, y in row] for row in rows])
 
 
 def random_psd_trace_one(mu: int, rng: random.Random) -> KernelOperator:

@@ -14,59 +14,29 @@ Everything in this module is exact; floats appear only in
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .exactnum import CRational, Rational, binomial
+from .exactnum import CRational
 
 
 class LevelMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PolySpaceParams:
-    """Level nu of a polynomial representation space (dimension nu + 1)."""
-
-    nu: int
-
-    def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError(f"level must be nonnegative, got {self.nu}")
-
-    @property
-    def dim(self) -> int:
-        return self.nu + 1
-
-
-def monomial_norm_sq(space: PolySpaceParams, i: int) -> Rational:
-    """Squared norm of z^i at level nu: 1/C(nu, i)."""
-    if i < 0 or i > space.nu:
-        raise IndexError(f"monomial index {i} out of range for level {space.nu}")
-    return 1 / binomial(space.nu, i)
-
-
-def gram_diagonal(nu: int) -> List[Rational]:
-    space = PolySpaceParams(nu)
-    return [monomial_norm_sq(space, i) for i in range(nu + 1)]
-
-
-def inner_product(space: PolySpaceParams, f: Sequence, g: Sequence) -> CRational:
-    """<f, g> for monomial coefficient vectors of length nu + 1."""
-    if len(f) != space.dim or len(g) != space.dim:
-        raise ValueError(
-            f"coefficient vectors must have length {space.dim}, "
-            f"got {len(f)} and {len(g)}")
-    out = CRational(0)
-    for i in range(space.dim):
-        out = out + CRational.of(f[i]) * CRational.of(g[i]).conj() \
-            * monomial_norm_sq(space, i)
-    return out
+@functools.lru_cache(maxsize=256)
+def _gram_integers(level: int) -> Tuple[int, Tuple[int, ...]]:
+    """The Gram diagonal ||z^i||^2 = 1/C(level, i) over one denominator:
+    (W, (W/C(level, i))_i) with W the lcm of the binomials, built once per
+    level."""
+    binoms = [math.comb(level, i) for i in range(level + 1)]
+    big_w = math.lcm(*binoms)
+    return big_w, tuple(big_w // c for c in binoms)
 
 
 def _common_denominator(values) -> Tuple[int, List[int]]:
@@ -195,20 +165,11 @@ def reproducing_identity_operator(mu: int) -> KernelOperator:
                           [[0] * n for _ in range(n)])
 
 
-def rank_one(level: int, f: Sequence, g: Sequence) -> KernelOperator:
-    """The operator f (x) g~ with kernel f(x) g(y)~."""
-    fv = [CRational.of(v) for v in f]
-    gv = [CRational.of(v) for v in g]
-    return KernelOperator.from_rows(level, [[fv[i] * gv[j].conj()
-                                             for j in range(level + 1)]
-                                            for i in range(level + 1)])
-
-
 def compose(a: KernelOperator, b: KernelOperator) -> KernelOperator:
     """Kernel composition: coefficient matrix a . G . b, with the complex
     product as one real product [[a_re, -a_im], [a_im, a_re]] [b_re; b_im]."""
     a._check_level(b)
-    big_w, w = _common_denominator(gram_diagonal(a.level))
+    big_w, w = _gram_integers(a.level)
     ar = [[x * v for x, v in zip(row, w)] for row in a.re]
     ai = [[x * v for x, v in zip(row, w)] for row in a.im]
     out = _matmul([r + [-x for x in i] for r, i in zip(ar, ai)]
@@ -218,7 +179,7 @@ def compose(a: KernelOperator, b: KernelOperator) -> KernelOperator:
 
 
 def operator_trace(a: KernelOperator) -> CRational:
-    big_w, w = _common_denominator(gram_diagonal(a.level))
+    big_w, w = _gram_integers(a.level)
     den = big_w * a.d
     return CRational(*(Fraction(sum(x * m[i][i] for i, x in enumerate(w)), den)
                        for m in (a.re, a.im)))
@@ -294,25 +255,41 @@ class IsotypicDecomposition:
     def __init__(self, mu: int):
         self.level = L = mu
         # (m, |d|) -> (dv, v dv, dw, dual dw): v and its dual w / (w.v),
-        # each over its common denominator
+        # each over its common denominator in lowest terms
         self._rank_one: dict = {}
         for d in range(L + 1):
+            n = L - d + 1
+            # w_j = v_j / B_j with B_j = C(L, j+d) C(L, j); h_j = lcm(B) / B_j
+            hs = [math.comb(L, j + d) * math.comb(L, j) for j in range(n)]
+            big_b = math.lcm(*hs)
+            h = [big_b // x for x in hs]
             for m in range(d, L + 1):
                 lam = m * (m + 1)
-                # row (i, j) of (Cas - lam) v = 0 gives v at (i+1, j+1)
-                v = [Fraction(1)]
-                for j in range(L - d):
+                # row (i, j) of (Cas - lam) v = 0 gives v at (i+1, j+1) over
+                # (i+1)(j+1); u_j = v_j P_j with P_j = prod_{t<j} (t+d+1)(t+1)
+                # runs the recurrence fraction-free
+                u = [1]
+                for j in range(n - 1):
                     i = j + d
                     # s_i + s_j + d^2 - lam
                     a = (i + j + 1) * L - i * i - j * j + d * d - lam
-                    below = (L - i + 1) * (L - j + 1) * v[j - 1] if j else 0
-                    v.append((a * v[j] - below) / ((i + 1) * (j + 1)))
-                w = [x / (math.comb(L, j + d) * math.comb(L, j))
-                     for j, x in enumerate(v)]
-                norm = sum(x * y for x, y in zip(v, w))
-                self._rank_one[(m, d)] = (
-                    *_common_denominator(v),
-                    *_common_denominator(x / norm for x in w))
+                    below = (L - i + 1) * (L - j + 1) * i * j * u[j - 1] \
+                        if j else 0
+                    u.append(a * u[j] - below)
+                # v over the common denominator P_{n-1}, reduced by one gcd
+                v, big_p = [0] * n, 1
+                for j in range(n - 1, 0, -1):
+                    v[j] = u[j] * big_p
+                    big_p *= (j + d) * j
+                v[0] = big_p
+                g = math.gcd(big_p, *v)
+                dv, v = big_p // g, [x // g for x in v]
+                # w / (w.v) = v_j dv h_j / sum_t v_t^2 h_t over the integer v
+                dual = [x * dv * y for x, y in zip(v, h)]
+                dw = sum(x * x * y for x, y in zip(v, h))
+                g = math.gcd(dw, *dual)
+                self._rank_one[(m, d)] = (dv, v, dw // g,
+                                          [x // g for x in dual])
 
     def _diagonal(self, m: int, d: int):
         """dv, v dv, dw, dual dw and the kernel cells (i, j) of spin m on

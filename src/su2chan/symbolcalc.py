@@ -61,12 +61,6 @@ class IsotypicFunction:
             raise ValueError(
                 f"expected 2m+1 coordinates for each m = 0..{self.level}")
 
-    @classmethod
-    def constant(cls, level: int, value) -> "IsotypicFunction":
-        # (1 + x y~)^level is spin 0 with coordinate 1
-        return cls(level, [[CRational.of(value)]] + [
-            [CRational(0)] * (2 * m + 1) for m in range(1, level + 1)])
-
     def numerator(self) -> KernelOperator:
         """The kernel N with f = N(z, z)/(1+|z|^2)^level."""
         return _projectors(self.level).operator(self.coords)

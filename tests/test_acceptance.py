@@ -11,8 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2chan.exactnum import binomial, factorial, hyp2f1_terminating, \
-    rising_pochhammer
+from su2chan.exactnum import hyp2f1_terminating, rising_pochhammer
 from su2chan.intertwine import (
     ChannelSpec,
     apply_normalized_channel,
@@ -46,6 +45,7 @@ from su2chan.symbolcalc import (
     symbol,
 )
 from su2chan.intertwine import apply_channel
+from test_exactnum import binomial
 from test_intertwine import dense_jk_product
 
 SEED = 20240817

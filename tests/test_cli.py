@@ -3,8 +3,10 @@ report formats, and deterministic output."""
 
 import csv
 import json
+import os
 import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,9 @@ from su2chan.cli import (
     EXIT_OK,
     main,
 )
+from su2chan.exactnum import rising_pochhammer
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_version_matches_pyproject(capsys):
@@ -52,6 +57,35 @@ class TestVerify:
         report = json.loads(out.read_text())
         bad = [r for r in report["results"] if not r["ok"]]
         assert bad and bad[0]["witness"] is not None
+
+    # one (n, b, c) of the Gauss sweep gets a wrong 2F1 value: off by one,
+    # nonzero where (c-b)_n = 0, and the right numerator over twice the
+    # denominator
+    @pytest.mark.parametrize("n,b,c,wrong", [
+        (5, 3, -7, lambda v: v + 1),
+        (3, 5, 5, lambda v: Fraction(1, 7)),
+        (4, -2, 9, lambda v: Fraction(v.numerator, 2 * v.denominator)),
+    ])
+    def test_gauss_fault_gives_fraction_witness(self, tmp_path, monkeypatch,
+                                                n, b, c, wrong):
+        real = cli.hyp2f1_terminating
+
+        def faulty(n_, b_, c_):
+            v = real(n_, b_, c_)
+            return wrong(v) if (n_, b_, c_) == (n, b, c) else v
+
+        monkeypatch.setattr(cli, "hyp2f1_terminating", faulty)
+        code, out = run(tmp_path, "verify", "--mu", "0", "--nu-max", "0")
+        assert code == EXIT_ASSERTION_FAILED
+        failed = [r for r in json.loads(out.read_text())["results"]
+                  if not r["ok"]]
+        assert [r["identity"] for r in failed] == ["gauss_summation"]
+        # the witness the Fraction comparison lhs != rhs reports
+        lhs = faulty(n, b, c)
+        rhs = rising_pochhammer(c - b, n) / rising_pochhammer(c, n)
+        assert lhs != rhs
+        assert failed[0]["witness"] == {"n": n, "b": b, "c": c,
+                                        "lhs": str(lhs), "rhs": str(rhs)}
 
     def test_bad_range_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "verify", "--mu", "3", "--nu-max", "1")
@@ -103,6 +137,41 @@ def test_unparsable_argument_is_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "usage:" not in err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran although the report cannot be written")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mu", "0", "--nu-max", "0"],
+    ["spectrum", "--mu", "3"],
+    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16"],
+    ["channel-dump", "--mu", "1", "--nu", "2", "--k", "0"],
+])
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch, argv,
+                                        target):
+    # a missing directory, or a directory in place of the file, is found
+    # before any suite runs
+    for name in ("run_verify_suites", "spectrum_rows",
+                 "channel_output_spectrum", "channel_report"):
+        monkeypatch.setattr(cli, name, _must_not_run)
+    code = main(argv + ["--out", str(tmp_path / target)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_unwritable_converge_summary_is_config_error(tmp_path, capsys):
+    (tmp_path / "c.csv.summary.json").mkdir()
+    code = main(["converge", "--mu", "1", "--k", "0", "--nu", "8,16",
+                 "--out", str(tmp_path / "c.csv")])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["c.csv.summary.json"]
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"],
@@ -282,3 +351,34 @@ class TestChannelDump:
         code, _ = run(tmp_path, "channel-dump", "--mu", "4",
                       "--nu", "2", "--k", "0")
         assert code == EXIT_CONFIG_ERROR
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's stored outputs (perfbench/refs), read through the
+# benchmark's own checks, so that report drift fails here too
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+    return workloads
+
+
+class TestBenchmarkReferences:
+
+    def test_default_verify_matches_reference(self, tmp_path, workloads):
+        # the stored report with the seed substituted
+        seed = 8101
+        code, out = run(tmp_path, "verify", "--seed", str(seed))
+        assert code == EXIT_OK
+        assert out.read_text() == workloads.expected_verify_report(seed)
+
+    def test_converge_matches_reference(self, tmp_path, workloads):
+        seed = workloads.converge_pool()[0]
+        out = tmp_path / "c.csv"
+        assert main(workloads.CONVERGE_ARGS
+                    + ["--seed", str(seed), "--out", str(out)]) == EXIT_OK
+        want = (Path(workloads.REFS) / "converge"
+                / f"seed_{seed}.csv").read_text()
+        assert workloads.compare_converge_csv(out.read_text(), want) is None

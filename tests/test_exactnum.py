@@ -12,13 +12,10 @@ from hypothesis import strategies as st
 from su2chan.exactnum import (
     CRational,
     NonTerminatingError,
-    binomial,
-    factorial,
     hyp2f1_terminating,
     hyp3f2_terminating,
     rising_pochhammer,
 )
-from test_intertwine import falling_pochhammer
 
 rationals = st.builds(
     Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**3))
@@ -62,6 +59,37 @@ def fraction_3f2(a1, a2, a3, b1, b2):
         num *= (a1 + i) * (a2 + i) * (a3 + i) / (i + 1)
         den *= (b1 + i) * (b2 + i)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Exact combinatorial helpers of the test oracles (the package sums these
+# as integers)
+# ---------------------------------------------------------------------------
+
+def binomial(n: int, k: int) -> Fraction:
+    """C(n, k) with the out-of-range convention C(n, k) = 0.
+
+    Requires n >= 0; k may be any integer.
+    """
+    if n < 0:
+        raise ValueError(f"binomial requires n >= 0, got n={n}")
+    if k < 0 or k > n:
+        return Fraction(0)
+    return Fraction(math.comb(n, k))
+
+
+def factorial(n: int) -> Fraction:
+    if n < 0:
+        raise ValueError(f"factorial requires n >= 0, got n={n}")
+    return Fraction(math.factorial(n))
+
+
+def falling_pochhammer(a, n):
+    """a (a-1) ... (a-n+1), with the empty product equal to 1."""
+    if n < 0:
+        raise ValueError(f"falling_pochhammer requires n >= 0, got n={n}")
+    p, q = Fraction(a).as_integer_ratio()
+    return Fraction(math.prod(p - i * q for i in range(n)), q ** n)
 
 
 def outcome(fn, *args):

@@ -1,7 +1,6 @@
 """Tests for the component intertwiners, the Schur constant, and the
 induced quantum channels."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -10,7 +9,6 @@ import pytest
 
 from su2chan.exactnum import (
     CRational,
-    binomial,
     rising_pochhammer,
 )
 from su2chan import intertwine
@@ -22,7 +20,6 @@ from su2chan.intertwine import (
     c_squared,
     choi_matrix,
     choi_min_eigenvalue,
-    choi_partial_trace_output,
     jk_columns,
     normalization_factor,
     pk_orthogonality_check,
@@ -30,11 +27,12 @@ from su2chan.intertwine import (
 from su2chan.quadrature import random_operator, random_psd_trace_one
 from su2chan.repspace import (
     KernelOperator,
-    gram_diagonal,
     operator_trace,
     reproducing_identity_operator,
     to_orthonormal_matrix,
 )
+from test_exactnum import binomial, falling_pochhammer
+from test_repspace import gram_diagonal
 
 RNG_SEED = 777
 
@@ -55,14 +53,6 @@ def dense_jk_matrix(spec):
             if v:
                 m[a + b - spec.k][spec.tensor_index(a, b)] = v
     return m
-
-
-def falling_pochhammer(a, n):
-    """a (a-1) ... (a-n+1), with the empty product equal to 1."""
-    if n < 0:
-        raise ValueError(f"falling_pochhammer requires n >= 0, got n={n}")
-    p, q = Fraction(a).as_integer_ratio()
-    return Fraction(math.prod(p - i * q for i in range(n)), q ** n)
 
 
 def fraction_jk_columns(spec):
@@ -88,6 +78,7 @@ def dense_jk_adjoint(spec):
     gm, gn = gram_diagonal(spec.mu), gram_diagonal(spec.nu)
     go = gram_diagonal(spec.target_level)
     return [[jk[c][spec.tensor_index(a, b)] * go[c] / (gm[a] * gn[b])
+             if jk[c][spec.tensor_index(a, b)] else Fraction(0)
              for c in range(spec.target_level + 1)]
             for a in range(spec.mu + 1) for b in range(spec.nu + 1)]
 
@@ -121,9 +112,11 @@ def dense_pk_orthogonality_check(mu, nu):
 
     specs = [ChannelSpec(mu, nu, k) for k in range(mu + 1)]
     c2 = [c_squared(sk) for sk in specs]
-    for k, sk in enumerate(specs):
-        for l, sl in enumerate(specs):
-            for i, row in enumerate(dense_jk_product(sk, sl)):
+    jks = [dense_jk_matrix(sk) for sk in specs]
+    adjs = [dense_jk_adjoint(sk) for sk in specs]
+    for k in range(mu + 1):
+        for l in range(mu + 1):
+            for i, row in enumerate(dense_matmul(jks[k], adjs[l])):
                 for j, v in enumerate(row):
                     if k == l:
                         want = 1 / c2[k] if i == j else 0
@@ -135,8 +128,8 @@ def dense_pk_orthogonality_check(mu, nu):
                         witness("cross_vanish", k, l, i, j, v)
     dim = (mu + 1) * (nu + 1)
     total = [[Fraction(0)] * dim for _ in range(dim)]
-    for k, sk in enumerate(specs):
-        term = dense_matmul(dense_jk_adjoint(sk), dense_jk_matrix(sk))
+    for k in range(mu + 1):
+        term = dense_matmul(adjs[k], jks[k])
         for i in range(dim):
             for j in range(dim):
                 if term[i][j]:
@@ -194,6 +187,19 @@ def dense_apply_channel(spec, a):
         for i in range(out_level + 1)])
 
 
+def choi_partial_trace_output(choi, spec):
+    """Trace out the output factor; trace preservation gives the identity."""
+    n_in = spec.mu + 1
+    out_dim = spec.target_level + 1
+    pt = np.zeros((n_in, n_in), dtype=complex)
+    for i in range(n_in):
+        for j in range(n_in):
+            block = choi[i * out_dim:(i + 1) * out_dim,
+                         j * out_dim:(j + 1) * out_dim]
+            pt[i, j] = np.trace(block)
+    return pt
+
+
 def random_nonhermitian(mu, rng):
     while True:
         a = random_operator(mu, rng)
@@ -249,8 +255,8 @@ class TestIntertwiner:
     def test_schur_scalar_and_orthogonality_sweep(self):
         # the total-degree check against the dense products; mu = 0,
         # nu = mu and output levels below mu all occur on this grid
-        for mu in range(0, 5):
-            for nu in range(mu, 9):
+        for mu in range(0, 6):
+            for nu in range(mu, 15):
                 rep = pk_orthogonality_check(mu, nu)
                 assert rep["ok"], rep["witness"]
                 assert rep == dense_pk_orthogonality_check(mu, nu), (mu, nu)

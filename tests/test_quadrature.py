@@ -8,11 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2chan.exactnum import binomial
+from su2chan.exactnum import CRational
 from su2chan.intertwine import ChannelSpec, apply_channel
 from su2chan.quadrature import (
     _fund_bound,
     ConvergenceRecord,
+    NonFiniteSampleError,
     QuadratureGrid,
     SpectrumOutOfRangeError,
     channel_output_spectrum,
@@ -21,7 +22,6 @@ from su2chan.quadrature import (
     functional_convergence,
     fund_ineq_check,
     i_n_integral,
-    integrate_invariant,
     limit_functional,
     limit_moment,
     moment_convergence,
@@ -32,13 +32,14 @@ from su2chan.quadrature import (
     trace_functional,
     trace_moment,
 )
-from su2chan.repspace import operator_trace
+from su2chan.repspace import KernelOperator, operator_trace
 from su2chan.symbolcalc import (
     e_limit_apply,
     integrate_exact,
     invariant_monomial_integral,
     symbol,
 )
+from test_exactnum import binomial
 
 RNG_SEED = 9001
 
@@ -80,6 +81,24 @@ def fraction_fund_sum(kappa, j):
     """sum_i C(kappa,i)/C(2kappa,i+j), one Fraction per term."""
     return sum((binomial(kappa, i) / binomial(2 * kappa, i + j)
                 for i in range(kappa + 1)), Fraction(0))
+
+
+def integrate_invariant(f, grid):
+    """Quadrature of f against the invariant probability measure."""
+    vals = np.array([f(z) for z in grid.points])
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteSampleError("integrand not finite on the grid")
+    return float(np.real(np.sum(grid.weights * vals)))
+
+
+def crational_random_operator(mu, rng, span=3):
+    """random_operator as it drew before it built the integer form: one
+    CRational of two Fractions per entry, through from_rows."""
+    def entry():
+        return CRational(Fraction(rng.randint(-span, span), rng.randint(1, 2)),
+                         Fraction(rng.randint(-span, span), rng.randint(1, 2)))
+    return KernelOperator.from_rows(
+        mu, [[entry() for _ in range(mu + 1)] for _ in range(mu + 1)])
 
 
 def _evaluate(f, z):
@@ -147,6 +166,16 @@ class TestRandomStates:
         a, f = random_band_limited_state(2, rng)
         from su2chan.symbolcalc import berezin_apply, functions_equal
         assert functions_equal(berezin_apply(2, f), symbol(a))
+
+    def test_random_operator_matches_crational_oracle(self):
+        # the same operator from the same draws, and the generator left in
+        # the same state
+        for mu in range(7):
+            for seed, span in [(mu, 3), (100 + mu, 3), (200 + mu, 1)]:
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert random_operator(mu, rng, span) == \
+                    crational_random_operator(mu, ref, span), (mu, seed)
+                assert rng.getstate() == ref.getstate()
 
 
 class TestSpectralFunctionals:

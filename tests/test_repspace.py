@@ -9,24 +9,78 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2chan.exactnum import CRational, binomial
+from su2chan.exactnum import CRational
 from su2chan.quadrature import QuadratureGrid, random_operator
 from su2chan.repspace import (
+    IsotypicDecomposition,
     KernelOperator,
+    _common_denominator,
+    _gram_integers,
     LevelMismatchError,
-    PolySpaceParams,
     compose,
-    gram_diagonal,
-    inner_product,
     isotypic_projectors,
-    monomial_norm_sq,
     operator_trace,
-    rank_one,
     reproducing_identity_operator,
     to_orthonormal_matrix,
 )
 
+from test_exactnum import binomial
+
 RNG_SEED = 1234
+
+
+# ---------------------------------------------------------------------------
+# The level-nu space with its Gram form as Fractions: the package keeps the
+# Gram diagonal only as integers over one denominator (_gram_integers)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PolySpaceParams:
+    """Level nu of a polynomial representation space (dimension nu + 1)."""
+
+    nu: int
+
+    def __post_init__(self):
+        if self.nu < 0:
+            raise ValueError(f"level must be nonnegative, got {self.nu}")
+
+    @property
+    def dim(self):
+        return self.nu + 1
+
+
+def monomial_norm_sq(space, i):
+    """Squared norm of z^i at level nu: 1/C(nu, i)."""
+    if i < 0 or i > space.nu:
+        raise IndexError(f"monomial index {i} out of range for level {space.nu}")
+    return 1 / binomial(space.nu, i)
+
+
+def gram_diagonal(nu):
+    space = PolySpaceParams(nu)
+    return [monomial_norm_sq(space, i) for i in range(nu + 1)]
+
+
+def inner_product(space, f, g):
+    """<f, g> for monomial coefficient vectors of length nu + 1."""
+    if len(f) != space.dim or len(g) != space.dim:
+        raise ValueError(
+            f"coefficient vectors must have length {space.dim}, "
+            f"got {len(f)} and {len(g)}")
+    out = CRational(0)
+    for i in range(space.dim):
+        out = out + CRational.of(f[i]) * CRational.of(g[i]).conj() \
+            * monomial_norm_sq(space, i)
+    return out
+
+
+def rank_one(level, f, g):
+    """The operator f (x) g~ with kernel f(x) g(y)~."""
+    fv = [CRational.of(v) for v in f]
+    gv = [CRational.of(v) for v in g]
+    return KernelOperator.from_rows(level, [[fv[i] * gv[j].conj()
+                                             for j in range(level + 1)]
+                                            for i in range(level + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +251,31 @@ def is_zero(a):
     return all(not v for row in a.coeffs for v in row)
 
 
+def fraction_rank_one_vectors(L, m, e):
+    """The dual-Hahn vector v of spin m on the diagonals +-e and its dual
+    w / (w.v), with w_j = v_j / (C(L, j+e) C(L, j)), by the three-term
+    recurrence in Fractions: the form IsotypicDecomposition built them in
+    before its recurrence ran fraction-free."""
+    v = [Fraction(1)]
+    for j in range(L - e):
+        i = j + e
+        t = (i + j + 1) * L - i * i - j * j + e * e - m * (m + 1)
+        below = (L - i + 1) * (L - j + 1) * v[j - 1] if j else 0
+        v.append((t * v[j] - below) / ((i + 1) * (j + 1)))
+    w = [x / (math.comb(L, j + e) * math.comb(L, j))
+         for j, x in enumerate(v)]
+    norm = sum(x * y for x, y in zip(v, w))
+    return v, [x / norm for x in w]
+
+
+def fraction_rank_one(L):
+    """IsotypicDecomposition._rank_one from the Fraction vectors, each
+    over its common denominator."""
+    return {(m, e): (*_common_denominator(v), *_common_denominator(dual))
+            for e in range(L + 1) for m in range(e, L + 1)
+            for v, dual in [fraction_rank_one_vectors(L, m, e)]}
+
+
 def fraction_dual_coordinates(a):
     """Spin coordinates c_{m,d} = w.A / (w.v) with the dual-Hahn vector v
     and its dual w as Fraction vectors, summed in Fractions over the
@@ -208,20 +287,11 @@ def fraction_dual_coordinates(a):
     for m in range(L + 1):
         row = []
         for d in range(-m, m + 1):
-            e = abs(d)
-            v = [Fraction(1)]
-            for j in range(L - e):
-                i = j + e
-                t = (i + j + 1) * L - i * i - j * j + e * e - m * (m + 1)
-                below = (L - i + 1) * (L - j + 1) * v[j - 1] if j else 0
-                v.append((t * v[j] - below) / ((i + 1) * (j + 1)))
-            w = [x / (math.comb(L, j + e) * math.comb(L, j))
-                 for j, x in enumerate(v)]
-            norm = sum(x * y for x, y in zip(v, w))
+            v, dual = fraction_rank_one_vectors(L, m, abs(d))
             cells = [(j + d, j) if d >= 0 else (j, j - d)
                      for j in range(len(v))]
-            row.append(sum((coeffs[i][j] * (x / norm)
-                            for x, (i, j) in zip(w, cells)), CRational(0)))
+            row.append(sum((coeffs[i][j] * x
+                            for x, (i, j) in zip(dual, cells)), CRational(0)))
         out.append(row)
     return out
 
@@ -269,6 +339,12 @@ class TestInnerProduct:
     def test_gram_diagonal(self):
         assert gram_diagonal(3) == [Fraction(1, 1), Fraction(1, 3),
                                     Fraction(1, 3), Fraction(1, 1)]
+
+    def test_gram_integers_match_fraction_gram(self):
+        for level in range(41):
+            big_w, w = _gram_integers(level)
+            assert (big_w, list(w)) == \
+                _common_denominator(gram_diagonal(level)), level
 
 
 class TestKernelOperator:
@@ -472,6 +548,12 @@ class TestIsotypicProjectors:
             coords = [[CRational(rng.randint(-3, 3), rng.randint(-3, 3))
                        for _ in range(2 * m + 1)] for m in range(mu + 1)]
             assert dec.coordinates(dec.operator(coords)) == coords
+
+    def test_fraction_free_recurrence_matches_fraction_oracle(self):
+        # the stored (dv, v dv, dw, dual dw) tuples, bit for bit
+        for mu in range(21):
+            assert IsotypicDecomposition(mu)._rank_one == \
+                fraction_rank_one(mu), mu
 
     def test_coordinates_match_fraction_dual_oracle(self):
         rng = random.Random(RNG_SEED)

@@ -9,8 +9,6 @@ import pytest
 
 from su2chan.exactnum import (
     CRational,
-    binomial,
-    factorial,
     hyp3f2_terminating,
 )
 from su2chan.intertwine import ChannelSpec, apply_channel, c_squared
@@ -44,8 +42,15 @@ from su2chan.symbolcalc import (
     symbol,
     toeplitz,
 )
+from test_exactnum import binomial, factorial
 
 RNG_SEED = 4242
+
+
+def constant_function(level, value):
+    # (1 + x y~)^level is spin 0 with coordinate 1
+    return IsotypicFunction(level, [[CRational.of(value)]] + [
+        [CRational(0)] * (2 * m + 1) for m in range(1, level + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +136,12 @@ class TestSymbolToeplitz:
 
     def test_symbol_of_identity_is_one(self):
         f = symbol(reproducing_identity_operator(4))
-        assert functions_equal(f, IsotypicFunction.constant(4, 1))
+        assert functions_equal(f, constant_function(4, 1))
 
     def test_toeplitz_of_one_is_scaled_identity(self):
         # the compression map carries 1 to I/(nu + 1)
         for nu in (0, 2, 5):
-            t = toeplitz(IsotypicFunction.constant(nu, 1), nu)
+            t = toeplitz(constant_function(nu, 1), nu)
             assert t == reproducing_identity_operator(nu) \
                 .scale(Fraction(1, nu + 1))
 
@@ -217,7 +222,7 @@ class TestBerezin:
         assert toeplitz(inverse_berezin(nu, symbol(a)), nu) == a
 
     def test_inverse_rejects_out_of_band_components(self):
-        g = IsotypicFunction.constant(3, 1)
+        g = constant_function(3, 1)
         with pytest.raises(SingularComponentError):
             inverse_berezin(2, _lift_constant_with_top_component(g))
 
