@@ -6,7 +6,6 @@ large-level trace limit.
 from .exactnum import (
     CRational,
     NonTerminatingError,
-    Rational,
     hyp2f1_terminating,
     hyp3f2_terminating,
     rising_pochhammer,
@@ -58,12 +57,10 @@ from .quadrature import (
     SpectrumOutOfRangeError,
     channel_output_spectrum,
     entropy_poly_coeffs,
-    functional_convergence,
     fund_ineq_check,
     i_n_integral,
     limit_functional,
     limit_moment,
-    moment_convergence,
     random_band_limited_state,
     random_operator,
     random_psd_trace_one,

@@ -35,11 +35,13 @@ from .quadrature import (
     channel_output_spectrum,
     entropy_poly_coeffs,
     fund_ineq_check,
-    functional_convergence,
     i_n_integral,
-    moment_convergence,
+    limit_functional,
+    limit_moment,
     random_band_limited_state,
     random_operator,
+    trace_functional,
+    trace_moment,
 )
 from .repspace import operator_trace, reproducing_identity_operator
 from .symbolcalc import (
@@ -57,6 +59,7 @@ EXIT_ASSERTION_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 DEFAULT_SEED = 20240817
+N_RANDOM = 5    # random operators per (mu, nu, k) in the trace check
 
 
 def _atomic_write(path: str, data: str):
@@ -99,7 +102,6 @@ def _emit(path: Optional[str], data: str):
 # ---------------------------------------------------------------------------
 
 def run_verify_suites(mu_max: int, nu_max: int, seed: int,
-                      n_random: int = 5,
                       psd_tol: float = 1e-10,
                       corrupt_c_squared: bool = False) -> dict:
     """Run the exact-identity suites; returns a JSON-ready report.
@@ -151,7 +153,7 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
         for nu in range(mu, nu_max + 1):
             for k in range(mu + 1):
                 spec = ChannelSpec(mu, nu, k)
-                for _ in range(n_random):
+                for _ in range(N_RANDOM):
                     a = random_operator(mu, rng)
                     ta = apply_normalized_channel(spec, a)
                     if corrupt_c_squared:
@@ -201,7 +203,7 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
 
     return {
         "config": {"mu_max": mu_max, "nu_max": nu_max, "seed": seed,
-                   "n_random": n_random, "psd_tol": psd_tol},
+                   "n_random": N_RANDOM, "psd_tol": psd_tol},
         "results": results,
         "all_ok": all(r["ok"] for r in results),
     }
@@ -285,28 +287,24 @@ def cmd_converge(args) -> int:
     # one spectrum per level, shared by every moment order and by phi
     spectra = [channel_output_spectrum(ChannelSpec(args.mu, nu, args.k), f)
                for nu in nus]
-    records: List[ConvergenceRecord] = [
-        moment_convergence(args.mu, args.k, f, n, nus, spectra=spectra)
-        for n in args.n]
+    records = [ConvergenceRecord(args.mu, args.k, nus, f"n={n}",
+                                 [trace_moment(lam, n) for lam in spectra],
+                                 limit_moment(args.mu, args.k, f, n), args.tol)
+               for n in args.n]
     if args.phi:
-        records.append(functional_convergence(args.mu, args.k, f, args.phi,
-                                              nus, spectra=spectra))
-    for rec in records:
-        rec.floor = args.tol
-    csv_text = _records_to_csv(records)
+        records.append(ConvergenceRecord(
+            args.mu, args.k, nus, f"phi=deg{len(args.phi) - 1}",
+            [trace_functional(lam, args.phi) for lam in spectra],
+            limit_functional(args.mu, args.k, f, args.phi), args.tol))
     summary = {
         "config": {"mu": args.mu, "k": args.k, "nu": nus, "n": args.n,
                    "phi": args.phi, "seed": args.seed},
         "records": [r.to_row() for r in records],
         "all_converged": all(r.converged for r in records),
     }
-    if args.out:
-        _atomic_write(args.out, csv_text)
-        _atomic_write(args.out + ".summary.json",
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _emit(args.out, _records_to_csv(records))
+    _emit(args.out and args.out + ".summary.json",
+          json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if summary["all_converged"] else EXIT_ASSERTION_FAILED
 
 

@@ -12,8 +12,6 @@ import operator
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 

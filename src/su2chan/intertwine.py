@@ -31,6 +31,7 @@ from .repspace import (
     _common_denominator,
     _gram_integers,
     _orthonormal_scale,
+    operator_trace,
 )
 
 
@@ -286,7 +287,6 @@ def choi_min_eigenvalue(spec: ChannelSpec) -> float:
 
 def channel_report(spec: ChannelSpec, operators: List[KernelOperator]) -> dict:
     """JSON-ready structural report for one channel spec."""
-    from .repspace import operator_trace
     trace_ok = True
     for a in operators:
         if operator_trace(apply_normalized_channel(spec, a)) \

@@ -16,13 +16,14 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .intertwine import ChannelSpec, apply_channel
 from .repspace import (
     KernelOperator,
+    _gram_integers,
     compose,
     operator_trace,
     to_orthonormal_matrix,
@@ -141,33 +142,21 @@ def channel_output_spectrum(spec: ChannelSpec, f: IsotypicFunction) \
     return np.linalg.eigvalsh(m)
 
 
-def trace_moment(spec: ChannelSpec, f: IsotypicFunction, n: int,
-                 eigenvalues: Optional[np.ndarray] = None) -> float:
-    """(1/dim) Tr(T(R*_mu f)^n), dimension-normalized."""
+def trace_moment(lam: np.ndarray, n: int) -> float:
+    """(1/dim) Tr(T^n) over a channel output spectrum, dimension-normalized."""
     if n < 1:
         raise ValueError(f"moment order must be >= 1, got {n}")
-    lam = channel_output_spectrum(spec, f) if eigenvalues is None \
-        else eigenvalues
-    return float(np.sum(lam ** n) / (spec.target_level + 1))
+    return float(np.sum(lam ** n) / lam.size)
 
 
-def limit_moment(mu: int, k: int, f: IsotypicFunction, n: int,
-                 grid: Optional[QuadratureGrid] = None) -> float:
+def limit_moment(mu: int, k: int, f: IsotypicFunction, n: int) -> float:
     """Integral of the n-th power of the limit-operator image of f."""
-    if grid is None:
-        grid = QuadratureGrid.for_degree(n * mu)
+    grid = QuadratureGrid.for_degree(n * mu)
     e = e_limit_apply(mu, k, f)
     vals = function_values(e, grid.points)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteSampleError("limit integrand not finite on the grid")
     return float(np.real(np.sum(grid.weights * vals ** n)))
-
-
-def _as_callable(phi) -> Callable[[np.ndarray], np.ndarray]:
-    if callable(phi):
-        return phi
-    coeffs = np.asarray([float(c) for c in phi])
-    return lambda x: np.polynomial.polynomial.polyval(x, coeffs)
 
 
 def _unit_interval(vals: np.ndarray) -> np.ndarray:
@@ -180,30 +169,26 @@ def _unit_interval(vals: np.ndarray) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0)
 
 
-def trace_functional(spec: ChannelSpec, f: IsotypicFunction, phi,
-                     eigenvalues: Optional[np.ndarray] = None) -> float:
-    """(1/dim) sum phi(lambda_i) over the channel output spectrum,
-    range-checked by :func:`_unit_interval`."""
-    lam = channel_output_spectrum(spec, f) if eigenvalues is None \
-        else eigenvalues
-    phif = _as_callable(phi)
-    return float(np.sum(phif(_unit_interval(lam))) / (spec.target_level + 1))
+def trace_functional(lam: np.ndarray, phi: Sequence[float]) -> float:
+    """(1/dim) sum phi(lambda_i) over a channel output spectrum, with phi
+    its ascending polynomial coefficients, range-checked by
+    :func:`_unit_interval`."""
+    # np.polynomial loads on first use; imported with this module it would
+    # cost every run that does no quadrature (verify among them)
+    vals = np.polynomial.polynomial.polyval(_unit_interval(lam), phi)
+    return float(np.sum(vals) / lam.size)
 
 
-def limit_functional(mu: int, k: int, f: IsotypicFunction, phi,
-                     grid: Optional[QuadratureGrid] = None) -> float:
+def limit_functional(mu: int, k: int, f: IsotypicFunction,
+                     phi: Sequence[float]) -> float:
     """Integral of phi(E(f)) against the invariant measure, with E(f)
-    range-checked on the grid by :func:`_unit_interval`.
-
-    The default grid is exact for polynomial coefficients ``phi`` of
-    degree len(phi) - 1; a callable phi needs an explicit grid.
-    """
-    if grid is None:
-        grid = QuadratureGrid.for_degree(max(1, (len(phi) - 1) * mu))
+    range-checked on the grid by :func:`_unit_interval`; the grid is
+    exact for the ascending polynomial coefficients ``phi``."""
+    grid = QuadratureGrid.for_degree(max(1, (len(phi) - 1) * mu))
     e = e_limit_apply(mu, k, f)
     vals = np.real(function_values(e, grid.points))
-    phif = _as_callable(phi)
-    return float(np.sum(grid.weights * phif(_unit_interval(vals))))
+    return float(np.sum(grid.weights * np.polynomial.polynomial.polyval(
+        _unit_interval(vals), phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +201,8 @@ def i_n_integral(n: int, nu: int) -> Fraction:
     Even nu = 2 kappa: the exact sum over chains of n-1 indices
     0..kappa, summed as a product of (kappa+1)-square transfer matrices
     in O(n kappa^2) integer operations, with each 1/C(2kappa, s) taken
-    as the integer d/C(2kappa, s) over d = lcm_s C(2kappa, s).  Odd nu:
+    as the level-nu Gram weight d/C(2kappa, s) over d = lcm_s C(2kappa, s)
+    from :func:`~su2chan.repspace._gram_integers`.  Odd nu:
     the comparison bound ((nu+1)/nu)^n I_n(nu-1), an upper estimate.
     """
     if n < 1:
@@ -228,9 +214,7 @@ def i_n_integral(n: int, nu: int) -> Fraction:
     if nu % 2 == 1:
         return Fraction(nu + 1, nu) ** n * i_n_integral(n, nu - 1)
     kappa = nu // 2
-    c2 = [math.comb(nu, s) for s in range(nu + 1)]
-    d = math.lcm(*c2)
-    w = [d // c for c in c2]
+    d, w = _gram_integers(nu)
     sq = [math.comb(kappa, a) ** 2 for a in range(kappa + 1)]
     v = [sq[a] * w[a] for a in range(kappa + 1)]
     for _ in range(n - 2):
@@ -311,35 +295,6 @@ class ConvergenceRecord:
                 "nus": self.nus, "lhs": self.lhs, "rhs": self.rhs,
                 "gaps": self.gaps, "converged": self.converged,
                 "fitted_slope": self.fitted_slope}
-
-
-def moment_convergence(mu: int, k: int, f: IsotypicFunction, n: int,
-                       nus: Sequence[int],
-                       spectra: Optional[Sequence[np.ndarray]] = None) \
-        -> ConvergenceRecord:
-    """Gap sequence for the n-th trace moment against its limit integral;
-    ``spectra``, if given, are the channel output spectra at ``nus``."""
-    lams = [None] * len(nus) if spectra is None else spectra
-    lhs = [trace_moment(ChannelSpec(mu, nu, k), f, n, eigenvalues=lam)
-           for nu, lam in zip(nus, lams, strict=True)]
-    rhs = limit_moment(mu, k, f, n)
-    return ConvergenceRecord(mu, k, list(nus), f"n={n}", lhs, rhs)
-
-
-def functional_convergence(mu: int, k: int, f: IsotypicFunction,
-                           phi_coeffs: Sequence[float],
-                           nus: Sequence[int],
-                           spectra: Optional[Sequence[np.ndarray]] = None) \
-        -> ConvergenceRecord:
-    """Gap sequence for the polynomial functional calculus trace;
-    ``spectra`` as in :func:`moment_convergence`."""
-    lams = [None] * len(nus) if spectra is None else spectra
-    lhs = [trace_functional(ChannelSpec(mu, nu, k), f, phi_coeffs,
-                            eigenvalues=lam)
-           for nu, lam in zip(nus, lams, strict=True)]
-    rhs = limit_functional(mu, k, f, phi_coeffs)
-    label = f"phi=deg{len(phi_coeffs) - 1}"
-    return ConvergenceRecord(mu, k, list(nus), label, lhs, rhs)
 
 
 def entropy_poly_coeffs(degree: int = 8) -> List[float]:

@@ -346,9 +346,6 @@ class IsotypicDecomposition:
             raise IndexError(f"component {m} out of range for level {self.level}")
         return self.operator([[]] * m + [self._row(a, m)])
 
-    def components(self, a: KernelOperator) -> List[KernelOperator]:
-        return [self.project(m, a) for m in range(self.level + 1)]
-
 
 def isotypic_projectors(mu: int) -> IsotypicDecomposition:
     return IsotypicDecomposition(mu)

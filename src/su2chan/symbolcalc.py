@@ -26,6 +26,7 @@ from .intertwine import ChannelSpec, c_squared
 from .repspace import (
     IsotypicDecomposition,
     KernelOperator,
+    _gram_integers,
     isotypic_projectors,
 )
 
@@ -109,7 +110,8 @@ def toeplitz(f: IsotypicFunction, nu: int) -> KernelOperator:
     Expands the kernel integral of the compression of multiplication by
     f through monomial orthogonality; every integral reduces to the
     rational moment of |z|^(2t) against (1 + |z|^2)^(-total), which is
-    1 / ((total + 1) C(total, t)), taken over the lcm of the binomials.
+    1 / ((total + 1) C(total, t)): the level-total Gram weights over their
+    common denominator, times 1/(total + 1).
     """
     if nu < f.level:
         raise BandLimitExceededError(
@@ -117,9 +119,7 @@ def toeplitz(f: IsotypicFunction, nu: int) -> KernelOperator:
     mu = f.level
     n = f.numerator()
     total = mu + nu
-    binoms = [math.comb(total, t) for t in range(total + 1)]
-    den = math.lcm(*binoms)
-    moment = [den // b for b in binoms]
+    den, moment = _gram_integers(total)
     re = [[0] * (nu + 1) for _ in range(nu + 1)]
     im = [[0] * (nu + 1) for _ in range(nu + 1)]
     for p in range(nu + 1):
@@ -154,11 +154,6 @@ def berezin_apply(nu: int, f: IsotypicFunction) -> IsotypicFunction:
     if nu < f.level:
         raise BandLimitExceededError(
             f"Berezin level {nu} below band limit {f.level}")
-    return _berezin_scale(nu, f)
-
-
-def _berezin_scale(nu: int, f: IsotypicFunction) -> IsotypicFunction:
-    # no band-limit check: components above nu are annihilated
     return f.scale_components(
         [berezin_eigenvalue(nu, m) for m in range(f.level + 1)])
 

@@ -327,6 +327,39 @@ class TestConverge:
         assert code in (EXIT_OK, EXIT_ASSERTION_FAILED)
         assert sorted(calls) == [10, 20]
 
+    def test_stdout_is_csv_then_summary(self, tmp_path, capsys):
+        # without --out both reports go to stdout, in the order and with
+        # the bytes of the two --out files
+        argv = ["converge", "--mu", "1", "--k", "0", "--nu", "8,16,32,64",
+                "--n", "2", "--phi", "entropy8", "--seed", "11"]
+        out = tmp_path / "c.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.encode() == out.read_bytes() \
+            + (tmp_path / "c.csv.summary.json").read_bytes()
+
+    def test_input_level_zero_sits_at_the_floor(self, tmp_path):
+        # mu = 0: the state is the constant 1, and every statistic equals
+        # its limit up to rounding at every level, nu = mu = 0 included
+        out = tmp_path / "c.csv"
+        assert main(["converge", "--mu", "0", "--k", "0", "--nu", "0,1,2",
+                     "--phi", "entropy8", "--out", str(out)]) == EXIT_OK
+        summary = json.loads((tmp_path / "c.csv.summary.json").read_text())
+        assert [r["label"] for r in summary["records"]] == \
+            ["n=1", "n=2", "n=3", "n=4", "phi=deg8"]
+        assert all(g <= 1e-12 for r in summary["records"] for g in r["gaps"])
+
+    def test_output_level_below_input_level_converges(self, tmp_path):
+        # k = mu = 3: the first level is nu = mu, where the output level
+        # mu + nu - 2k is 0 < mu
+        out = tmp_path / "c.csv"
+        assert main(["converge", "--mu", "3", "--k", "3",
+                     "--nu", "3,6,12,24", "--out", str(out)]) == EXIT_OK
+        summary = json.loads((tmp_path / "c.csv.summary.json").read_text())
+        assert len(summary["records"]) == 4
+        assert all(r["converged"] for r in summary["records"])
+
     def test_deterministic_csv(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["converge", "--mu", "1", "--k", "1", "--nu", "8,16,32",

@@ -1,0 +1,45 @@
+"""No module imports a name it never uses: the unused-import rule of a
+linter, written with the stdlib ``ast`` module so that it runs wherever
+the tests run.  ``__init__.py`` is skipped, since its imports are the
+package's re-exports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = [p for p in sorted((ROOT / "src" / "su2chan").glob("*.py"))
+         if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str):
+    """(line, name) of every imported name that no expression reads.
+    Scopes are not told apart: a name read anywhere in the module counts
+    as a use of every import of it."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # 'import a.b' binds 'a'
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_checker_finds_an_unused_import():
+    source = ("from __future__ import annotations\nimport os\n"
+              "import os.path as osp\nfrom math import comb, gcd\n"
+              "print(gcd(4, 6), osp.sep)\n")
+    assert unused_imports(source) == [(2, "os"), (4, "comb")]
+
+
+@pytest.mark.parametrize("path", FILES,
+                         ids=[f"{p.parent.name}/{p.name}" for p in FILES])
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from su2chan.exactnum import CRational
-from su2chan.intertwine import ChannelSpec, apply_channel
+from su2chan.intertwine import ChannelSpec
 from su2chan.quadrature import (
     _fund_bound,
     ConvergenceRecord,
@@ -19,12 +19,10 @@ from su2chan.quadrature import (
     channel_output_spectrum,
     entropy_poly_coeffs,
     function_values,
-    functional_convergence,
     fund_ineq_check,
     i_n_integral,
     limit_functional,
     limit_moment,
-    moment_convergence,
     random_band_limited_state,
     random_operator,
     random_psd_trace_one,
@@ -195,7 +193,7 @@ class TestSpectralFunctionals:
         rng = random.Random(RNG_SEED)
         spec = ChannelSpec(2, 8, 1)
         _, f = random_band_limited_state(2, rng)
-        lhs = trace_moment(spec, f, 1)
+        lhs = trace_moment(channel_output_spectrum(spec, f), 1)
         rhs = limit_moment(2, 1, f, 1)
         assert abs(lhs - rhs) < 1e-12
 
@@ -204,8 +202,9 @@ class TestSpectralFunctionals:
         spec = ChannelSpec(2, 8, 0)
         _, f = random_band_limited_state(2, rng)
         # phi(x) = 2x^2 - x as coefficient list
-        val = trace_functional(spec, f, [0.0, -1.0, 2.0])
-        mom = 2 * trace_moment(spec, f, 2) - trace_moment(spec, f, 1)
+        lam = channel_output_spectrum(spec, f)
+        val = trace_functional(lam, [0.0, -1.0, 2.0])
+        mom = 2 * trace_moment(lam, 2) - trace_moment(lam, 1)
         assert abs(val - mom) < 1e-12
 
     def test_functionals_reject_values_outside_unit_interval(self):
@@ -221,11 +220,10 @@ class TestSpectralFunctionals:
         limit_functional(mu, k, f, phi)
         with pytest.raises(SpectrumOutOfRangeError):
             limit_functional(mu, k, f.scale(int(2 / peak) + 1), phi)
-        spec = ChannelSpec(mu, 8, k)
         with pytest.raises(SpectrumOutOfRangeError):
-            trace_functional(spec, f, phi, eigenvalues=np.array([0.5, 1.1]))
+            trace_functional(np.array([0.5, 1.1]), phi)
         with pytest.raises(SpectrumOutOfRangeError):
-            trace_functional(spec, f, phi, eigenvalues=np.array([-0.1, 0.5]))
+            trace_functional(np.array([-0.1, 0.5]), phi)
 
 
 class TestKernelBounds:
@@ -334,15 +332,21 @@ class TestConvergenceHarness:
     def test_moment_convergence_run(self):
         rng = random.Random(RNG_SEED)
         _, f = random_band_limited_state(2, rng)
-        rec = moment_convergence(2, 1, f, 2, [8, 16, 32])
+        nus = [8, 16, 32]
+        rec = ConvergenceRecord(2, 1, nus, "n=2", [
+            trace_moment(channel_output_spectrum(ChannelSpec(2, nu, 1), f), 2)
+            for nu in nus], limit_moment(2, 1, f, 2))
         assert rec.converged
         assert rec.fitted_slope > 0.5
 
     def test_functional_convergence_run(self):
         rng = random.Random(RNG_SEED)
         _, f = random_band_limited_state(1, rng)
-        rec = functional_convergence(1, 1, f, entropy_poly_coeffs(8),
-                                     [8, 16, 32, 64])
+        nus, phi = [8, 16, 32, 64], entropy_poly_coeffs(8)
+        rec = ConvergenceRecord(1, 1, nus, "phi=deg8", [
+            trace_functional(
+                channel_output_spectrum(ChannelSpec(1, nu, 1), f), phi)
+            for nu in nus], limit_functional(1, 1, f, phi))
         assert rec.converged
 
     def test_entropy_fit_accuracy(self):
