@@ -36,7 +36,6 @@ from .symbolcalc import (
     BandLimitExceededError,
     IsotypicFunction,
     SingularComponentError,
-    berezin_apply,
     berezin_eigenvalue,
     e_eigenvalue_3f2,
     e_limit_apply,
@@ -45,7 +44,6 @@ from .symbolcalc import (
     e_nu_eigenvalue,
     functions_equal,
     integrate_exact,
-    invariant_monomial_integral,
     inverse_berezin,
     symbol,
     toeplitz,

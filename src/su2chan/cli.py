@@ -17,6 +17,7 @@ import os
 import random
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -103,23 +104,33 @@ def _emit(path: Optional[str], data: str):
 
 def run_verify_suites(mu_max: int, nu_max: int, seed: int,
                       psd_tol: float = 1e-10,
-                      corrupt_c_squared: bool = False) -> dict:
+                      corrupt_c_squared: bool = False,
+                      timings: Optional[list] = None) -> dict:
     """Run the exact-identity suites; returns a JSON-ready report.
 
     ``corrupt_c_squared`` is a fault-injection hook for harness tests:
     it scales the Schur constant of the trace check by 3/2, which must
-    then fail with a witness.
+    then fail with a witness.  A ``timings`` list receives one
+    ``{identity, cases, elapsed_s}`` per suite, in report order; the
+    report itself holds no timing.
     """
     rng = random.Random(seed)
     results = []
+    start = time.perf_counter()
 
-    def record(name: str, ok: bool, witness=None):
+    def record(name: str, ok: bool, witness, cases: int):
+        nonlocal start
         results.append({"identity": name, "ok": ok, "witness": witness})
+        now = time.perf_counter()
+        if timings is not None:
+            timings.append({"identity": name, "cases": cases,
+                            "elapsed_s": now - start})
+        start = now
 
     # Gauss summation 2F1(-n, b; c; 1) = (c-b)_n / (c)_n.  For integer
     # b, c the Pochhammers are integers, read from one table per n over
     # the range of c and c - b, and the sides are compared crosswise.
-    ok, wit = True, None
+    ok, wit, cases = True, None, 0
     for n in range(0, 13):
         poch = {c: rising_pochhammer(c, n).numerator for c in range(-32, 33)}
         for b in range(-12, 13):
@@ -130,76 +141,78 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
                     den = poch[c]
                     if den == 0:
                         continue
+                    cases += 1
                     lhs = hyp2f1_terminating(n, b, c)
                     if lhs.numerator * den != lhs.denominator * poch[c - b]:
                         ok, wit = False, {
                             "n": n, "b": b, "c": c, "lhs": str(lhs),
                             "rhs": str(Fraction(poch[c - b], den))}
-    record("gauss_summation", ok, wit)
+    record("gauss_summation", ok, wit, cases)
+
+    levels = [(mu, nu) for mu in range(mu_max + 1)
+              for nu in range(mu, nu_max + 1)]
+    specs = [ChannelSpec(mu, nu, k) for mu, nu in levels
+             for k in range(mu + 1)]
 
     # Schur constant / orthogonality / completeness
     ok, wit = True, None
-    for mu in range(mu_max + 1):
-        for nu in range(mu, nu_max + 1):
-            rep = pk_orthogonality_check(mu, nu)
-            if not rep["ok"]:
-                ok, wit = False, rep["witness"]
-    record("schur_orthogonality_completeness", ok, wit)
+    for mu, nu in levels:
+        rep = pk_orthogonality_check(mu, nu)
+        if not rep["ok"]:
+            ok, wit = False, rep["witness"]
+    record("schur_orthogonality_completeness", ok, wit, len(levels))
 
-    # trace preservation (with optional fault injection) and Choi PSD
+    # trace preservation (with optional fault injection)
     ok, wit = True, None
-    choi_ok, choi_wit = True, None
-    for mu in range(mu_max + 1):
-        for nu in range(mu, nu_max + 1):
-            for k in range(mu + 1):
-                spec = ChannelSpec(mu, nu, k)
-                for _ in range(N_RANDOM):
-                    a = random_operator(mu, rng)
-                    ta = apply_normalized_channel(spec, a)
-                    if corrupt_c_squared:
-                        # the channel is linear in c^2
-                        ta = ta.scale(Fraction(3, 2))
-                    if operator_trace(ta) != operator_trace(a):
-                        ok, wit = False, {
-                            "mu": mu, "nu": nu, "k": k,
-                            "trace_in": str(operator_trace(a)),
-                            "trace_out": str(operator_trace(ta))}
-                mn = choi_min_eigenvalue(spec)
-                if mn < -psd_tol:
-                    choi_ok, choi_wit = False, {
-                        "mu": mu, "nu": nu, "k": k, "min_eigenvalue": mn}
-    record("trace_preservation", ok, wit)
-    record("choi_positive", choi_ok, choi_wit)
+    for spec in specs:
+        for _ in range(N_RANDOM):
+            a = random_operator(spec.mu, rng)
+            ta = apply_normalized_channel(spec, a)
+            if corrupt_c_squared:
+                # the channel is linear in c^2
+                ta = ta.scale(Fraction(3, 2))
+            if operator_trace(ta) != operator_trace(a):
+                ok, wit = False, {
+                    "mu": spec.mu, "nu": spec.nu, "k": spec.k,
+                    "trace_in": str(operator_trace(a)),
+                    "trace_out": str(operator_trace(ta))}
+    record("trace_preservation", ok, wit, len(specs) * N_RANDOM)
+
+    # Choi matrix positive semidefinite
+    ok, wit = True, None
+    for spec in specs:
+        mn = choi_min_eigenvalue(spec)
+        if mn < -psd_tol:
+            ok, wit = False, {"mu": spec.mu, "nu": spec.nu, "k": spec.k,
+                              "min_eigenvalue": mn}
+    record("choi_positive", ok, wit, len(specs))
 
     # Berezin-sum identity for the channel-induced function operator
     ok, wit = True, None
-    for mu in range(mu_max + 1):
-        for nu in range(mu, nu_max + 1):
-            for k in range(mu + 1):
-                spec = ChannelSpec(mu, nu, k)
-                a = random_operator(mu, rng)
-                f = inverse_berezin(mu, symbol(a))
-                if not functions_equal(e_nu_apply(spec, f),
-                                       symbol(apply_channel(spec, a))):
-                    ok, wit = False, {"mu": mu, "nu": nu, "k": k}
-    record("berezin_sum_identity", ok, wit)
+    for spec in specs:
+        a = random_operator(spec.mu, rng)
+        f = inverse_berezin(spec.mu, symbol(a))
+        if not functions_equal(e_nu_apply(spec, f),
+                               symbol(apply_channel(spec, a))):
+            ok, wit = False, {"mu": spec.mu, "nu": spec.nu, "k": spec.k}
+    record("berezin_sum_identity", ok, wit, len(specs))
 
     # kernel bound and the exact binomial-sum inequality behind it
     ok, wit = True, None
-    for n in range(1, 5):
-        for nu in range(0, nu_max + 1, 2):
-            if i_n_integral(n, nu) > 2 ** (2 * n):
-                ok, wit = False, {"n": n, "nu": nu}
-    record("kernel_integral_bound", ok, wit)
+    grid = [(n, nu) for n in range(1, 5) for nu in range(0, nu_max + 1, 2)]
+    for n, nu in grid:
+        if i_n_integral(n, nu) > 2 ** (2 * n):
+            ok, wit = False, {"n": n, "nu": nu}
+    record("kernel_integral_bound", ok, wit, len(grid))
 
     ok, wit = True, None
-    for kappa in range(0, 31):
-        for j in range(kappa + 1):
-            rep = fund_ineq_check(kappa, j)
-            if not (rep["identity_holds"] and rep["bound_holds"]):
-                ok, wit = False, {"kappa": kappa, "j": j,
-                                  "sum": str(rep["sum"])}
-    record("binomial_sum_inequality", ok, wit)
+    grid = [(kappa, j) for kappa in range(0, 31) for j in range(kappa + 1)]
+    for kappa, j in grid:
+        rep = fund_ineq_check(kappa, j)
+        if not (rep["identity_holds"] and rep["bound_holds"]):
+            ok, wit = False, {"kappa": kappa, "j": j,
+                              "sum": str(rep["sum"])}
+    record("binomial_sum_inequality", ok, wit, len(grid))
 
     return {
         "config": {"mu_max": mu_max, "nu_max": nu_max, "seed": seed,
@@ -213,10 +226,16 @@ def cmd_verify(args) -> int:
     if args.mu < 0 or args.nu_max < args.mu:
         print("error: need 0 <= mu <= nu", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    timings: list = []
     report = run_verify_suites(args.mu, args.nu_max, args.seed,
                                psd_tol=args.tol,
-                               corrupt_c_squared=args.corrupt_c2)
+                               corrupt_c_squared=args.corrupt_c2,
+                               timings=timings)
     _emit(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if args.timings:
+        _atomic_write(args.timings, json.dumps(
+            {"version": __version__, "suites": timings},
+            indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report["all_ok"] else EXIT_ASSERTION_FAILED
 
 
@@ -365,6 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--tol", type=float, default=1e-10,
                     help="positive-semidefiniteness tolerance")
     pv.add_argument("--out", default=None)
+    pv.add_argument("--timings", default=None, metavar="FILE",
+                    help="write each suite's case count and elapsed "
+                         "seconds, and the package version, as JSON")
     pv.add_argument("--corrupt-c2", action="store_true",
                     help=argparse.SUPPRESS)   # fault-injection hook
     pv.set_defaults(func=cmd_verify)
@@ -431,15 +453,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG_ERROR
     # every report target is checked before anything runs
     out = getattr(args, "out", None)
+    targets = []
     if out:
-        targets = [out] + ([out + ".summary.json"]
-                           if args.command == "converge" else [])
-        for target in targets:
-            problem = _unwritable(target)
-            if problem:
-                print(f"error: cannot write --out {target}: {problem}",
-                      file=sys.stderr)
-                return EXIT_CONFIG_ERROR
+        targets = [("--out", out)] + ([("--out", out + ".summary.json")]
+                                      if args.command == "converge" else [])
+    if getattr(args, "timings", None):
+        targets.append(("--timings", args.timings))
+    for option, target in targets:
+        problem = _unwritable(target)
+        if problem:
+            print(f"error: cannot write {option} {target}: {problem}",
+                  file=sys.stderr)
+            return EXIT_CONFIG_ERROR
     return args.func(args)
 
 

@@ -2,13 +2,14 @@
 terminating hypergeometric sums.
 
 Every quantity here is a ``fractions.Fraction`` (or a :class:`CRational`
-pair of them); nothing in this module ever rounds.
+pair of them); nothing in this module ever rounds.  :class:`CRational`
+is only the edge type in which exact complex values leave the package:
+the package computes over integer numerators and one denominator.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import Union
 
@@ -35,63 +36,12 @@ class CRational:
             return x
         return CRational(x)
 
-    def conj(self) -> "CRational":
-        return CRational(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def __add__(self, other):
-        o = CRational.of(other)
-        return CRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = CRational.of(other)
-        return CRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return CRational.of(other).__sub__(self)
-
-    def __mul__(self, other):
-        o = CRational.of(other)
-        return CRational(self.re * o.re - self.im * o.im,
-                         self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = CRational.of(other)
-        d = o.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by zero CRational")
-        return CRational((self.re * o.re + self.im * o.im) / d,
-                         (self.im * o.re - self.re * o.im) / d)
-
-    def __rtruediv__(self, other):
-        return CRational.of(other).__truediv__(self)
-
-    def __neg__(self):
-        return CRational(-self.re, -self.im)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
         if isinstance(other, CRational):
             return self.re == other.re and self.im == other.im
         return NotImplemented
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
 
     def __repr__(self):
         return f"CRational({self.re!r}, {self.im!r})"
@@ -115,7 +65,9 @@ def _terminating_sum(nums, dens) -> Fraction:
     nonpositive integers; a denominator parameter -j with j < m divides
     a term with a nonzero numerator by zero.  With each parameter p/q,
     1 + r_0 (1 + r_1 (1 + ... r_{m-1})) over the term ratios r_i is
-    summed by Horner in integers and reduced to one Fraction at the end.
+    summed by Horner in integers, in one pass from i = m-1 down that
+    multiplies out each ratio's factors, and reduced to one Fraction at
+    the end.
     """
     pn = [(v.numerator, v.denominator) for v in nums]
     pd = [(v.numerator, v.denominator) for v in dens]
@@ -125,23 +77,24 @@ def _terminating_sum(nums, dens) -> Fraction:
             f"{len(pn)}F{len(pd)}({', '.join(map(str, nums))}; ...; 1) has "
             "no nonpositive-integer numerator parameter")
     m = min(stops)
+    qn = qd = 1
+    for _, q in pn:
+        qn *= q
     for p, q in pd:
         if q == 1 and -m < p <= 0:
             raise ZeroDivisionError(
                 f"denominator parameter {p} vanishes before the series "
                 f"stops at term {m}")
-    # r_i = qd prod(p + i q over nums) / (qn (i + 1) prod(p + i q over dens)),
-    # each product built over i = 0..m-1 by one list per parameter, whose
-    # factors p + i q are range(p, p + m q, q)
-    ups = [math.prod(q for _, q in pd)] * m
-    for p, q in pn:
-        ups = list(map(operator.mul, ups, range(p, p + m * q, q)))
-    qn = math.prod(q for _, q in pn)
-    downs = range(qn, qn * (m + 1), qn)
-    for p, q in pd:
-        downs = list(map(operator.mul, downs, range(p, p + m * q, q)))
-    top, bot = 1, 1
-    for a, b in zip(reversed(ups), reversed(downs)):
+        qd *= q
+    # r_i = qd prod(p + i q over nums) / (qn (i + 1) prod(p + i q over dens))
+    top = bot = 1
+    for i in range(m - 1, -1, -1):
+        a = qd
+        for p, q in pn:
+            a *= p + i * q
+        b = qn * (i + 1)
+        for p, q in pd:
+            b *= p + i * q
         top, bot = b * bot + a * top, b * bot
     return Fraction(top, bot)
 

@@ -20,11 +20,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import List, Tuple
 
 import numpy as np
 
-from .exactnum import rising_pochhammer
 from .repspace import (
     KernelOperator,
     LevelMismatchError,
@@ -57,10 +57,6 @@ class ChannelSpec:
     def target_level(self) -> int:
         return self.mu + self.nu - 2 * self.k
 
-    @property
-    def tensor_dim(self) -> int:
-        return (self.mu + 1) * (self.nu + 1)
-
     def tensor_index(self, a: int, b: int) -> int:
         return a * (self.nu + 1) + b
 
@@ -78,7 +74,8 @@ def jk_columns(spec: ChannelSpec) -> List[List[Fraction]]:
               [math.perm(a, j) for a in range(mu + 1)],
               [math.perm(b, k - j) for b in range(nu + 1)])
              for j, den in enumerate(dens)]
-    cols = [[Fraction(0)] * (nu + 1) for _ in range(mu + 1)]
+    zero = Fraction(0)
+    cols = [[zero] * (nu + 1) for _ in range(mu + 1)]
     for a in range(mu + 1):
         for b in range(max(0, k - a), min(nu, spec.target_level + k - a) + 1):
             cols[a][b] = Fraction(
@@ -87,12 +84,12 @@ def jk_columns(spec: ChannelSpec) -> List[List[Fraction]]:
 
 
 def c_squared(spec: ChannelSpec) -> Fraction:
-    """Schur constant with J_k J_k* = C^{-2} I on the target space."""
+    """Schur constant with J_k J_k* = C^{-2} I on the target space:
+    (-nu)_k (-mu)_k / (k! (L+2)_k) with L the target level, as one integer
+    ratio nu!/(nu-k)! mu!/(mu-k)! / (k! (L+k+1)!/(L+1)!)."""
     mu, nu, k = spec.mu, spec.nu, spec.k
-    num = rising_pochhammer(-nu, k) * rising_pochhammer(-mu, k)
-    den = Fraction(math.factorial(k)) \
-        * rising_pochhammer(mu + nu - 2 * k + 2, k)
-    return num / den
+    return Fraction(math.perm(nu, k) * math.perm(mu, k),
+                    math.factorial(k) * math.perm(spec.target_level + k + 1, k))
 
 
 def pk_orthogonality_check(mu: int, nu: int) -> dict:
@@ -129,11 +126,12 @@ def pk_orthogonality_check(mu: int, nu: int) -> dict:
 
     specs = [ChannelSpec(mu, nu, k) for k in range(mu + 1)]
     index = specs[0].tensor_index
-    # x_k[a][b] = cols[k][1][index(a, b)] / cols[k][0]; jk_columns is
-    # looked up on the module on every call, so a patched column reaches
-    # the check
-    cols = [_common_denominator(v for row in jk_columns(spec) for v in row)
-            for spec in specs]
+    # x_k[a][b] = cols[k][1][index(a, b)] / cols[k][0]: the integer
+    # columns the channels use.  _jk_integers is looked up on the module
+    # on every call, and builds them from jk_columns looked up the same
+    # way, so a patched column reaches the check through an uncached
+    # _jk_integers
+    cols = [(d, list(chain(*rows))) for d, rows in map(_jk_integers, specs)]
     c2 = [c_squared(spec).as_integer_ratio() for spec in specs]
     grams = [_gram_integers(spec.target_level) for spec in specs]
     weight = [math.comb(mu, a) * math.comb(nu, b)
@@ -185,9 +183,12 @@ def pk_orthogonality_check(mu: int, nu: int) -> dict:
     return report
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=1024)
 def _jk_integers(spec: ChannelSpec) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """The J_k columns over a common denominator, built once per spec."""
+    """The J_k columns over a common denominator, built once per spec.  A
+    verify sweep visits its specs once per suite, in one order, so the
+    cache holds a whole sweep (364 specs at mu = 6, nu = 16): a smaller
+    one would evict each spec before the next suite reads it."""
     n = spec.nu + 1
     d, flat = _common_denominator(v for row in jk_columns(spec) for v in row)
     return d, tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n))

@@ -6,7 +6,9 @@ kernel (1 + z w~)^nu) and carries the standard SU(2) action.  Operators
 are stored by their kernel coefficient matrices, as two integer matrices
 over one denominator: an operator with kernel A(x, y) = sum a_ij x^i y~^j
 acts by integration against the level measure, so the matrix of the
-operator on the monomial basis is ``coeffs @ diag(norms)``.
+operator on the monomial basis is ``coeffs @ diag(norms)``.  The
+isotypic decomposition of the operator space gives each operator its
+spin coordinates, integers over one denominator as well.
 
 Everything in this module is exact; floats appear only in
 :meth:`KernelOperator.complex_matrix` and :func:`to_orthonormal_matrix`.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from itertools import chain
 from typing import List, Sequence, Tuple
@@ -37,6 +40,18 @@ def _gram_integers(level: int) -> Tuple[int, Tuple[int, ...]]:
     binoms = [math.comb(level, i) for i in range(level + 1)]
     big_w = math.lcm(*binoms)
     return big_w, tuple(big_w // c for c in binoms)
+
+
+def _lowest_terms(d: int, *rows):
+    """d and each row of integer rows divided by the gcd of d and every
+    entry, as tuples; most entries of a banded operator are 0, and they
+    take no part in the gcd and need no division."""
+    if d <= 0:
+        raise ValueError(f"denominator must be positive, got {d}")
+    g = math.gcd(d, *filter(None, chain(*chain(*rows))))
+    return (d // g, *(tuple(tuple(row) if g == 1 else
+                            tuple([x // g if x else 0 for x in row])
+                            for row in m) for m in rows))
 
 
 def _common_denominator(values) -> Tuple[int, List[int]]:
@@ -66,28 +81,8 @@ class KernelOperator:
         if len(re) != n or len(im) != n \
                 or any(len(row) != n for row in (*re, *im)):
             raise ValueError(f"coefficient matrices must be {n}x{n}")
-        if d <= 0:
-            raise ValueError(f"denominator must be positive, got {d}")
-        # most entries of a banded operator are 0: they take no part in
-        # the gcd and need no division
-        g = math.gcd(d, *filter(None, chain(*re, *im)))
-        self.level, self.d = level, d // g
-        self.re, self.im = (tuple(tuple(row) if g == 1 else
-                                  tuple([x // g if x else 0 for x in row])
-                                  for row in m) for m in (re, im))
-
-    @classmethod
-    def from_rows(cls, level: int, coeffs: Sequence[Sequence]) \
-            -> "KernelOperator":
-        """The operator whose kernel coefficients are the given scalars."""
-        n = level + 1
-        if len(coeffs) != n or any(len(row) != n for row in coeffs):
-            raise ValueError(f"coefficient matrix must be {n}x{n}")
-        flat = [CRational.of(v) for row in coeffs for v in row]
-        d, ints = _common_denominator([v.re for v in flat]
-                                      + [v.im for v in flat])
-        return cls(level, d, [ints[i:i + n] for i in range(0, n * n, n)],
-                   [ints[i:i + n] for i in range(n * n, 2 * n * n, n)])
+        self.level = level
+        self.d, self.re, self.im = _lowest_terms(d, re, im)
 
     @property
     def coeffs(self) -> List[List[CRational]]:
@@ -250,13 +245,18 @@ class IsotypicDecomposition:
     the invariant (1 + x y~)^D keeps its spin and its corner cells, so it
     maps v at level L to exactly v at level L + D: spin coordinates do not
     depend on the level.
+
+    Every v is kept over one denominator of the level, and every w / (w.v)
+    over another, so the coordinates of an integer kernel are integer dot
+    products over one denominator, and an operator is rebuilt from integer
+    coordinates in integers.
     """
 
     def __init__(self, mu: int):
         self.level = L = mu
         # (m, |d|) -> (dv, v dv, dw, dual dw): v and its dual w / (w.v),
         # each over its common denominator in lowest terms
-        self._rank_one: dict = {}
+        rank_one = {}
         for d in range(L + 1):
             n = L - d + 1
             # w_j = v_j / B_j with B_j = C(L, j+d) C(L, j); h_j = lcm(B) / B_j
@@ -288,63 +288,62 @@ class IsotypicDecomposition:
                 dual = [x * dv * y for x, y in zip(v, h)]
                 dw = sum(x * x * y for x, y in zip(v, h))
                 g = math.gcd(dw, *dual)
-                self._rank_one[(m, d)] = (dv, v, dw // g,
-                                          [x // g for x in dual])
+                rank_one[(m, d)] = (dv, v, dw // g, [x // g for x in dual])
+        # every v over one denominator of the level, and every dual over
+        # another: (m, |d|) -> (v v_den, dual dual_den)
+        self._v_den = math.lcm(*(t[0] for t in rank_one.values()))
+        self._dual_den = math.lcm(*(t[2] for t in rank_one.values()))
+        self._vectors = {
+            key: (tuple([x * (self._v_den // dv) for x in v]),
+                  tuple([x * (self._dual_den // dw) for x in dual]))
+            for key, (dv, v, dw, dual) in rank_one.items()}
 
-    def _diagonal(self, m: int, d: int):
-        """dv, v dv, dw, dual dw and the kernel cells (i, j) of spin m on
-        diagonal d."""
-        dv, v, dw, dual = self._rank_one[(m, abs(d))]
-        return dv, v, dw, dual, [(j + d, j) if d >= 0 else (j, j - d)
-                                 for j in range(len(v))]
-
-    def _row(self, a: KernelOperator, m: int) -> List[CRational]:
-        """The 2m+1 spin-m coordinates c_{m,d} of A, d = -m..m."""
+    def coordinates(self, a: KernelOperator) \
+            -> Tuple[int, List[List[int]], List[List[int]]]:
+        """Spin coordinates of A over one denominator: (den, re, im) with
+        (re[m][m + d] + i im[m][m + d]) / den = c_{m,d}, d = -m..m."""
         if a.level != self.level:
             raise LevelMismatchError(
                 f"expected level {self.level}, got {a.level}")
-        row = []
-        for d in range(-m, m + 1):
-            _, _, dw, dual, cells = self._diagonal(m, d)
-            den = dw * a.d
-            row.append(CRational(
-                Fraction(sum(c * a.re[i][j] for c, (i, j) in zip(dual, cells)),
-                         den),
-                Fraction(sum(c * a.im[i][j] for c, (i, j) in zip(dual, cells)),
-                         den)))
-        return row
+        L = self.level
+        re = [[0] * (2 * m + 1) for m in range(L + 1)]
+        im = [[0] * (2 * m + 1) for m in range(L + 1)]
+        for d in range(-L, L + 1):
+            # diagonal d of the kernel, from its corner cell (d, 0) or (0, -d)
+            r0, c0 = max(d, 0), max(-d, 0)
+            xr = [a.re[r0 + j][c0 + j] for j in range(L + 1 - abs(d))]
+            xi = [a.im[r0 + j][c0 + j] for j in range(L + 1 - abs(d))]
+            if not (any(xr) or any(xi)):
+                continue
+            for m in range(abs(d), L + 1):
+                dual = self._vectors[(m, abs(d))][1]
+                re[m][m + d] = sum(map(operator.mul, dual, xr))
+                im[m][m + d] = sum(map(operator.mul, dual, xi))
+        return self._dual_den * a.d, re, im
 
-    def coordinates(self, a: KernelOperator) -> List[List[CRational]]:
-        """Spin coordinates of A: row m holds c_{m,d} for d = -m..m."""
-        return [self._row(a, m) for m in range(self.level + 1)]
-
-    def operator(self, coords: Sequence[Sequence]) -> KernelOperator:
-        """The operator with the given spin coordinates; rows past the end
-        of ``coords``, and empty rows, are zero components."""
-        terms = []      # (denominator, re, im numerators, v dv, cells)
-        for m, row in enumerate(coords):
-            for d, c in zip(range(-m, m + 1), row):
-                if c:
-                    c = CRational.of(c)
-                    cd, (p, q) = _common_denominator((c.re, c.im))
-                    dv, v, _, _, cells = self._diagonal(m, d)
-                    terms.append((cd * dv, p, q, v, cells))
-        den = math.lcm(1, *(t[0] for t in terms))
+    def operator(self, den: int, re: Sequence[Sequence[int]],
+                 im: Sequence[Sequence[int]]) -> KernelOperator:
+        """The operator with spin coordinates (re + i im) / den, rows as in
+        :meth:`coordinates`; rows past the end, and empty rows, are zero
+        components."""
         n = self.level + 1
-        re = [[0] * n for _ in range(n)]
-        im = [[0] * n for _ in range(n)]
-        for t, p, q, v, cells in terms:
-            p, q = p * (den // t), q * (den // t)
-            for x, (i, j) in zip(v, cells):
-                re[i][j] += p * x
-                im[i][j] += q * x
-        return KernelOperator(self.level, den, re, im)
+        kre = [[0] * n for _ in range(n)]
+        kim = [[0] * n for _ in range(n)]
+        for m, (rr, ri) in enumerate(zip(re, im)):
+            for d, x, y in zip(range(-m, m + 1), rr, ri):
+                if x or y:
+                    r0, c0 = max(d, 0), max(-d, 0)
+                    for j, t in enumerate(self._vectors[(m, abs(d))][0]):
+                        kre[r0 + j][c0 + j] += x * t
+                        kim[r0 + j][c0 + j] += y * t
+        return KernelOperator(self.level, den * self._v_den, kre, kim)
 
     def project(self, m: int, a: KernelOperator) -> KernelOperator:
         """Spectral projector Pi_m applied to A."""
         if not 0 <= m <= self.level:
             raise IndexError(f"component {m} out of range for level {self.level}")
-        return self.operator([[]] * m + [self._row(a, m)])
+        den, re, im = self.coordinates(a)
+        return self.operator(den, [()] * m + [re[m]], [()] * m + [im[m]])
 
 
 def isotypic_projectors(mu: int) -> IsotypicDecomposition:

@@ -3,30 +3,37 @@ operators obtained from channels.
 
 A band-limited function on the projective line is stored as an
 :class:`IsotypicFunction`: a level L and its (L+1)^2 spin coordinates,
-the 2m+1 scalars of each spin-m component.  Its value is N(z, z) /
-(1 + |z|^2)^L, with the kernel N rebuilt from the coordinates only where
-values are needed.  Raising the level multiplies N by a power of
-(1 + |z|^2) and leaves the coordinates as they are (see
+the 2m+1 scalars of each spin-m component, as integers over one
+denominator in lowest terms.  Its value is N(z, z) / (1 + |z|^2)^L,
+with the kernel N rebuilt from the coordinates only where values are
+needed.  Raising the level multiplies N by a power of (1 + |z|^2) and
+leaves the coordinates as they are (see
 :class:`~su2chan.repspace.IsotypicDecomposition`), so functions of any
-levels compare coordinate by coordinate; dense lifting of N is the test
-oracle.  The transforms here scale spin components by exact closed-form
-eigenvalues; quadrature is only an independent cross-check.
+levels are equal when their coordinates are equal after zero padding;
+dense lifting of N is the test oracle.  The transforms here scale spin
+components by exact closed-form eigenvalues, multiplying the integer
+rows by the eigenvalues' numerators over their common denominator; a
+:class:`~su2chan.exactnum.CRational` is built only for
+:func:`integrate_exact`'s result.  Quadrature is only an independent
+cross-check.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from itertools import chain
+from typing import List, Sequence
 
 from .exactnum import CRational, hyp3f2_terminating
 from .intertwine import ChannelSpec, c_squared
 from .repspace import (
     IsotypicDecomposition,
     KernelOperator,
+    _common_denominator,
     _gram_integers,
+    _lowest_terms,
     isotypic_projectors,
 )
 
@@ -39,32 +46,38 @@ class SingularComponentError(ValueError):
     pass
 
 
-def invariant_monomial_integral(a: int, level: int) -> Fraction:
-    """Integral of |z|^(2a) / (1 + |z|^2)^level against the invariant
-    probability measure: a! (level - a)! / (level + 1)!."""
-    if a < 0 or a > level:
-        raise ValueError(f"need 0 <= a <= {level}, got {a}")
-    return Fraction(math.factorial(a) * math.factorial(level - a),
-                    math.factorial(level + 1))
-
-
-@dataclass
 class IsotypicFunction:
-    """Band-limited function in spin coordinates: ``coords[m][m + d]`` is
-    the coordinate of spin m on kernel diagonal d, for |d| <= m <= level."""
+    """Band-limited function in spin coordinates over one denominator: the
+    coordinate of spin m on kernel diagonal d, |d| <= m <= level, is
+    (re[m][m + d] + i im[m][m + d]) / d.  The integers are kept in lowest
+    terms with d > 0, as :class:`~su2chan.repspace.KernelOperator` keeps
+    its kernels, so the zero function has d = 1 and equal functions of one
+    level have equal (level, d, re, im)."""
 
-    level: int
-    coords: List[List[CRational]]
+    __slots__ = ("level", "d", "re", "im")
 
-    def __post_init__(self):
-        if [len(row) for row in self.coords] != \
-                [2 * m + 1 for m in range(self.level + 1)]:
+    def __init__(self, level: int, d: int, re: Sequence[Sequence[int]],
+                 im: Sequence[Sequence[int]]):
+        shape = [2 * m + 1 for m in range(level + 1)]
+        if [len(row) for row in re] != shape \
+                or [len(row) for row in im] != shape:
             raise ValueError(
-                f"expected 2m+1 coordinates for each m = 0..{self.level}")
+                f"expected 2m+1 coordinates for each m = 0..{level}")
+        self.level = level
+        self.d, self.re, self.im = _lowest_terms(d, re, im)
+
+    def __eq__(self, other):
+        if not isinstance(other, IsotypicFunction):
+            return NotImplemented
+        return (self.level, self.d, self.re, self.im) == \
+            (other.level, other.d, other.re, other.im)
+
+    def __repr__(self):
+        return f"IsotypicFunction(level={self.level})"
 
     def numerator(self) -> KernelOperator:
         """The kernel N with f = N(z, z)/(1+|z|^2)^level."""
-        return _projectors(self.level).operator(self.coords)
+        return _projectors(self.level).operator(self.d, self.re, self.im)
 
     @property
     def components(self) -> List[KernelOperator]:
@@ -72,26 +85,32 @@ class IsotypicFunction:
         needs them; the benchmark tracer (perfbench/tracer.py) keys
         channel_output_spectrum calls by them."""
         dec = _projectors(self.level)
-        return [dec.operator([[]] * m + [row])
-                for m, row in enumerate(self.coords)]
+        return [dec.operator(self.d, [()] * m + [rr], [()] * m + [ri])
+                for m, (rr, ri) in enumerate(zip(self.re, self.im))]
 
     def scale(self, v) -> "IsotypicFunction":
         return self.scale_components([v] * (self.level + 1))
 
     def scale_components(self, factors) -> "IsotypicFunction":
+        """Component m times the rational factors[m]: each row times its
+        factor's numerator over the factors' common denominator."""
         if len(factors) != self.level + 1:
             raise ValueError("one factor per component required")
-        return IsotypicFunction(self.level, [
-            [c * v for c in row] for row, v in zip(self.coords, factors)])
+        den, nums = _common_denominator(factors)
+        return IsotypicFunction(self.level, self.d * den, *(
+            [[x * c for x in row] for row, c in zip(rows, nums)]
+            for rows in (self.re, self.im)))
 
 
 def functions_equal(f: IsotypicFunction, g: IsotypicFunction) -> bool:
     """Exact equality as functions (levels may differ).  Coordinates do not
     depend on the level, so the lower-level function is padded with zero
-    coordinates above its band."""
-    low, high = sorted((f.coords, g.coords), key=len)
-    return high[:len(low)] == low \
-        and not any(c for row in high[len(low):] for c in row)
+    coordinates above its band; both are in lowest terms, so the padded
+    forms are equal as tuples."""
+    low, high = sorted((f, g), key=lambda h: h.level)
+    n = low.level + 1
+    return (low.d, low.re, low.im) == (high.d, high.re[:n], high.im[:n]) \
+        and not any(chain(*high.re[n:], *high.im[n:]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,7 +120,7 @@ def _projectors(level: int) -> IsotypicDecomposition:
 
 def symbol(a: KernelOperator) -> IsotypicFunction:
     """The function A(z, z) / (1 + |z|^2)^level in spin coordinates."""
-    return IsotypicFunction(a.level, _projectors(a.level).coordinates(a))
+    return IsotypicFunction(a.level, *_projectors(a.level).coordinates(a))
 
 
 def toeplitz(f: IsotypicFunction, nu: int) -> KernelOperator:
@@ -137,7 +156,7 @@ def integrate_exact(f: IsotypicFunction) -> CRational:
     """Integral of f against the invariant probability measure, exactly:
     the spin-0 part of f is the constant c_{0,0}, and spin m >= 1
     integrates to 0."""
-    return f.coords[0][0]
+    return CRational(Fraction(f.re[0][0], f.d), Fraction(f.im[0][0], f.d))
 
 
 def berezin_eigenvalue(nu: int, m: int) -> Fraction:
@@ -147,15 +166,6 @@ def berezin_eigenvalue(nu: int, m: int) -> Fraction:
     if m > nu:
         return Fraction(0)
     return Fraction(math.perm(nu, m) ** 2, math.perm(nu + m + 1, 2 * m + 1))
-
-
-def berezin_apply(nu: int, f: IsotypicFunction) -> IsotypicFunction:
-    """Scale component m by the Berezin eigenvalue at level nu."""
-    if nu < f.level:
-        raise BandLimitExceededError(
-            f"Berezin level {nu} below band limit {f.level}")
-    return f.scale_components(
-        [berezin_eigenvalue(nu, m) for m in range(f.level + 1)])
 
 
 def inverse_berezin(nu: int, f: IsotypicFunction) -> IsotypicFunction:

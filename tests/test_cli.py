@@ -5,12 +5,14 @@ import csv
 import json
 import os
 import re
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import su2chan
 from su2chan import cli, quadrature
 from su2chan.cli import (
     EXIT_ASSERTION_FAILED,
@@ -86,6 +88,50 @@ class TestVerify:
         assert lhs != rhs
         assert failed[0]["witness"] == {"n": n, "b": b, "c": c,
                                         "lhs": str(lhs), "rhs": str(rhs)}
+
+    def test_timings_sidecar_leaves_report_unchanged(self, tmp_path):
+        argv = ["verify", "--mu", "1", "--nu-max", "3", "--seed", "5"]
+        assert main(argv + ["--out", str(tmp_path / "plain.json")]) == EXIT_OK
+        start = time.perf_counter()
+        assert main(argv + ["--out", str(tmp_path / "timed.json"),
+                            "--timings", str(tmp_path / "t.json")]) == EXIT_OK
+        wall = time.perf_counter() - start
+        report = (tmp_path / "timed.json").read_text()
+        assert report == (tmp_path / "plain.json").read_text()
+        timings = json.loads((tmp_path / "t.json").read_text())
+        assert timings["version"] == su2chan.__version__
+        suites = timings["suites"]
+        assert [t["identity"] for t in suites] == \
+            [r["identity"] for r in json.loads(report)["results"]]
+        assert all(set(t) == {"identity", "cases", "elapsed_s"}
+                   and t["elapsed_s"] >= 0 for t in suites)
+        # each suite's own time: together they fit in the run
+        assert sum(t["elapsed_s"] for t in suites) <= wall
+        # 7 (mu, nu) pairs, 10 (mu, nu, k) specs, 5 random operators each,
+        # 4 moment orders at 2 even levels, 496 (kappa, j)
+        assert [t["cases"] for t in suites[1:]] == [7, 50, 10, 10, 8, 496]
+        assert suites[0]["cases"] > 0
+
+    def test_timings_to_stdout_report(self, tmp_path, capsys):
+        argv = ["verify", "--mu", "0", "--nu-max", "1"]
+        assert main(argv) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main(argv + ["--timings", str(tmp_path / "t.json")]) == EXIT_OK
+        assert capsys.readouterr().out == plain
+        assert (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("target", ["missing/t.json", "."])
+    def test_unwritable_timings_is_config_error(self, tmp_path, capsys,
+                                                monkeypatch, target):
+        monkeypatch.setattr(cli, "run_verify_suites", _must_not_run)
+        code = main(["verify", "--mu", "0", "--nu-max", "0",
+                     "--out", str(tmp_path / "r.json"),
+                     "--timings", str(tmp_path / target)])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --timings")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
 
     def test_bad_range_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "verify", "--mu", "3", "--nu-max", "1")

@@ -12,14 +12,81 @@ from hypothesis import strategies as st
 from su2chan.exactnum import (
     CRational,
     NonTerminatingError,
+    _terminating_sum,
     hyp2f1_terminating,
     hyp3f2_terminating,
     rising_pochhammer,
 )
 
+
+class CQ(CRational):
+    """A CRational with field arithmetic: the scalar of the test oracles.
+    The package computes over integer numerators and keeps CRational, with
+    no arithmetic, as the type in which exact complex values leave it."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def of(x) -> "CQ":
+        if isinstance(x, CQ):
+            return x
+        if isinstance(x, CRational):
+            return CQ(x.re, x.im)
+        return CQ(x)
+
+    def conj(self):
+        return CQ(self.re, -self.im)
+
+    def abs2(self):
+        return self.re * self.re + self.im * self.im
+
+    def __add__(self, other):
+        o = CQ.of(other)
+        return CQ(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = CQ.of(other)
+        return CQ(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        return CQ.of(other) - self
+
+    def __mul__(self, other):
+        o = CQ.of(other)
+        return CQ(self.re * o.re - self.im * o.im,
+                  self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = CQ.of(other)
+        d = o.abs2()
+        if d == 0:
+            raise ZeroDivisionError("division by zero CQ")
+        return CQ((self.re * o.re + self.im * o.im) / d,
+                  (self.im * o.re - self.re * o.im) / d)
+
+    def __rtruediv__(self, other):
+        return CQ.of(other) / self
+
+    def __neg__(self):
+        return CQ(-self.re, -self.im)
+
+    def __hash__(self):
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
 rationals = st.builds(
     Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**3))
-crationals = st.builds(CRational, rationals, rationals)
+crationals = st.builds(CQ, rationals, rationals)
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +107,27 @@ def fraction_2f1(n, b, c):
             total += num / den
         num *= Fraction(-n + i) * (b + i) / (i + 1)
         den *= c + i
+    return total
+
+
+def fraction_pfq(nums, dens):
+    """pFq(nums; dens; 1) term by term, for any numbers of parameters:
+    it stops after the first nonpositive-integer numerator parameter."""
+    nums, dens = [Fraction(a) for a in nums], [Fraction(b) for b in dens]
+    stops = [int(-a) for a in nums if a <= 0 and a.denominator == 1]
+    if not stops:
+        raise NonTerminatingError("no terminating numerator parameter")
+    total = Fraction(0)
+    num = Fraction(1)    # prod (a)_i / i!
+    den = Fraction(1)    # prod (b)_i
+    for i in range(min(stops) + 1):
+        if den == 0:
+            if num != 0:
+                raise ZeroDivisionError(f"pFq: denominator vanished at i={i}")
+        else:
+            total += num / den
+        num *= math.prod(a + i for a in nums) / (i + 1)
+        den *= math.prod(b + i for b in dens)
     return total
 
 
@@ -93,11 +181,12 @@ def falling_pochhammer(a, n):
 
 
 def outcome(fn, *args):
-    """The value of fn(*args), or ZeroDivisionError if it raises one."""
+    """The value of fn(*args), or the type of the ZeroDivisionError or
+    NonTerminatingError it raises."""
     try:
         return fn(*args)
-    except ZeroDivisionError:
-        return ZeroDivisionError
+    except (ZeroDivisionError, NonTerminatingError) as exc:
+        return type(exc)
 
 
 def fraction_product(a, n, step):
@@ -278,7 +367,41 @@ class TestKernelAgainstFractionOracle:
         assert hyp2f1_terminating(5, -2, -3) == fraction_2f1(5, -2, -3) == 1
 
 
+class TestTerminatingSumKernel:
+    """_terminating_sum, the one kernel under 2F1 and 3F2 (compared with
+    the series through them in TestKernelAgainstFractionOracle), against
+    the term-by-term series for any number of parameters p/q, with q != 1
+    among both the numerator and the denominator parameters."""
+
+    def test_more_parameters_and_values_are_fractions(self):
+        # 4F3: the kernel takes any number of parameters
+        for nums, dens in [((-3, Fraction(1, 2), Fraction(2, 3), 5),
+                            (Fraction(7, 4), Fraction(-1, 3), 2)),
+                           ((Fraction(1, 2), -6, -2, Fraction(9, 5)),
+                            (Fraction(3, 2), Fraction(3, 2), -7))]:
+            got = _terminating_sum(nums, dens)
+            assert type(got) is Fraction
+            assert got == fraction_pfq(nums, dens)
+
+    def test_same_errors_as_the_series(self):
+        cases = [
+            # no nonpositive-integer numerator parameter
+            ((Fraction(1, 2), Fraction(-3, 2)), (Fraction(5, 4),)),
+            ((Fraction(-1, 2), 3, Fraction(4, 3)), (2, Fraction(1, 3))),
+            # a denominator -j with j below the stop divides by zero
+            ((-4, Fraction(1, 2)), (-2,)),
+            ((-5, Fraction(2, 3), Fraction(-7, 3)), (Fraction(1, 2), 0)),
+        ]
+        for nums, dens in cases:
+            want = outcome(fraction_pfq, nums, dens)
+            assert want in (NonTerminatingError, ZeroDivisionError)
+            with pytest.raises(want):
+                _terminating_sum(nums, dens)
+
+
 class TestCRational:
+    """CRational compares with plain scalars and prints as "re+imj"; the
+    field operations are the oracle scalar CQ's."""
 
     @given(crationals, crationals)
     @settings(max_examples=100, deadline=None)
@@ -296,7 +419,7 @@ class TestCRational:
         assert (x * x.conj()).im == 0
 
     def test_mixed_scalar_arithmetic(self):
-        z = CRational(Fraction(1, 2), Fraction(3, 4))
+        z = CQ(Fraction(1, 2), Fraction(3, 4))
         assert z + 1 == CRational(Fraction(3, 2), Fraction(3, 4))
         assert 2 * z == CRational(1, Fraction(3, 2))
         assert z - Fraction(1, 2) == CRational(0, Fraction(3, 4))
@@ -306,3 +429,5 @@ class TestCRational:
         assert CRational(3, 0) == 3
         assert CRational(Fraction(1, 3), 0) == Fraction(1, 3)
         assert CRational(0, 1) != 1
+        assert CRational(Fraction(1, 2), -3) == CQ(Fraction(1, 2), -3)
+        assert str(CRational(Fraction(-1, 2), 3)) == "-1/2+3j"

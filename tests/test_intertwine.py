@@ -7,10 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2chan.exactnum import (
-    CRational,
-    rising_pochhammer,
-)
+from su2chan.exactnum import rising_pochhammer
 from su2chan import intertwine
 from su2chan.intertwine import (
     ChannelSpec,
@@ -26,13 +23,12 @@ from su2chan.intertwine import (
 )
 from su2chan.quadrature import random_operator, random_psd_trace_one
 from su2chan.repspace import (
-    KernelOperator,
     operator_trace,
     reproducing_identity_operator,
     to_orthonormal_matrix,
 )
-from test_exactnum import binomial, falling_pochhammer
-from test_repspace import gram_diagonal
+from test_exactnum import CQ, binomial, falling_pochhammer
+from test_repspace import coeff_rows, gram_diagonal, kernel_from_rows
 
 RNG_SEED = 777
 
@@ -43,10 +39,23 @@ RNG_SEED = 777
 # monkeypatched fault reaches both), and multiply them out entry by entry.
 # ---------------------------------------------------------------------------
 
+def tensor_dim(spec):
+    return (spec.mu + 1) * (spec.nu + 1)
+
+
+def pochhammer_c_squared(spec):
+    """The Schur constant (-nu)_k (-mu)_k / (k! (L+2)_k), L the target
+    level, from Pochhammer Fractions (k! as the falling (k)_k)."""
+    mu, nu, k = spec.mu, spec.nu, spec.k
+    return Fraction(rising_pochhammer(-nu, k) * rising_pochhammer(-mu, k),
+                    falling_pochhammer(k, k)
+                    * rising_pochhammer(spec.target_level + 2, k))
+
+
 def dense_jk_matrix(spec):
     """J_k as a (target_dim) x (tensor_dim) matrix; column (a, b) has its
     single nonzero in row a + b - k."""
-    m = [[Fraction(0)] * spec.tensor_dim
+    m = [[Fraction(0)] * tensor_dim(spec)
          for _ in range(spec.target_level + 1)]
     for a, row in enumerate(intertwine.jk_columns(spec)):
         for b, v in enumerate(row):
@@ -157,8 +166,8 @@ def dense_apply_channel(spec, a):
     jk = dense_jk_matrix(spec)
     adj = dense_jk_adjoint(spec)
     c2 = c_squared(spec)
-    coeffs = a.coeffs
-    out = [[CRational(0) for _ in range(out_level + 1)]
+    coeffs = coeff_rows(a)
+    out = [[CQ(0) for _ in range(out_level + 1)]
            for _ in range(out_level + 1)]
     for c in range(out_level + 1):
         # (A (x) I) J* applied to xi^c, as a sparse tensor coefficient map
@@ -172,7 +181,7 @@ def dense_apply_channel(spec, a):
                 for i in range(mu + 1):
                     if coeffs[i][a_idx]:
                         key = (i, b_idx)
-                        cur = tensor_col.get(key, CRational(0))
+                        cur = tensor_col.get(key, CQ(0))
                         tensor_col[key] = cur + coeffs[i][a_idx] * w
         # apply J_k
         for (i, b_idx), v in tensor_col.items():
@@ -182,7 +191,7 @@ def dense_apply_channel(spec, a):
                 if jv:
                     out[r][c] = out[r][c] + v * jv * c2
     # operator matrix -> kernel coefficients
-    return KernelOperator.from_rows(out_level, [
+    return kernel_from_rows(out_level, [
         [out[i][c] / go[c] for c in range(out_level + 1)]
         for i in range(out_level + 1)])
 
@@ -212,7 +221,7 @@ class TestSpec:
     def test_valid_spec(self):
         s = ChannelSpec(2, 5, 1)
         assert s.target_level == 5
-        assert s.tensor_dim == 18
+        assert tensor_dim(s) == 18
 
     @pytest.mark.parametrize("mu,nu,k", [(3, 2, 0), (2, 5, 3), (2, 5, -1),
                                          (-1, 3, 0)])
@@ -242,15 +251,14 @@ class TestIntertwiner:
                     assert adj[spec.tensor_index(a, b)][0] == expected
 
     def test_schur_constant_closed_form(self):
-        for mu in range(0, 4):
-            for nu in range(mu, 7):
+        # the Pochhammer form is the oracle for c_squared's integer ratio
+        for mu in range(41):
+            for nu in range(mu, 41):
                 for k in range(mu + 1):
                     spec = ChannelSpec(mu, nu, k)
-                    expected = Fraction(
-                        rising_pochhammer(-nu, k) * rising_pochhammer(-mu, k),
-                        falling_pochhammer(k, k)
-                        * rising_pochhammer(mu + nu - 2 * k + 2, k))
-                    assert c_squared(spec) == expected
+                    got = c_squared(spec)
+                    assert type(got) is Fraction
+                    assert got == pochhammer_c_squared(spec), spec
 
     def test_schur_scalar_and_orthogonality_sweep(self):
         # the total-degree check against the dense products; mu = 0,
@@ -323,6 +331,10 @@ class TestIntertwiner:
             return cols
 
         monkeypatch.setattr(intertwine, "jk_columns", faulty)
+        # the check reads the cached integer columns; uncached, they are
+        # rebuilt from the faulty ones, and the cache stays clean
+        monkeypatch.setattr(intertwine, "_jk_integers",
+                            intertwine._jk_integers.__wrapped__)
         rep = pk_orthogonality_check(mu, nu)
         assert not rep["ok"]
         assert rep["witness"] is not None
@@ -466,13 +478,13 @@ class TestChoi:
                         dtype=complex)
         for i in range(mu + 1):
             for j in range(mu + 1):
-                unit = KernelOperator.from_rows(mu, [
+                unit = kernel_from_rows(mu, [
                     [int((r, c) == (i, j)) for c in range(mu + 1)]
                     for r in range(mu + 1)])
                 img = dense_apply_channel(spec, unit).scale(
                     normalization_factor(spec))
                 c = np.array([[complex(v) if v else 0j for v in row]
-                              for row in img.coeffs])
+                              for row in coeff_rows(img)])
                 choi[i * out_dim:(i + 1) * out_dim,
                      j * out_dim:(j + 1) * out_dim] = \
                     c * np.outer(s, s) / np.sqrt(float(gm[i] * gm[j]))

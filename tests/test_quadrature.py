@@ -8,7 +8,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2chan.exactnum import CRational
 from su2chan.intertwine import ChannelSpec
 from su2chan.quadrature import (
     _fund_bound,
@@ -30,14 +29,16 @@ from su2chan.quadrature import (
     trace_functional,
     trace_moment,
 )
-from su2chan.repspace import KernelOperator, operator_trace
+from su2chan.repspace import operator_trace
 from su2chan.symbolcalc import (
     e_limit_apply,
+    functions_equal,
     integrate_exact,
-    invariant_monomial_integral,
     symbol,
 )
-from test_exactnum import binomial
+from test_exactnum import CQ, binomial
+from test_repspace import coeff_rows, kernel_from_rows
+from test_symbolcalc import berezin_apply, invariant_monomial_integral
 
 RNG_SEED = 9001
 
@@ -91,17 +92,18 @@ def integrate_invariant(f, grid):
 
 def crational_random_operator(mu, rng, span=3):
     """random_operator as it drew before it built the integer form: one
-    CRational of two Fractions per entry, through from_rows."""
+    complex rational of two Fractions per entry, over their common
+    denominator."""
     def entry():
-        return CRational(Fraction(rng.randint(-span, span), rng.randint(1, 2)),
-                         Fraction(rng.randint(-span, span), rng.randint(1, 2)))
-    return KernelOperator.from_rows(
+        return CQ(Fraction(rng.randint(-span, span), rng.randint(1, 2)),
+                  Fraction(rng.randint(-span, span), rng.randint(1, 2)))
+    return kernel_from_rows(
         mu, [[entry() for _ in range(mu + 1)] for _ in range(mu + 1)])
 
 
 def _evaluate(f, z):
     """Pointwise oracle: the numerator kernel of f summed term by term."""
-    n = f.numerator().coeffs
+    n = coeff_rows(f.numerator())
     return sum(complex(v) * z ** i * z.conjugate() ** j
                for i, row in enumerate(n) for j, v in enumerate(row)) \
         / (1 + abs(z) ** 2) ** f.level
@@ -145,7 +147,7 @@ class TestGrid:
         a = random_operator(2, rng)
         grid = QuadratureGrid.for_degree(8)
         num = complex(np.sum(grid.weights * symbol_values(a, grid.points)))
-        assert abs(num - complex(integrate_exact(symbol(a)))) < 1e-12
+        assert abs(num - complex(CQ.of(integrate_exact(symbol(a))))) < 1e-12
 
 
 class TestRandomStates:
@@ -162,7 +164,6 @@ class TestRandomStates:
     def test_band_limited_state_round_trip(self):
         rng = random.Random(RNG_SEED)
         a, f = random_band_limited_state(2, rng)
-        from su2chan.symbolcalc import berezin_apply, functions_equal
         assert functions_equal(berezin_apply(2, f), symbol(a))
 
     def test_random_operator_matches_crational_oracle(self):

@@ -1,6 +1,7 @@
 """Tests for the polynomial representation spaces, kernel operators,
 group action, and isotypic decomposition of the operator algebra."""
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from su2chan.repspace import (
     to_orthonormal_matrix,
 )
 
-from test_exactnum import binomial
+from test_exactnum import CQ, binomial
 
 RNG_SEED = 1234
 
@@ -67,20 +68,44 @@ def inner_product(space, f, g):
         raise ValueError(
             f"coefficient vectors must have length {space.dim}, "
             f"got {len(f)} and {len(g)}")
-    out = CRational(0)
+    out = CQ(0)
     for i in range(space.dim):
-        out = out + CRational.of(f[i]) * CRational.of(g[i]).conj() \
+        out = out + CQ.of(f[i]) * CQ.of(g[i]).conj() \
             * monomial_norm_sq(space, i)
     return out
 
 
+def kernel_from_rows(level, coeffs):
+    """The operator whose kernel coefficients are the given scalars, over
+    their common denominator."""
+    n = level + 1
+    if len(coeffs) != n or any(len(row) != n for row in coeffs):
+        raise ValueError(f"coefficient matrix must be {n}x{n}")
+    flat = [CQ.of(v) for row in coeffs for v in row]
+    d, ints = _common_denominator([v.re for v in flat]
+                                  + [v.im for v in flat])
+    return KernelOperator(level, d, [ints[i:i + n] for i in range(0, n * n, n)],
+                          [ints[i:i + n] for i in range(n * n, 2 * n * n, n)])
+
+
+def coeff_rows(a):
+    """The kernel coefficients of a as CQ rows."""
+    return [[CQ.of(v) for v in row] for row in a.coeffs]
+
+
+def coordinate_rows(den, re, im):
+    """Integer spin coordinates over den as CQ rows."""
+    return [[CQ(Fraction(x, den), Fraction(y, den)) for x, y in zip(rr, ri)]
+            for rr, ri in zip(re, im)]
+
+
 def rank_one(level, f, g):
     """The operator f (x) g~ with kernel f(x) g(y)~."""
-    fv = [CRational.of(v) for v in f]
-    gv = [CRational.of(v) for v in g]
-    return KernelOperator.from_rows(level, [[fv[i] * gv[j].conj()
-                                             for j in range(level + 1)]
-                                            for i in range(level + 1)])
+    fv = [CQ.of(v) for v in f]
+    gv = [CQ.of(v) for v in g]
+    return kernel_from_rows(level, [[fv[i] * gv[j].conj()
+                                     for j in range(level + 1)]
+                                    for i in range(level + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +145,7 @@ def casimir_on_operators(mu):
 
     def comm(x, m):
         # [x, m] summed over the few nonzero generator entries x[p][q]
-        out = [[CRational(0)] * n for _ in range(n)]
+        out = [[CQ(0)] * n for _ in range(n)]
         for p in range(n):
             for q in range(n):
                 if x[p][q]:
@@ -131,11 +156,12 @@ def casimir_on_operators(mu):
 
     def cas(a):
         assert a.level == mu
-        m = [[v * gram[j] for j, v in enumerate(row)] for row in a.coeffs]
+        m = [[v * gram[j] for j, v in enumerate(row)]
+             for row in coeff_rows(a)]
         ef = comm(e, comm(f, m))
         fe = comm(f, comm(e, m))
         hh = comm(h, comm(h, m))
-        return KernelOperator.from_rows(mu, [
+        return kernel_from_rows(mu, [
             [((ef[i][j] + fe[i][j]) * Fraction(1, 2)
               + hh[i][j] * Fraction(1, 4)) / gram[j] for j in range(n)]
             for i in range(n)])
@@ -155,8 +181,8 @@ class NotUnitaryInputError(ValueError):
 class GroupElement:
     """Rational point (a, b) of SU(2): |a|^2 + |b|^2 = 1 exactly."""
 
-    a: CRational
-    b: CRational
+    a: CQ
+    b: CQ
 
     def __post_init__(self):
         if self.a.abs2() + self.b.abs2() != 1:
@@ -165,7 +191,7 @@ class GroupElement:
 
 
 def _poly_mul(p, q):
-    out = [CRational(0)] * (len(p) + len(q) - 1)
+    out = [CQ(0)] * (len(p) + len(q) - 1)
     for i, pv in enumerate(p):
         if not pv:
             continue
@@ -176,14 +202,14 @@ def _poly_mul(p, q):
 
 
 def _poly_pow(p, n):
-    out = [CRational(1)]
+    out = [CQ(1)]
     for _ in range(n):
         out = _poly_mul(out, p)
     return out
 
 
 def _dense_matmul(x, y):
-    return [[sum((xi[t] * y[t][j] for t in range(len(y))), CRational(0))
+    return [[sum((xi[t] * y[t][j] for t in range(len(y))), CQ(0))
              for j in range(len(y[0]))] for xi in x]
 
 
@@ -200,7 +226,7 @@ def group_action_matrix(space, g):
         p = _poly_pow([g.b, g.a], j)
         q = _poly_pow([g.a.conj(), -g.b.conj()], nu - j)
         col = _poly_mul(p, q)
-        col += [CRational(0)] * (nu + 1 - len(col))
+        col += [CQ(0)] * (nu + 1 - len(col))
         cols.append(col[:nu + 1])
     return [[cols[j][i] for j in range(nu + 1)] for i in range(nu + 1)]
 
@@ -212,17 +238,17 @@ def conjugate_operator(a, g):
     gram = gram_diagonal(nu)
     n = nu + 1
     # operator matrix of A on monomials
-    op = [[v * gram[j] for j, v in enumerate(row)] for row in a.coeffs]
+    op = [[v * gram[j] for j, v in enumerate(row)] for row in coeff_rows(a)]
     # m_inv = G^{-1} m^H G  (unitarity w.r.t. the Gram form)
     m_inv = [[m[j][i].conj() * gram[j] / gram[i] for j in range(n)]
              for i in range(n)]
     prod = _dense_matmul(_dense_matmul(m, op), m_inv)
     coeffs = [[prod[i][j] / gram[j] for j in range(n)] for i in range(n)]
-    return KernelOperator.from_rows(nu, coeffs)
+    return kernel_from_rows(nu, coeffs)
 
 
 # ---------------------------------------------------------------------------
-# Operations only the tests need, over the CRational coefficient rows
+# Operations only the tests need, over the CQ coefficient rows
 # ---------------------------------------------------------------------------
 
 def apply(a, vec):
@@ -230,25 +256,25 @@ def apply(a, vec):
     if len(vec) != a.dim:
         raise ValueError(f"expected vector of length {a.dim}")
     g = gram_diagonal(a.level)
-    coeffs = a.coeffs
-    return [sum((coeffs[i][j] * g[j] * CRational.of(vec[j])
-                 for j in range(a.dim)), CRational(0))
+    coeffs = coeff_rows(a)
+    return [sum((coeffs[i][j] * g[j] * CQ.of(vec[j])
+                 for j in range(a.dim)), CQ(0))
             for i in range(a.dim)]
 
 
 def from_json_dict(d):
     level = int(d["level"])
     n = level + 1
-    flat = [CRational(Fraction(v["re"]), Fraction(v["im"]))
+    flat = [CQ(Fraction(v["re"]), Fraction(v["im"]))
             for v in d["coeffs"]]
     if len(flat) != n * n:
         raise ValueError("coefficient array has wrong length")
-    return KernelOperator.from_rows(
+    return kernel_from_rows(
         level, [flat[i * n:(i + 1) * n] for i in range(n)])
 
 
 def is_zero(a):
-    return all(not v for row in a.coeffs for v in row)
+    return all(not v for row in coeff_rows(a) for v in row)
 
 
 def fraction_rank_one_vectors(L, m, e):
@@ -268,21 +294,41 @@ def fraction_rank_one_vectors(L, m, e):
     return v, [x / norm for x in w]
 
 
+@functools.lru_cache(maxsize=None)
 def fraction_rank_one(L):
-    """IsotypicDecomposition._rank_one from the Fraction vectors, each
-    over its common denominator."""
+    """(m, e) -> (dv, v dv, dw, dual dw) from the Fraction vectors, each
+    over its own common denominator: the form IsotypicDecomposition kept
+    them in before it put them over one denominator per level."""
     return {(m, e): (*_common_denominator(v), *_common_denominator(dual))
             for e in range(L + 1) for m in range(e, L + 1)
             for v, dual in [fraction_rank_one_vectors(L, m, e)]}
 
 
+def fraction_level_vectors(L):
+    """IsotypicDecomposition's (_v_den, _dual_den, _vectors) from the
+    Fraction vectors: every v over the lcm of the denominators of all
+    their entries, and every dual over that of theirs."""
+    keys = [(m, e) for e in range(L + 1) for m in range(e, L + 1)]
+    pairs = [fraction_rank_one_vectors(L, m, e) for m, e in keys]
+    out = []
+    for side in (0, 1):
+        den, ints = _common_denominator([x for p in pairs for x in p[side]])
+        rows, start = [], 0
+        for p in pairs:
+            rows.append(tuple(ints[start:start + len(p[side])]))
+            start += len(p[side])
+        out.append((den, rows))
+    (v_den, vs), (dual_den, duals) = out
+    return v_den, dual_den, dict(zip(keys, zip(vs, duals)))
+
+
 def fraction_dual_coordinates(a):
     """Spin coordinates c_{m,d} = w.A / (w.v) with the dual-Hahn vector v
     and its dual w as Fraction vectors, summed in Fractions over the
-    CRational coefficient rows: the form coordinates had before the duals
-    were kept over common integer denominators."""
+    CQ coefficient rows: the form coordinates had before the duals were
+    kept over common integer denominators."""
     L = a.level
-    coeffs = a.coeffs
+    coeffs = coeff_rows(a)
     out = []
     for m in range(L + 1):
         row = []
@@ -291,14 +337,34 @@ def fraction_dual_coordinates(a):
             cells = [(j + d, j) if d >= 0 else (j, j - d)
                      for j in range(len(v))]
             row.append(sum((coeffs[i][j] * x
-                            for x, (i, j) in zip(dual, cells)), CRational(0)))
+                            for x, (i, j) in zip(dual, cells)), CQ(0)))
         out.append(row)
     return out
 
 
+def crational_coordinates(a):
+    """Spin coordinates as IsotypicDecomposition built them before they
+    were integers over one denominator: per (m, d) the dual over its own
+    denominator, and one CRational of two Fractions per coordinate."""
+    rank_one = fraction_rank_one(a.level)
+    rows = []
+    for m in range(a.level + 1):
+        row = []
+        for d in range(-m, m + 1):
+            _, _, dw, dual = rank_one[(m, abs(d))]
+            cells = [(j + d, j) if d >= 0 else (j, j - d)
+                     for j in range(len(dual))]
+            den = dw * a.d
+            row.append(CQ(*(Fraction(sum(c * x[i][j]
+                                         for c, (i, j) in zip(dual, cells)),
+                                     den) for x in (a.re, a.im))))
+        rows.append(row)
+    return rows
+
+
 def random_poly(rng, deg):
-    return [CRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                      Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    return [CQ(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+               Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
             for _ in range(deg + 1)]
 
 
@@ -328,12 +394,12 @@ class TestInnerProduct:
         for nu in (1, 3, 5):
             space = PolySpaceParams(nu)
             f = random_poly(rng, nu)
-            w = CRational(Fraction(2, 3), Fraction(-1, 4))
-            wp = [CRational(1)]
+            w = CQ(Fraction(2, 3), Fraction(-1, 4))
+            wp = [CQ(1)]
             for _ in range(nu):
                 wp.append(wp[-1] * w)
             kw = [binomial(nu, j) * wp[j].conj() for j in range(nu + 1)]
-            fw = sum((f[j] * wp[j] for j in range(nu + 1)), CRational(0))
+            fw = sum((f[j] * wp[j] for j in range(nu + 1)), CQ(0))
             assert inner_product(space, f, kw) == fw
 
     def test_gram_diagonal(self):
@@ -404,7 +470,7 @@ class TestKernelOperator:
         rng = random.Random(RNG_SEED)
         a, b = random_operator(4, rng), random_operator(4, rng)
         ma, mb = to_orthonormal_matrix(a), to_orthonormal_matrix(b)
-        assert abs(np.trace(ma) - complex(operator_trace(a))) < 1e-12
+        assert abs(np.trace(ma) - complex(CQ.of(operator_trace(a)))) < 1e-12
         mab = to_orthonormal_matrix(compose(a, b))
         assert np.max(np.abs(mab - ma @ mb)) < 1e-12
 
@@ -415,7 +481,7 @@ class TestKernelOperator:
 
     def test_one_form_over_any_common_denominator(self):
         # the same coefficients over d and over 6d are one operator, kept
-        # in lowest terms, and the CRational rows give it back
+        # in lowest terms, and its coefficient rows give it back
         rng = random.Random(RNG_SEED)
         for mu in range(5):
             a = random_operator(mu, rng)
@@ -425,7 +491,7 @@ class TestKernelOperator:
                                [[6 * y for y in row] for row in a.im])
             assert b == a
             assert (b.d, b.re, b.im) == (a.d, a.re, a.im)
-            assert KernelOperator.from_rows(mu, b.coeffs) == a
+            assert kernel_from_rows(mu, b.coeffs) == a
             assert b.coeffs == a.coeffs
 
     def test_zero_has_denominator_one(self):
@@ -447,13 +513,12 @@ class TestKernelOperator:
 
 class TestGroupAction:
 
-    G = GroupElement(CRational(Fraction(3, 5)), CRational(Fraction(4, 5)))
-    H = GroupElement(CRational(Fraction(5, 13), Fraction(12, 13)),
-                     CRational(0))
+    G = GroupElement(CQ(Fraction(3, 5)), CQ(Fraction(4, 5)))
+    H = GroupElement(CQ(Fraction(5, 13), Fraction(12, 13)), CQ(0))
 
     def test_non_unitary_rejected(self):
         with pytest.raises(NotUnitaryInputError):
-            GroupElement(CRational(1), CRational(1))
+            GroupElement(CQ(1), CQ(1))
 
     def test_action_is_unitary(self):
         for nu in (1, 2, 4):
@@ -464,7 +529,7 @@ class TestGroupAction:
             for p in range(n):
                 for q in range(n):
                     s = sum((m[i][p].conj() * g[i] * m[i][q]
-                             for i in range(n)), CRational(0))
+                             for i in range(n)), CQ(0))
                     assert s == (g[p] if p == q else 0)
 
     def test_conjugation_preserves_trace(self):
@@ -544,16 +609,19 @@ class TestIsotypicProjectors:
         for mu in range(7):
             dec = isotypic_projectors(mu)
             a = random_operator(mu, rng)
-            assert dec.operator(dec.coordinates(a)) == a
-            coords = [[CRational(rng.randint(-3, 3), rng.randint(-3, 3))
-                       for _ in range(2 * m + 1)] for m in range(mu + 1)]
-            assert dec.coordinates(dec.operator(coords)) == coords
+            assert dec.operator(*dec.coordinates(a)) == a
+            den = rng.randint(1, 6)
+            re, im = ([[rng.randint(-3, 3) for _ in range(2 * m + 1)]
+                       for m in range(mu + 1)] for _ in range(2))
+            assert coordinate_rows(*dec.coordinates(
+                dec.operator(den, re, im))) == coordinate_rows(den, re, im)
 
     def test_fraction_free_recurrence_matches_fraction_oracle(self):
-        # the stored (dv, v dv, dw, dual dw) tuples, bit for bit
+        # the stored integer vectors and their two denominators, bit for bit
         for mu in range(21):
-            assert IsotypicDecomposition(mu)._rank_one == \
-                fraction_rank_one(mu), mu
+            dec = IsotypicDecomposition(mu)
+            assert (dec._v_den, dec._dual_den, dec._vectors) == \
+                fraction_level_vectors(mu), mu
 
     def test_coordinates_match_fraction_dual_oracle(self):
         rng = random.Random(RNG_SEED)
@@ -561,10 +629,11 @@ class TestIsotypicProjectors:
             dec = isotypic_projectors(mu)
             for _ in range(2):
                 a = random_operator(mu, rng)
-                assert dec.coordinates(a) == fraction_dual_coordinates(a)
+                assert coordinate_rows(*dec.coordinates(a)) == \
+                    fraction_dual_coordinates(a)
 
     def test_equivariance_under_group_conjugation(self):
-        g = GroupElement(CRational(Fraction(3, 5)), CRational(Fraction(4, 5)))
+        g = GroupElement(CQ(Fraction(3, 5)), CQ(Fraction(4, 5)))
         rng = random.Random(RNG_SEED)
         mu = 3
         dec = isotypic_projectors(mu)

@@ -1,16 +1,14 @@
 """Tests for the symbol/Toeplitz calculus, the smoothing transform and
 its eigenvalues, and the induced function-level channel operator."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from su2chan.exactnum import (
-    CRational,
-    hyp3f2_terminating,
-)
+from su2chan.exactnum import CRational, hyp3f2_terminating
 from su2chan.intertwine import ChannelSpec, apply_channel, c_squared
 from su2chan.quadrature import (
     QuadratureGrid,
@@ -19,7 +17,7 @@ from su2chan.quadrature import (
     random_band_limited_state,
 )
 from su2chan.repspace import (
-    KernelOperator,
+    _common_denominator,
     compose,
     operator_trace,
     reproducing_identity_operator,
@@ -28,7 +26,6 @@ from su2chan.symbolcalc import (
     BandLimitExceededError,
     IsotypicFunction,
     SingularComponentError,
-    berezin_apply,
     berezin_eigenvalue,
     e_eigenvalue_3f2,
     e_limit_apply,
@@ -37,20 +34,60 @@ from su2chan.symbolcalc import (
     e_nu_eigenvalue,
     functions_equal,
     integrate_exact,
-    invariant_monomial_integral,
     inverse_berezin,
     symbol,
     toeplitz,
 )
-from test_exactnum import binomial, factorial
+from test_exactnum import CQ, binomial, factorial
+from test_repspace import (
+    coeff_rows,
+    coordinate_rows,
+    crational_coordinates,
+    kernel_from_rows,
+)
 
 RNG_SEED = 4242
 
 
+def function_from_coords(level, coords):
+    """The IsotypicFunction with the given scalar spin coordinates, rows
+    m = 0..level of 2m+1, over their common denominator."""
+    flat = [CQ.of(c) for row in coords for c in row]
+    d, ints = _common_denominator([c.re for c in flat]
+                                  + [c.im for c in flat])
+    starts = [m * m for m in range(level + 2)]
+    return IsotypicFunction(level, d, *(
+        [ints[off + a:off + b] for a, b in zip(starts, starts[1:])]
+        for off in (0, len(flat))))
+
+
+def coords_of(f):
+    """The spin coordinates of f as CQ rows."""
+    return coordinate_rows(f.d, f.re, f.im)
+
+
 def constant_function(level, value):
     # (1 + x y~)^level is spin 0 with coordinate 1
-    return IsotypicFunction(level, [[CRational.of(value)]] + [
-        [CRational(0)] * (2 * m + 1) for m in range(1, level + 1)])
+    return function_from_coords(level, [[value]] + [
+        [0] * (2 * m + 1) for m in range(1, level + 1)])
+
+
+def invariant_monomial_integral(a, level):
+    """Integral of |z|^(2a) / (1 + |z|^2)^level against the invariant
+    probability measure: a! (level - a)! / (level + 1)!."""
+    if a < 0 or a > level:
+        raise ValueError(f"need 0 <= a <= {level}, got {a}")
+    return Fraction(math.factorial(a) * math.factorial(level - a),
+                    math.factorial(level + 1))
+
+
+def berezin_apply(nu, f):
+    """Scale component m by the Berezin eigenvalue at level nu."""
+    if nu < f.level:
+        raise BandLimitExceededError(
+            f"Berezin level {nu} below band limit {f.level}")
+    return f.scale_components(
+        [berezin_eigenvalue(nu, m) for m in range(f.level + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +189,9 @@ class TestSymbolToeplitz:
         for mu in range(5):
             a = random_operator(mu, rng)
             f = symbol(a)
-            assert integrate_exact(f) == operator_trace(a) / Fraction(mu + 1)
-            n = f.numerator().coeffs
+            assert integrate_exact(f) == \
+                CQ.of(operator_trace(a)) / Fraction(mu + 1)
+            n = coeff_rows(f.numerator())
             assert integrate_exact(f) == sum(
                 n[i][i] * invariant_monomial_integral(i, mu)
                 for i in range(mu + 1))
@@ -167,7 +205,7 @@ class TestSymbolToeplitz:
         t = toeplitz(f, nu)
         lhs = operator_trace(compose(t, a.adjoint()))
         prod_vals = _pointwise_integral(f, symbol(a.adjoint()), nu)
-        assert abs(complex(lhs) - prod_vals) < 1e-10
+        assert abs(complex(CQ.of(lhs)) - prod_vals) < 1e-10
 
     def test_symbol_respects_adjoint(self):
         rng = random.Random(RNG_SEED)
@@ -238,9 +276,9 @@ class TestBerezin:
 def _lift_constant_with_top_component(g):
     # put mass on the top isotypic component so a lower-level inverse
     # must reject it
-    coords = [list(row) for row in g.coords]
+    coords = coords_of(g)
     coords[-1][-1] = coords[-1][-1] + 1
-    return IsotypicFunction(g.level, coords)
+    return function_from_coords(g.level, coords)
 
 
 def component_numerator_at_level(f, m, level):
@@ -250,8 +288,8 @@ def component_numerator_at_level(f, m, level):
         raise BandLimitExceededError(
             f"cannot lower level {f.level} to {level}")
     d = level - f.level
-    src = f.components[m].coeffs if m <= f.level else None
-    out = [[CRational(0) for _ in range(level + 1)]
+    src = coeff_rows(f.components[m]) if m <= f.level else None
+    out = [[CQ(0) for _ in range(level + 1)]
            for _ in range(level + 1)]
     if src is None:
         return out
@@ -275,17 +313,17 @@ def dense_functions_equal(f, g):
 
 def _lifted(f, level):
     # the same function written as a kernel at a higher level
-    num = [[CRational(0)] * (level + 1) for _ in range(level + 1)]
+    num = [[CQ(0)] * (level + 1) for _ in range(level + 1)]
     for m in range(f.level + 1):
         part = component_numerator_at_level(f, m, level)
         num = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(num, part)]
-    return symbol(KernelOperator.from_rows(level, num))
+    return symbol(kernel_from_rows(level, num))
 
 
 def _bumped(f, m, d):
-    coords = [list(row) for row in f.coords]
-    coords[m][m + d] = coords[m][m + d] + CRational(Fraction(1, 3), 1)
-    return IsotypicFunction(f.level, coords)
+    coords = coords_of(f)
+    coords[m][m + d] = coords[m][m + d] + CQ(Fraction(1, 3), 1)
+    return function_from_coords(f.level, coords)
 
 
 def _assert_equality_agrees(f, g, expected):
@@ -305,6 +343,9 @@ class TestFunctionsEqual:
                 _assert_equality_agrees(f, g, True)
                 _assert_equality_agrees(
                     f, symbol(random_operator(level, rng)), False)
+                # the same numerators over another denominator
+                for c in (2, Fraction(1, 2)):
+                    _assert_equality_agrees(f, g.scale(c), False)
                 m = rng.randint(0, mu)
                 _assert_equality_agrees(
                     f, _bumped(g, m, rng.randint(-m, m)), False)
@@ -449,3 +490,97 @@ class TestLimitEigenvalues:
                      lambda: e_nu_eigenvalue(spec, -1)):
             with pytest.raises(ValueError):
                 call()
+
+
+def crational_scale_components(coords, factors):
+    """scale_components as it ran on CRational coordinates: each
+    coordinate times its component's factor."""
+    return [[c * v for c in row] for row, v in zip(coords, factors)]
+
+
+def assert_lowest_terms(f):
+    assert f.d > 0
+    assert math.gcd(f.d, *(x for row in f.re + f.im for x in row)) == 1
+    assert all(type(row) is tuple for row in f.re + f.im)
+
+
+class TestIntegerCoordinatesAgainstCRationalRoute:
+    """The integer coordinates over one denominator equal the CRational
+    route they replaced: one CRational per coordinate, summed over each
+    (m, d)'s own dual denominator, and scaled coordinate by coordinate."""
+
+    def test_random_operators_every_level_to_20(self):
+        rng = random.Random(RNG_SEED)
+        for level in range(21):
+            for _ in range(2):
+                a = random_operator(level, rng)
+                f = symbol(a)
+                assert_lowest_terms(f)
+                assert coords_of(f) == crational_coordinates(a), level
+                assert f.numerator() == a
+
+    def test_zero_operator(self):
+        for level in range(21):
+            zero = reproducing_identity_operator(level).scale(0)
+            f = symbol(zero)
+            assert (f.d, f.re, f.im) == (1, *(
+                tuple((0,) * (2 * m + 1) for m in range(level + 1)),) * 2)
+            assert coords_of(f) == crational_coordinates(zero)
+            assert functions_equal(f, constant_function(0, 0))
+            assert integrate_exact(f) == 0
+
+    def test_scale_components_matches_coordinatewise_products(self):
+        rng = random.Random(RNG_SEED)
+        for level in range(0, 21, 4):
+            f = symbol(random_operator(level, rng))
+            factors = [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                       for _ in range(level + 1)]
+            g = f.scale_components(factors)
+            assert_lowest_terms(g)
+            assert coords_of(g) == crational_scale_components(coords_of(f),
+                                                              factors)
+
+    # mu = 0, nu = mu, and output levels L = mu + nu - 2k below mu
+    @pytest.mark.parametrize("mu,nu,k", [
+        (0, 0, 0), (0, 9, 0), (1, 1, 1), (3, 3, 0), (3, 3, 2), (3, 4, 3),
+        (6, 6, 5), (6, 14, 6), (8, 12, 4)])
+    def test_channel_outputs_at_edge_levels(self, mu, nu, k):
+        rng = random.Random(RNG_SEED + 100 * mu + 10 * nu + k)
+        spec = ChannelSpec(mu, nu, k)
+        a = random_operator(mu, rng)
+        out = apply_channel(spec, a)
+        rhs = symbol(out)
+        assert coords_of(rhs) == crational_coordinates(out)
+        # the Berezin-sum side, scaled coordinate by coordinate
+        coords = crational_scale_components(
+            crational_coordinates(a),
+            [1 / berezin_eigenvalue(mu, m) for m in range(mu + 1)])
+        coords = crational_scale_components(
+            coords, [e_nu_eigenvalue(spec, m) for m in range(mu + 1)])
+        lhs = e_nu_apply(spec, inverse_berezin(mu, symbol(a)))
+        assert_lowest_terms(lhs)
+        assert coords_of(lhs) == coords
+        assert functions_equal(lhs, rhs)
+
+
+def test_integer_paths_build_no_crational(monkeypatch):
+    # the Berezin-sum identity at level 10 runs in integers: CRational is
+    # only built where a value leaves the package
+    rng = random.Random(RNG_SEED)
+    spec = ChannelSpec(10, 13, 4)
+    a = random_operator(10, rng)
+    out = apply_channel(spec, a)
+    built = []
+    real = CRational.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(CRational, "__init__", counting)
+    f = inverse_berezin(10, symbol(a))
+    assert functions_equal(e_nu_apply(spec, f), symbol(out))
+    assert built == []
+    # the counter sees a construction
+    integrate_exact(f)
+    assert len(built) == 1
