@@ -27,7 +27,6 @@ from .intertwine import (
     apply_normalized_channel,
     c_squared,
     channel_report,
-    choi_matrix,
     choi_min_eigenvalue,
     normalization_factor,
     pk_orthogonality_check,

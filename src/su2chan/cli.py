@@ -184,7 +184,7 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
         mn = choi_min_eigenvalue(spec)
         if mn < -psd_tol:
             ok, wit = False, {"mu": spec.mu, "nu": spec.nu, "k": spec.k,
-                              "min_eigenvalue": mn}
+                              "min_eigenvalue": str(mn)}
     record("choi_positive", ok, wit, len(specs))
 
     # Berezin-sum identity for the channel-induced function operator
@@ -337,10 +337,7 @@ def cmd_channel_dump(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    rng = random.Random(args.seed)
-    ops = [reproducing_identity_operator(spec.mu)] \
-        + [random_operator(spec.mu, rng) for _ in range(3)]
-    report = channel_report(spec, ops)
+    report = channel_report(spec)
     report["identity_image"] = apply_normalized_channel(
         spec, reproducing_identity_operator(spec.mu)).to_json_dict()
     _emit(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -416,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--mu", type=int, required=True)
     pd.add_argument("--nu", dest="nu_single", type=int, required=True)
     pd.add_argument("--k", type=int, required=True)
-    pd.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pd.add_argument("--out", default=None)
     pd.set_defaults(func=cmd_channel_dump)
     return p
@@ -458,6 +454,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         targets = [("--out", out)] + ([("--out", out + ".summary.json")]
                                       if args.command == "converge" else [])
     if getattr(args, "timings", None):
+        # the sidecar, written last, would replace a report in its file
+        if out and os.path.realpath(out) == os.path.realpath(args.timings):
+            print(f"error: --out and --timings name the same file {out}",
+                  file=sys.stderr)
+            return EXIT_CONFIG_ERROR
         targets.append(("--timings", args.timings))
     for option, target in targets:
         problem = _unwritable(target)

@@ -12,6 +12,9 @@ the differential-operator form
 J_k is kept only in this one-nonzero-per-column form (:func:`jk_columns`);
 the channel kernel and the orthogonality check work from the columns by
 total degree a + b, and the Gram forms enter only through adjoints.
+The same columns give each channel's Kraus form as one table of exact
+weights (:func:`_kraus_weights`), from which trace preservation and the
+Choi spectrum (complete positivity) are read as exact rationals.
 """
 
 from __future__ import annotations
@@ -23,15 +26,11 @@ from fractions import Fraction
 from itertools import chain
 from typing import List, Tuple
 
-import numpy as np
-
 from .repspace import (
     KernelOperator,
     LevelMismatchError,
     _common_denominator,
     _gram_integers,
-    _orthonormal_scale,
-    operator_trace,
 )
 
 
@@ -245,58 +244,53 @@ def apply_normalized_channel(spec: ChannelSpec,
     return _channel(spec, a, c_squared(spec) * normalization_factor(spec))
 
 
-def choi_matrix(spec: ChannelSpec) -> np.ndarray:
-    """Choi matrix of the normalized channel in orthonormal bases.
+def _kraus_weights(spec: ChannelSpec) -> List[List[Fraction]]:
+    """The normalized channel in Kraus form, as exact non-negative weights.
 
-    Entry [(i, a), (j, b)] equals <e_a, That(E_ij) e_b> with E_ij the
-    orthonormal matrix units at level mu.  Positive semidefiniteness of
-    this hermitian matrix certifies complete positivity.
+    With s = c^2 (mu+1)/(L+1), :func:`_channel` is the Kraus sum
+    T(A) = sum_b s C(nu, b) K_b A K_b^T, where K_b sends z^i to
+    J(i, b) xi^(i+b-k).  In orthonormal bases the weight of e_i in K_b is
 
-    With p/q the scalar of the normalized channel, the kernel unit E_ij
-    has one image entry p C(nu, b) J(i, b) J(j, b) / q at (c + i - j, c),
-    b = c + k - j, in each column c (the :func:`_channel` sum with
-    A = E_ij), so each block is read from the columns and scaled to
-    orthonormal bases in floats.
+        x[i][b] = s C(nu, b) J(i, b)^2 C(mu, i) / C(L, i+b-k),
+
+    zero where i + b - k lies outside 0..L.  Row i sums to the trace of
+    the image of the unit E_ii; the images of the units E_ij, i != j, are
+    traceless, so rows summing to 1 is trace preservation for every A.
+    After a permutation the Choi matrix is a direct sum of rank-one
+    blocks, one for each b, and column b sums to the one nonzero
+    eigenvalue of block b.
     """
-    mu, nu, k = spec.mu, spec.nu, spec.k
-    out_dim = spec.target_level + 1
-    n_in = mu + 1
+    mu, nu, k, L = spec.mu, spec.nu, spec.k, spec.target_level
     dj, jint = _jk_integers(spec)
     scalar = c_squared(spec) * normalization_factor(spec)
-    q = scalar.denominator * dj * dj
-    weight = [scalar.numerator * math.comb(nu, b) for b in range(nu + 1)]
-    s = _orthonormal_scale(spec.target_level)
-    ss = np.outer(s, s)
-    choi = np.zeros((n_in * out_dim, n_in * out_dim), dtype=complex)
-    for i in range(n_in):
-        for j in range(n_in):
-            block = np.zeros((out_dim, out_dim), dtype=complex)
-            for c in range(max(0, j - k), min(out_dim, nu + j - k + 1)):
-                b, r = c + k - j, c + i - j
-                if 0 <= r < out_dim:
-                    block[r, c] = weight[b] * jint[i][b] * jint[j][b] / q
-            # E_ij in kernel form is 1 / sqrt(g_i g_j) at (i, j)
-            choi[i * out_dim:(i + 1) * out_dim,
-                 j * out_dim:(j + 1) * out_dim] = block * ss / np.sqrt(
-                     1 / (math.comb(mu, i) * math.comb(mu, j)))
-    return choi
+    p, q = scalar.numerator, scalar.denominator * dj * dj
+    x = [[Fraction(0)] * (nu + 1) for _ in range(mu + 1)]
+    for i in range(mu + 1):
+        for b in range(max(0, k - i), min(nu, L + k - i) + 1):
+            x[i][b] = Fraction(
+                p * math.comb(nu, b) * jint[i][b] ** 2 * math.comb(mu, i),
+                q * math.comb(L, i + b - k))
+    return x
 
 
-def choi_min_eigenvalue(spec: ChannelSpec) -> float:
-    return float(np.linalg.eigvalsh(choi_matrix(spec)).min())
+def choi_min_eigenvalue(spec: ChannelSpec) -> Fraction:
+    """The least eigenvalue of the normalized channel's Choi matrix,
+    exactly: the least column sum of :func:`_kraus_weights`, or 0 when
+    the Choi matrix, of order (mu+1)(L+1), has more eigenvalues than the
+    nu + 1 that its blocks' column sums give."""
+    sums = [sum(col) for col in zip(*_kraus_weights(spec))]
+    if (spec.mu + 1) * (spec.target_level + 1) > spec.nu + 1:
+        sums.append(Fraction(0))
+    return min(sums)
 
 
-def channel_report(spec: ChannelSpec, operators: List[KernelOperator]) -> dict:
-    """JSON-ready structural report for one channel spec."""
-    trace_ok = True
-    for a in operators:
-        if operator_trace(apply_normalized_channel(spec, a)) \
-                != operator_trace(a):
-            trace_ok = False
-            break
+def channel_report(spec: ChannelSpec) -> dict:
+    """JSON-ready structural report for one channel spec; the minimum Choi
+    eigenvalue is an exact "p/q"."""
     return {
         "spec": {"mu": spec.mu, "nu": spec.nu, "k": spec.k},
         "c_squared": str(c_squared(spec)),
-        "trace_preserving": trace_ok,
-        "choi_min_eigenvalue": choi_min_eigenvalue(spec),
+        "trace_preserving": all(sum(row) == 1
+                                for row in _kraus_weights(spec)),
+        "choi_min_eigenvalue": str(choi_min_eigenvalue(spec)),
     }

@@ -186,14 +186,10 @@ def to_orthonormal_matrix(a: KernelOperator) -> np.ndarray:
     M[i][j] = a_ij sqrt(g_i g_j); hermitian iff the operator is
     self-adjoint, and its eigenvalues are the operator's spectrum.
     """
-    s = _orthonormal_scale(a.level)
+    # sqrt(g_i) in floats; 1 / C rounds correctly
+    s = np.sqrt(np.array([1 / math.comb(a.level, i)
+                          for i in range(a.level + 1)]))
     return a.complex_matrix() * np.outer(s, s)
-
-
-def _orthonormal_scale(level: int) -> np.ndarray:
-    """sqrt(g_i) in floats; 1 / C rounds correctly."""
-    return np.sqrt(np.array([1 / math.comb(level, i)
-                             for i in range(level + 1)]))
 
 
 def _matmul(a, b):

@@ -111,7 +111,7 @@ class TestAcceptance:
                     if mn < -1e-10:
                         ok, detail = False, f"choi {mu},{nu},{k}: {mn}"
         report(3, "channels trace-preserving and completely positive", ok,
-               detail or f"min Choi eigenvalue {worst:.2e}")
+               detail or f"min Choi eigenvalue {float(worst):.2e}")
 
     def test_04_berezin_eigenvalues(self):
         # oracle: quadrature of the smoothing integral on one generator

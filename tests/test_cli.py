@@ -133,6 +133,19 @@ class TestVerify:
         assert err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("timings", ["r.json", "./r.json"])
+    def test_timings_on_the_report_is_config_error(self, tmp_path, capsys,
+                                                   monkeypatch, timings):
+        # the sidecar would silently replace the report
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_verify_suites", _must_not_run)
+        code = main(["verify", "--mu", "0", "--nu-max", "0",
+                     "--out", "r.json", "--timings", timings])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     def test_bad_range_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "verify", "--mu", "3", "--nu-max", "1")
         assert code == EXIT_CONFIG_ERROR
@@ -423,13 +436,21 @@ class TestChannelDump:
         assert code == EXIT_OK
         report = json.loads(out.read_text())
         assert report["trace_preserving"]
-        assert report["choi_min_eigenvalue"] > -1e-10
+        assert Fraction(report["choi_min_eigenvalue"]) >= 0
         assert report["identity_image"]["level"] == 4
 
     def test_invalid_spec_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "channel-dump", "--mu", "4",
                       "--nu", "2", "--k", "0")
         assert code == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("mu,nu,k,want", [(3, 6, 2, "0"), (1, 1, 0, "0"),
+                                              (0, 0, 0, "1")])
+    def test_min_eigenvalue_is_exact(self, tmp_path, mu, nu, k, want):
+        code, out = run(tmp_path, "channel-dump", "--mu", str(mu),
+                        "--nu", str(nu), "--k", str(k))
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["choi_min_eigenvalue"] == want
 
 
 # ---------------------------------------------------------------------------

@@ -43,3 +43,34 @@ def test_checker_finds_an_unused_import():
                          ids=[f"{p.parent.name}/{p.name}" for p in FILES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Floats enter only for eigensolves and quadrature: the exact layers and
+# the CLI import no numpy
+EXACT_FILES = ["exactnum.py", "intertwine.py", "symbolcalc.py", "cli.py"]
+
+
+def numpy_imports(source: str):
+    """Line of every absolute import of numpy or one of its modules."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_finds_a_numpy_import():
+    source = ("import os, numpy.linalg as la\nfrom numpy import sqrt\n"
+              "from .numpy import x\nimport numpyish\n")
+    assert numpy_imports(source) == [1, 2]
+
+
+@pytest.mark.parametrize("name", EXACT_FILES)
+def test_exact_layer_imports_no_numpy(name):
+    assert numpy_imports((ROOT / "src" / "su2chan" / name).read_text()) == []

@@ -1,13 +1,14 @@
 """Tests for the component intertwiners, the Schur constant, and the
 induced quantum channels."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from su2chan.exactnum import rising_pochhammer
+from su2chan.exactnum import CRational, rising_pochhammer
 from su2chan import intertwine
 from su2chan.intertwine import (
     ChannelSpec,
@@ -15,7 +16,7 @@ from su2chan.intertwine import (
     apply_channel,
     apply_normalized_channel,
     c_squared,
-    choi_matrix,
+    channel_report,
     choi_min_eigenvalue,
     jk_columns,
     normalization_factor,
@@ -431,7 +432,7 @@ class TestBandedKernel:
         monkeypatch.setattr(intertwine, "jk_columns", counting)
         rng = random.Random(RNG_SEED)
         spec = ChannelSpec(3, 5, 1)
-        choi_matrix(spec)
+        choi_min_eigenvalue(spec)
         for _ in range(5):
             apply_normalized_channel(spec, random_nonhermitian(3, rng))
         assert calls == [spec]
@@ -458,18 +459,18 @@ class TestChoi:
                                          (3, 6, 1)])
     def test_choi_positive_and_trace_consistent(self, mu, nu, k):
         spec = ChannelSpec(mu, nu, k)
-        choi = choi_matrix(spec)
+        choi = self.dense_choi_matrix(spec)
         assert np.max(np.abs(choi - choi.conj().T)) < 1e-12
-        assert choi_min_eigenvalue(spec) > -1e-10
+        assert choi_min_eigenvalue(spec) >= 0
+        assert channel_report(spec)["trace_preserving"]
         pt = choi_partial_trace_output(choi, spec)
         assert np.max(np.abs(pt - np.eye(mu + 1))) < 1e-10
 
     @staticmethod
     def dense_choi_matrix(spec):
-        """The Choi matrix from each orthonormal unit's image through the
-        dense channel, turned to floats entry by entry with
-        float(Fraction), with choi_matrix's float operations in the same
-        order."""
+        """The Choi matrix of the normalized channel in orthonormal bases,
+        from each orthonormal unit's image through the dense channel,
+        turned to floats entry by entry with float(Fraction)."""
         mu = spec.mu
         out_dim = spec.target_level + 1
         gm, go = gram_diagonal(mu), gram_diagonal(spec.target_level)
@@ -495,7 +496,38 @@ class TestChoi:
     @pytest.mark.parametrize("mu,nu,k", [
         (mu, nu, k) for mu in range(4) for nu in range(mu, 8)
         for k in range(mu + 1)])
-    def test_choi_bit_identical_to_dense_unit_images(self, mu, nu, k):
+    def test_choi_spectrum_is_kraus_column_sums(self, mu, nu, k):
+        # one eigenvalue per rank-one block b, and zeros for the rest
         spec = ChannelSpec(mu, nu, k)
-        assert choi_matrix(spec).tobytes() == \
-            self.dense_choi_matrix(spec).tobytes()
+        weights = intertwine._kraus_weights(spec)
+        assert all(v >= 0 for row in weights for v in row)
+        assert all(sum(row) == 1 for row in weights)
+        exact = sorted([sum(col) for col in zip(*weights)] + [Fraction(0)] * (
+            (mu + 1) * (spec.target_level + 1) - (nu + 1)))
+        got = np.linalg.eigvalsh(self.dense_choi_matrix(spec))
+        assert np.max(np.abs(got - [float(v) for v in exact])) < 1e-12
+        lowest = choi_min_eigenvalue(spec)
+        assert type(lowest) is Fraction and lowest == exact[0]
+
+    def test_rows_give_the_trace_of_every_operator(self):
+        # Tr T(A) = sum_i (row i) A_ii g_i, with A_ii g_i the diagonal of
+        # A in orthonormal bases and g_i = 1/C(mu, i)
+        rng = random.Random(RNG_SEED)
+        for mu in range(0, 4):
+            for nu in range(mu, 12):
+                for k in range(mu + 1):
+                    spec = ChannelSpec(mu, nu, k)
+                    rows = [sum(row) for row in intertwine._kraus_weights(spec)]
+                    a = random_nonhermitian(mu, rng)
+                    want = [sum(r * Fraction(m[i][i], a.d * math.comb(mu, i))
+                                for i, r in enumerate(rows))
+                            for m in (a.re, a.im)]
+                    assert operator_trace(apply_normalized_channel(spec, a)) \
+                        == CRational(*want), (mu, nu, k)
+
+    def test_exact_at_output_levels_past_float_range(self):
+        # C(L, L/2) passes the float maximum at L = 1030; the exact form
+        # never leaves the integers
+        spec = ChannelSpec(1, 1100, 0)
+        assert choi_min_eigenvalue(spec) == Fraction(0)
+        assert channel_report(spec)["trace_preserving"] is True
