@@ -44,7 +44,8 @@ from .quadrature import (
     trace_functional,
     trace_moment,
 )
-from .repspace import operator_trace, reproducing_identity_operator
+from .repspace import (_trace_integers, operator_trace,
+                       reproducing_identity_operator)
 from .symbolcalc import (
     berezin_eigenvalue,
     e_eigenvalue_3f2,
@@ -162,7 +163,7 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
             ok, wit = False, rep["witness"]
     record("schur_orthogonality_completeness", ok, wit, len(levels))
 
-    # trace preservation (with optional fault injection)
+    # trace preservation (with optional fault injection), crosswise
     ok, wit = True, None
     for spec in specs:
         for _ in range(N_RANDOM):
@@ -171,7 +172,8 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
             if corrupt_c_squared:
                 # the channel is linear in c^2
                 ta = ta.scale(Fraction(3, 2))
-            if operator_trace(ta) != operator_trace(a):
+            (da, ra, ia), (dt, rt, it) = map(_trace_integers, (a, ta))
+            if ra * dt != rt * da or ia * dt != it * da:
                 ok, wit = False, {
                     "mu": spec.mu, "nu": spec.nu, "k": spec.k,
                     "trace_in": str(operator_trace(a)),
@@ -288,9 +290,8 @@ def cmd_converge(args) -> int:
     if args.mu < 0 or args.k < 0 or args.k > args.mu:
         print("error: need 0 <= k <= mu", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    nus = [10, 20, 40, 80] if args.nu is None else args.nu
-    if len(nus) < 2 or nus[0] < args.mu \
-            or any(a >= b for a, b in zip(nus, nus[1:])):
+    if len(args.nu) < 2 or args.nu[0] < args.mu \
+            or any(a >= b for a, b in zip(args.nu, args.nu[1:])):
         print("error: --nu needs two or more strictly increasing levels, "
               "each >= mu", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -305,18 +306,18 @@ def cmd_converge(args) -> int:
     _, f = random_band_limited_state(args.mu, rng)
     # one spectrum per level, shared by every moment order and by phi
     spectra = [channel_output_spectrum(ChannelSpec(args.mu, nu, args.k), f)
-               for nu in nus]
-    records = [ConvergenceRecord(args.mu, args.k, nus, f"n={n}",
+               for nu in args.nu]
+    records = [ConvergenceRecord(args.mu, args.k, args.nu, f"n={n}",
                                  [trace_moment(lam, n) for lam in spectra],
                                  limit_moment(args.mu, args.k, f, n), args.tol)
                for n in args.n]
     if args.phi:
         records.append(ConvergenceRecord(
-            args.mu, args.k, nus, f"phi=deg{len(args.phi) - 1}",
+            args.mu, args.k, args.nu, f"phi=deg{len(args.phi) - 1}",
             [trace_functional(lam, args.phi) for lam in spectra],
             limit_functional(args.mu, args.k, f, args.phi), args.tol))
     summary = {
-        "config": {"mu": args.mu, "k": args.k, "nu": nus, "n": args.n,
+        "config": {"mu": args.mu, "k": args.k, "nu": args.nu, "n": args.n,
                    "phi": args.phi, "seed": args.seed},
         "records": [r.to_row() for r in records],
         "all_converged": all(r.converged for r in records),
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("converge", help="trace-limit convergence runs")
     pc.add_argument("--mu", type=int, required=True)
     pc.add_argument("--k", type=int, required=True)
-    pc.add_argument("--nu", type=_int_list, default=None,
+    pc.add_argument("--nu", type=_int_list, default=[10, 20, 40, 80],
                     help="comma list of levels, default 10,20,40,80")
     pc.add_argument("--n", type=_int_list, default=[1, 2, 3, 4],
                     help="comma list of moment orders")
@@ -441,8 +442,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else 0
     phi, tol = getattr(args, "phi", None), getattr(args, "tol", 0.0)
-    if phi is not None and not (phi and all(map(math.isfinite, phi))):
-        print("error: --phi needs finite coefficients", file=sys.stderr)
+    # |phi| <= sum |c_i| on [0, 1]; a functional adds <= mu + max nu + 1 values
+    if phi is not None and not (phi and math.isfinite(
+            sum(map(abs, phi)) * (args.mu + max(args.nu, default=0) + 1))):
+        print("error: --phi coefficients too large or not finite",
+              file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if not (math.isfinite(tol) and tol >= 0):
         print("error: --tol must be finite and >= 0", file=sys.stderr)

@@ -9,9 +9,11 @@ the differential-operator form
     J_k = (-1)^k sum_j (-1)^j C(k,j) [(-mu)_j (-nu)_{k-j}]^{-1}
           d_z^j d_w^{k-j}  evaluated at z = w = xi.
 
-J_k is kept only in this one-nonzero-per-column form (:func:`jk_columns`);
-the channel kernel and the orthogonality check work from the columns by
-total degree a + b, and the Gram forms enter only through adjoints.
+J_k is kept only in this one-nonzero-per-column form, as integers over
+one denominator (:func:`_jk_integers`); the channel kernel and the
+orthogonality check work from the columns by total degree a + b, and
+the Gram forms enter only through adjoints.  A channel output is
+banded, |r - c| <= mu, and is written diagonal by diagonal.
 The same columns give each channel's Kraus form as one table of exact
 weights (:func:`_kraus_weights`), from which trace preservation and the
 Choi spectrum (complete positivity) are read as exact rationals.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -29,8 +32,8 @@ from typing import List, Tuple
 from .repspace import (
     KernelOperator,
     LevelMismatchError,
-    _common_denominator,
     _gram_integers,
+    _lowest_terms,
 )
 
 
@@ -58,28 +61,6 @@ class ChannelSpec:
 
     def tensor_index(self, a: int, b: int) -> int:
         return a * (self.nu + 1) + b
-
-
-def jk_columns(spec: ChannelSpec) -> List[List[Fraction]]:
-    """Column coefficients: J_k(z^a w^b) = cols[a][b] xi^(a + b - k), with
-    cols[a][b] = 0 where a + b - k lies outside the target level.  All
-    columns share the weights of the k + 1 differential-operator terms;
-    (-mu)_j (-nu)_{k-j} = (-1)^k mu!/(mu-j)! nu!/(nu-k+j)! is nonzero, so
-    over the lcm d of those products each column is an integer sum."""
-    mu, nu, k = spec.mu, spec.nu, spec.k
-    dens = [math.perm(mu, j) * math.perm(nu, k - j) for j in range(k + 1)]
-    d = math.lcm(*dens)
-    terms = [((-1) ** j * math.comb(k, j) * (d // den),
-              [math.perm(a, j) for a in range(mu + 1)],
-              [math.perm(b, k - j) for b in range(nu + 1)])
-             for j, den in enumerate(dens)]
-    zero = Fraction(0)
-    cols = [[zero] * (nu + 1) for _ in range(mu + 1)]
-    for a in range(mu + 1):
-        for b in range(max(0, k - a), min(nu, spec.target_level + k - a) + 1):
-            cols[a][b] = Fraction(
-                sum(w * fa[a] * fb[b] for w, fa, fb in terms), d)
-    return cols
 
 
 def c_squared(spec: ChannelSpec) -> Fraction:
@@ -125,11 +106,8 @@ def pk_orthogonality_check(mu: int, nu: int) -> dict:
 
     specs = [ChannelSpec(mu, nu, k) for k in range(mu + 1)]
     index = specs[0].tensor_index
-    # x_k[a][b] = cols[k][1][index(a, b)] / cols[k][0]: the integer
-    # columns the channels use.  _jk_integers is looked up on the module
-    # on every call, and builds them from jk_columns looked up the same
-    # way, so a patched column reaches the check through an uncached
-    # _jk_integers
+    # x_k[a][b] = cols[k][1][index(a, b)] / cols[k][0], the channels' integer
+    # columns, looked up on the module so that a patched table reaches here
     cols = [(d, list(chain(*rows))) for d, rows in map(_jk_integers, specs)]
     c2 = [c_squared(spec).as_integer_ratio() for spec in specs]
     grams = [_gram_integers(spec.target_level) for spec in specs]
@@ -184,49 +162,69 @@ def pk_orthogonality_check(mu: int, nu: int) -> dict:
 
 @functools.lru_cache(maxsize=1024)
 def _jk_integers(spec: ChannelSpec) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """The J_k columns over a common denominator, built once per spec.  A
-    verify sweep visits its specs once per suite, in one order, so the
-    cache holds a whole sweep (364 specs at mu = 6, nu = 16): a smaller
-    one would evict each spec before the next suite reads it."""
-    n = spec.nu + 1
-    d, flat = _common_denominator(v for row in jk_columns(spec) for v in row)
-    return d, tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n))
+    """Column coefficients (d, rows): J_k(z^a w^b) = rows[a][b] / d
+    xi^(a + b - k), 0 where a + b - k is outside the target level.  The
+    k + 1 differential-operator terms have the nonzero denominators
+    (-mu)_j (-nu)_{k-j} = (-1)^k mu!/(mu-j)! nu!/(nu-k+j)!, so each column
+    is an integer sum over their lcm; one gcd reduces the table.  The
+    cache holds a whole verify sweep (364 specs at mu = 6, nu = 16), which
+    reads each spec once per suite: a smaller one would evict them all."""
+    mu, nu, k = spec.mu, spec.nu, spec.k
+    dens = [math.perm(mu, j) * math.perm(nu, k - j) for j in range(k + 1)]
+    d = math.lcm(*dens)
+    terms = [((-1) ** j * math.comb(k, j) * (d // den),
+              [math.perm(a, j) for a in range(mu + 1)],
+              [math.perm(b, k - j) for b in range(nu + 1)])
+             for j, den in enumerate(dens)]
+    rows = [[0] * (nu + 1) for _ in range(mu + 1)]
+    for a in range(mu + 1):
+        for b in range(max(0, k - a), min(nu, spec.target_level + k - a) + 1):
+            rows[a][b] = sum(w * fa[a] * fb[b] for w, fa, fb in terms)
+    return _lowest_terms(d, rows)
 
 
 def _channel(spec: ChannelSpec, a: KernelOperator,
              scalar: Fraction) -> KernelOperator:
-    """scalar J_k (A (x) I) J_k* as exact kernel coefficients.
+    """scalar J_k (A (x) I) J_k* as exact kernel coefficients: the Gram
+    factors of J_k* = G_tensor^{-1} J^T G_target cancel, and with J(a, b)
+    the column coefficients, i = a' + t and b = c + k - a',
 
-    In J_k* = G_tensor^{-1} J^T G_target both Gram factors cancel.  With
-    J(a, b) the column coefficients, b = c + k - a' and i = r - c + a':
+        T(A)[c + t][c] = scalar sum_{a'} C(nu, b) J(i, b) J(a', b) A[i][a'].
 
-        T(A)[r][c] = scalar sum_{a'} C(nu, b) J(i, b) J(a', b) A[i][a'],
-
-    zero for |r - c| > mu, so a call costs O(L mu^2) integer operations
-    on A's integer form, and the scalar p/q enters once: p in the
-    weights, q in the denominator.
-    """
+    Diagonal t of T(A) reads diagonal t of A alone, |t| <= min(w, L) for
+    A of band w, at O(L w mu) integer operations; p/q = scalar enters
+    once, p in the weights and q in the denominator."""
     if a.level != spec.mu:
         raise LevelMismatchError(
             f"operator level {a.level} does not match spec mu={spec.mu}")
-    mu, nu, k = spec.mu, spec.nu, spec.k
-    out_level = spec.target_level
+    mu, nu, k, n = spec.mu, spec.nu, spec.k, spec.target_level + 1
     dj, jint = _jk_integers(spec)
     p, q = scalar.numerator, scalar.denominator
+    # wj[a'][b] = p C(nu, b) J(a', b), shared by every diagonal
     weight = [p * math.comb(nu, b) for b in range(nu + 1)]
-
-    n = out_level + 1
-    sre = [[0] * n for _ in range(n)]
-    sim = [[0] * n for _ in range(n)]
-    for c in range(n):
-        for a2 in range(max(0, c + k - nu), min(mu, c + k) + 1):
-            b = c + k - a2
-            w = weight[b] * jint[a2][b]
-            for i in range(max(0, a2 - c), min(mu, out_level - c + a2) + 1):
-                v = w * jint[i][b]
-                sre[c + i - a2][c] += v * a.re[i][a2]
-                sim[c + i - a2][c] += v * a.im[i][a2]
-    return KernelOperator(out_level, q * dj * dj * a.d, sre, sim)
+    wj = [list(map(operator.mul, weight, row)) for row in jint]
+    wa, w = a.width, min(a.width, n - 1)
+    sre, sim = [], []
+    for t in range(-w, w + 1):
+        # A's cell (a' + t, a') is entry a' + min(t, 0) of its diagonal t,
+        # and T(A)'s cells are (c + t, c)
+        s, xr, xi = min(t, 0), a.re[wa + t], a.im[wa + t]
+        terms = [(a2, wj[a2], jint[a2 + t], xr[a2 + s], xi[a2 + s])
+                 for a2 in range(-s, min(mu, mu - t) + 1)]
+        dr, di = [], []
+        for c in range(-s, n - max(t, 0)):
+            vr = vi = 0
+            for a2, wr, jr, x, y in terms:
+                b = c + k - a2
+                if 0 <= b <= nu:
+                    u = wr[b] * jr[b]
+                    vr += u * x
+                    vi += u * y
+            dr.append(vr)
+            di.append(vi)
+        sre.append(dr)
+        sim.append(di)
+    return KernelOperator(n - 1, q * dj * dj * a.d, sre, sim)
 
 
 def apply_channel(spec: ChannelSpec, a: KernelOperator) -> KernelOperator:

@@ -23,6 +23,7 @@ import numpy as np
 from .intertwine import ChannelSpec, apply_channel
 from .repspace import (
     KernelOperator,
+    _from_dense,
     _gram_integers,
     compose,
     operator_trace,
@@ -104,9 +105,8 @@ def random_operator(mu: int, rng: random.Random,
         num = rng.randint(-span, span)
         return num * (2 // rng.randint(1, 2))
 
-    rows = [[(part(), part()) for _ in range(mu + 1)] for _ in range(mu + 1)]
-    return KernelOperator(mu, 2, [[x for x, _ in row] for row in rows],
-                          [[y for _, y in row] for row in rows])
+    parts = [part() for _ in range(2 * (mu + 1) ** 2)]
+    return _from_dense(mu, 2, parts[0::2], parts[1::2])
 
 
 def random_psd_trace_one(mu: int, rng: random.Random) -> KernelOperator:

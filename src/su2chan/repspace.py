@@ -2,13 +2,14 @@
 
 The space of level nu has orthogonal monomial basis {z^i} with
 ``||z^i||^2 = 1/C(nu, i)`` (the convention forced by the reproducing
-kernel (1 + z w~)^nu) and carries the standard SU(2) action.  Operators
-are stored by their kernel coefficient matrices, as two integer matrices
-over one denominator: an operator with kernel A(x, y) = sum a_ij x^i y~^j
-acts by integration against the level measure, so the matrix of the
-operator on the monomial basis is ``coeffs @ diag(norms)``.  The
-isotypic decomposition of the operator space gives each operator its
-spin coordinates, integers over one denominator as well.
+kernel (1 + z w~)^nu) and carries the standard SU(2) action.  An operator
+with kernel A(x, y) = sum a_ij x^i y~^j acts by integration against the
+level measure, so its matrix on the monomial basis is
+``coeffs @ diag(norms)``.  Operators are stored by kernel diagonal
+i - j = t, |t| <= w, as two integer parts over one denominator, so the
+banded channel outputs cost O(L w), not O(L^2).  The isotypic
+decomposition of the operator space gives each operator its spin
+coordinates, integers over one denominator as well.
 
 Everything in this module is exact; floats appear only in
 :meth:`KernelOperator.complex_matrix` and :func:`to_orthonormal_matrix`.
@@ -44,8 +45,7 @@ def _gram_integers(level: int) -> Tuple[int, Tuple[int, ...]]:
 
 def _lowest_terms(d: int, *rows):
     """d and each row of integer rows divided by the gcd of d and every
-    entry, as tuples; most entries of a banded operator are 0, and they
-    take no part in the gcd and need no division."""
+    entry, as tuples; zero entries take no part in the gcd."""
     if d <= 0:
         raise ValueError(f"denominator must be positive, got {d}")
     g = math.gcd(d, *filter(None, chain(*chain(*rows))))
@@ -61,57 +61,63 @@ def _common_denominator(values) -> Tuple[int, List[int]]:
     return d, [p * (d // q) for p, q in pairs]
 
 
-class KernelOperator:
-    """Operator on the level-mu space stored as its kernel coefficients.
-
-    The coefficient of x^i y~^j in the kernel A(x, y) is
-    (re[i][j] + i im[i][j]) / d over one positive integer denominator d,
-    kept in lowest terms (d and all entries have gcd 1), so equal
-    operators have equal (level, d, re, im).  :attr:`coeffs` gives the
-    coefficients as :class:`CRational` rows.
-    """
+class _IntegerForm:
+    """(level, d, re, im) in lowest terms: equal values, equal tuples."""
 
     __slots__ = ("level", "d", "re", "im")
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.level, self.d, self.re, self.im) == \
+            (other.level, other.d, other.re, other.im)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(level={self.level})"
+
+
+class KernelOperator(_IntegerForm):
+    """Operator on the level-mu space stored as its kernel coefficients.
+
+    The coefficient of x^i y~^j is (x + i y) / d over one positive integer
+    denominator d.  ``re[w + t]`` and ``im[w + t]`` hold diagonal i - j = t,
+    |t| <= w <= level, from its corner cell (max(t, 0), max(-t, 0)) down;
+    outer diagonals that are zero in both parts are dropped, and d and all
+    entries have gcd 1, so equal operators have equal (level, d, re, im).
+    A dense operator has w = level.  :attr:`coeffs` gives the coefficients
+    as :class:`CRational` rows.
+    """
+
+    __slots__ = ()
+
     def __init__(self, level: int, d: int, re: Sequence[Sequence[int]],
                  im: Sequence[Sequence[int]]):
-        if level < 0:
-            raise ValueError(f"level must be nonnegative, got {level}")
-        n = level + 1
-        if len(re) != n or len(im) != n \
-                or any(len(row) != n for row in (*re, *im)):
-            raise ValueError(f"coefficient matrices must be {n}x{n}")
+        w = len(re) // 2
+        shape = [level + 1 - abs(t) for t in range(-w, w + 1)]
+        if not 0 <= w <= level or list(map(len, re)) != shape \
+                or list(map(len, im)) != shape:
+            raise ValueError(f"need 2w+1 diagonals of lengths level+1-|t|, "
+                             f"w <= level = {level}")
         self.level = level
-        self.d, self.re, self.im = _lowest_terms(d, re, im)
+        d, re, im = _lowest_terms(d, re, im)
+        while w and not any(chain(re[0], re[-1], im[0], im[-1])):
+            re, im, w = re[1:-1], im[1:-1], w - 1
+        self.d, self.re, self.im = d, re, im
+
+    @property
+    def width(self) -> int:
+        """The band: every stored diagonal t has |t| <= width."""
+        return len(self.re) // 2
 
     @property
     def coeffs(self) -> List[List[CRational]]:
         """``coeffs[i][j]`` is the coefficient of x^i y~^j, as a new list."""
         return [[CRational(Fraction(x, self.d), Fraction(y, self.d))
-                 for x, y in zip(rr, ri)] for rr, ri in zip(self.re, self.im)]
+                 for x, y in zip(rr, ri)] for rr, ri in zip(*_rows(self))]
 
     @property
     def dim(self) -> int:
         return self.level + 1
-
-    def _check_level(self, other: "KernelOperator"):
-        if self.level != other.level:
-            raise LevelMismatchError(
-                f"levels differ: {self.level} vs {other.level}")
-
-    def _combine(self, other: "KernelOperator", sign: int) -> "KernelOperator":
-        self._check_level(other)
-        d = math.lcm(self.d, other.d)
-        s, t = d // self.d, sign * (d // other.d)
-        return KernelOperator(self.level, d, *(
-            [[x * s + y * t for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-            for a, b in ((self.re, other.re), (self.im, other.im))))
-
-    def __add__(self, other: "KernelOperator") -> "KernelOperator":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "KernelOperator") -> "KernelOperator":
-        return self._combine(other, -1)
 
     def scale(self, c) -> "KernelOperator":
         c = CRational.of(c)
@@ -123,61 +129,77 @@ class KernelOperator:
             for rr, ri in zip(self.re, self.im)])
 
     def adjoint(self) -> "KernelOperator":
-        return KernelOperator(self.level, self.d, list(zip(*self.re)),
-                              [[-y for y in col] for col in zip(*self.im)])
+        """Coefficient (i, j) of A* is that of A at (j, i), conjugated:
+        diagonal t of A* is diagonal -t of A."""
+        return KernelOperator(self.level, self.d, self.re[::-1],
+                              [[-y for y in x] for x in self.im[::-1]])
 
     def is_hermitian(self) -> bool:
-        return self.re == tuple(zip(*self.re)) and self.im == tuple(
-            tuple(-y for y in col) for col in zip(*self.im))
-
-    def __eq__(self, other):
-        if not isinstance(other, KernelOperator):
-            return NotImplemented
-        return (self.level, self.d, self.re, self.im) == \
-            (other.level, other.d, other.re, other.im)
+        return self == self.adjoint()
 
     def complex_matrix(self) -> np.ndarray:
-        """The kernel coefficients in floats; x / d rounds correctly."""
-        d = self.d
-        return np.array([[complex(x / d, y / d) if x or y else 0j
-                          for x, y in zip(rr, ri)]
-                         for rr, ri in zip(self.re, self.im)])
+        """The kernel coefficients in floats (x / d rounds correctly); in
+        the flat matrix, diagonal t starts at t n or -t, in steps of n + 1."""
+        n, d, w = self.dim, self.d, self.width
+        m = np.zeros((n, n), dtype=complex)
+        for t, xr, xi in zip(range(-w, w + 1), self.re, self.im):
+            m.reshape(-1)[max(t * n, -t)::n + 1][:len(xr)] = [
+                complex(x / d, y / d) if x or y else 0j
+                for x, y in zip(xr, xi)]
+        return m
 
     def to_json_dict(self) -> dict:
         return {"level": self.level,
                 "coeffs": [{"re": str(v.re), "im": str(v.im)}
                            for row in self.coeffs for v in row]}
 
-    def __repr__(self):
-        return f"KernelOperator(level={self.level})"
+
+def _rows(a: KernelOperator) -> Tuple[List[List[int]], List[List[int]]]:
+    """a's two parts as dense integer rows: (i, j) from diagonal i - j."""
+    n, w = a.dim, a.width
+    return tuple([[x[w + i - j][min(i, j)] if abs(i - j) <= w else 0
+                   for j in range(n)] for i in range(n)] for x in (a.re, a.im))
+
+
+def _from_dense(level: int, d: int, re, im) -> KernelOperator:
+    """(re + i im) / d, each part a matrix laid out row by row in a list."""
+    n = level + 1
+    return KernelOperator(level, d, *(
+        [x[max(t * n, -t)::n + 1][:n - abs(t)] for t in range(-level, n)]
+        for x in (re, im)))
 
 
 def reproducing_identity_operator(mu: int) -> KernelOperator:
     """The kernel (1 + x y~)^mu, which acts as the identity."""
-    n = mu + 1
-    return KernelOperator(mu, 1, [[math.comb(mu, i) if i == j else 0
-                                   for j in range(n)] for i in range(n)],
-                          [[0] * n for _ in range(n)])
+    return KernelOperator(mu, 1, [[math.comb(mu, i) for i in range(mu + 1)]],
+                          [[0] * (mu + 1)])
 
 
 def compose(a: KernelOperator, b: KernelOperator) -> KernelOperator:
     """Kernel composition: coefficient matrix a . G . b, with the complex
     product as one real product [[a_re, -a_im], [a_im, a_re]] [b_re; b_im]."""
-    a._check_level(b)
+    if a.level != b.level:
+        raise LevelMismatchError(f"levels differ: {a.level} vs {b.level}")
     big_w, w = _gram_integers(a.level)
-    ar = [[x * v for x, v in zip(row, w)] for row in a.re]
-    ai = [[x * v for x, v in zip(row, w)] for row in a.im]
+    ar, ai = ([[x * v for x, v in zip(row, w)] for row in m]
+              for m in _rows(a))
+    br, bi = _rows(b)
     out = _matmul([r + [-x for x in i] for r, i in zip(ar, ai)]
-                  + [i + r for r, i in zip(ar, ai)], b.re + b.im)
-    return KernelOperator(a.level, a.d * b.d * big_w,
-                          out[:a.dim], out[a.dim:])
+                  + [i + r for r, i in zip(ar, ai)], br + bi)
+    return _from_dense(a.level, a.d * b.d * big_w, list(chain(*out[:a.dim])),
+                       list(chain(*out[a.dim:])))
+
+
+def _trace_integers(a: KernelOperator) -> Tuple[int, int, int]:
+    """(den, re, im): the trace sum_i a_ii / C(level, i), from diagonal 0."""
+    big_w, w = _gram_integers(a.level)
+    return (big_w * a.d, *(sum(map(operator.mul, w, m[a.width]))
+                           for m in (a.re, a.im)))
 
 
 def operator_trace(a: KernelOperator) -> CRational:
-    big_w, w = _gram_integers(a.level)
-    den = big_w * a.d
-    return CRational(*(Fraction(sum(x * m[i][i] for i, x in enumerate(w)), den)
-                       for m in (a.re, a.im)))
+    den, re, im = _trace_integers(a)
+    return CRational(Fraction(re, den), Fraction(im, den))
 
 
 def to_orthonormal_matrix(a: KernelOperator) -> np.ndarray:
@@ -193,20 +215,15 @@ def to_orthonormal_matrix(a: KernelOperator) -> np.ndarray:
 
 
 def _matmul(a, b):
-    """Exact matrix product of integer (or any exact) matrices; zero
-    entries are skipped."""
-    n, k, mcols = len(a), len(b), len(b[0])
-    out = [[0] * mcols for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            v = ai[t]
+    """Exact matrix product of integer (or any exact) matrices, row by row;
+    zero entries of a are skipped."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for v, brow in zip(row, b):
             if v:
-                bt = b[t]
-                for j in range(mcols):
-                    if bt[j]:
-                        oi[j] = oi[j] + v * bt[j]
+                acc = [o + v * x for o, x in zip(acc, brow)]
+        out.append(acc)
     return out
 
 
@@ -301,16 +318,9 @@ class IsotypicDecomposition:
         if a.level != self.level:
             raise LevelMismatchError(
                 f"expected level {self.level}, got {a.level}")
-        L = self.level
-        re = [[0] * (2 * m + 1) for m in range(L + 1)]
-        im = [[0] * (2 * m + 1) for m in range(L + 1)]
-        for d in range(-L, L + 1):
-            # diagonal d of the kernel, from its corner cell (d, 0) or (0, -d)
-            r0, c0 = max(d, 0), max(-d, 0)
-            xr = [a.re[r0 + j][c0 + j] for j in range(L + 1 - abs(d))]
-            xi = [a.im[r0 + j][c0 + j] for j in range(L + 1 - abs(d))]
-            if not (any(xr) or any(xi)):
-                continue
+        L, w = self.level, a.width
+        re, im = ([[0] * (2 * m + 1) for m in range(L + 1)] for _ in range(2))
+        for d, xr, xi in zip(range(-w, w + 1), a.re, a.im):
             for m in range(abs(d), L + 1):
                 dual = self._vectors[(m, abs(d))][1]
                 re[m][m + d] = sum(map(operator.mul, dual, xr))
@@ -322,17 +332,16 @@ class IsotypicDecomposition:
         """The operator with spin coordinates (re + i im) / den, rows as in
         :meth:`coordinates`; rows past the end, and empty rows, are zero
         components."""
-        n = self.level + 1
-        kre = [[0] * n for _ in range(n)]
-        kim = [[0] * n for _ in range(n)]
+        L = self.level
+        kre, kim = ([[0] * (L + 1 - abs(d)) for d in range(-L, L + 1)]
+                    for _ in range(2))
         for m, (rr, ri) in enumerate(zip(re, im)):
             for d, x, y in zip(range(-m, m + 1), rr, ri):
                 if x or y:
-                    r0, c0 = max(d, 0), max(-d, 0)
                     for j, t in enumerate(self._vectors[(m, abs(d))][0]):
-                        kre[r0 + j][c0 + j] += x * t
-                        kim[r0 + j][c0 + j] += y * t
-        return KernelOperator(self.level, den * self._v_den, kre, kim)
+                        kre[L + d][j] += x * t
+                        kim[L + d][j] += y * t
+        return KernelOperator(L, den * self._v_den, kre, kim)
 
     def project(self, m: int, a: KernelOperator) -> KernelOperator:
         """Spectral projector Pi_m applied to A."""

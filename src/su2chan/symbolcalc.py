@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from itertools import chain
 from typing import List, Sequence
@@ -31,6 +32,7 @@ from .intertwine import ChannelSpec, c_squared
 from .repspace import (
     IsotypicDecomposition,
     KernelOperator,
+    _IntegerForm,
     _common_denominator,
     _gram_integers,
     _lowest_terms,
@@ -46,7 +48,7 @@ class SingularComponentError(ValueError):
     pass
 
 
-class IsotypicFunction:
+class IsotypicFunction(_IntegerForm):
     """Band-limited function in spin coordinates over one denominator: the
     coordinate of spin m on kernel diagonal d, |d| <= m <= level, is
     (re[m][m + d] + i im[m][m + d]) / d.  The integers are kept in lowest
@@ -54,7 +56,7 @@ class IsotypicFunction:
     its kernels, so the zero function has d = 1 and equal functions of one
     level have equal (level, d, re, im)."""
 
-    __slots__ = ("level", "d", "re", "im")
+    __slots__ = ()
 
     def __init__(self, level: int, d: int, re: Sequence[Sequence[int]],
                  im: Sequence[Sequence[int]]):
@@ -65,15 +67,6 @@ class IsotypicFunction:
                 f"expected 2m+1 coordinates for each m = 0..{level}")
         self.level = level
         self.d, self.re, self.im = _lowest_terms(d, re, im)
-
-    def __eq__(self, other):
-        if not isinstance(other, IsotypicFunction):
-            return NotImplemented
-        return (self.level, self.d, self.re, self.im) == \
-            (other.level, other.d, other.re, other.im)
-
-    def __repr__(self):
-        return f"IsotypicFunction(level={self.level})"
 
     def numerator(self) -> KernelOperator:
         """The kernel N with f = N(z, z)/(1+|z|^2)^level."""
@@ -87,9 +80,6 @@ class IsotypicFunction:
         dec = _projectors(self.level)
         return [dec.operator(self.d, [()] * m + [rr], [()] * m + [ri])
                 for m, (rr, ri) in enumerate(zip(self.re, self.im))]
-
-    def scale(self, v) -> "IsotypicFunction":
-        return self.scale_components([v] * (self.level + 1))
 
     def scale_components(self, factors) -> "IsotypicFunction":
         """Component m times the rational factors[m]: each row times its
@@ -135,20 +125,19 @@ def toeplitz(f: IsotypicFunction, nu: int) -> KernelOperator:
     if nu < f.level:
         raise BandLimitExceededError(
             f"target level {nu} below band limit {f.level}")
-    mu = f.level
     n = f.numerator()
-    total = mu + nu
+    total = f.level + nu
     den, moment = _gram_integers(total)
-    re = [[0] * (nu + 1) for _ in range(nu + 1)]
-    im = [[0] * (nu + 1) for _ in range(nu + 1)]
-    for p in range(nu + 1):
-        for q in range(max(0, p - mu), min(nu, p + mu) + 1):
-            # kernel cells (i, j = q + i - p) of N inside the band
-            cells = [(i, q + i - p) for i in range(max(0, p - q),
-                                                   min(mu, mu + p - q) + 1)]
-            w = math.comb(nu, p) * math.comb(nu, q)
-            re[p][q] = w * sum(n.re[i][j] * moment[q + i] for i, j in cells)
-            im[p][q] = w * sum(n.im[i][j] * moment[q + i] for i, j in cells)
+    binom = [math.comb(nu, p) for p in range(nu + 1)]
+    re, im = [], []
+    for t, *diags in zip(range(-n.width, n.width + 1), n.re, n.im):
+        # output cell (q + t, q) sums N's diagonal t, whose cell (i, i - t)
+        # has moment index q + i, i from max(t, 0)
+        i0, i1 = max(t, 0), max(t, 0) + len(diags[0])
+        for out, x in zip((re, im), diags):
+            out.append([binom[q + t] * binom[q] * sum(map(
+                operator.mul, x, moment[q + i0:q + i1]))
+                for q in range(max(0, -t), min(nu, nu - t) + 1)])
     return KernelOperator(nu, n.d * den * (total + 1), re, im)
 
 

@@ -2,6 +2,7 @@
 report formats, and deterministic output."""
 
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -179,6 +180,22 @@ def test_nonfinite_or_negative_option_is_config_error(tmp_path, capsys, argv):
     assert code == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("phi", ["1e307", "1e308,1e308"])
+def test_phi_overflowing_a_float_is_config_error(tmp_path, capsys, phi):
+    # |phi| on [0, 1] is at most sum |c_i|, and a functional sums up to
+    # mu + max nu + 1 values: past the float range that is an input error,
+    # not a failed check with numpy overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["converge", "--mu", "1", "--k", "0", "--nu", "20,40",
+                     "--n", "1", "--phi", phi,
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -458,27 +475,32 @@ class TestChannelDump:
 # benchmark's own checks, so that report drift fails here too
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def workloads(monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    import workloads
-    return workloads
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
 
 
 class TestBenchmarkReferences:
 
-    def test_default_verify_matches_reference(self, tmp_path, workloads):
+    def test_default_verify_matches_reference(self, tmp_path):
         # the stored report with the seed substituted
         seed = 8101
         code, out = run(tmp_path, "verify", "--seed", str(seed))
         assert code == EXIT_OK
-        assert out.read_text() == workloads.expected_verify_report(seed)
+        assert out.read_text() == WORKLOADS.expected_verify_report(seed)
 
-    def test_converge_matches_reference(self, tmp_path, workloads):
-        seed = workloads.converge_pool()[0]
+    @pytest.mark.parametrize("seed", WORKLOADS.converge_pool())
+    def test_converge_matches_reference(self, tmp_path, seed):
+        # byte for byte, at every seed with a stored CSV
         out = tmp_path / "c.csv"
-        assert main(workloads.CONVERGE_ARGS
+        assert main(WORKLOADS.CONVERGE_ARGS
                     + ["--seed", str(seed), "--out", str(out)]) == EXIT_OK
-        want = (Path(workloads.REFS) / "converge"
+        want = (Path(WORKLOADS.REFS) / "converge"
                 / f"seed_{seed}.csv").read_text()
-        assert workloads.compare_converge_csv(out.read_text(), want) is None
+        assert out.read_text() == want

@@ -18,18 +18,24 @@ from su2chan.intertwine import (
     c_squared,
     channel_report,
     choi_min_eigenvalue,
-    jk_columns,
     normalization_factor,
     pk_orthogonality_check,
 )
 from su2chan.quadrature import random_operator, random_psd_trace_one
 from su2chan.repspace import (
+    _common_denominator,
+    _rows,
     operator_trace,
     reproducing_identity_operator,
     to_orthonormal_matrix,
 )
 from test_exactnum import CQ, binomial, falling_pochhammer
-from test_repspace import coeff_rows, gram_diagonal, kernel_from_rows
+from test_repspace import (
+    coeff_rows,
+    dense_orthonormal_matrix,
+    gram_diagonal,
+    kernel_from_rows,
+)
 
 RNG_SEED = 777
 
@@ -42,6 +48,13 @@ RNG_SEED = 777
 
 def tensor_dim(spec):
     return (spec.mu + 1) * (spec.nu + 1)
+
+
+def jk_columns(spec):
+    """The package's column coefficients as Fractions: J_k(z^a w^b) =
+    cols[a][b] xi^(a + b - k), read from intertwine._jk_integers."""
+    d, rows = intertwine._jk_integers(spec)
+    return [[Fraction(x, d) for x in row] for row in rows]
 
 
 def pochhammer_c_squared(spec):
@@ -58,7 +71,7 @@ def dense_jk_matrix(spec):
     single nonzero in row a + b - k."""
     m = [[Fraction(0)] * tensor_dim(spec)
          for _ in range(spec.target_level + 1)]
-    for a, row in enumerate(intertwine.jk_columns(spec)):
+    for a, row in enumerate(jk_columns(spec)):
         for b, v in enumerate(row):
             if v:
                 m[a + b - spec.k][spec.tensor_index(a, b)] = v
@@ -294,7 +307,14 @@ class TestIntertwiner:
                  for nu in range(mu, 15) for k in range(mu + 1)]
         specs += [ChannelSpec(3, 160, k) for k in range(4)]
         for spec in specs:
-            assert jk_columns(spec) == fraction_jk_columns(spec), spec
+            want = fraction_jk_columns(spec)
+            assert jk_columns(spec) == want, spec
+            # the integer table is the Fractions' lcm form: one gcd of
+            # the sums over the lcm of the term denominators gives it
+            d, flat = _common_denominator(v for row in want for v in row)
+            n = spec.nu + 1
+            assert intertwine._jk_integers(spec) == (d, tuple(
+                tuple(flat[i:i + n]) for i in range(0, len(flat), n))), spec
 
     def test_jk_columns_have_single_output_degree(self):
         # cols[a][b] is the coefficient of xi^(a+b-k): zero exactly where
@@ -320,22 +340,21 @@ class TestIntertwiner:
                                              (4, 8, 0, 0, 3), (1, 1, 0, 1, 1),
                                              (3, 6, 2, None, None)])
     def test_fault_gives_dense_witness(self, monkeypatch, mu, nu, k, a, b):
-        clean = intertwine.jk_columns
+        clean = intertwine._jk_integers.__wrapped__
 
         def faulty(spec):
-            cols = clean(spec)
-            if spec.k == k:
-                for i, row in enumerate(cols):
-                    for j in range(len(row)):
-                        if a is None or (i, j) == (a, b):
-                            row[j] *= Fraction(3, 2)
-            return cols
+            # the chosen coefficients times 3/2: all over 2d, those times 3
+            d, rows = clean(spec)
+            if spec.k != k:
+                return d, rows
+            return 2 * d, tuple(
+                tuple(x * (3 if a is None or (i, j) == (a, b) else 2)
+                      for j, x in enumerate(row))
+                for i, row in enumerate(rows))
 
-        monkeypatch.setattr(intertwine, "jk_columns", faulty)
-        # the check reads the cached integer columns; uncached, they are
-        # rebuilt from the faulty ones, and the cache stays clean
-        monkeypatch.setattr(intertwine, "_jk_integers",
-                            intertwine._jk_integers.__wrapped__)
+        # the check and the dense oracle both read the columns from the
+        # module, so both see the fault, and the cache stays clean
+        monkeypatch.setattr(intertwine, "_jk_integers", faulty)
         rep = pk_orthogonality_check(mu, nu)
         assert not rep["ok"]
         assert rep["witness"] is not None
@@ -403,13 +422,18 @@ class TestBandedKernel:
                                          (2, 2, 1), (3, 3, 0), (3, 3, 2),
                                          (3, 3, 3), (3, 4, 3), (2, 3, 2)])
     def test_edge_levels(self, mu, nu, k):
+        # the output band is at most min(mu, L): 0 at mu = 0, L when L < mu
         rng = random.Random(RNG_SEED)
         spec = ChannelSpec(mu, nu, k)
+        n = spec.target_level + 1
         for _ in range(5):
             a = random_nonhermitian(mu, rng)
             out = apply_channel(spec, a)
             assert out.level == spec.target_level
             assert out == dense_apply_channel(spec, a)
+            assert out.width <= min(mu, spec.target_level, a.width)
+            assert sum(map(len, out.re)) == sum(map(len, out.im)) \
+                <= (2 * min(mu, spec.target_level) + 1) * n
 
     def test_output_is_banded(self):
         rng = random.Random(RNG_SEED)
@@ -420,26 +444,40 @@ class TestBandedKernel:
                 if abs(r - c) > spec.mu:
                     assert v == 0, (r, c)
 
-    def test_columns_built_once_per_spec(self, monkeypatch):
-        real = intertwine.jk_columns
-        calls = []
-
-        def counting(spec):
-            calls.append(spec)
-            return real(spec)
-
+    def test_columns_built_once_per_spec(self):
         intertwine._jk_integers.cache_clear()
-        monkeypatch.setattr(intertwine, "jk_columns", counting)
         rng = random.Random(RNG_SEED)
         spec = ChannelSpec(3, 5, 1)
         choi_min_eigenvalue(spec)
         for _ in range(5):
             apply_normalized_channel(spec, random_nonhermitian(3, rng))
-        assert calls == [spec]
+        info = intertwine._jk_integers.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
         # cached rows are shared between calls, so they must be immutable
         _, rows = intertwine._jk_integers(spec)
         assert isinstance(rows, tuple)
         assert all(isinstance(row, tuple) for row in rows)
+
+    def test_storage_at_large_level(self):
+        # seven diagonals of a level-2001 output, 7(L+1) - 12 integers a part
+        rng = random.Random(RNG_SEED)
+        spec = ChannelSpec(3, 2000, 1)
+        out = apply_channel(spec, random_nonhermitian(3, rng))
+        n = spec.target_level + 1
+        assert out.width == 3
+        assert sum(map(len, out.re)) == sum(map(len, out.im)) == 7 * n - 12
+
+    def test_orthonormal_matrix_matches_dense_oracle(self):
+        # bit for bit on channel outputs up to nu = 160
+        rng = random.Random(RNG_SEED)
+        for _ in range(12):
+            mu = rng.randint(0, 4)
+            spec = ChannelSpec(mu, rng.randint(mu, 160), rng.randint(0, mu))
+            for out in (apply_channel(spec, random_nonhermitian(mu, rng)),
+                        apply_normalized_channel(
+                            spec, random_psd_trace_one(mu, rng))):
+                assert to_orthonormal_matrix(out).tobytes() == \
+                    dense_orthonormal_matrix(out).tobytes(), spec
 
     def test_normalized_channel_matches_dense_oracle(self):
         rng = random.Random(RNG_SEED)
@@ -521,7 +559,7 @@ class TestChoi:
                     a = random_nonhermitian(mu, rng)
                     want = [sum(r * Fraction(m[i][i], a.d * math.comb(mu, i))
                                 for i, r in enumerate(rows))
-                            for m in (a.re, a.im)]
+                            for m in _rows(a)]
                     assert operator_trace(apply_normalized_channel(spec, a)) \
                         == CRational(*want), (mu, nu, k)
 

@@ -220,7 +220,8 @@ class TestSpectralFunctionals:
         assert 0 < peak <= 1
         limit_functional(mu, k, f, phi)
         with pytest.raises(SpectrumOutOfRangeError):
-            limit_functional(mu, k, f.scale(int(2 / peak) + 1), phi)
+            limit_functional(mu, k, f.scale_components(
+                [int(2 / peak) + 1] * (f.level + 1)), phi)
         with pytest.raises(SpectrumOutOfRangeError):
             trace_functional(np.array([0.5, 1.1]), phi)
         with pytest.raises(SpectrumOutOfRangeError):

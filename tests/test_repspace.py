@@ -12,11 +12,14 @@ import pytest
 
 from su2chan.exactnum import CRational
 from su2chan.quadrature import QuadratureGrid, random_operator
+from su2chan.symbolcalc import symbol, toeplitz
 from su2chan.repspace import (
     IsotypicDecomposition,
     KernelOperator,
     _common_denominator,
+    _from_dense,
     _gram_integers,
+    _rows,
     LevelMismatchError,
     compose,
     isotypic_projectors,
@@ -84,8 +87,39 @@ def kernel_from_rows(level, coeffs):
     flat = [CQ.of(v) for row in coeffs for v in row]
     d, ints = _common_denominator([v.re for v in flat]
                                   + [v.im for v in flat])
-    return KernelOperator(level, d, [ints[i:i + n] for i in range(0, n * n, n)],
-                          [ints[i:i + n] for i in range(n * n, 2 * n * n, n)])
+    return _from_dense(level, d, ints[:n * n], ints[n * n:])
+
+
+def dense_orthonormal_matrix(a):
+    """to_orthonormal_matrix as it was before the band form: every
+    coefficient of the dense CRational rows in floats (float(Fraction)
+    rounds correctly, as x / d does), times sqrt(g_i g_j) from the outer
+    product."""
+    c = np.array([[complex(float(v.re), float(v.im)) if v.re or v.im else 0j
+                   for v in row] for row in a.coeffs])
+    s = np.sqrt(np.array([1 / math.comb(a.level, i)
+                          for i in range(a.level + 1)]))
+    return c * np.outer(s, s)
+
+
+def banded_rows(level, w, diagonals):
+    """Dense rows with the given diagonals t = -w..w, each from its
+    corner cell, and zeros outside the band."""
+    n = level + 1
+    rows = [[0] * n for _ in range(n)]
+    for t, diag in zip(range(-w, w + 1), diagonals):
+        for j, x in enumerate(diag):
+            rows[max(t, 0) + j][max(-t, 0) + j] = x
+    return rows
+
+
+def kernel_sum(a, b, sign=1):
+    """a + sign b through the CQ coefficient rows (the package itself never
+    adds operators)."""
+    assert a.level == b.level
+    return kernel_from_rows(a.level, [
+        [x + y if sign > 0 else x - y for x, y in zip(ra, rb)]
+        for ra, rb in zip(coeff_rows(a), coeff_rows(b))])
 
 
 def coeff_rows(a):
@@ -357,7 +391,7 @@ def crational_coordinates(a):
             den = dw * a.d
             row.append(CQ(*(Fraction(sum(c * x[i][j]
                                          for c, (i, j) in zip(dual, cells)),
-                                     den) for x in (a.re, a.im))))
+                                     den) for x in _rows(a))))
         rows.append(row)
     return rows
 
@@ -496,8 +530,10 @@ class TestKernelOperator:
 
     def test_zero_has_denominator_one(self):
         a = random_operator(2, random.Random(RNG_SEED))
-        z = a - a
-        assert (z.d, z.re, z.im) == (1, ((0,) * 3,) * 3, ((0,) * 3,) * 3)
+        z = kernel_sum(a, a, -1)
+        # and band 0: only diagonal 0 is kept
+        assert (z.d, z.re, z.im) == (1, ((0,) * 3,), ((0,) * 3,))
+        assert z.width == 0
 
     def test_coefficient_rows_are_a_copy(self):
         a = random_operator(2, random.Random(RNG_SEED))
@@ -509,6 +545,91 @@ class TestKernelOperator:
         rng = random.Random(RNG_SEED)
         a = random_operator(3, rng)
         assert from_json_dict(a.to_json_dict()) == a
+
+
+class TestBandForm:
+    """KernelOperator keeps its kernel by diagonal, |i - j| <= width."""
+
+    def test_dense_rows_with_zero_outer_diagonals_equal_banded(self):
+        rng = random.Random(RNG_SEED)
+        for level in range(6):
+            for w in range(level + 1):
+                diags = [[[rng.randint(-4, 4)
+                           for _ in range(level + 1 - abs(t))]
+                          for t in range(-w, w + 1)] for _ in range(2)]
+                # a nonzero corner cell on diagonal w keeps the band
+                diags[0][-1][0] = 1
+                banded = KernelOperator(level, 6, *diags)
+                dense = _from_dense(level, 6, *(
+                    [v for row in banded_rows(level, w, x) for v in row]
+                    for x in diags))
+                assert dense == banded
+                assert dense.width == banded.width == w
+                assert _rows(banded) == tuple(banded_rows(level, w, x)
+                                              for x in diags)
+
+    def test_zero_outer_diagonals_are_dropped(self):
+        # the band is canonical: padding with zero diagonals changes nothing
+        a = KernelOperator(3, 2, [[1, 2, 3], [4, 5, 6, 7], [0, 1, 0]],
+                           [[0, 0, 0], [1, 0, 0, 0], [0, 0, 0]])
+        padded = KernelOperator(3, 2, [[0], [0, 0], [1, 2, 3],
+                                       [4, 5, 6, 7], [0, 1, 0], [0, 0],
+                                       [0]],
+                                [[0], [0, 0], [0, 0, 0], [1, 0, 0, 0],
+                                 [0, 0, 0], [0, 0], [0]])
+        assert padded == a and padded.width == a.width == 1
+        assert KernelOperator(3, 1, [[0, 0, 0], [0] * 4, [0, 0, 0]],
+                              [[0, 0, 0], [0] * 4, [0, 0, 1]]).width == 1
+
+    @pytest.mark.parametrize("re,im", [
+        ([[1, 2]], [[0, 0]]),                         # diagonal 0 too short
+        ([[1], [1, 2, 3]], [[0], [0, 0, 0]]),         # even count
+        ([[1, 2, 3]], [[0, 0, 0], [0, 0, 0]]),        # parts differ
+        ([[0]] + [[0] * k for k in (2, 3, 2)] + [[0]] * 3,
+         [[0]] + [[0] * k for k in (2, 3, 2)] + [[0]] * 3),  # w > level
+    ])
+    def test_malformed_diagonals_rejected(self, re, im):
+        with pytest.raises(ValueError):
+            KernelOperator(2, 1, re, im)
+
+    def test_edge_levels(self):
+        # mu = 0: one diagonal; nu = mu: toeplitz keeps the band of the
+        # numerator, at most mu
+        rng = random.Random(RNG_SEED)
+        a = random_operator(0, rng)
+        assert a.width == 0 and len(a.re) == 1
+        assert reproducing_identity_operator(0).width == 0
+        for mu in range(5):
+            a = random_operator(mu, rng)
+            assert a.width == mu
+            assert reproducing_identity_operator(mu).width == 0
+            f = symbol(a)
+            t = toeplitz(f, mu)
+            assert t.level == mu and t.width <= mu
+            assert t.width == f.numerator().width
+
+    def test_adjoint_swaps_diagonals(self):
+        rng = random.Random(RNG_SEED)
+        for mu in range(5):
+            a = random_operator(mu, rng)
+            re, im = _rows(a)
+            assert _rows(a.adjoint()) == (
+                [list(col) for col in zip(*re)],
+                [[-y for y in col] for col in zip(*im)])
+
+    def test_orthonormal_matrix_matches_dense_oracle(self):
+        # bit for bit, dense and banded operators, products and sums
+        rng = random.Random(RNG_SEED)
+        ops = [random_operator(mu, rng) for mu in range(7)]
+        ops += [compose(a.adjoint(), a) for a in ops]
+        ops += [toeplitz(symbol(a), nu) for a in ops[:4] for nu in (4, 9)]
+        ops += [reproducing_identity_operator(5),
+                kernel_sum(ops[3], ops[3], -1),
+                kernel_sum(ops[2], ops[2].adjoint())]
+        for a in ops:
+            got = to_orthonormal_matrix(a)
+            assert got.dtype == complex
+            assert got.tobytes() == dense_orthonormal_matrix(a).tobytes()
 
 
 class TestGroupAction:
@@ -594,7 +715,7 @@ class TestIsotypicProjectors:
             parts = [dec.project(m, a) for m in range(mu + 1)]
             total = parts[0]
             for p in parts[1:]:
-                total = total + p
+                total = kernel_sum(total, p)
             assert total == a
             for m in range(mu + 1):
                 assert dec.project(m, parts[m]) == parts[m]

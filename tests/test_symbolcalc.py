@@ -345,7 +345,8 @@ class TestFunctionsEqual:
                     f, symbol(random_operator(level, rng)), False)
                 # the same numerators over another denominator
                 for c in (2, Fraction(1, 2)):
-                    _assert_equality_agrees(f, g.scale(c), False)
+                    _assert_equality_agrees(
+                        f, g.scale_components([c] * (g.level + 1)), False)
                 m = rng.randint(0, mu)
                 _assert_equality_agrees(
                     f, _bumped(g, m, rng.randint(-m, m)), False)
