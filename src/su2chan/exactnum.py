@@ -58,16 +58,16 @@ def rising_pochhammer(a: RationalLike, n: int) -> Fraction:
     return Fraction(math.prod(p + i * q for i in range(n)), q ** n)
 
 
-def _terminating_sum(nums, dens) -> Fraction:
-    """pFq(nums; dens; 1) for a series that terminates.
+def terminating_pair(nums, dens) -> tuple[int, int]:
+    """pFq(nums; dens; 1), for a series that terminates, as an unreduced
+    integer pair (top, bot) with bot != 0.
 
     It stops at m = min(j) over the numerator parameters -j that are
     nonpositive integers; a denominator parameter -j with j < m divides
     a term with a nonzero numerator by zero.  With each parameter p/q,
     1 + r_0 (1 + r_1 (1 + ... r_{m-1})) over the term ratios r_i is
     summed by Horner in integers, in one pass from i = m-1 down that
-    multiplies out each ratio's factors, and reduced to one Fraction at
-    the end.
+    multiplies out each ratio's factors; the caller reduces, if at all.
     """
     pn = [(v.numerator, v.denominator) for v in nums]
     pd = [(v.numerator, v.denominator) for v in dens]
@@ -96,7 +96,7 @@ def _terminating_sum(nums, dens) -> Fraction:
         for p, q in pd:
             b *= p + i * q
         top, bot = b * bot + a * top, b * bot
-    return Fraction(top, bot)
+    return top, bot
 
 
 def hyp2f1_terminating(n: int, b: RationalLike, c: RationalLike) -> Fraction:
@@ -108,7 +108,7 @@ def hyp2f1_terminating(n: int, b: RationalLike, c: RationalLike) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"hyp2f1_terminating requires n >= 0, got n={n}")
-    return _terminating_sum((-n, b), (c,))
+    return Fraction(*terminating_pair((-n, b), (c,)))
 
 
 def hyp3f2_terminating(a1: RationalLike, a2: RationalLike, a3: RationalLike,
@@ -117,4 +117,4 @@ def hyp3f2_terminating(a1: RationalLike, a2: RationalLike, a3: RationalLike,
 
     At least one numerator parameter must be a nonpositive integer.
     """
-    return _terminating_sum((a1, a2, a3), (b1, b2))
+    return Fraction(*terminating_pair((a1, a2, a3), (b1, b2)))

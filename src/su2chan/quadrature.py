@@ -10,7 +10,7 @@ exactly and only diagonalized in floats.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import operator
 import random
@@ -61,7 +61,7 @@ class QuadratureGrid:
     @property
     def points(self) -> np.ndarray:
         """Complex sample points, shape (n_radial * n_angular,)."""
-        t, _ = self._radial()
+        t, _ = self._radial
         r = np.sqrt(t / (1.0 - t))
         theta = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
         return (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
@@ -69,9 +69,10 @@ class QuadratureGrid:
     @property
     def weights(self) -> np.ndarray:
         """Positive weights summing to 1, matching :attr:`points`."""
-        _, w = self._radial()
+        _, w = self._radial
         return np.repeat(w / self.n_angular, self.n_angular)
 
+    @functools.cached_property
     def _radial(self) -> Tuple[np.ndarray, np.ndarray]:
         x, w = np.polynomial.legendre.leggauss(self.n_radial)
         return (x + 1.0) / 2.0, w / 2.0
@@ -223,6 +224,11 @@ def i_n_integral(n: int, nu: int) -> Fraction:
     return Fraction(sum(map(operator.mul, v, w)), d ** n)
 
 
+# i! at index i, up to the largest 2 kappa fund_ineq_check has been asked
+# for: one table for every call, replaced whole (never extended) to grow
+_factorials = [1]
+
+
 def _fund_bound(kappa: int, j: int) -> Fraction:
     """The bound 2/C(kappa,j) that fund_ineq_check holds its sum to."""
     return Fraction(2, math.comb(kappa, j))
@@ -235,9 +241,10 @@ def fund_ineq_check(kappa: int, j: int) -> dict:
     sum_i C(kappa,i) (i+j)! (2kappa-i-j)! over (2kappa)!."""
     if not 0 <= j <= kappa:
         raise ValueError(f"need 0 <= j <= kappa, got j={j}, kappa={kappa}")
-    n = 2 * kappa
-    fact = list(itertools.accumulate(range(1, n + 1), operator.mul,
-                                     initial=1))
+    global _factorials
+    n, fact = 2 * kappa, _factorials
+    if len(fact) <= n:
+        _factorials = fact = list(map(math.factorial, range(n + 1)))
     s = Fraction(sum(math.comb(kappa, i) * fact[i + j] * fact[n - i - j]
                      for i in range(kappa + 1)), fact[n])
     identity_value = Fraction(n + 1, (kappa + 1) * math.comb(kappa, j))

@@ -33,6 +33,10 @@ class LevelMismatchError(ValueError):
     pass
 
 
+class FloatRangeError(OverflowError):
+    """An exact coefficient is too large to read as a float."""
+
+
 @functools.lru_cache(maxsize=256)
 def _gram_integers(level: int) -> Tuple[int, Tuple[int, ...]]:
     """The Gram diagonal ||z^i||^2 = 1/C(level, i) over one denominator:
@@ -142,10 +146,14 @@ class KernelOperator(_IntegerForm):
         the flat matrix, diagonal t starts at t n or -t, in steps of n + 1."""
         n, d, w = self.dim, self.d, self.width
         m = np.zeros((n, n), dtype=complex)
-        for t, xr, xi in zip(range(-w, w + 1), self.re, self.im):
-            m.reshape(-1)[max(t * n, -t)::n + 1][:len(xr)] = [
-                complex(x / d, y / d) if x or y else 0j
-                for x, y in zip(xr, xi)]
+        try:
+            for t, xr, xi in zip(range(-w, w + 1), self.re, self.im):
+                m.reshape(-1)[max(t * n, -t)::n + 1][:len(xr)] = [
+                    complex(x / d, y / d) if x or y else 0j
+                    for x, y in zip(xr, xi)]
+        except OverflowError:
+            raise FloatRangeError(f"kernel coefficients at level {self.level} "
+                                  "exceed the float range") from None
         return m
 
     def to_json_dict(self) -> dict:

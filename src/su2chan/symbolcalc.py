@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import List, Sequence
 
-from .exactnum import CRational, hyp3f2_terminating
+from .exactnum import CRational, terminating_pair
 from .intertwine import ChannelSpec, c_squared
 from .repspace import (
     IsotypicDecomposition,
@@ -213,7 +213,11 @@ def e_limit_eigenvalue(mu: int, k: int, m: int) -> Fraction:
     over (mu+m+1)! (mu-m)!."""
     if not 0 <= k <= mu:
         raise ValueError(f"need 0 <= k <= mu, got k={k}, mu={mu}")
-    berezin = _berezin_numerators(mu, k, m)
+    return _limit_eigenvalue(mu, k, m, _berezin_numerators(mu, k, m))
+
+
+def _limit_eigenvalue(mu: int, k: int, m: int, berezin) -> Fraction:
+    """e_limit_eigenvalue(mu, k, m) from _berezin_numerators(mu, k, m)."""
     if not berezin:
         return Fraction(0)
     s = sum((-1) ** (k - l) * math.comb(k, l) * b
@@ -234,12 +238,11 @@ def e_limit_apply(mu: int, k: int, f: IsotypicFunction) -> IsotypicFunction:
 def e_eigenvalue_3f2(mu: int, k: int, m: int) -> Fraction:
     """Terminating-3F2 closed form of the limit eigenvalue, (-1)^k C(mu,k)
     (mu!/(mu-m)!)^2 / ((mu+m+1)!/(mu-m)!) 3F2(-k, -m-mu-1, m-mu; -mu, -mu;
-    1), as one integer product over the 3F2's denominator."""
+    1), as one integer product over the 3F2's unreduced denominator."""
     if not 0 <= k <= mu:
         raise ValueError(f"need 0 <= k <= mu, got k={k}, mu={mu}")
     if m > mu:
         return Fraction(0)
-    hyp = hyp3f2_terminating(-k, -m - mu - 1, m - mu, -mu, -mu)
+    top, bot = terminating_pair((-k, -m - mu - 1, m - mu), (-mu, -mu))
     return Fraction((-1) ** k * math.comb(mu, k) * math.perm(mu, m) ** 2
-                    * hyp.numerator,
-                    math.perm(mu + m + 1, 2 * m + 1) * hyp.denominator)
+                    * top, math.perm(mu + m + 1, 2 * m + 1) * bot)

@@ -4,6 +4,7 @@ report formats, and deterministic output."""
 import csv
 import importlib.util
 import json
+import math
 import os
 import re
 import time
@@ -22,6 +23,7 @@ from su2chan.cli import (
     main,
 )
 from su2chan.exactnum import rising_pochhammer
+from test_exactnum import fraction_3f2
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -71,20 +73,26 @@ class TestVerify:
     ])
     def test_gauss_fault_gives_fraction_witness(self, tmp_path, monkeypatch,
                                                 n, b, c, wrong):
-        real = cli.hyp2f1_terminating
+        # the sweep sums 2F1(-n, b; c; 1) as the pair terminating_pair
+        # hands back; the fault hands back the wrong value as an
+        # unreduced pair, which the witness must print in lowest terms
+        real = cli.terminating_pair
 
-        def faulty(n_, b_, c_):
-            v = real(n_, b_, c_)
-            return wrong(v) if (n_, b_, c_) == (n, b, c) else v
+        def faulty(nums, dens):
+            top, bot = real(nums, dens)
+            if (nums, dens) != ((-n, b), (c,)):
+                return top, bot
+            v = wrong(Fraction(top, bot))
+            return 6 * v.numerator, 6 * v.denominator
 
-        monkeypatch.setattr(cli, "hyp2f1_terminating", faulty)
+        monkeypatch.setattr(cli, "terminating_pair", faulty)
         code, out = run(tmp_path, "verify", "--mu", "0", "--nu-max", "0")
         assert code == EXIT_ASSERTION_FAILED
         failed = [r for r in json.loads(out.read_text())["results"]
                   if not r["ok"]]
         assert [r["identity"] for r in failed] == ["gauss_summation"]
         # the witness the Fraction comparison lhs != rhs reports
-        lhs = faulty(n, b, c)
+        lhs = Fraction(*faulty((-n, b), (c,)))
         rhs = rising_pochhammer(c - b, n) / rising_pochhammer(c, n)
         assert lhs != rhs
         assert failed[0]["witness"] == {"n": n, "b": b, "c": c,
@@ -198,6 +206,22 @@ def test_phi_overflowing_a_float_is_config_error(tmp_path, capsys, phi):
     assert os.listdir(tmp_path) == []
 
 
+def test_converge_past_the_float_range_is_config_error(tmp_path, capsys):
+    # the level-1061 output's kernel coefficients pass the float range
+    # (about level 1030) before the orthonormal scaling
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["converge", "--mu", "3", "--k", "1", "--nu", "80,1060",
+                     "--n", "2", "--seed", "3",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: kernel coefficients at level 1061 exceed the "
+                       "float range\n")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "abc"],
     ["converge", "--mu", "1", "--k", "0", "--nu", "8,x"],
@@ -272,6 +296,28 @@ class TestSpectrum:
     def test_negative_mu_rejected(self, tmp_path):
         code, _ = run(tmp_path, "spectrum", "--mu", "-1")
         assert code == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("mu", [0, 1, 16])
+    def test_rows_match_fraction_oracle(self, mu):
+        # every column, floats included, from term-by-term Fraction sums
+        def berezin(nu, m):
+            return Fraction(math.factorial(nu) ** 2, math.factorial(nu + m + 1)
+                            * math.factorial(nu - m)) if m <= nu else 0
+
+        want = []
+        for k in range(mu + 1):
+            for m in range(mu + 1):
+                b = berezin(mu, m)
+                e3 = ((-1) ** k * math.comb(mu, k) * b
+                      * fraction_3f2(-k, -m - mu - 1, m - mu, -mu, -mu))
+                es = sum(math.comb(mu, k) * (-1) ** (k - l) * math.comb(k, l)
+                         * berezin(mu - l, m) for l in range(k + 1))
+                want.append({"mu": mu, "k": k, "m": m,
+                             "berezin_exact": str(b),
+                             "berezin_float": float(b),
+                             "e_3f2_exact": str(e3), "e_3f2_float": float(e3),
+                             "e_sum_exact": str(es), "forms_agree": True})
+        assert cli.spectrum_rows(mu) == want
 
 
 class TestConverge:
@@ -494,6 +540,14 @@ class TestBenchmarkReferences:
         code, out = run(tmp_path, "verify", "--seed", str(seed))
         assert code == EXIT_OK
         assert out.read_text() == WORKLOADS.expected_verify_report(seed)
+
+    def test_exact_combinatorics_checks_pass(self, tmp_path):
+        # the workload's independent oracles: the transfer-matrix I_n,
+        # the closed-form fund sum and the factorial Berezin value
+        cases = WORKLOADS.prepare("exact-combinatorics", 8102, str(tmp_path))
+        assert len(cases) == len(WORKLOADS.exact_combinatorics_grid())
+        for label, call, check in cases:
+            assert check(call()) is None, label
 
     @pytest.mark.parametrize("seed", WORKLOADS.converge_pool())
     def test_converge_matches_reference(self, tmp_path, seed):

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from su2chan.exactnum import (
     CRational,
     NonTerminatingError,
-    _terminating_sum,
     hyp2f1_terminating,
     hyp3f2_terminating,
     rising_pochhammer,
+    terminating_pair,
 )
 
 
@@ -189,6 +189,22 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def pair_value(nums, dens):
+    """The value top / bot of terminating_pair(nums, dens), after checking
+    that the pair is two ints with bot != 0."""
+    top, bot = terminating_pair(nums, dens)
+    assert type(top) is int and type(bot) is int and bot != 0
+    return Fraction(top, bot)
+
+
+def pair_2f1(n, b, c):
+    return pair_value((-n, b), (c,))
+
+
+def pair_3f2(a1, a2, a3, b1, b2):
+    return pair_value((a1, a2, a3), (b1, b2))
+
+
 def fraction_product(a, n, step):
     out = Fraction(1)
     for i in range(n):
@@ -305,15 +321,18 @@ class TestHypergeometric:
 
 
 class TestKernelAgainstFractionOracle:
-    """The integer Horner kernel equals the term-by-term Fraction series
-    bit for bit, and raises ZeroDivisionError on the same inputs."""
+    """The integer Horner kernel, through 2F1 and 3F2 and as the unreduced
+    pair terminating_pair hands back, equals the term-by-term Fraction
+    series bit for bit, and raises ZeroDivisionError on the same inputs."""
 
     def test_2f1_integer_grid(self):
         for n in range(13):
             for b in range(-12, 13):
                 for c in range(-20, 21):
-                    assert outcome(hyp2f1_terminating, n, b, c) \
-                        == outcome(fraction_2f1, n, b, c), (n, b, c)
+                    want = outcome(fraction_2f1, n, b, c)
+                    assert outcome(hyp2f1_terminating, n, b, c) == want, \
+                        (n, b, c)
+                    assert outcome(pair_2f1, n, b, c) == want, (n, b, c)
 
     def test_integer_parameters_match_fraction_parameters(self):
         for n in range(9):
@@ -324,14 +343,18 @@ class TestKernelAgainstFractionOracle:
                                     Fraction(c))
                     assert ints == fracs, (n, b, c)
                     assert type(ints) is type(fracs)
+                    assert outcome(terminating_pair, (-n, b), (c,)) \
+                        == outcome(terminating_pair, (-n, Fraction(b)),
+                                   (Fraction(c),)), (n, b, c)
 
     def test_2f1_rational_parameters(self):
         values = [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3),
                   Fraction(-7, 2), -3, 0, 2]
         for n in range(13):
             for b, c in itertools.product(values, repeat=2):
-                assert outcome(hyp2f1_terminating, n, b, c) \
-                    == outcome(fraction_2f1, n, b, c), (n, b, c)
+                want = outcome(fraction_2f1, n, b, c)
+                assert outcome(hyp2f1_terminating, n, b, c) == want, (n, b, c)
+                assert outcome(pair_2f1, n, b, c) == want, (n, b, c)
 
     def test_3f2_eigenvalue_parameters(self):
         # the parameter sets of symbolcalc.e_eigenvalue_3f2 for mu <= 8
@@ -340,14 +363,16 @@ class TestKernelAgainstFractionOracle:
                 for m in range(mu + 1):
                     args = (-k, -m - mu - 1, m - mu, -mu, -mu)
                     assert hyp3f2_terminating(*args) == fraction_3f2(*args)
+                    assert pair_3f2(*args) == fraction_3f2(*args)
 
     def test_3f2_mixed_grid(self):
         for args in itertools.product(
                 range(-4, 1), [-2, 1, Fraction(1, 2), 3],
                 [-3, 2, Fraction(-5, 3)], [-3, -2, -1, 0, 1, 2, Fraction(3, 2)],
                 [-1, 1, Fraction(7, 4)]):
-            assert outcome(hyp3f2_terminating, *args) \
-                == outcome(fraction_3f2, *args), args
+            want = outcome(fraction_3f2, *args)
+            assert outcome(hyp3f2_terminating, *args) == want, args
+            assert outcome(pair_3f2, *args) == want, args
 
     @pytest.mark.parametrize("n,b", [(5, 3), (5, -2), (4, Fraction(1, 2)),
                                      (7, -7), (1, 9)])
@@ -357,18 +382,20 @@ class TestKernelAgainstFractionOracle:
         m = min(n, -b) if b <= 0 and Fraction(b).denominator == 1 else n
         for c in range(0, -m - 3, -1):
             if -c < m:
-                for fn in (hyp2f1_terminating, fraction_2f1):
+                for fn in (hyp2f1_terminating, pair_2f1, fraction_2f1):
                     with pytest.raises(ZeroDivisionError):
                         fn(n, b, c)
-                with pytest.raises(ZeroDivisionError):
-                    hyp3f2_terminating(-n, b, 1, c, 1)
+                for fn in (hyp3f2_terminating, pair_3f2):
+                    with pytest.raises(ZeroDivisionError):
+                        fn(-n, b, 1, c, 1)
             else:
-                assert hyp2f1_terminating(n, b, c) == fraction_2f1(n, b, c)
+                assert hyp2f1_terminating(n, b, c) == pair_2f1(n, b, c) \
+                    == fraction_2f1(n, b, c)
         assert hyp2f1_terminating(5, -2, -3) == fraction_2f1(5, -2, -3) == 1
 
 
 class TestTerminatingSumKernel:
-    """_terminating_sum, the one kernel under 2F1 and 3F2 (compared with
+    """terminating_pair, the one kernel under 2F1 and 3F2 (compared with
     the series through them in TestKernelAgainstFractionOracle), against
     the term-by-term series for any number of parameters p/q, with q != 1
     among both the numerator and the denominator parameters."""
@@ -379,9 +406,7 @@ class TestTerminatingSumKernel:
                             (Fraction(7, 4), Fraction(-1, 3), 2)),
                            ((Fraction(1, 2), -6, -2, Fraction(9, 5)),
                             (Fraction(3, 2), Fraction(3, 2), -7))]:
-            got = _terminating_sum(nums, dens)
-            assert type(got) is Fraction
-            assert got == fraction_pfq(nums, dens)
+            assert pair_value(nums, dens) == fraction_pfq(nums, dens)
 
     def test_same_errors_as_the_series(self):
         cases = [
@@ -396,7 +421,7 @@ class TestTerminatingSumKernel:
             want = outcome(fraction_pfq, nums, dens)
             assert want in (NonTerminatingError, ZeroDivisionError)
             with pytest.raises(want):
-                _terminating_sum(nums, dens)
+                terminating_pair(nums, dens)
 
 
 class TestCRational:

@@ -2,12 +2,14 @@
 kernel-integral bounds, and the convergence harness."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from su2chan import quadrature
 from su2chan.intertwine import ChannelSpec
 from su2chan.quadrature import (
     _fund_bound,
@@ -132,6 +134,30 @@ class TestGrid:
         val = integrate_invariant(lambda z: z * (1 + abs(z) ** 2) ** (-2),
                                   grid)
         assert abs(val) < 1e-13
+
+    def test_one_leggauss_call_per_rule(self, monkeypatch):
+        # the moments and the entropy functional of the README converge
+        # example: five grids of five distinct radial sizes, read for both
+        # points and weights
+        phi = entropy_poly_coeffs(8)
+        rng = random.Random(RNG_SEED)
+        _, f = random_band_limited_state(3, rng)
+        sizes = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(n):
+            sizes.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        for n in (1, 2, 3, 4):
+            limit_moment(3, 1, f, n)
+        limit_functional(3, 1, f, phi)
+        assert sorted(sizes) == [4, 7, 10, 13, 25]
+        grid = QuadratureGrid.for_degree(6)
+        for _ in range(2):
+            assert grid.points.shape == grid.weights.shape == (7 * 13,)
+        assert sorted(sizes) == [4, 7, 7, 10, 13, 25]
 
     def test_symbol_values_match_pointwise_evaluation(self):
         rng = random.Random(RNG_SEED)
@@ -306,6 +332,21 @@ class TestKernelBounds:
                                "bound_holds": total <= bound}, (kappa, j)
                 assert total == closed and closed <= bound
                 assert _fund_bound(kappa, j) == bound, (kappa, j)
+
+    def test_fund_ineq_shares_one_factorial_table(self, monkeypatch):
+        # interleaved kappa, as in a shuffled sweep: every report matches
+        # the oracle, and the table never outgrows the largest call's
+        monkeypatch.setattr(quadrature, "_factorials", [1])
+        grid = [(kappa, j) for kappa in range(13) for j in range(kappa + 1)]
+        random.Random(RNG_SEED).shuffle(grid)
+        largest = 0
+        for kappa, j in grid:
+            assert fund_ineq_check(kappa, j)["sum"] \
+                == fraction_fund_sum(kappa, j), (kappa, j)
+            largest = max(largest, kappa)
+            table = quadrature._factorials
+            assert len(table) == 2 * largest + 1
+            assert table == [math.factorial(i) for i in range(len(table))]
 
     def test_fund_ineq_rejects_j_out_of_range(self):
         for kappa, j in ((0, 1), (3, -1), (3, 4)):

@@ -447,6 +447,9 @@ class TestLimitEigenvalues:
             for k in range(mu + 1):
                 for m in range(mu + 1, mu + 4):
                     assert e_eigenvalue_3f2(mu, k, m) == 0
+                    assert e_limit_eigenvalue(mu, k, m) == 0
+                    for nu in (mu, mu + 3):
+                        assert e_nu_eigenvalue(ChannelSpec(mu, nu, k), m) == 0
 
     def test_constant_eigenvalue(self):
         for mu in range(0, 6):
