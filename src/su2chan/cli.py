@@ -63,6 +63,10 @@ EXIT_CONFIG_ERROR = 2
 
 DEFAULT_SEED = 20240817
 N_RANDOM = 5    # random operators per (mu, nu, k) in the trace check
+# converge's largest limit-quadrature degree d = mu * n or mu * deg(phi):
+# its grid has (d+1)(2d+1) points, and a run at mu = 3, d = 1500 peaks
+# near 720 MB
+MAX_GRID_DEGREE = 1500
 
 
 def _atomic_write(path: str, data: str):
@@ -101,129 +105,140 @@ def _emit(path: Optional[str], data: str):
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify: one function per identity check.  Each returns (witness, cases):
+# the witness dict of the last failing case, or None, and the case count.
 # ---------------------------------------------------------------------------
 
-def run_verify_suites(mu_max: int, nu_max: int, seed: int,
-                      psd_tol: float = 1e-10,
-                      corrupt_c_squared: bool = False,
-                      timings: Optional[list] = None) -> dict:
-    """Run the exact-identity suites; returns a JSON-ready report.
-
-    ``corrupt_c_squared`` is a fault-injection hook for harness tests:
-    it scales the Schur constant of the trace check by 3/2, which must
-    then fail with a witness.  A ``timings`` list receives one
-    ``{identity, cases, elapsed_s}`` per suite, in report order; the
-    report itself holds no timing.
-    """
-    rng = random.Random(seed)
-    results = []
-    start = time.perf_counter()
-
-    def record(name: str, ok: bool, witness, cases: int):
-        nonlocal start
-        results.append({"identity": name, "ok": ok, "witness": witness})
-        now = time.perf_counter()
-        if timings is not None:
-            timings.append({"identity": name, "cases": cases,
-                            "elapsed_s": now - start})
-        start = now
-
-    # Gauss summation 2F1(-n, b; c; 1) = (c-b)_n / (c)_n.  For integer
-    # b, c the Pochhammers are integers, read from one table per n over
-    # c and c - b, and compared crosswise with the unreduced sum top/bot.
-    ok, wit, cases = True, None, 0
+def check_gauss_summation():
+    """2F1(-n, b; c; 1) = (c-b)_n / (c)_n for n, |b| <= 12 and |c| <= 20,
+    the integer Pochhammers read from one table per n and compared
+    crosswise with the unreduced sum top/bot."""
+    wit, cases = None, 0
     for n in range(0, 13):
         poch = {c: rising_pochhammer(c, n).numerator for c in range(-32, 33)}
         for b in range(-12, 13):
             for ac in range(n, 21):
                 for c in {ac, -ac} if ac else {0}:
-                    if abs(c) < max(n, 1):
-                        continue
-                    den = poch[c]
-                    if den == 0:
+                    if abs(c) < max(n, 1) or poch[c] == 0:
                         continue
                     cases += 1
                     top, bot = terminating_pair((-n, b), (c,))
-                    if top * den != bot * poch[c - b]:
-                        ok, wit = False, {
-                            "n": n, "b": b, "c": c,
-                            "lhs": str(Fraction(top, bot)),
-                            "rhs": str(Fraction(poch[c - b], den))}
-    record("gauss_summation", ok, wit, cases)
+                    if top * poch[c] != bot * poch[c - b]:
+                        wit = {"n": n, "b": b, "c": c,
+                               "lhs": str(Fraction(top, bot)),
+                               "rhs": str(Fraction(poch[c - b], poch[c]))}
+    return wit, cases
 
+
+def check_orthogonality(levels):
+    """Schur constant, orthogonality and completeness at each (mu, nu)."""
+    wit = None
+    for mu, nu in levels:
+        rep = pk_orthogonality_check(mu, nu)
+        if not rep["ok"]:
+            wit = rep["witness"]
+    return wit, len(levels)
+
+
+def check_trace_preservation(specs, rng, draws, fault=1):
+    """Tr T(A) = Tr A, crosswise, for ``draws`` random A per spec; a
+    ``fault`` other than 1 scales each T(A), as a wrong c^2 would."""
+    wit = None
+    for spec in specs:
+        for _ in range(draws):
+            a = random_operator(spec.mu, rng)
+            ta = apply_normalized_channel(spec, a)
+            if fault != 1:
+                ta = ta.scale(fault)
+            (da, ra, ia), (dt, rt, it) = map(_trace_integers, (a, ta))
+            if ra * dt != rt * da or ia * dt != it * da:
+                wit = {"mu": spec.mu, "nu": spec.nu, "k": spec.k,
+                       "trace_in": str(operator_trace(a)),
+                       "trace_out": str(operator_trace(ta))}
+    return wit, len(specs) * draws
+
+
+def check_choi_positive(specs, psd_tol):
+    """The exact least Choi eigenvalue of each spec is >= -psd_tol."""
+    wit = None
+    for spec in specs:
+        mn = choi_min_eigenvalue(spec)
+        if mn < -psd_tol:
+            wit = {"mu": spec.mu, "nu": spec.nu, "k": spec.k,
+                   "min_eigenvalue": str(mn)}
+    return wit, len(specs)
+
+
+def check_berezin_sum(specs, rng, draws):
+    """symbol(T(A)) = E_nu applied to the inverse Berezin transform of
+    symbol(A), for ``draws`` random A per spec."""
+    wit = None
+    for spec in specs:
+        for _ in range(draws):
+            a = random_operator(spec.mu, rng)
+            f = inverse_berezin(spec.mu, symbol(a))
+            if not functions_equal(e_nu_apply(spec, f),
+                                   symbol(apply_channel(spec, a))):
+                wit = {"mu": spec.mu, "nu": spec.nu, "k": spec.k}
+    return wit, len(specs) * draws
+
+
+def check_kernel_bound(nu_max):
+    """I_n(nu) <= 4^n for 1 <= n <= 4 and even nu <= nu_max."""
+    grid = [(n, nu) for n in range(1, 5) for nu in range(0, nu_max + 1, 2)]
+    wit = None
+    for n, nu in grid:
+        if i_n_integral(n, nu) > 2 ** (2 * n):
+            wit = {"n": n, "nu": nu}
+    return wit, len(grid)
+
+
+def check_binomial_sum():
+    """The binomial-sum identity and bound for 0 <= j <= kappa <= 30."""
+    grid = [(kappa, j) for kappa in range(0, 31) for j in range(kappa + 1)]
+    wit = None
+    for kappa, j in grid:
+        rep = fund_ineq_check(kappa, j)
+        if not (rep["identity_holds"] and rep["bound_holds"]):
+            wit = {"kappa": kappa, "j": j, "sum": str(rep["sum"])}
+    return wit, len(grid)
+
+
+def run_verify_suites(mu_max: int, nu_max: int, seed: int,
+                      psd_tol: float = 1e-10,
+                      corrupt_c_squared: bool = False,
+                      timings: Optional[list] = None) -> dict:
+    """Run the checks in order into a JSON-ready report; a check is ok when
+    it has no witness.  ``corrupt_c_squared`` scales the trace check's
+    outputs by 3/2 (fault injection).  ``timings`` receives one
+    ``{identity, cases, elapsed_s}`` per check; the report holds none."""
+    rng = random.Random(seed)
     levels = [(mu, nu) for mu in range(mu_max + 1)
               for nu in range(mu, nu_max + 1)]
     specs = [ChannelSpec(mu, nu, k) for mu, nu in levels
              for k in range(mu + 1)]
-
-    # Schur constant / orthogonality / completeness
-    ok, wit = True, None
-    for mu, nu in levels:
-        rep = pk_orthogonality_check(mu, nu)
-        if not rep["ok"]:
-            ok, wit = False, rep["witness"]
-    record("schur_orthogonality_completeness", ok, wit, len(levels))
-
-    # trace preservation (with optional fault injection), crosswise
-    ok, wit = True, None
-    for spec in specs:
-        for _ in range(N_RANDOM):
-            a = random_operator(spec.mu, rng)
-            ta = apply_normalized_channel(spec, a)
-            if corrupt_c_squared:
-                # the channel is linear in c^2
-                ta = ta.scale(Fraction(3, 2))
-            (da, ra, ia), (dt, rt, it) = map(_trace_integers, (a, ta))
-            if ra * dt != rt * da or ia * dt != it * da:
-                ok, wit = False, {
-                    "mu": spec.mu, "nu": spec.nu, "k": spec.k,
-                    "trace_in": str(operator_trace(a)),
-                    "trace_out": str(operator_trace(ta))}
-    record("trace_preservation", ok, wit, len(specs) * N_RANDOM)
-
-    # Choi matrix positive semidefinite
-    ok, wit = True, None
-    for spec in specs:
-        mn = choi_min_eigenvalue(spec)
-        if mn < -psd_tol:
-            ok, wit = False, {"mu": spec.mu, "nu": spec.nu, "k": spec.k,
-                              "min_eigenvalue": str(mn)}
-    record("choi_positive", ok, wit, len(specs))
-
-    # Berezin-sum identity for the channel-induced function operator
-    ok, wit = True, None
-    for spec in specs:
-        a = random_operator(spec.mu, rng)
-        f = inverse_berezin(spec.mu, symbol(a))
-        if not functions_equal(e_nu_apply(spec, f),
-                               symbol(apply_channel(spec, a))):
-            ok, wit = False, {"mu": spec.mu, "nu": spec.nu, "k": spec.k}
-    record("berezin_sum_identity", ok, wit, len(specs))
-
-    # kernel bound and the exact binomial-sum inequality behind it
-    ok, wit = True, None
-    grid = [(n, nu) for n in range(1, 5) for nu in range(0, nu_max + 1, 2)]
-    for n, nu in grid:
-        if i_n_integral(n, nu) > 2 ** (2 * n):
-            ok, wit = False, {"n": n, "nu": nu}
-    record("kernel_integral_bound", ok, wit, len(grid))
-
-    ok, wit = True, None
-    grid = [(kappa, j) for kappa in range(0, 31) for j in range(kappa + 1)]
-    for kappa, j in grid:
-        rep = fund_ineq_check(kappa, j)
-        if not (rep["identity_holds"] and rep["bound_holds"]):
-            ok, wit = False, {"kappa": kappa, "j": j,
-                              "sum": str(rep["sum"])}
-    record("binomial_sum_inequality", ok, wit, len(grid))
-
-    return {
-        "config": {"mu_max": mu_max, "nu_max": nu_max, "seed": seed,
-                   "n_random": N_RANDOM, "psd_tol": psd_tol},
-        "results": results,
-        "all_ok": all(r["ok"] for r in results),
-    }
+    checks = [
+        ("gauss_summation", check_gauss_summation, ()),
+        ("schur_orthogonality_completeness", check_orthogonality, (levels,)),
+        ("trace_preservation", check_trace_preservation,
+         (specs, rng, N_RANDOM, Fraction(3, 2) if corrupt_c_squared else 1)),
+        ("choi_positive", check_choi_positive, (specs, psd_tol)),
+        ("berezin_sum_identity", check_berezin_sum, (specs, rng, 1)),
+        ("kernel_integral_bound", check_kernel_bound, (nu_max,)),
+        ("binomial_sum_inequality", check_binomial_sum, ()),
+    ]
+    results = []
+    for name, check, args in checks:
+        start = time.perf_counter()
+        witness, cases = check(*args)
+        if timings is not None:
+            timings.append({"identity": name, "cases": cases,
+                            "elapsed_s": time.perf_counter() - start})
+        results.append({"identity": name, "ok": witness is None,
+                        "witness": witness})
+    return {"config": {"mu_max": mu_max, "nu_max": nu_max, "seed": seed,
+                       "n_random": N_RANDOM, "psd_tol": psd_tol},
+            "results": results, "all_ok": all(r["ok"] for r in results)}
 
 
 def cmd_verify(args) -> int:
@@ -306,6 +321,11 @@ def cmd_converge(args) -> int:
     if not args.n and args.phi is None:
         print("error: nothing to check: give a moment order (--n) or --phi",
               file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    degree = args.mu * max(args.n + ([len(args.phi) - 1] if args.phi else []))
+    if degree > MAX_GRID_DEGREE:
+        print(f"error: limit quadrature degree {degree} (mu times the largest "
+              f"n or deg phi) exceeds {MAX_GRID_DEGREE}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     rng = random.Random(args.seed)
     _, f = random_band_limited_state(args.mu, rng)

@@ -1,5 +1,8 @@
 """Acceptance suite: ten headline guarantees of the package, each
-printed as a single PASS/FAIL line.
+printed as a single PASS/FAIL line.  Criteria 2, 3, 5 and 7 run
+``su2chan verify``'s checks (``cli.check_*``) on their own grids;
+criterion 10 sums 2F1 in ``Fraction``, the independent oracle of
+verify's integer Gauss check.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as the
 criteria complete.
@@ -9,38 +12,31 @@ import random
 
 import numpy as np
 
-from su2chan.exactnum import hyp2f1_terminating, rising_pochhammer
-from su2chan.intertwine import (
-    ChannelSpec,
-    apply_normalized_channel,
-    c_squared,
-    choi_min_eigenvalue,
-    pk_orthogonality_check,
+from su2chan.cli import (
+    check_berezin_sum,
+    check_binomial_sum,
+    check_choi_positive,
+    check_kernel_bound,
+    check_orthogonality,
+    check_trace_preservation,
 )
+from su2chan.exactnum import hyp2f1_terminating, rising_pochhammer
+from su2chan.intertwine import ChannelSpec, c_squared
 from su2chan.quadrature import (
     QuadratureGrid,
-    function_values,
-    fund_ineq_check,
     channel_output_spectrum,
     entropy_poly_coeffs,
-    i_n_integral,
-    random_band_limited_state,
-    random_operator,
-    trace_moment,
+    function_values,
     limit_moment,
+    random_band_limited_state,
+    trace_moment,
 )
-from su2chan.repspace import operator_trace
 from su2chan.symbolcalc import (
     berezin_eigenvalue,
     e_eigenvalue_3f2,
     e_limit_apply,
     e_limit_eigenvalue,
-    e_nu_apply,
-    functions_equal,
-    inverse_berezin,
-    symbol,
 )
-from su2chan.intertwine import apply_channel
 from test_intertwine import dense_jk_product
 
 SEED = 20240817
@@ -52,6 +48,18 @@ def report(number: int, name: str, ok: bool, detail: str = ""):
     suffix = f"  ({detail})" if detail else ""
     print(f"{status}: criterion {number:2d} — {name}{suffix}")
     assert ok, f"criterion {number} ({name}) failed{suffix}"
+
+
+def report_checks(number: int, name: str, *checks):
+    """Criterion from verify's (witness, cases) checks; shows a witness."""
+    witness = next((w for w, _ in checks if w is not None), None)
+    report(number, name, witness is None,
+           str(witness) if witness else f"{sum(c for _, c in checks)} cases")
+
+
+def channel_specs(mu_max, nu_max):
+    return [ChannelSpec(mu, nu, k) for mu in range(mu_max + 1)
+            for nu in range(mu, nu_max + 1) for k in range(mu + 1)]
 
 
 def _criterion8_inputs():
@@ -84,34 +92,15 @@ class TestAcceptance:
         report(1, "Schur constant: J_k J_k* = C^-2 I exactly", ok)
 
     def test_02_completeness(self):
-        ok, witness = True, ""
-        for mu in range(0, 5):
-            for nu in range(mu, 9):
-                rep = pk_orthogonality_check(mu, nu)
-                if not rep["ok"]:
-                    ok, witness = False, str(rep["witness"])
-        report(2, "decomposition completeness and cross-orthogonality",
-               ok, witness)
+        report_checks(2, "decomposition completeness and cross-orthogonality",
+                      check_orthogonality([(mu, nu) for mu in range(5)
+                                           for nu in range(mu, 9)]))
 
     def test_03_channel_structure(self):
-        rng = random.Random(SEED)
-        ok, detail = True, ""
-        worst = 0.0
-        for mu in range(0, 4):
-            for nu in range(mu, 8):
-                for k in range(mu + 1):
-                    spec = ChannelSpec(mu, nu, k)
-                    for _ in range(20):
-                        a = random_operator(mu, rng)
-                        if operator_trace(apply_normalized_channel(spec, a)) \
-                                != operator_trace(a):
-                            ok, detail = False, f"trace {mu},{nu},{k}"
-                    mn = choi_min_eigenvalue(spec)
-                    worst = min(worst, mn)
-                    if mn < -1e-10:
-                        ok, detail = False, f"choi {mu},{nu},{k}: {mn}"
-        report(3, "channels trace-preserving and completely positive", ok,
-               detail or f"min Choi eigenvalue {float(worst):.2e}")
+        specs = channel_specs(3, 7)
+        report_checks(3, "channels trace-preserving and completely positive",
+                      check_trace_preservation(specs, random.Random(SEED), 20),
+                      check_choi_positive(specs, 1e-10))
 
     def test_04_berezin_eigenvalues(self):
         # oracle: quadrature of the smoothing integral on one generator
@@ -138,21 +127,9 @@ class TestAcceptance:
                ok, f"max gap {worst:.2e}")
 
     def test_05_berezin_sum_identity(self):
-        rng = random.Random(SEED)
-        ok, detail = True, ""
-        for mu in range(0, 4):
-            for nu in range(mu, 8):
-                for k in range(mu + 1):
-                    spec = ChannelSpec(mu, nu, k)
-                    for _ in range(10):
-                        a = random_operator(mu, rng)
-                        f = inverse_berezin(mu, symbol(a))
-                        if not functions_equal(
-                                e_nu_apply(spec, f),
-                                symbol(apply_channel(spec, a))):
-                            ok, detail = False, f"{mu},{nu},{k}"
-        report(5, "finite-level operator equals its transform-sum form",
-               ok, detail)
+        report_checks(5, "finite-level operator equals its transform-sum form",
+                      check_berezin_sum(channel_specs(3, 7),
+                                        random.Random(SEED), 10))
 
     def test_06_limit_spectral_theorem(self):
         ok = True
@@ -172,18 +149,9 @@ class TestAcceptance:
         report(6, "limit eigenvalues: 3F2 form, sum form, k=0 column", ok)
 
     def test_07_kernel_bound_and_inequality(self):
-        ok, detail = True, ""
-        for n in range(1, 5):
-            for nu in range(0, 41, 2):
-                if i_n_integral(n, nu) > 2 ** (2 * n):
-                    ok, detail = False, f"I_{n}({nu})"
-        for kappa in range(0, 31):
-            for j in range(kappa + 1):
-                rep = fund_ineq_check(kappa, j)
-                if not (rep["identity_holds"] and rep["bound_holds"]):
-                    ok, detail = False, f"kappa={kappa}, j={j}"
-        report(7, "chain-kernel integrals bounded by 4^n; exact binomial "
-                  "identity", ok, detail)
+        report_checks(7, "chain-kernel integrals bounded by 4^n; exact "
+                         "binomial identity",
+                      check_kernel_bound(40), check_binomial_sum())
 
     def test_08_trace_limit(self):
         # the gap per statistic is taken over the whole random input set

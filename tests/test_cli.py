@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import re
 import time
 import warnings
@@ -23,6 +24,7 @@ from su2chan.cli import (
     main,
 )
 from su2chan.exactnum import rising_pochhammer
+from su2chan.intertwine import ChannelSpec
 from test_exactnum import fraction_3f2
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,6 +38,11 @@ def test_version_matches_pyproject(capsys):
     out = capsys.readouterr()
     assert out.out == version + "\n"
     assert out.err == ""
+
+
+IDENTITIES = ["gauss_summation", "schur_orthogonality_completeness",
+              "trace_preservation", "choi_positive", "berezin_sum_identity",
+              "kernel_integral_bound", "binomial_sum_inequality"]
 
 
 def run(tmp_path, *argv):
@@ -56,12 +63,80 @@ class TestVerify:
         assert "trace_preservation" in names
 
     def test_fault_injection_fails_with_witness(self, tmp_path):
+        # the whole report, pinned: the witness is the last of the specs
+        # whose traces the 3/2 fault breaks
         code, out = run(tmp_path, "verify", "--mu", "1", "--nu-max", "2",
                         "--corrupt-c2")
         assert code == EXIT_ASSERTION_FAILED
-        report = json.loads(out.read_text())
-        bad = [r for r in report["results"] if not r["ok"]]
-        assert bad and bad[0]["witness"] is not None
+        trace_wit = {"mu": 1, "nu": 2, "k": 1, "trace_in": "5/2+-7/2j",
+                     "trace_out": "15/4+-21/4j"}
+        assert json.loads(out.read_text()) == {
+            "config": {"mu_max": 1, "nu_max": 2, "seed": cli.DEFAULT_SEED,
+                       "n_random": 5, "psd_tol": 1e-10},
+            "results": [{"identity": name, "ok": name != "trace_preservation",
+                         "witness": trace_wit
+                         if name == "trace_preservation" else None}
+                        for name in IDENTITIES],
+            "all_ok": False}
+
+    # a fault on cli at two cases of one check, edge levels among them:
+    # (patched name, faulty argument tuples, fault, identity, the witness
+    # of the later case)
+    @pytest.mark.parametrize("name,cases,fault,identity,witness", [
+        ("pk_orthogonality_check", [(0, 0), (1, 1)],
+         lambda real, mu, nu: dict(real(mu, nu), ok=False,
+                                   witness={"mu": mu, "nu": nu}),
+         "schur_orthogonality_completeness", {"mu": 1, "nu": 1}),
+        ("choi_min_eigenvalue", [(ChannelSpec(0, 1, 0),),
+                                 (ChannelSpec(1, 1, 1),)],
+         lambda real, spec: Fraction(-1), "choi_positive",
+         {"mu": 1, "nu": 1, "k": 1, "min_eigenvalue": "-1"}),
+        ("i_n_integral", [(1, 2), (2, 0)], lambda real, n, nu: Fraction(17),
+         "kernel_integral_bound", {"n": 2, "nu": 0}),
+        ("fund_ineq_check", [(0, 0), (2, 1)],
+         lambda real, kappa, j: dict(real(kappa, j), bound_holds=False),
+         "binomial_sum_inequality", {"kappa": 2, "j": 1, "sum": "5/6"}),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_fault_gives_the_later_witness(self, tmp_path, monkeypatch, name,
+                                           cases, fault, identity, witness):
+        real, hits = getattr(cli, name), []
+
+        def faulty(*args):
+            if args in cases:
+                hits.append(args)
+                return fault(real, *args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, faulty)
+        code, out = run(tmp_path, "verify", "--mu", "1", "--nu-max", "2")
+        assert code == EXIT_ASSERTION_FAILED
+        assert hits == cases
+        failed = [r for r in json.loads(out.read_text())["results"]
+                  if not r["ok"]]
+        assert failed == [{"identity": identity, "ok": False,
+                           "witness": witness}]
+
+    def test_berezin_fault_gives_the_later_witness(self, tmp_path,
+                                                   monkeypatch):
+        # functions_equal does not see the spec: read it from e_nu_apply
+        specs, real_apply, real_equal = [], cli.e_nu_apply, cli.functions_equal
+
+        def apply(spec, f):
+            specs.append((spec.mu, spec.nu, spec.k))
+            return real_apply(spec, f)
+
+        def equal(f, g):
+            return real_equal(f, g) and specs[-1] not in {(0, 0, 0),
+                                                          (1, 2, 0)}
+
+        monkeypatch.setattr(cli, "e_nu_apply", apply)
+        monkeypatch.setattr(cli, "functions_equal", equal)
+        code, out = run(tmp_path, "verify", "--mu", "1", "--nu-max", "2")
+        assert code == EXIT_ASSERTION_FAILED
+        failed = [r for r in json.loads(out.read_text())["results"]
+                  if not r["ok"]]
+        assert failed == [{"identity": "berezin_sum_identity", "ok": False,
+                           "witness": {"mu": 1, "nu": 2, "k": 0}}]
 
     # one (n, b, c) of the Gauss sweep gets a wrong 2F1 value: off by one,
     # nonzero where (c-b)_n = 0, and the right numerator over twice the
@@ -97,6 +172,20 @@ class TestVerify:
         assert lhs != rhs
         assert failed[0]["witness"] == {"n": n, "b": b, "c": c,
                                         "lhs": str(lhs), "rhs": str(rhs)}
+
+    def test_checks_on_a_wide_grid(self):
+        # mu <= 3 at nu = mu, 16, 24, 40: mu = 0, nu = mu and output levels
+        # L = mu + nu - 2k below mu are all among the 40 specs
+        levels = [(mu, nu) for mu in range(4) for nu in (mu, 16, 24, 40)]
+        specs = [ChannelSpec(mu, nu, k) for mu, nu in levels
+                 for k in range(mu + 1)]
+        assert len(specs) == 40
+        assert any(s.target_level < s.mu for s in specs)
+        rng = random.Random(cli.DEFAULT_SEED)
+        assert cli.check_orthogonality(levels) == (None, 16)
+        assert cli.check_trace_preservation(specs, rng, 5) == (None, 200)
+        assert cli.check_choi_positive(specs, 0.0) == (None, 40)
+        assert cli.check_berezin_sum(specs, rng, 2) == (None, 80)
 
     def test_timings_sidecar_leaves_report_unchanged(self, tmp_path):
         argv = ["verify", "--mu", "1", "--nu-max", "3", "--seed", "5"]
@@ -425,6 +514,45 @@ class TestConverge:
         assert code in (EXIT_OK, EXIT_ASSERTION_FAILED)
         rows = list(csv.reader(out.read_text().splitlines()))
         assert [r[3] for r in rows[1:]] == ["phi=deg8", "phi=deg8"]
+
+    # mu = 3: the limit grid of degree d = 3n, or 3 deg phi, has
+    # (d+1)(2d+1) points; n = 400 must still run, and the cap is 1500
+    @pytest.mark.parametrize("order,degree", [
+        (["--n", "400"], 1200), (["--n", "1,500"], 1500),
+        (["--n", "", "--phi", "0," * 500 + "1"], 1500)])
+    def test_limit_grid_up_to_the_degree_cap_is_built(
+            self, tmp_path, monkeypatch, order, degree):
+        # a small grid stands in, so that only the degree asked for counts
+        degrees, real = [], quadrature.QuadratureGrid.for_degree.__func__
+
+        def small(cls, d):
+            degrees.append(d)
+            return real(cls, 1)
+
+        monkeypatch.setattr(quadrature.QuadratureGrid, "for_degree",
+                            classmethod(small))
+        code = main(["converge", "--mu", "3", "--k", "1", "--nu", "3,6"]
+                    + order + ["--out", str(tmp_path / "x.csv")])
+        assert code in (EXIT_OK, EXIT_ASSERTION_FAILED)
+        assert cli.MAX_GRID_DEGREE == 1500
+        assert max(degrees) == degree
+
+    @pytest.mark.parametrize("order", [
+        ["--n", "2,501"], ["--n", "", "--phi", "0," * 501 + "1"]])
+    def test_limit_grid_past_the_degree_cap_is_config_error(
+            self, tmp_path, capsys, monkeypatch, order):
+        monkeypatch.setattr(quadrature.QuadratureGrid, "for_degree",
+                            _must_not_run)
+        for name in ("random_band_limited_state", "channel_output_spectrum"):
+            monkeypatch.setattr(cli, name, _must_not_run)
+        code = main(["converge", "--mu", "3", "--k", "1", "--nu", "3,6"]
+                    + order + ["--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: limit quadrature degree 1503 (mu times the "
+                           "largest n or deg phi) exceeds 1500\n")
+        assert os.listdir(tmp_path) == []
 
     def test_moment_order_below_one_is_config_error(self, tmp_path):
         code = main(["converge", "--mu", "1", "--k", "0", "--nu", "8,16",
