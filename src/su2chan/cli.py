@@ -32,13 +32,16 @@ from .intertwine import (
     pk_orthogonality_check,
 )
 from .quadrature import (
+    MAX_LIMIT_GRID_POINTS,
     ConvergenceRecord,
     channel_output_spectrum,
     entropy_poly_coeffs,
     fund_ineq_check,
+    functional_grid,
     i_n_integral,
     limit_functional,
     limit_moment,
+    moment_grid,
     random_band_limited_state,
     random_operator,
     trace_functional,
@@ -63,10 +66,6 @@ EXIT_CONFIG_ERROR = 2
 
 DEFAULT_SEED = 20240817
 N_RANDOM = 5    # random operators per (mu, nu, k) in the trace check
-# converge's largest limit-quadrature degree d = mu * n or mu * deg(phi):
-# its grid has (d+1)(2d+1) points, and a run at mu = 3, d = 1500 peaks
-# near 720 MB
-MAX_GRID_DEGREE = 1500
 
 
 def _atomic_write(path: str, data: str):
@@ -318,14 +317,17 @@ def cmd_converge(args) -> int:
     if any(n < 1 for n in args.n):
         print("error: every moment order n must be >= 1", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    if not args.n and args.phi is None:
+    if not args.n and not args.phi:
         print("error: nothing to check: give a moment order (--n) or --phi",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    degree = args.mu * max(args.n + ([len(args.phi) - 1] if args.phi else []))
-    if degree > MAX_GRID_DEGREE:
-        print(f"error: limit quadrature degree {degree} (mu times the largest "
-              f"n or deg phi) exceeds {MAX_GRID_DEGREE}", file=sys.stderr)
+    points = max(g.size for g in
+                 [moment_grid(args.mu, n) for n in args.n]
+                 + ([functional_grid(args.mu, args.phi)] if args.phi else []))
+    if points > MAX_LIMIT_GRID_POINTS:
+        print(f"error: a limit quadrature grid of {points} points (its "
+              f"degree is mu times the largest n or deg phi) exceeds "
+              f"{MAX_LIMIT_GRID_POINTS}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     rng = random.Random(args.seed)
     _, f = random_band_limited_state(args.mu, rng)

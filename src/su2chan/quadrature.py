@@ -59,6 +59,11 @@ class QuadratureGrid:
         return cls(n_radial=degree + 1, n_angular=2 * degree + 1)
 
     @property
+    def size(self) -> int:
+        """Number of sample points."""
+        return self.n_radial * self.n_angular
+
+    @property
     def points(self) -> np.ndarray:
         """Complex sample points, shape (n_radial * n_angular,)."""
         t, _ = self._radial
@@ -78,14 +83,37 @@ class QuadratureGrid:
         return (x + 1.0) / 2.0, w / 2.0
 
 
-def symbol_values(a: KernelOperator, zs: np.ndarray) -> np.ndarray:
-    """Values of A(z, z)/(1 + |z|^2)^level on an array of points.
+# complex entries in one block of symbol_values' Vandermonde rows (16 MB),
+# so that the number of points, not the level, sets its memory
+VANDER_ENTRIES = 1 << 20
 
-    Avoids the isotypic split, so it stays cheap at large levels.
+
+def symbol_values(a: KernelOperator, zs: np.ndarray) -> np.ndarray:
+    """Values of A(z, z)/(1 + |z|^2)^level on a 1-d array of points,
+    taken in blocks of VANDER_ENTRIES // dim points.
+
+    Avoids the isotypic split, so it stays cheap at large levels.  Where
+    z^level or (1 + |z|^2)^level overflows, the row z^i / s^level, with
+    s = sqrt(1 + |z|^2), is taken as (z/s)^i (1/s)^(level-i) instead:
+    both bases lie in the unit disc.
     """
-    p = np.vander(zs, a.dim, increasing=True)
-    num = np.einsum("ai,ij,aj->a", p, a.complex_matrix(), p.conj())
-    return num / (1.0 + np.abs(zs) ** 2) ** a.level
+    m = a.complex_matrix()
+    step = max(1, VANDER_ENTRIES // a.dim)
+    vals = np.empty(zs.shape, dtype=complex)
+    for s in range(0, zs.size, step):
+        z = zs[s:s + step]
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = np.vander(z, a.dim, increasing=True)
+            den = (1.0 + np.abs(z) ** 2) ** a.level
+            v = np.einsum("ai,ij,aj->a", p, m, p.conj()) / den
+        far = ~(np.isfinite(den) & np.isfinite(v))
+        if far.any():
+            inv = 1.0 / np.sqrt(1.0 + np.abs(z[far]) ** 2)
+            p = (np.vander(z[far] * inv, a.dim, increasing=True)
+                 * np.vander(inv, a.dim))
+            v[far] = np.einsum("ai,ij,aj->a", p, m, p.conj())
+        vals[s:s + step] = v
+    return vals
 
 
 def function_values(f: IsotypicFunction, zs: np.ndarray) -> np.ndarray:
@@ -150,9 +178,24 @@ def trace_moment(lam: np.ndarray, n: int) -> float:
     return float(np.sum(lam ** n) / lam.size)
 
 
+# Most points a limit rule may have: the rule of degree 1500.  With
+# symbol_values in blocks, a run's memory grows with the points alone
+MAX_LIMIT_GRID_POINTS = 1501 * 3001
+
+
+def moment_grid(mu: int, n: int) -> QuadratureGrid:
+    """The rule limit_moment integrates the n-th power on at level mu."""
+    return QuadratureGrid.for_degree(n * mu)
+
+
+def functional_grid(mu: int, phi: Sequence[float]) -> QuadratureGrid:
+    """The rule limit_functional integrates phi on at level mu."""
+    return QuadratureGrid.for_degree(max(1, (len(phi) - 1) * mu))
+
+
 def limit_moment(mu: int, k: int, f: IsotypicFunction, n: int) -> float:
     """Integral of the n-th power of the limit-operator image of f."""
-    grid = QuadratureGrid.for_degree(n * mu)
+    grid = moment_grid(mu, n)
     e = e_limit_apply(mu, k, f)
     vals = function_values(e, grid.points)
     if not np.all(np.isfinite(vals)):
@@ -185,7 +228,7 @@ def limit_functional(mu: int, k: int, f: IsotypicFunction,
     """Integral of phi(E(f)) against the invariant measure, with E(f)
     range-checked on the grid by :func:`_unit_interval`; the grid is
     exact for the ascending polynomial coefficients ``phi``."""
-    grid = QuadratureGrid.for_degree(max(1, (len(phi) - 1) * mu))
+    grid = functional_grid(mu, phi)
     e = e_limit_apply(mu, k, f)
     vals = np.real(function_values(e, grid.points))
     return float(np.sum(grid.weights * np.polynomial.polynomial.polyval(

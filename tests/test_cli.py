@@ -13,6 +13,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import su2chan
@@ -515,43 +516,62 @@ class TestConverge:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert [r[3] for r in rows[1:]] == ["phi=deg8", "phi=deg8"]
 
-    # mu = 3: the limit grid of degree d = 3n, or 3 deg phi, has
-    # (d+1)(2d+1) points; n = 400 must still run, and the cap is 1500
-    @pytest.mark.parametrize("order,degree", [
-        (["--n", "400"], 1200), (["--n", "1,500"], 1500),
-        (["--n", "", "--phi", "0," * 500 + "1"], 1500)])
-    def test_limit_grid_up_to_the_degree_cap_is_built(
-            self, tmp_path, monkeypatch, order, degree):
-        # a small grid stands in, so that only the degree asked for counts
-        degrees, real = [], quadrature.QuadratureGrid.for_degree.__func__
+    # the limit grid of degree d = mu n, or mu deg phi, has (d+1)(2d+1)
+    # points; n = 400 at mu = 3 must still run, and the cap is degree 1500
+    @pytest.mark.parametrize("argv,degree", [
+        (["--mu", "3", "--n", "400"], 1200),
+        (["--mu", "3", "--n", "1,500"], 1500),
+        (["--mu", "3", "--n", "", "--phi", "0," * 500 + "1"], 1500),
+        (["--mu", "20", "--n", "75"], 1500)])
+    def test_limit_grid_up_to_the_cap_is_built(
+            self, tmp_path, monkeypatch, argv, degree):
+        # one sample point stands in for the grid, so that only the size
+        # asked for counts
+        sizes = []
 
-        def small(cls, d):
-            degrees.append(d)
-            return real(cls, 1)
+        def one_point(grid):
+            sizes.append(grid.size)
+            return np.array([0.5 + 0.5j])
 
-        monkeypatch.setattr(quadrature.QuadratureGrid, "for_degree",
-                            classmethod(small))
-        code = main(["converge", "--mu", "3", "--k", "1", "--nu", "3,6"]
-                    + order + ["--out", str(tmp_path / "x.csv")])
+        monkeypatch.setattr(quadrature.QuadratureGrid, "points",
+                            property(one_point))
+        monkeypatch.setattr(quadrature.QuadratureGrid, "weights",
+                            property(lambda grid: np.ones(1)))
+        mu = int(argv[1])
+        code = main(["converge", "--k", "1", "--nu", f"{mu},{mu + 3}"]
+                    + argv + ["--out", str(tmp_path / "x.csv")])
         assert code in (EXIT_OK, EXIT_ASSERTION_FAILED)
-        assert cli.MAX_GRID_DEGREE == 1500
-        assert max(degrees) == degree
+        assert cli.MAX_LIMIT_GRID_POINTS == 1501 * 3001
+        assert max(sizes) == (degree + 1) * (2 * degree + 1)
 
-    @pytest.mark.parametrize("order", [
-        ["--n", "2,501"], ["--n", "", "--phi", "0," * 501 + "1"]])
-    def test_limit_grid_past_the_degree_cap_is_config_error(
-            self, tmp_path, capsys, monkeypatch, order):
-        monkeypatch.setattr(quadrature.QuadratureGrid, "for_degree",
-                            _must_not_run)
+    @pytest.mark.parametrize("argv", [
+        ["--mu", "3", "--n", "2,501"],
+        ["--mu", "3", "--n", "", "--phi", "0," * 501 + "1"],
+        ["--mu", "1503", "--n", "1"]])
+    def test_limit_grid_past_the_cap_is_config_error(
+            self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(quadrature.QuadratureGrid, "points",
+                            property(_must_not_run))
         for name in ("random_band_limited_state", "channel_output_spectrum"):
             monkeypatch.setattr(cli, name, _must_not_run)
-        code = main(["converge", "--mu", "3", "--k", "1", "--nu", "3,6"]
-                    + order + ["--out", str(tmp_path / "x.csv")])
+        mu = int(argv[1])
+        code = main(["converge", "--k", "1", "--nu", f"{mu},{mu + 3}"]
+                    + argv + ["--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG_ERROR
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == ("error: limit quadrature degree 1503 (mu times the "
-                           "largest n or deg phi) exceeds 1500\n")
+        assert out.err == ("error: a limit quadrature grid of 4522528 points "
+                           "(its degree is mu times the largest n or deg phi) "
+                           "exceeds 4504501\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("phi", ["", ","])
+    def test_empty_n_and_phi_is_config_error(self, tmp_path, capsys, phi):
+        code = main(["converge", "--mu", "2", "--k", "1", "--nu", "10,20",
+                     "--n", "", "--phi", phi, "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
     def test_moment_order_below_one_is_config_error(self, tmp_path):

@@ -4,6 +4,7 @@ kernel-integral bounds, and the convergence harness."""
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from su2chan.quadrature import (
     trace_functional,
     trace_moment,
 )
-from su2chan.repspace import operator_trace
+from su2chan.repspace import operator_trace, reproducing_identity_operator
 from su2chan.symbolcalc import (
     e_limit_apply,
     functions_equal,
@@ -167,6 +168,24 @@ class TestGrid:
         fast = symbol_values(a, zs)
         slow = np.array([_evaluate(f, z) for z in zs])
         assert np.max(np.abs(fast - slow)) < 1e-12
+
+    def test_symbol_values_in_blocks_match_one_pass(self, monkeypatch):
+        rng = random.Random(RNG_SEED)
+        a = random_operator(3, rng)
+        zs = QuadratureGrid.for_degree(6).points
+        whole = symbol_values(a, zs)
+        monkeypatch.setattr(quadrature, "VANDER_ENTRIES", 3 * a.dim)
+        assert np.array_equal(symbol_values(a, zs), whole)
+
+    @pytest.mark.parametrize("mu", [50, 200])
+    def test_symbol_values_finite_far_out(self, mu):
+        # the kernel (1 + x y~)^mu has symbol 1 everywhere, though z^mu
+        # and (1 + |z|^2)^mu overflow at |z| = 1e6
+        zs = np.array([1e6 + 0j, -1e6j, 3e3 + 4e3j, 0.5, 0j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = symbol_values(reproducing_identity_operator(mu), zs)
+        assert np.max(np.abs(vals - 1)) < 1e-12
 
     def test_quadrature_recovers_exact_integral(self):
         rng = random.Random(RNG_SEED)
