@@ -6,8 +6,6 @@ large-level trace limit.
 from .exactnum import (
     CRational,
     NonTerminatingError,
-    hyp2f1_terminating,
-    hyp3f2_terminating,
     rising_pochhammer,
 )
 from .repspace import (
@@ -17,7 +15,6 @@ from .repspace import (
     compose,
     isotypic_projectors,
     operator_trace,
-    reproducing_identity_operator,
     to_orthonormal_matrix,
 )
 from .intertwine import (

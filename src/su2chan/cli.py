@@ -47,8 +47,7 @@ from .quadrature import (
     trace_functional,
     trace_moment,
 )
-from .repspace import (FloatRangeError, _trace_integers, operator_trace,
-                       reproducing_identity_operator)
+from .repspace import FloatRangeError, _trace_integers, operator_trace
 from .symbolcalc import (
     _berezin_numerators,
     _limit_eigenvalue,
@@ -365,10 +364,8 @@ def cmd_channel_dump(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    report = channel_report(spec)
-    report["identity_image"] = apply_normalized_channel(
-        spec, reproducing_identity_operator(spec.mu)).to_json_dict()
-    _emit(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _emit(args.out, json.dumps(channel_report(spec), indent=2,
+                               sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -383,7 +380,10 @@ def _int_list(text: str) -> List[int]:
 def _phi_arg(text: str) -> List[float]:
     if text.strip() == "entropy8":
         return list(entropy_poly_coeffs(8))
-    return [float(v) for v in text.split(",") if v.strip()]
+    coeffs = [float(v) for v in text.split(",") if v.strip()]
+    if not coeffs:
+        raise argparse.ArgumentTypeError("needs at least one coefficient")
+    return coeffs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -470,8 +470,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else 0
     phi, tol = getattr(args, "phi", None), getattr(args, "tol", 0.0)
     # |phi| <= sum |c_i| on [0, 1]; a functional adds <= mu + max nu + 1 values
-    if phi is not None and not (phi and math.isfinite(
-            sum(map(abs, phi)) * (args.mu + max(args.nu, default=0) + 1))):
+    if phi is not None and not math.isfinite(
+            sum(map(abs, phi)) * (args.mu + max(args.nu, default=0) + 1)):
         print("error: --phi coefficients too large or not finite",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR

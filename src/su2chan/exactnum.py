@@ -97,24 +97,3 @@ def terminating_pair(nums, dens) -> tuple[int, int]:
             b *= p + i * q
         top, bot = b * bot + a * top, b * bot
     return top, bot
-
-
-def hyp2f1_terminating(n: int, b: RationalLike, c: RationalLike) -> Fraction:
-    """2F1(-n, b; c; 1) in exact arithmetic.
-
-    The first parameter -n makes the series terminate after n+1 terms.
-    A vanishing denominator factor (c)_i is only an error when the
-    corresponding numerator is nonzero.
-    """
-    if n < 0:
-        raise ValueError(f"hyp2f1_terminating requires n >= 0, got n={n}")
-    return Fraction(*terminating_pair((-n, b), (c,)))
-
-
-def hyp3f2_terminating(a1: RationalLike, a2: RationalLike, a3: RationalLike,
-                       b1: RationalLike, b2: RationalLike) -> Fraction:
-    """3F2(a1, a2, a3; b1, b2; 1) for terminating parameter sets.
-
-    At least one numerator parameter must be a nonpositive integer.
-    """
-    return Fraction(*terminating_pair((a1, a2, a3), (b1, b2)))

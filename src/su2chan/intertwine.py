@@ -15,8 +15,8 @@ orthogonality check work from the columns by total degree a + b, and
 the Gram forms enter only through adjoints.  A channel output is
 banded, |r - c| <= mu, and is written diagonal by diagonal.
 The same columns give each channel's Kraus form as one table of exact
-weights (:func:`_kraus_weights`), from which trace preservation and the
-Choi spectrum (complete positivity) are read as exact rationals.
+weights (:func:`_kraus_weights`), from which trace preservation,
+unitality and the Choi spectrum (complete positivity) are read exactly.
 """
 
 from __future__ import annotations
@@ -249,14 +249,19 @@ def _kraus_weights(spec: ChannelSpec) -> List[List[Fraction]]:
     T(A) = sum_b s C(nu, b) K_b A K_b^T, where K_b sends z^i to
     J(i, b) xi^(i+b-k).  In orthonormal bases the weight of e_i in K_b is
 
-        x[i][b] = s C(nu, b) J(i, b)^2 C(mu, i) / C(L, i+b-k),
+        x[i][b] = s C(nu, b) J(i, b)^2 C(mu, i) / C(L, i+b-k)
+                = (mu+1)/(L+1) <mu/2, mu/2-i; nu/2, nu/2-b | L/2, L/2-r>^2,
 
-    zero where i + b - k lies outside 0..L.  Row i sums to the trace of
-    the image of the unit E_ii; the images of the units E_ij, i != j, are
-    traceless, so rows summing to 1 is trace preservation for every A.
-    After a permutation the Choi matrix is a direct sum of rank-one
-    blocks, one for each b, and column b sums to the one nonzero
-    eigenvalue of block b.
+    with r = i + b - k the output index, zero where r lies outside 0..L:
+    a squared Clebsch-Gordan coefficient (G. Racah, Phys. Rev. 62 (1942)
+    438).  The two orthogonality relations of those coefficients are the
+    channel's two exact identities.  Rows sum to 1: row i is the trace of
+    the image of the unit E_ii, and the images of E_ij, i != j, are
+    traceless, so this is trace preservation.  The sums over i + b - k = r
+    equal (mu+1)/(L+1): T(E_ii) is diagonal, so these sums are the
+    diagonal of T(I), and this is unitality up to that scalar.  After a
+    permutation the Choi matrix is a direct sum of rank-one blocks, one
+    for each b, and column b sums to the one nonzero eigenvalue of block b.
     """
     mu, nu, k, L = spec.mu, spec.nu, spec.k, spec.target_level
     dj, jint = _jk_integers(spec)
@@ -271,24 +276,35 @@ def _kraus_weights(spec: ChannelSpec) -> List[List[Fraction]]:
     return x
 
 
-def choi_min_eigenvalue(spec: ChannelSpec) -> Fraction:
-    """The least eigenvalue of the normalized channel's Choi matrix,
-    exactly: the least column sum of :func:`_kraus_weights`, or 0 when
-    the Choi matrix, of order (mu+1)(L+1), has more eigenvalues than the
-    nu + 1 that its blocks' column sums give."""
-    sums = [sum(col) for col in zip(*_kraus_weights(spec))]
+def _least_choi_eigenvalue(spec: ChannelSpec,
+                           x: List[List[Fraction]]) -> Fraction:
+    """The least column sum of the Kraus table x, or 0 when the Choi
+    matrix, of order (mu+1)(L+1), has more eigenvalues than the nu + 1
+    that its blocks' column sums give."""
+    sums = [sum(col) for col in zip(*x)]
     if (spec.mu + 1) * (spec.target_level + 1) > spec.nu + 1:
         sums.append(Fraction(0))
     return min(sums)
 
 
+def choi_min_eigenvalue(spec: ChannelSpec) -> Fraction:
+    """The least eigenvalue of the normalized channel's Choi matrix."""
+    return _least_choi_eigenvalue(spec, _kraus_weights(spec))
+
+
 def channel_report(spec: ChannelSpec) -> dict:
-    """JSON-ready structural report for one channel spec; the minimum Choi
-    eigenvalue is an exact "p/q"."""
+    """JSON-ready structural report for one channel spec, read from one
+    Kraus table: its rows give trace preservation, its columns the least
+    Choi eigenvalue, and its output-index sums the scalar c with
+    T(I) = c I, or None when they differ.  Rationals are exact "p/q"."""
+    x, k, nu = _kraus_weights(spec), spec.k, spec.nu
+    unital = {sum(row[r + k - i] for i, row in enumerate(x)
+                  if 0 <= r + k - i <= nu)
+              for r in range(spec.target_level + 1)}
     return {
         "spec": {"mu": spec.mu, "nu": spec.nu, "k": spec.k},
         "c_squared": str(c_squared(spec)),
-        "trace_preserving": all(sum(row) == 1
-                                for row in _kraus_weights(spec)),
-        "choi_min_eigenvalue": str(choi_min_eigenvalue(spec)),
+        "trace_preserving": all(sum(row) == 1 for row in x),
+        "choi_min_eigenvalue": str(_least_choi_eigenvalue(spec, x)),
+        "unital_scalar": str(unital.pop()) if len(unital) == 1 else None,
     }

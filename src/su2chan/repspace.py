@@ -156,11 +156,6 @@ class KernelOperator(_IntegerForm):
                                   "exceed the float range") from None
         return m
 
-    def to_json_dict(self) -> dict:
-        return {"level": self.level,
-                "coeffs": [{"re": str(v.re), "im": str(v.im)}
-                           for row in self.coeffs for v in row]}
-
 
 def _rows(a: KernelOperator) -> Tuple[List[List[int]], List[List[int]]]:
     """a's two parts as dense integer rows: (i, j) from diagonal i - j."""
@@ -175,12 +170,6 @@ def _from_dense(level: int, d: int, re, im) -> KernelOperator:
     return KernelOperator(level, d, *(
         [x[max(t * n, -t)::n + 1][:n - abs(t)] for t in range(-level, n)]
         for x in (re, im)))
-
-
-def reproducing_identity_operator(mu: int) -> KernelOperator:
-    """The kernel (1 + x y~)^mu, which acts as the identity."""
-    return KernelOperator(mu, 1, [[math.comb(mu, i) for i in range(mu + 1)]],
-                          [[0] * (mu + 1)])
 
 
 def compose(a: KernelOperator, b: KernelOperator) -> KernelOperator:

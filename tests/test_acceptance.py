@@ -20,7 +20,7 @@ from su2chan.cli import (
     check_orthogonality,
     check_trace_preservation,
 )
-from su2chan.exactnum import hyp2f1_terminating, rising_pochhammer
+from su2chan.exactnum import rising_pochhammer
 from su2chan.intertwine import ChannelSpec, c_squared
 from su2chan.quadrature import (
     QuadratureGrid,
@@ -37,6 +37,7 @@ from su2chan.symbolcalc import (
     e_limit_apply,
     e_limit_eigenvalue,
 )
+from test_exactnum import hyp2f1_terminating
 from test_intertwine import dense_jk_product
 
 SEED = 20240817

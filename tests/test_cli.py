@@ -320,6 +320,9 @@ def test_converge_past_the_float_range_is_config_error(tmp_path, capsys):
     ["verify", "--mu", "1.5"],
     ["spectrum"],
     ["verify", "--no-such-option"],
+    # no --phi coefficient at all, not one too large
+    ["converge", "--mu", "3", "--k", "1", "--nu", "10,20", "--phi", ""],
+    ["converge", "--mu", "3", "--k", "1", "--nu", "10,20", "--phi", ","],
 ])
 def test_unparsable_argument_is_one_error_line(tmp_path, capsys, argv):
     code = main(argv + ["--out", str(tmp_path / "x.txt")])
@@ -571,7 +574,8 @@ class TestConverge:
                      "--n", "", "--phi", phi, "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err == ("error: argument --phi: needs at least one "
+                       "coefficient\n")
         assert os.listdir(tmp_path) == []
 
     def test_moment_order_below_one_is_config_error(self, tmp_path):
@@ -648,7 +652,21 @@ class TestChannelDump:
         report = json.loads(out.read_text())
         assert report["trace_preserving"]
         assert Fraction(report["choi_min_eigenvalue"]) >= 0
-        assert report["identity_image"]["level"] == 4
+        # T(I_2) = (3/5) I_4
+        assert report["unital_scalar"] == "3/5"
+        assert set(report) == {"spec", "c_squared", "trace_preserving",
+                               "choi_min_eigenvalue", "unital_scalar"}
+
+    def test_output_level_past_the_float_range(self, tmp_path):
+        # every field is read from the Kraus table in exact arithmetic, so
+        # output level 1103 costs no (L+1)^2 kernel and no float
+        code, out = run(tmp_path, "channel-dump", "--mu", "3",
+                        "--nu", "1100", "--k", "1")
+        assert code == EXIT_OK
+        assert json.loads(out.read_text()) == {
+            "spec": {"mu": 3, "nu": 1100, "k": 1},
+            "c_squared": "3300/1103", "choi_min_eigenvalue": "0",
+            "trace_preserving": True, "unital_scalar": "2/551"}
 
     def test_invalid_spec_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "channel-dump", "--mu", "4",

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from su2chan.exactnum import (
     CRational,
     NonTerminatingError,
-    hyp2f1_terminating,
-    hyp3f2_terminating,
     rising_pochhammer,
     terminating_pair,
 )
@@ -203,6 +201,20 @@ def pair_2f1(n, b, c):
 
 def pair_3f2(a1, a2, a3, b1, b2):
     return pair_value((a1, a2, a3), (b1, b2))
+
+
+def hyp2f1_terminating(n, b, c):
+    """2F1(-n, b; c; 1) for n >= 0, terminating_pair reduced to one
+    Fraction."""
+    if n < 0:
+        raise ValueError(f"hyp2f1_terminating requires n >= 0, got n={n}")
+    return Fraction(*terminating_pair((-n, b), (c,)))
+
+
+def hyp3f2_terminating(a1, a2, a3, b1, b2):
+    """3F2(a1, a2, a3; b1, b2; 1), terminating_pair reduced to one
+    Fraction."""
+    return Fraction(*terminating_pair((a1, a2, a3), (b1, b2)))
 
 
 def fraction_product(a, n, step):

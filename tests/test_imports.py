@@ -1,7 +1,8 @@
-"""No module imports a name it never uses: the unused-import rule of a
-linter, written with the stdlib ``ast`` module so that it runs wherever
-the tests run.  ``__init__.py`` is skipped, since its imports are the
-package's re-exports."""
+"""No module imports a name it never uses, and the package defines no
+function or class that nothing reads: the unused-import and dead-code
+rules of a linter, written with the stdlib ``ast`` module so that they
+run wherever the tests run.  ``__init__.py`` is skipped, since its
+imports are the package's re-exports."""
 
 import ast
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = [p for p in sorted((ROOT / "src" / "su2chan").glob("*.py"))
-         if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
+SRC_FILES = [p for p in sorted((ROOT / "src" / "su2chan").glob("*.py"))
+             if p.name != "__init__.py"]
+FILES = SRC_FILES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -43,6 +45,51 @@ def test_checker_finds_an_unused_import():
                          ids=[f"{p.parent.name}/{p.name}" for p in FILES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# A definition is read where the package's modules or the benchmark's
+# scripts name it; the exports of __init__.py and the tests do not count
+READERS = SRC_FILES + sorted((ROOT / "perfbench").glob("*.py"))
+# the exact right side of the trace limit, for polynomial phi (ROADMAP
+# item 6), is its first caller to come
+UNREAD_ALLOWED = {"integrate_exact"}
+
+
+def dead_definitions(defining: str, readers):
+    """(line, name) of every function, class or method that ``defining``
+    defines, dunders aside, and that no source of ``readers`` reads as a
+    name or an attribute.  As in :func:`unused_imports`, scopes and
+    owners are not told apart."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        (node.lineno, node.name) for node in ast.walk(ast.parse(defining))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read)
+
+
+def test_checker_finds_a_dead_definition():
+    defining = ("class A:\n    def __init__(self): pass\n"
+                "    def used(self): pass\n    def dead(self): pass\n"
+                "def helper(): pass\ndef unread(): pass\n")
+    readers = [defining, "A().used()\n", "print(helper)\n"]
+    assert dead_definitions(defining, readers) == [(4, "dead"), (6, "unread")]
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
+def test_no_dead_definition(path):
+    readers = [p.read_text() for p in READERS]
+    dead = [(line, name) for line, name in
+            dead_definitions(path.read_text(), readers)
+            if name not in UNREAD_ALLOWED]
+    assert dead == []
 
 
 # Floats enter only for eigensolves and quadrature: the exact layers and

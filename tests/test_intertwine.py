@@ -26,7 +26,6 @@ from su2chan.repspace import (
     _common_denominator,
     _rows,
     operator_trace,
-    reproducing_identity_operator,
     to_orthonormal_matrix,
 )
 from test_exactnum import CQ, binomial, falling_pochhammer
@@ -35,9 +34,15 @@ from test_repspace import (
     dense_orthonormal_matrix,
     gram_diagonal,
     kernel_from_rows,
+    reproducing_identity_operator,
 )
 
 RNG_SEED = 777
+
+# every spec of the default verify sweep; it holds the edge levels
+# mu = 0, nu = mu and output levels below mu, (3, 3, 3) and (3, 4, 3)
+VERIFY_SWEEP = [(mu, nu, k) for mu in range(4) for nu in range(mu, 8)
+                for k in range(mu + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +228,29 @@ def choi_partial_trace_output(choi, spec):
     return pt
 
 
+def racah_cg_squared(j1, m1, j2, m2, j, m):
+    """<j1/2, m1/2; j2/2, m2/2 | j/2, m/2>^2 by Racah's closed form, with
+    every spin and projection given doubled (G. Racah, Phys. Rev. 62
+    (1942) 438): an oracle for the Kraus weights that never reads J_k."""
+    if m1 + m2 != m or not abs(j1 - j2) <= j <= j1 + j2 or abs(m) > j:
+        return Fraction(0)
+
+    def fact(twice):
+        return math.factorial(twice // 2)
+
+    norm = Fraction(
+        (j + 1) * fact(j + j1 - j2) * fact(j - j1 + j2) * fact(j1 + j2 - j)
+        * fact(j + m) * fact(j - m) * fact(j1 - m1) * fact(j1 + m1)
+        * fact(j2 - m2) * fact(j2 + m2), fact(j1 + j2 + j + 2))
+    total = Fraction(0)
+    for z in range(0, j1 + j2 - j + 1, 2):
+        args = (z, j1 + j2 - j - z, j1 - m1 - z, j2 + m2 - z,
+                j - j2 + m1 + z, j - j1 - m2 + z)
+        if min(args) >= 0:
+            total += Fraction((-1) ** (z // 2), math.prod(map(fact, args)))
+    return norm * total ** 2
+
+
 def random_nonhermitian(mu, rng):
     while True:
         a = random_operator(mu, rng)
@@ -375,12 +403,32 @@ class TestChannel:
                         assert operator_trace(ta) == operator_trace(a)
 
     def test_identity_maps_to_scalar(self):
-        spec = ChannelSpec(2, 5, 1)
-        t_ident = apply_normalized_channel(
-            spec, reproducing_identity_operator(2))
-        target_ident = reproducing_identity_operator(spec.target_level)
-        scale = Fraction(3, spec.target_level + 1)
-        assert t_ident == target_ident.scale(scale)
+        # the report's output-index sums against the dense image of I, at
+        # every edge level: c = 4 at (3, 3, 3), where L = 0
+        for mu, nu, k in VERIFY_SWEEP:
+            spec = ChannelSpec(mu, nu, k)
+            scale = Fraction(mu + 1, spec.target_level + 1)
+            assert channel_report(spec)["unital_scalar"] == str(scale)
+            t_ident = apply_normalized_channel(
+                spec, reproducing_identity_operator(mu))
+            target_ident = reproducing_identity_operator(spec.target_level)
+            assert t_ident == target_ident.scale(scale), (mu, nu, k)
+
+    def test_moved_output_weight_is_not_unital(self, monkeypatch):
+        # weight moved along row 0 from output index r to r + 1 keeps every
+        # row sum, so the faulty channel is trace preserving but not unital
+        clean = intertwine._kraus_weights
+
+        def faulty(spec):
+            x = clean(spec)
+            b = next(b for b, v in enumerate(x[0]) if v)
+            x[0][b], x[0][b + 1] = x[0][b] / 2, x[0][b + 1] + x[0][b] / 2
+            return x
+
+        monkeypatch.setattr(intertwine, "_kraus_weights", faulty)
+        report = channel_report(ChannelSpec(2, 4, 1))
+        assert report["trace_preserving"] is True
+        assert report["unital_scalar"] is None
 
     def test_positivity_preserved_numerically(self):
         rng = random.Random(RNG_SEED)
@@ -529,11 +577,7 @@ class TestChoi:
                     c * np.outer(s, s) / np.sqrt(float(gm[i] * gm[j]))
         return choi
 
-    # every spec of the default verify sweep; it holds the edge levels
-    # mu = 0, nu = mu and output levels below mu, (3, 3, 3) and (3, 4, 3)
-    @pytest.mark.parametrize("mu,nu,k", [
-        (mu, nu, k) for mu in range(4) for nu in range(mu, 8)
-        for k in range(mu + 1)])
+    @pytest.mark.parametrize("mu,nu,k", VERIFY_SWEEP)
     def test_choi_spectrum_is_kraus_column_sums(self, mu, nu, k):
         # one eigenvalue per rank-one block b, and zeros for the rest
         spec = ChannelSpec(mu, nu, k)
@@ -546,6 +590,23 @@ class TestChoi:
         assert np.max(np.abs(got - [float(v) for v in exact])) < 1e-12
         lowest = choi_min_eigenvalue(spec)
         assert type(lowest) is Fraction and lowest == exact[0]
+
+    def test_kraus_weights_are_squared_clebsch_gordan(self):
+        # x[i][b] = (mu+1)/(L+1) <mu/2, mu/2-i; nu/2, nu/2-b | L/2, L/2-r>^2
+        # with r = i + b - k, every entry, zero or not
+        for mu in range(5):
+            for nu in range(mu, 13):
+                for k in range(mu + 1):
+                    spec = ChannelSpec(mu, nu, k)
+                    L = spec.target_level
+                    x = intertwine._kraus_weights(spec)
+                    for i in range(mu + 1):
+                        for b in range(nu + 1):
+                            r = i + b - k
+                            assert x[i][b] == Fraction(mu + 1, L + 1) * \
+                                racah_cg_squared(mu, mu - 2 * i, nu,
+                                                 nu - 2 * b, L, L - 2 * r), \
+                                (mu, nu, k, i, b)
 
     def test_rows_give_the_trace_of_every_operator(self):
         # Tr T(A) = sum_i (row i) A_ii g_i, with A_ii g_i the diagonal of

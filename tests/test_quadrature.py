@@ -32,7 +32,7 @@ from su2chan.quadrature import (
     trace_functional,
     trace_moment,
 )
-from su2chan.repspace import operator_trace, reproducing_identity_operator
+from su2chan.repspace import operator_trace
 from su2chan.symbolcalc import (
     e_limit_apply,
     functions_equal,
@@ -40,7 +40,8 @@ from su2chan.symbolcalc import (
     symbol,
 )
 from test_exactnum import CQ, binomial
-from test_repspace import coeff_rows, kernel_from_rows
+from test_repspace import (coeff_rows, kernel_from_rows,
+                           reproducing_identity_operator)
 from test_symbolcalc import berezin_apply, invariant_monomial_integral
 
 RNG_SEED = 9001

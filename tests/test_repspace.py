@@ -24,7 +24,6 @@ from su2chan.repspace import (
     compose,
     isotypic_projectors,
     operator_trace,
-    reproducing_identity_operator,
     to_orthonormal_matrix,
 )
 
@@ -296,15 +295,10 @@ def apply(a, vec):
             for i in range(a.dim)]
 
 
-def from_json_dict(d):
-    level = int(d["level"])
-    n = level + 1
-    flat = [CQ(Fraction(v["re"]), Fraction(v["im"]))
-            for v in d["coeffs"]]
-    if len(flat) != n * n:
-        raise ValueError("coefficient array has wrong length")
-    return kernel_from_rows(
-        level, [flat[i * n:(i + 1) * n] for i in range(n)])
+def reproducing_identity_operator(mu):
+    """The kernel (1 + x y~)^mu, which acts as the identity."""
+    return KernelOperator(mu, 1, [[math.comb(mu, i) for i in range(mu + 1)]],
+                          [[0] * (mu + 1)])
 
 
 def is_zero(a):
@@ -540,11 +534,6 @@ class TestKernelOperator:
         rows = a.coeffs
         rows[0][0] = CRational(99)
         assert a.coeffs[0][0] != 99
-
-    def test_json_round_trip(self):
-        rng = random.Random(RNG_SEED)
-        a = random_operator(3, rng)
-        assert from_json_dict(a.to_json_dict()) == a
 
 
 class TestBandForm:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2chan.exactnum import CRational, hyp3f2_terminating
+from su2chan.exactnum import CRational
 from su2chan.intertwine import ChannelSpec, apply_channel, c_squared
 from su2chan.quadrature import (
     QuadratureGrid,
@@ -20,7 +20,6 @@ from su2chan.repspace import (
     _common_denominator,
     compose,
     operator_trace,
-    reproducing_identity_operator,
 )
 from su2chan.symbolcalc import (
     BandLimitExceededError,
@@ -38,12 +37,13 @@ from su2chan.symbolcalc import (
     symbol,
     toeplitz,
 )
-from test_exactnum import CQ, binomial, factorial
+from test_exactnum import CQ, binomial, factorial, hyp3f2_terminating
 from test_repspace import (
     coeff_rows,
     coordinate_rows,
     crational_coordinates,
     kernel_from_rows,
+    reproducing_identity_operator,
 )
 
 RNG_SEED = 4242
