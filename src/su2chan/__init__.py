@@ -6,7 +6,6 @@ large-level trace limit.
 from .exactnum import (
     CRational,
     NonTerminatingError,
-    rising_pochhammer,
 )
 from .repspace import (
     IsotypicDecomposition,
@@ -50,7 +49,6 @@ from .quadrature import (
     QuadratureGrid,
     SpectrumOutOfRangeError,
     channel_output_spectrum,
-    entropy_poly_coeffs,
     fund_ineq_check,
     i_n_integral,
     limit_functional,

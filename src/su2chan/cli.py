@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import __version__
-from .exactnum import rising_pochhammer, terminating_pair
+from .exactnum import terminating_pair
 from .intertwine import (
     ChannelSpec,
     apply_channel,
@@ -32,10 +32,11 @@ from .intertwine import (
     pk_orthogonality_check,
 )
 from .quadrature import (
+    ENTROPY8,
+    GAP_FLOOR,
     MAX_LIMIT_GRID_POINTS,
     ConvergenceRecord,
     channel_output_spectrum,
-    entropy_poly_coeffs,
     fund_ineq_check,
     functional_grid,
     i_n_integral,
@@ -113,7 +114,7 @@ def check_gauss_summation():
     crosswise with the unreduced sum top/bot."""
     wit, cases = None, 0
     for n in range(0, 13):
-        poch = {c: rising_pochhammer(c, n).numerator for c in range(-32, 33)}
+        poch = {c: math.prod(range(c, c + n)) for c in range(-32, 33)}
         for b in range(-12, 13):
             for ac in range(n, 21):
                 for c in {ac, -ac} if ac else {0}:
@@ -379,7 +380,7 @@ def _int_list(text: str) -> List[int]:
 
 def _phi_arg(text: str) -> List[float]:
     if text.strip() == "entropy8":
-        return list(entropy_poly_coeffs(8))
+        return list(ENTROPY8)
     coeffs = [float(v) for v in text.split(",") if v.strip()]
     if not coeffs:
         raise argparse.ArgumentTypeError("needs at least one coefficient")
@@ -432,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="polynomial coefficients, ascending degree; "
                          "'entropy8' for the built-in degree-8 entropy fit")
     pc.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    pc.add_argument("--tol", type=float, default=1e-12,
+    pc.add_argument("--tol", type=float, default=GAP_FLOOR,
                     help="noise floor below which gaps count as converged")
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_converge)

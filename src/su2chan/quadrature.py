@@ -124,14 +124,13 @@ def function_values(f: IsotypicFunction, zs: np.ndarray) -> np.ndarray:
 # Random band-limited test inputs
 # ---------------------------------------------------------------------------
 
-def random_operator(mu: int, rng: random.Random,
-                    span: int = 3) -> KernelOperator:
+def random_operator(mu: int, rng: random.Random) -> KernelOperator:
     """Kernel operator with small random rational entries: the real and
     the imaginary part of each entry, row by row, is a numerator in
-    [-span, span] over a denominator 1 or 2, drawn in that order, so the
+    [-3, 3] over a denominator 1 or 2, drawn in that order, so the
     kernel is integers over 2."""
     def part():
-        num = rng.randint(-span, span)
+        num = rng.randint(-3, 3)
         return num * (2 // rng.randint(1, 2))
 
     parts = [part() for _ in range(2 * (mu + 1) ** 2)]
@@ -347,12 +346,8 @@ class ConvergenceRecord:
                 "fitted_slope": self.fitted_slope}
 
 
-def entropy_poly_coeffs(degree: int = 8) -> List[float]:
-    """Power-basis coefficients of a Chebyshev approximation of
-    -x log x on [0, 1] (with the value 0 at x = 0)."""
-    xs = np.linspace(0.0, 1.0, 2048)
-    ys = np.where(xs > 0, -xs * np.log(np.maximum(xs, 1e-300)), 0.0)
-    cheb = np.polynomial.chebyshev.Chebyshev.fit(xs, ys, degree,
-                                                 domain=[0.0, 1.0])
-    poly = cheb.convert(kind=np.polynomial.polynomial.Polynomial)
-    return [float(c) for c in poly.coef]
+# Power-basis coefficients of the degree-8 Chebyshev least-squares fit of
+# -x log x on [0, 1] (with the value 0 at x = 0) on 2048 equispaced points
+ENTROPY8 = (0.012250156706868243, 3.5317057313983886, -19.375276076758723,
+            77.7423689955396, -210.9239271210966, 354.73979962366354,
+            -354.9920171773151, 193.2841318131912, -44.020425262317566)

@@ -124,13 +124,11 @@ class KernelOperator(_IntegerForm):
         return self.level + 1
 
     def scale(self, c) -> "KernelOperator":
-        c = CRational.of(c)
-        cd, (p, q) = _common_denominator((c.re, c.im))
-        return KernelOperator(self.level, self.d * cd, [
-            [p * x - q * y for x, y in zip(rr, ri)]
-            for rr, ri in zip(self.re, self.im)], [
-            [p * y + q * x for x, y in zip(rr, ri)]
-            for rr, ri in zip(self.re, self.im)])
+        """c times the operator, for a rational c (an int or a Fraction)."""
+        p, q = c.numerator, c.denominator
+        return KernelOperator(self.level, self.d * q,
+                              *([[p * x for x in row] for row in m]
+                                for m in (self.re, self.im)))
 
     def adjoint(self) -> "KernelOperator":
         """Coefficient (i, j) of A* is that of A at (j, i), conjugated:
@@ -208,7 +206,9 @@ def to_orthonormal_matrix(a: KernelOperator) -> np.ndarray:
     # sqrt(g_i) in floats; 1 / C rounds correctly
     s = np.sqrt(np.array([1 / math.comb(a.level, i)
                           for i in range(a.level + 1)]))
-    return a.complex_matrix() * np.outer(s, s)
+    m = a.complex_matrix()
+    m *= np.outer(s, s)
+    return m
 
 
 def _matmul(a, b):

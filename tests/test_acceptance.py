@@ -20,12 +20,11 @@ from su2chan.cli import (
     check_orthogonality,
     check_trace_preservation,
 )
-from su2chan.exactnum import rising_pochhammer
 from su2chan.intertwine import ChannelSpec, c_squared
 from su2chan.quadrature import (
+    ENTROPY8,
     QuadratureGrid,
     channel_output_spectrum,
-    entropy_poly_coeffs,
     function_values,
     limit_moment,
     random_band_limited_state,
@@ -37,7 +36,7 @@ from su2chan.symbolcalc import (
     e_limit_apply,
     e_limit_eigenvalue,
 )
-from test_exactnum import hyp2f1_terminating
+from test_exactnum import hyp2f1_terminating, rising_pochhammer
 from test_intertwine import dense_jk_product
 
 SEED = 20240817
@@ -163,7 +162,7 @@ class TestAcceptance:
                                         trace_functional)
         nus = [10, 20, 40, 80]
         inputs = _criterion8_inputs()
-        phi = entropy_poly_coeffs(8)
+        phi = list(ENTROPY8)
         ok, detail = True, ""
         n_runs = 0
         for (mu, k), fs in inputs.items():

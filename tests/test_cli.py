@@ -24,9 +24,8 @@ from su2chan.cli import (
     EXIT_OK,
     main,
 )
-from su2chan.exactnum import rising_pochhammer
 from su2chan.intertwine import ChannelSpec
-from test_exactnum import fraction_3f2
+from test_exactnum import fraction_3f2, rising_pochhammer
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,8 +68,8 @@ class TestVerify:
         code, out = run(tmp_path, "verify", "--mu", "1", "--nu-max", "2",
                         "--corrupt-c2")
         assert code == EXIT_ASSERTION_FAILED
-        trace_wit = {"mu": 1, "nu": 2, "k": 1, "trace_in": "5/2+-7/2j",
-                     "trace_out": "15/4+-21/4j"}
+        trace_wit = {"mu": 1, "nu": 2, "k": 1, "trace_in": "5/2-7/2j",
+                     "trace_out": "15/4-21/4j"}
         assert json.loads(out.read_text()) == {
             "config": {"mu_max": 1, "nu_max": 2, "seed": cli.DEFAULT_SEED,
                        "n_random": 5, "psd_tol": 1e-10},

@@ -1,8 +1,9 @@
-"""No module imports a name it never uses, and the package defines no
-function or class that nothing reads: the unused-import and dead-code
-rules of a linter, written with the stdlib ``ast`` module so that they
-run wherever the tests run.  ``__init__.py`` is skipped, since its
-imports are the package's re-exports."""
+"""No module imports a name it never uses, the package defines no
+function or class that nothing reads, and no parameter default that no
+call overrides: the unused-import and dead-code rules of a linter,
+written with the stdlib ``ast`` module so that they run wherever the
+tests run.  ``__init__.py`` is skipped, since its imports are the
+package's re-exports."""
 
 import ast
 from pathlib import Path
@@ -90,6 +91,80 @@ def test_no_dead_definition(path):
             dead_definitions(path.read_text(), readers)
             if name not in UNREAD_ALLOWED]
     assert dead == []
+
+
+# A default is a knob: some call must turn it.  The verify registry hands
+# check_trace_preservation its fault through check(*args), which the AST
+# cannot follow
+OVERRIDE_ALLOWED = {("check_trace_preservation", "fault")}
+
+
+def unused_defaults(defining: str, readers):
+    """(line, function, parameter) of every parameter default of a
+    function in ``defining`` that no call in ``readers`` overrides, by
+    keyword or by position.  A call is matched by the name it calls, so
+    a method's call skips its first parameter and ``__init__`` is called
+    by its class's name; as above, scopes and owners are not told apart,
+    and a starred argument overrides nothing."""
+    positional, keywords = {}, {}
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            n = next((i for i, a in enumerate(node.args)
+                      if isinstance(a, ast.Starred)), len(node.args))
+            positional[name] = max(positional.get(name, 0), n)
+            keywords.setdefault(name, set()).update(
+                k.arg for k in node.keywords if k.arg)
+    owner = {}
+    tree = ast.parse(defining)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                owner[item] = node.name
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = owner[node] if node in owner and node.name == "__init__" \
+            else node.name
+        skip = node in owner and not any(
+            getattr(d, "id", None) == "staticmethod"
+            for d in node.decorator_list)
+        args = node.args
+        params = args.posonlyargs + args.args
+        first = len(params) - len(args.defaults)
+        for i, arg in enumerate(params[first:], start=first - skip):
+            if i >= positional.get(name, 0) \
+                    and arg.arg not in keywords.get(name, ()):
+                out.append((arg.lineno, node.name, arg.arg))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None \
+                    and arg.arg not in keywords.get(name, ()):
+                out.append((arg.lineno, node.name, arg.arg))
+    return sorted(out)
+
+
+def test_checker_finds_an_unused_default():
+    defining = ("class A:\n    def __init__(self, x=1, y=2): pass\n"
+                "    def m(self, a, b=0): pass\n"
+                "    @staticmethod\n    def s(a, b=0): pass\n"
+                "def f(a, b=1, *, c=2, d=3): pass\n"
+                "def g(a=0): pass\n")
+    readers = [defining, "A(0)\nA().m(1, 2)\nA.s(1)\n",
+               "f(1, 2, c=3)\ng(*[1])\n"]
+    assert unused_defaults(defining, readers) == [
+        (2, "__init__", "y"), (5, "s", "b"), (6, "f", "d"), (7, "g", "a")]
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
+def test_every_default_is_overridden(path):
+    readers = [p.read_text() for p in READERS]
+    unused = [(line, fn, arg) for line, fn, arg in
+              unused_defaults(path.read_text(), readers)
+              if (fn, arg) not in OVERRIDE_ALLOWED]
+    assert unused == []
 
 
 # Floats enter only for eigensolves and quadrature: the exact layers and

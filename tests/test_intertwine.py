@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2chan.exactnum import CRational, rising_pochhammer
+from su2chan.exactnum import CRational
 from su2chan import intertwine
 from su2chan.intertwine import (
     ChannelSpec,
@@ -28,7 +28,7 @@ from su2chan.repspace import (
     operator_trace,
     to_orthonormal_matrix,
 )
-from test_exactnum import CQ, binomial, falling_pochhammer
+from test_exactnum import CQ, binomial, falling_pochhammer, rising_pochhammer
 from test_repspace import (
     coeff_rows,
     dense_orthonormal_matrix,

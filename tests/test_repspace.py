@@ -469,7 +469,8 @@ class TestKernelOperator:
         space = PolySpaceParams(nu)
         f, g, h, l = (random_poly(rng, nu) for _ in range(4))
         lhs = compose(rank_one(nu, f, g), rank_one(nu, h, l))
-        rhs = rank_one(nu, f, l).scale(inner_product(space, h, g))
+        c = inner_product(space, h, g)
+        rhs = rank_one(nu, [c * v for v in f], l)
         assert lhs == rhs
 
     def test_rank_one_trace(self):
