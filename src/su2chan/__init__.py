@@ -14,7 +14,6 @@ from .repspace import (
     compose,
     isotypic_projectors,
     operator_trace,
-    to_orthonormal_matrix,
 )
 from .intertwine import (
     ChannelSpec,
@@ -45,20 +44,18 @@ from .symbolcalc import (
 )
 from .quadrature import (
     ConvergenceRecord,
+    FloatRangeError,
     NonFiniteSampleError,
     QuadratureGrid,
     SpectrumOutOfRangeError,
-    channel_output_spectrum,
+    channel_output_moments,
+    functional_from_moments,
     fund_ineq_check,
     i_n_integral,
-    limit_functional,
-    limit_moment,
+    limit_moments,
     random_band_limited_state,
     random_operator,
     random_psd_trace_one,
-    symbol_values,
-    trace_functional,
-    trace_moment,
 )
 
 __version__ = "1.0.0"

@@ -36,19 +36,17 @@ from .quadrature import (
     GAP_FLOOR,
     MAX_LIMIT_GRID_POINTS,
     ConvergenceRecord,
-    channel_output_spectrum,
+    FloatRangeError,
+    channel_output_moments,
+    functional_from_moments,
     fund_ineq_check,
-    functional_grid,
     i_n_integral,
-    limit_functional,
-    limit_moment,
-    moment_grid,
+    limit_grid,
+    limit_moments,
     random_band_limited_state,
     random_operator,
-    trace_functional,
-    trace_moment,
 )
-from .repspace import FloatRangeError, _trace_integers, operator_trace
+from .repspace import _trace_integers, operator_trace
 from .symbolcalc import (
     _berezin_numerators,
     _limit_eigenvalue,
@@ -321,9 +319,9 @@ def cmd_converge(args) -> int:
         print("error: nothing to check: give a moment order (--n) or --phi",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    points = max(g.size for g in
-                 [moment_grid(args.mu, n) for n in args.n]
-                 + ([functional_grid(args.mu, args.phi)] if args.phi else []))
+    # the highest moment that any n or phi needs
+    nmax = max(args.n + [len(args.phi) - 1 if args.phi else 0])
+    points = limit_grid(args.mu, nmax).size
     if points > MAX_LIMIT_GRID_POINTS:
         print(f"error: a limit quadrature grid of {points} points (its "
               f"degree is mu times the largest n or deg phi) exceeds "
@@ -331,18 +329,18 @@ def cmd_converge(args) -> int:
         return EXIT_CONFIG_ERROR
     rng = random.Random(args.seed)
     _, f = random_band_limited_state(args.mu, rng)
-    # one spectrum per level, shared by every moment order and by phi
-    spectra = [channel_output_spectrum(ChannelSpec(args.mu, nu, args.k), f)
-               for nu in args.nu]
+    # one set of moments per level, shared by every moment order and by phi
+    lhs = [channel_output_moments(ChannelSpec(args.mu, nu, args.k), f, nmax)
+           for nu in args.nu]
+    rhs = limit_moments(args.mu, args.k, f, nmax)
     records = [ConvergenceRecord(args.mu, args.k, args.nu, f"n={n}",
-                                 [trace_moment(lam, n) for lam in spectra],
-                                 limit_moment(args.mu, args.k, f, n), args.tol)
+                                 [m[n - 1] for m in lhs], rhs[n - 1], args.tol)
                for n in args.n]
     if args.phi:
         records.append(ConvergenceRecord(
             args.mu, args.k, args.nu, f"phi=deg{len(args.phi) - 1}",
-            [trace_functional(lam, args.phi) for lam in spectra],
-            limit_functional(args.mu, args.k, f, args.phi), args.tol))
+            [functional_from_moments(args.phi, m) for m in lhs],
+            functional_from_moments(args.phi, rhs), args.tol))
     summary = {
         "config": {"mu": args.mu, "k": args.k, "nu": args.nu, "n": args.n,
                    "phi": args.phi, "seed": args.seed},

@@ -32,6 +32,7 @@ from typing import List, Tuple
 from .repspace import (
     KernelOperator,
     LevelMismatchError,
+    _binomial_row,
     _gram_integers,
     _lowest_terms,
 )
@@ -201,7 +202,7 @@ def _channel(spec: ChannelSpec, a: KernelOperator,
     dj, jint = _jk_integers(spec)
     p, q = scalar.numerator, scalar.denominator
     # wj[a'][b] = p C(nu, b) J(a', b), shared by every diagonal
-    weight = [p * math.comb(nu, b) for b in range(nu + 1)]
+    weight = [p * c for c in _binomial_row(nu)]
     wj = [list(map(operator.mul, weight, row)) for row in jint]
     wa, w = a.width, min(a.width, n - 1)
     sre, sim = [], []
@@ -267,12 +268,12 @@ def _kraus_weights(spec: ChannelSpec) -> List[List[Fraction]]:
     dj, jint = _jk_integers(spec)
     scalar = c_squared(spec) * normalization_factor(spec)
     p, q = scalar.numerator, scalar.denominator * dj * dj
+    cmu, cnu, cl = map(_binomial_row, (mu, nu, L))
     x = [[Fraction(0)] * (nu + 1) for _ in range(mu + 1)]
     for i in range(mu + 1):
         for b in range(max(0, k - i), min(nu, L + k - i) + 1):
-            x[i][b] = Fraction(
-                p * math.comb(nu, b) * jint[i][b] ** 2 * math.comb(mu, i),
-                q * math.comb(L, i + b - k))
+            x[i][b] = Fraction(p * cnu[b] * jint[i][b] ** 2 * cmu[i],
+                               q * cl[i + b - k])
     return x
 
 

@@ -1,16 +1,16 @@
 """Numerical integration over the projective line and the trace-limit
-convergence experiments.
+convergence experiments, in the standard library alone.
 
 The invariant probability measure becomes uniform on [0,1] x [0,2pi)
 under t = r^2/(1+r^2), so a Gauss-Legendre rule in t crossed with a
 uniform angular rule integrates band-limited functions of known degree
-exactly (up to float roundoff).  Channel outputs themselves are computed
-exactly and only diagonalized in floats.
+exactly (up to float roundoff).  Channel outputs are computed exactly;
+their trace moments are traces of banded float products, read from the
+exact band, with no eigensolve.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import random
@@ -18,16 +18,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .intertwine import ChannelSpec, apply_channel
 from .repspace import (
     KernelOperator,
+    _binomial_row,
     _from_dense,
     _gram_integers,
     compose,
     operator_trace,
-    to_orthonormal_matrix,
 )
 from .symbolcalc import (
     IsotypicFunction,
@@ -44,6 +42,10 @@ class NonFiniteSampleError(ValueError):
 
 class SpectrumOutOfRangeError(ValueError):
     pass
+
+
+class FloatRangeError(OverflowError):
+    """An exact coefficient is too large to read as a float."""
 
 
 @dataclass(frozen=True)
@@ -63,61 +65,35 @@ class QuadratureGrid:
         """Number of sample points."""
         return self.n_radial * self.n_angular
 
-    @property
-    def points(self) -> np.ndarray:
-        """Complex sample points, shape (n_radial * n_angular,)."""
-        t, _ = self._radial
-        r = np.sqrt(t / (1.0 - t))
-        theta = 2.0 * np.pi * np.arange(self.n_angular) / self.n_angular
-        return (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Positive weights summing to 1, matching :attr:`points`."""
-        _, w = self._radial
-        return np.repeat(w / self.n_angular, self.n_angular)
-
-    @functools.cached_property
-    def _radial(self) -> Tuple[np.ndarray, np.ndarray]:
-        x, w = np.polynomial.legendre.leggauss(self.n_radial)
-        return (x + 1.0) / 2.0, w / 2.0
-
-
-# complex entries in one block of symbol_values' Vandermonde rows (16 MB),
-# so that the number of points, not the level, sets its memory
-VANDER_ENTRIES = 1 << 20
+    def radial(self) -> Tuple[List[float], List[float]]:
+        """Gauss-Legendre nodes in t on [0, 1], ascending, and their
+        weights, which sum to 1.  Each root x of P_n is found by Newton's
+        method from Tricomi's estimate, with P_n and P_n' from the
+        three-term recurrence; it gives the nodes (1 -+ x)/2, both with
+        weight 1/((1 - x^2) P_n'(x)^2)."""
+        n = self.n_radial
+        nodes, weights = [0.0] * n, [0.0] * n
+        for i in range((n + 1) // 2):
+            x = (1 - (n - 1) / (8 * n ** 3)) \
+                * math.cos(math.pi * (i + 0.75) / (n + 0.5))
+            for _ in range(100):
+                p, dp = _legendre(n, x)
+                dx = p / dp
+                x -= dx
+                if abs(dx) <= 1e-16:
+                    break
+            dp = _legendre(n, x)[1]
+            nodes[i], nodes[n - 1 - i] = (1 - x) / 2, (1 + x) / 2
+            weights[i] = weights[n - 1 - i] = 1 / ((1 - x * x) * dp * dp)
+        return nodes, weights
 
 
-def symbol_values(a: KernelOperator, zs: np.ndarray) -> np.ndarray:
-    """Values of A(z, z)/(1 + |z|^2)^level on a 1-d array of points,
-    taken in blocks of VANDER_ENTRIES // dim points.
-
-    Avoids the isotypic split, so it stays cheap at large levels.  Where
-    z^level or (1 + |z|^2)^level overflows, the row z^i / s^level, with
-    s = sqrt(1 + |z|^2), is taken as (z/s)^i (1/s)^(level-i) instead:
-    both bases lie in the unit disc.
-    """
-    m = a.complex_matrix()
-    step = max(1, VANDER_ENTRIES // a.dim)
-    vals = np.empty(zs.shape, dtype=complex)
-    for s in range(0, zs.size, step):
-        z = zs[s:s + step]
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = np.vander(z, a.dim, increasing=True)
-            den = (1.0 + np.abs(z) ** 2) ** a.level
-            v = np.einsum("ai,ij,aj->a", p, m, p.conj()) / den
-        far = ~(np.isfinite(den) & np.isfinite(v))
-        if far.any():
-            inv = 1.0 / np.sqrt(1.0 + np.abs(z[far]) ** 2)
-            p = (np.vander(z[far] * inv, a.dim, increasing=True)
-                 * np.vander(inv, a.dim))
-            v[far] = np.einsum("ai,ij,aj->a", p, m, p.conj())
-        vals[s:s + step] = v
-    return vals
-
-
-def function_values(f: IsotypicFunction, zs: np.ndarray) -> np.ndarray:
-    return symbol_values(f.numerator(), zs)
+def _legendre(n: int, x: float) -> Tuple[float, float]:
+    """P_n(x) and P_n'(x), n >= 1, |x| < 1."""
+    p0, p1 = 1.0, x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -159,79 +135,188 @@ def random_band_limited_state(mu: int, rng: random.Random) \
 # Trace moments and functional calculus
 # ---------------------------------------------------------------------------
 
-def channel_output_spectrum(spec: ChannelSpec, f: IsotypicFunction) \
-        -> np.ndarray:
-    """Real spectrum of T(R*_mu f), computed from the exact channel output."""
+def _orthonormal_band(a: KernelOperator) -> List[List[complex]]:
+    """Diagonals t = 0..width of a's matrix in the orthonormal basis
+    z^i / ||z^i||: M[j + t][j] = a_(j+t)j / sqrt(C(L, j+t) C(L, j)).  Each
+    part of an entry, an integer x over a's denominator d, is taken as
+    sign(x) sqrt(x^2 / (d^2 C(L, j+t) C(L, j))): the integer quotient
+    rounds correctly and is at most |M|^2, so no float overflows at any
+    level, as the binomials alone would past level 1029."""
+    binom = _binomial_row(a.level)
+    w, dd = a.width, a.d * a.d
+    band = []
+    for t in range(w + 1):
+        diag = []
+        for j, x, y in zip(range(a.dim - t), a.re[w + t], a.im[w + t]):
+            den = dd * binom[j] * binom[j + t]
+            diag.append(complex(_signed_root(x, den), _signed_root(y, den)))
+        band.append(diag)
+    return band
+
+
+def _signed_root(x: int, den: int) -> float:
+    """sign(x) sqrt(x^2 / den) for integers x and den > 0."""
+    r = math.sqrt(x * x / den) if x else 0.0
+    return r if x > 0 else -r
+
+
+def _full_band(m: List[List[complex]]) -> dict:
+    """Diagonal t -> entries for t = -w..w of a hermitian band given by
+    its diagonals t >= 0: diagonal -t holds the conjugates of diagonal t,
+    cell for cell."""
+    full = dict(enumerate(m))
+    full.update((-t, [z.conjugate() for z in m[t]]) for t in range(1, len(m)))
+    return full
+
+
+def _band_product(a: List[List[complex]], b: List[List[complex]],
+                  dim: int) -> List[List[complex]]:
+    """Diagonals t >= 0 of A B, for hermitian banded A and B, given by
+    their diagonals t >= 0, whose product is hermitian (two powers of one
+    matrix).  Diagonal s of A times diagonal u of B adds to diagonal
+    t = s + u: cell (j + t, j) takes (j + t, j + u) times (j + u, j), the
+    entries j + min(t, u) and j + min(u, 0) of their diagonals."""
+    width = min(len(a) + len(b) - 2, dim - 1)
+    out = [[0j] * (dim - t) for t in range(width + 1)]
+    fb = _full_band(b)
+    for s, x in _full_band(a).items():
+        for u in range(max(-s, 1 - len(b)), min(width - s, len(b) - 1) + 1):
+            t, j0 = s + u, max(0, -u)
+            m = dim - max(t, u) - j0
+            if m > 0:
+                ia, ib = j0 + min(t, u), j0 + min(u, 0)
+                c = out[t]
+                c[j0:j0 + m] = map(operator.add, c[j0:j0 + m], map(
+                    operator.mul, x[ia:ia + m], fb[u][ib:ib + m]))
+    return out
+
+
+def _trace_product(a: List[List[complex]], b: List[List[complex]]) -> float:
+    """Tr(A B) for hermitian banded A and B, given by their diagonals
+    t >= 0: it is sum_ij A_ij conj(B_ij), and diagonals t and -t add the
+    same real part."""
+    total = 0.0
+    for t, (x, y) in enumerate(zip(a, b)):
+        s = sum(map(operator.mul, x, map(complex.conjugate, y))).real
+        total += 2 * s if t else s
+    return total
+
+
+def channel_output_moments(spec: ChannelSpec, f: IsotypicFunction,
+                           nmax: int) -> List[float]:
+    """(1/dim) Tr T^n for n = 1..nmax, T the orthonormal matrix of the
+    exact channel output T(R*_mu f), band |t| <= mu.
+
+    T^p, p <= ceil(nmax/2), are banded products, and
+    Tr T^n = Tr(T^floor(n/2) T^ceil(n/2)), so a polynomial phi has
+    Tr phi(T) / dim = sum_n c_n moment_n with no eigensolve.  Nothing is
+    clamped, as nothing needs to be: for the states of
+    :func:`random_band_limited_state`, A = R*_mu f = B*B / Tr B*B is PSD
+    with trace 1 exactly, so 0 <= A <= I; T(A) >= 0 because the channel
+    is completely positive (its Kraus form,
+    :func:`~su2chan.intertwine.choi_min_eigenvalue`), and T(A) <= I
+    because c J_k is a partial isometry: c^2 J_k (A (x) I) J_k* <=
+    c^2 J_k J_k* = I.  So the spectrum lies in [0, 1].
+    """
     a = toeplitz(f, spec.mu)
     if not a.is_hermitian():
         raise ValueError("f must be real-valued (hermitian Toeplitz operator)")
-    out = apply_channel(spec, a)
-    m = to_orthonormal_matrix(out)
-    return np.linalg.eigvalsh(m)
+    band = _orthonormal_band(apply_channel(spec, a))
+    dim = len(band[0])
+    powers = [[[1.0 + 0j] * dim], band]
+    while len(powers) <= (nmax + 1) // 2:
+        powers.append(_band_product(band, powers[-1], dim))
+    return [_trace_product(powers[n // 2], powers[n - n // 2]) / dim
+            for n in range(1, nmax + 1)]
 
 
-def trace_moment(lam: np.ndarray, n: int) -> float:
-    """(1/dim) Tr(T^n) over a channel output spectrum, dimension-normalized."""
-    if n < 1:
-        raise ValueError(f"moment order must be >= 1, got {n}")
-    return float(np.sum(lam ** n) / lam.size)
+def functional_from_moments(phi: Sequence[float],
+                            moments: Sequence[float]) -> float:
+    """phi[0] + sum_n phi[n] moments[n - 1]: the functional of the
+    polynomial with ascending coefficients ``phi`` from the moments."""
+    return phi[0] + sum(map(operator.mul, phi[1:], moments))
 
 
-# Most points a limit rule may have: the rule of degree 1500.  With
-# symbol_values in blocks, a run's memory grows with the points alone
+# Most points a limit rule may have: the rule of degree 1500.  Its
+# samples are taken one radial node at a time, so a run's memory grows
+# with the number of angles alone
 MAX_LIMIT_GRID_POINTS = 1501 * 3001
 
 
-def moment_grid(mu: int, n: int) -> QuadratureGrid:
-    """The rule limit_moment integrates the n-th power on at level mu."""
-    return QuadratureGrid.for_degree(n * mu)
+def limit_grid(mu: int, nmax: int) -> QuadratureGrid:
+    """The rule of degree max(nmax mu, 1): exact for E(f)^n, n <= nmax,
+    with E(f) of level mu."""
+    return QuadratureGrid.for_degree(max(nmax * mu, 1))
 
 
-def functional_grid(mu: int, phi: Sequence[float]) -> QuadratureGrid:
-    """The rule limit_functional integrates phi on at level mu."""
-    return QuadratureGrid.for_degree(max(1, (len(phi) - 1) * mu))
-
-
-def limit_moment(mu: int, k: int, f: IsotypicFunction, n: int) -> float:
-    """Integral of the n-th power of the limit-operator image of f."""
-    grid = moment_grid(mu, n)
-    e = e_limit_apply(mu, k, f)
-    vals = function_values(e, grid.points)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteSampleError("limit integrand not finite on the grid")
-    return float(np.real(np.sum(grid.weights * vals ** n)))
-
-
-def _unit_interval(vals: np.ndarray) -> np.ndarray:
+def _unit_interval(vals: List[float]) -> List[float]:
     """Values clamped to [0, 1]; anything beyond 1e-8 outside is an error
-    (the hypothesis R*_mu f >= 0, trace 1 forces spectrum and limit
-    function into [0, 1])."""
-    if vals.min() < -1e-8 or vals.max() > 1 + 1e-8:
-        raise SpectrumOutOfRangeError(
-            f"values [{vals.min()}, {vals.max()}] exit [0, 1]")
-    return np.clip(vals, 0.0, 1.0)
+    (the hypothesis R*_mu f >= 0, trace 1 forces the limit function into
+    [0, 1])."""
+    lo, hi = min(vals), max(vals)
+    if lo < -1e-8 or hi > 1 + 1e-8:
+        raise SpectrumOutOfRangeError(f"values [{lo}, {hi}] exit [0, 1]")
+    if lo < 0 or hi > 1:
+        return [min(max(v, 0.0), 1.0) for v in vals]
+    return vals
 
 
-def trace_functional(lam: np.ndarray, phi: Sequence[float]) -> float:
-    """(1/dim) sum phi(lambda_i) over a channel output spectrum, with phi
-    its ascending polynomial coefficients, range-checked by
-    :func:`_unit_interval`."""
-    # np.polynomial loads on first use; imported with this module it would
-    # cost every run that does no quadrature (verify among them)
-    vals = np.polynomial.polynomial.polyval(_unit_interval(lam), phi)
-    return float(np.sum(vals) / lam.size)
+def limit_moments(mu: int, k: int, f: IsotypicFunction,
+                  nmax: int) -> List[float]:
+    """Integrals of E(f)^n, n = 1..nmax, against the invariant measure,
+    E the limit operator, on the one rule :func:`limit_grid`.
 
-
-def limit_functional(mu: int, k: int, f: IsotypicFunction,
-                     phi: Sequence[float]) -> float:
-    """Integral of phi(E(f)) against the invariant measure, with E(f)
-    range-checked on the grid by :func:`_unit_interval`; the grid is
-    exact for the ascending polynomial coefficients ``phi``."""
-    grid = functional_grid(mu, phi)
-    e = e_limit_apply(mu, k, f)
-    vals = np.real(function_values(e, grid.points))
-    return float(np.sum(grid.weights * np.polynomial.polynomial.polyval(
-        _unit_interval(vals), phi)))
+    With N the kernel of E(f) at level L, z = sqrt(t/(1-t)) e^(i theta)
+    gives E(f) = sum_|s|<=w G_s(t) e^(i s theta) with the Bernstein sums
+    G_s(t) = sum_(i-j=s) N_ij sqrt(t)^(i+j) sqrt(1-t)^(2L-i-j), whose
+    bases lie in [0, 1].  E(f) is real, so G_-s = conj(G_s), and the
+    angular sum is G_0 + 2 Re sum_(s>0) G_s e^(i s theta).  The samples
+    are taken one radial node at a time, range-checked by
+    :func:`_unit_interval`.  A kernel coefficient past the float range,
+    as at mu >= 1030, is a :class:`FloatRangeError`.
+    """
+    e = e_limit_apply(mu, k, f).numerator()
+    if not e.is_hermitian():
+        raise ValueError("f must be real-valued (hermitian limit kernel)")
+    grid = limit_grid(mu, nmax)
+    big_l, w, n_ang = e.level, e.width, grid.n_angular
+    try:
+        coeffs = [[complex(x / e.d, y / e.d) for x, y in zip(xr, xi)]
+                  for xr, xi in zip(e.re[w:], e.im[w:])]
+    except OverflowError:
+        raise FloatRangeError(f"limit kernel coefficients at level {big_l} "
+                              "exceed the float range") from None
+    angles = [2 * math.pi * a / n_ang for a in range(n_ang)]
+    waves = [([math.cos(s * th) for th in angles],
+              [math.sin(s * th) for th in angles]) for s in range(1, w + 1)]
+    sums = [0.0] * nmax
+    for t, weight in zip(*grid.radial()):
+        u, v = math.sqrt(t), math.sqrt(1 - t)
+        up, vp = [1.0], [1.0]
+        for _ in range(2 * big_l):
+            up.append(up[-1] * u)
+            vp.append(vp[-1] * v)
+        # basis[i + j] = sqrt(t)^(i+j) sqrt(1-t)^(2L-i-j); diagonal s of
+        # N, from its corner (s, 0), has i + j = s, s + 2, ...
+        basis = list(map(operator.mul, up, reversed(vp)))
+        g = [sum(map(operator.mul, c, basis[s::2])) for s, c in
+             enumerate(coeffs)]
+        vals = [g[0].real] * n_ang
+        for gs, (cos_s, sin_s) in zip(g[1:], waves):
+            re, im = 2 * gs.real, -2 * gs.imag
+            vals = [x + re * c + im * sn
+                    for x, c, sn in zip(vals, cos_s, sin_s)]
+        # each |G_s| is at most the largest coefficient, but their sum
+        # may pass the float range
+        if not math.isfinite(sum(vals)):
+            raise NonFiniteSampleError("limit integrand not finite on the grid")
+        vals = _unit_interval(vals)
+        power = vals
+        for n in range(nmax):
+            if n:
+                power = list(map(operator.mul, power, vals))
+            sums[n] += weight * sum(power)
+    return [x / n_ang for x in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +419,15 @@ class ConvergenceRecord:
 
     @property
     def fitted_slope(self) -> Optional[float]:
-        """Log-log decay order of the gaps in nu; None at the noise floor."""
+        """Log-log decay order of the gaps in nu, the negated least-squares
+        slope of log gap against log nu; None at the noise floor."""
         if any(g <= self.floor for g in self.gaps):
             return None
-        return float(-np.polyfit(np.log(self.nus), np.log(self.gaps), 1)[0])
+        xs = [math.log(v) for v in self.nus]
+        ys = [math.log(g) for g in self.gaps]
+        mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+        return -math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys)) \
+            / math.fsum((x - mx) ** 2 for x in xs)
 
     def to_row(self) -> dict:
         return {"mu": self.mu, "k": self.k, "label": self.label,

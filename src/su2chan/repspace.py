@@ -11,8 +11,7 @@ banded channel outputs cost O(L w), not O(L^2).  The isotypic
 decomposition of the operator space gives each operator its spin
 coordinates, integers over one denominator as well.
 
-Everything in this module is exact; floats appear only in
-:meth:`KernelOperator.complex_matrix` and :func:`to_orthonormal_matrix`.
+Everything in this module is exact.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from fractions import Fraction
 from itertools import chain
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from .exactnum import CRational
 
 
@@ -33,8 +30,14 @@ class LevelMismatchError(ValueError):
     pass
 
 
-class FloatRangeError(OverflowError):
-    """An exact coefficient is too large to read as a float."""
+def _binomial_row(n: int) -> List[int]:
+    """C(n, i) for i = 0..n, each from the one before:
+    C(n, i+1) = C(n, i) (n - i) / (i + 1), a small factor and an exact
+    division where math.comb would start over for every i."""
+    row = [1]
+    for i in range(n):
+        row.append(row[-1] * (n - i) // (i + 1))
+    return row
 
 
 @functools.lru_cache(maxsize=256)
@@ -42,7 +45,7 @@ def _gram_integers(level: int) -> Tuple[int, Tuple[int, ...]]:
     """The Gram diagonal ||z^i||^2 = 1/C(level, i) over one denominator:
     (W, (W/C(level, i))_i) with W the lcm of the binomials, built once per
     level."""
-    binoms = [math.comb(level, i) for i in range(level + 1)]
+    binoms = _binomial_row(level)
     big_w = math.lcm(*binoms)
     return big_w, tuple(big_w // c for c in binoms)
 
@@ -139,21 +142,6 @@ class KernelOperator(_IntegerForm):
     def is_hermitian(self) -> bool:
         return self == self.adjoint()
 
-    def complex_matrix(self) -> np.ndarray:
-        """The kernel coefficients in floats (x / d rounds correctly); in
-        the flat matrix, diagonal t starts at t n or -t, in steps of n + 1."""
-        n, d, w = self.dim, self.d, self.width
-        m = np.zeros((n, n), dtype=complex)
-        try:
-            for t, xr, xi in zip(range(-w, w + 1), self.re, self.im):
-                m.reshape(-1)[max(t * n, -t)::n + 1][:len(xr)] = [
-                    complex(x / d, y / d) if x or y else 0j
-                    for x, y in zip(xr, xi)]
-        except OverflowError:
-            raise FloatRangeError(f"kernel coefficients at level {self.level} "
-                                  "exceed the float range") from None
-        return m
-
 
 def _rows(a: KernelOperator) -> Tuple[List[List[int]], List[List[int]]]:
     """a's two parts as dense integer rows: (i, j) from diagonal i - j."""
@@ -195,20 +183,6 @@ def _trace_integers(a: KernelOperator) -> Tuple[int, int, int]:
 def operator_trace(a: KernelOperator) -> CRational:
     den, re, im = _trace_integers(a)
     return CRational(Fraction(re, den), Fraction(im, den))
-
-
-def to_orthonormal_matrix(a: KernelOperator) -> np.ndarray:
-    """Matrix of the operator in the orthonormal basis z^i / ||z^i||.
-
-    M[i][j] = a_ij sqrt(g_i g_j); hermitian iff the operator is
-    self-adjoint, and its eigenvalues are the operator's spectrum.
-    """
-    # sqrt(g_i) in floats; 1 / C rounds correctly
-    s = np.sqrt(np.array([1 / math.comb(a.level, i)
-                          for i in range(a.level + 1)]))
-    m = a.complex_matrix()
-    m *= np.outer(s, s)
-    return m
 
 
 def _matmul(a, b):

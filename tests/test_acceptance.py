@@ -23,12 +23,11 @@ from su2chan.cli import (
 from su2chan.intertwine import ChannelSpec, c_squared
 from su2chan.quadrature import (
     ENTROPY8,
-    QuadratureGrid,
-    channel_output_spectrum,
-    function_values,
-    limit_moment,
+    ConvergenceRecord,
+    channel_output_moments,
+    functional_from_moments,
+    limit_moments,
     random_band_limited_state,
-    trace_moment,
 )
 from su2chan.symbolcalc import (
     berezin_eigenvalue,
@@ -36,6 +35,7 @@ from su2chan.symbolcalc import (
     e_limit_apply,
     e_limit_eigenvalue,
 )
+from numpy_oracles import DenseGrid, function_values
 from test_exactnum import hyp2f1_terminating, rising_pochhammer
 from test_intertwine import dense_jk_product
 
@@ -108,7 +108,7 @@ class TestAcceptance:
         ok, worst = True, 0.0
         w = 0.7 + 0.3j
         for nu in range(0, 9):
-            grid = QuadratureGrid.for_degree(4 * nu + 4)
+            grid = DenseGrid.for_degree(4 * nu + 4)
             zs, ws = grid.points, grid.weights
             for m in range(nu + 1):
                 integrand = (
@@ -158,29 +158,28 @@ class TestAcceptance:
         # (worst case of the five draws); at small nu the per-draw signed
         # error can cross zero when its leading coefficient is small, so
         # the worst case is the statistically stable quantity
-        from su2chan.quadrature import (ConvergenceRecord, limit_functional,
-                                        trace_functional)
         nus = [10, 20, 40, 80]
         inputs = _criterion8_inputs()
         phi = list(ENTROPY8)
         ok, detail = True, ""
         n_runs = 0
         for (mu, k), fs in inputs.items():
-            # reuse one spectrum per (f, nu) across moment orders
-            lams = {(i, nu): channel_output_spectrum(
-                        ChannelSpec(mu, nu, k), f)
-                    for i, f in enumerate(fs) for nu in nus}
+            # one set of moments per (f, nu), shared by the moment orders
+            # and phi; one set of limit moments per f
+            lhs = {(i, nu): channel_output_moments(
+                       ChannelSpec(mu, nu, k), f, len(phi) - 1)
+                   for i, f in enumerate(fs) for nu in nus}
+            rhs = [limit_moments(mu, k, f, len(phi) - 1) for f in fs]
             for n in range(1, 5):
-                rhs = [limit_moment(mu, k, f, n) for f in fs]
-                gaps = [max(abs(trace_moment(lams[(i, nu)], n) - rhs[i])
+                gaps = [max(abs(lhs[(i, nu)][n - 1] - rhs[i][n - 1])
                             for i in range(len(fs)))
                         for nu in nus]
                 rec = ConvergenceRecord(mu, k, nus, f"n={n}", gaps, 0.0)
                 n_runs += 1
                 if not rec.converged:
                     ok, detail = False, f"mu={mu},k={k},n={n}"
-            rhs = [limit_functional(mu, k, f, phi) for f in fs]
-            gaps = [max(abs(trace_functional(lams[(i, nu)], phi) - rhs[i])
+            gaps = [max(abs(functional_from_moments(phi, lhs[(i, nu)])
+                            - functional_from_moments(phi, rhs[i]))
                         for i in range(len(fs))) for nu in nus]
             rec = ConvergenceRecord(mu, k, nus, "phi", gaps, 0.0)
             n_runs += 1

@@ -13,7 +13,6 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import su2chan
@@ -24,7 +23,9 @@ from su2chan.cli import (
     EXIT_OK,
     main,
 )
-from su2chan.intertwine import ChannelSpec
+from su2chan.intertwine import ChannelSpec, apply_channel
+from su2chan.quadrature import FloatRangeError
+from su2chan.symbolcalc import toeplitz
 from test_exactnum import fraction_3f2, rising_pochhammer
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -295,19 +296,51 @@ def test_phi_overflowing_a_float_is_config_error(tmp_path, capsys, phi):
     assert os.listdir(tmp_path) == []
 
 
-def test_converge_past_the_float_range_is_config_error(tmp_path, capsys):
-    # the level-1061 output's kernel coefficients pass the float range
-    # (about level 1030) before the orthonormal scaling
+def test_converge_past_the_float_range_matches_exact_moments(tmp_path):
+    # output level 1101: its monomial kernel coefficients and binomials
+    # pass the float range (about level 1030), but the orthonormal band is
+    # read from exact quotients.  Moments 1 and 2 are the exact rationals
+    # Tr T / dim and sum_ij |M_ij|^2 / dim = sum (x^2 + y^2) / (d^2 C_i C_j)
+    # / dim over the kernel integers (x + i y) / d
+    argv = ["converge", "--mu", "3", "--k", "1", "--nu", "80,1100",
+            "--n", "1,2", "--seed", "3", "--out", str(tmp_path / "x.csv")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["converge", "--mu", "3", "--k", "1", "--nu", "80,1060",
-                     "--n", "2", "--seed", "3",
-                     "--out", str(tmp_path / "x.csv")])
+        assert main(argv) == EXIT_OK
+    with open(tmp_path / "x.csv") as fh:
+        lhs = {r["n_or_phi"]: float(r["lhs"]) for r in csv.DictReader(fh)
+               if r["nu"] == "1100"}
+    _, f = quadrature.random_band_limited_state(3, random.Random(3))
+    spec = ChannelSpec(3, 1100, 1)
+    out = apply_channel(spec, toeplitz(f, 3))
+    dim, w = out.dim, out.width
+    binom = [math.comb(out.level, i) for i in range(dim)]
+    m1 = Fraction(sum(x * Fraction(1, c) for x, c in zip(out.re[w], binom)),
+                  out.d * dim)
+    m2 = Fraction(sum(Fraction(x * x + y * y, binom[j] * binom[j + abs(t)])
+                      for t, xr, xi in zip(range(-w, w + 1), out.re, out.im)
+                      for j, (x, y) in enumerate(zip(xr, xi))),
+                  out.d ** 2 * dim)
+    assert lhs["n=1"] == pytest.approx(float(m1), rel=1e-12)
+    assert lhs["n=2"] == pytest.approx(float(m2), rel=1e-12)
+
+
+def test_limit_past_the_float_range_is_config_error(tmp_path, capsys,
+                                                    monkeypatch):
+    # a limit kernel coefficient past the float range (mu >= 1030, which
+    # no run reaches in a test's time) is one error line and exit 2
+    def overflow(mu, k, f, nmax):
+        raise FloatRangeError(f"limit kernel coefficients at level {mu} "
+                              "exceed the float range")
+
+    monkeypatch.setattr(cli, "limit_moments", overflow)
+    code = main(["converge", "--mu", "1", "--k", "0", "--nu", "8,16",
+                 "--n", "2", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG_ERROR
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == ("error: kernel coefficients at level 1061 exceed the "
-                       "float range\n")
+    assert out.err == ("error: limit kernel coefficients at level 1 exceed "
+                       "the float range\n")
     assert os.listdir(tmp_path) == []
 
 
@@ -347,7 +380,7 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch, argv,
     # a missing directory, or a directory in place of the file, is found
     # before any suite runs
     for name in ("run_verify_suites", "spectrum_rows",
-                 "channel_output_spectrum", "channel_report"):
+                 "channel_output_moments", "channel_report"):
         monkeypatch.setattr(cli, name, _must_not_run)
     code = main(argv + ["--out", str(tmp_path / target)])
     assert code == EXIT_CONFIG_ERROR
@@ -527,18 +560,15 @@ class TestConverge:
         (["--mu", "20", "--n", "75"], 1500)])
     def test_limit_grid_up_to_the_cap_is_built(
             self, tmp_path, monkeypatch, argv, degree):
-        # one sample point stands in for the grid, so that only the size
+        # one radial node stands in for the rule, so that only the size
         # asked for counts
         sizes = []
 
-        def one_point(grid):
+        def one_node(grid):
             sizes.append(grid.size)
-            return np.array([0.5 + 0.5j])
+            return [0.5], [1.0]
 
-        monkeypatch.setattr(quadrature.QuadratureGrid, "points",
-                            property(one_point))
-        monkeypatch.setattr(quadrature.QuadratureGrid, "weights",
-                            property(lambda grid: np.ones(1)))
+        monkeypatch.setattr(quadrature.QuadratureGrid, "radial", one_node)
         mu = int(argv[1])
         code = main(["converge", "--k", "1", "--nu", f"{mu},{mu + 3}"]
                     + argv + ["--out", str(tmp_path / "x.csv")])
@@ -552,9 +582,9 @@ class TestConverge:
         ["--mu", "1503", "--n", "1"]])
     def test_limit_grid_past_the_cap_is_config_error(
             self, tmp_path, capsys, monkeypatch, argv):
-        monkeypatch.setattr(quadrature.QuadratureGrid, "points",
-                            property(_must_not_run))
-        for name in ("random_band_limited_state", "channel_output_spectrum"):
+        monkeypatch.setattr(quadrature.QuadratureGrid, "radial",
+                            _must_not_run)
+        for name in ("random_band_limited_state", "channel_output_moments"):
             monkeypatch.setattr(cli, name, _must_not_run)
         mu = int(argv[1])
         code = main(["converge", "--k", "1", "--nu", f"{mu},{mu + 3}"]
@@ -583,22 +613,21 @@ class TestConverge:
         assert code == EXIT_CONFIG_ERROR
 
     def test_each_spectrum_built_once(self, tmp_path, monkeypatch):
-        # every moment order and phi share one spectrum per level
-        real = quadrature.channel_output_spectrum
+        # every moment order and phi share one set of trace moments of
+        # the channel output per level
+        real = quadrature.channel_output_moments
         calls = []
 
-        def counting(spec, f):
-            calls.append(spec.nu)
-            return real(spec, f)
+        def counting(spec, f, nmax):
+            calls.append((spec.nu, nmax))
+            return real(spec, f, nmax)
 
-        for mod in (quadrature, cli):
-            if hasattr(mod, "channel_output_spectrum"):
-                monkeypatch.setattr(mod, "channel_output_spectrum", counting)
+        monkeypatch.setattr(cli, "channel_output_moments", counting)
         code = main(["converge", "--mu", "2", "--k", "1", "--nu", "10,20",
                      "--n", "1,2,3", "--phi", "entropy8",
                      "--out", str(tmp_path / "x.csv")])
         assert code in (EXIT_OK, EXIT_ASSERTION_FAILED)
-        assert sorted(calls) == [10, 20]
+        assert sorted(calls) == [(10, 8), (20, 8)]
 
     def test_stdout_is_csv_then_summary(self, tmp_path, capsys):
         # without --out both reports go to stdout, in the order and with
@@ -716,10 +745,20 @@ class TestBenchmarkReferences:
 
     @pytest.mark.parametrize("seed", WORKLOADS.converge_pool())
     def test_converge_matches_reference(self, tmp_path, seed):
-        # byte for byte, at every seed with a stored CSV
+        # at every seed with a stored CSV: the workload's own check, and
+        # labels exact with every float within 1e-14 of the reference.
+        # The references hold the eigvalsh route's roundoff; the banded
+        # moments and the one limit rule moved lhs, rhs and gap by at
+        # most 3.5e-15 on these seeds
         out = tmp_path / "c.csv"
         assert main(WORKLOADS.CONVERGE_ARGS
                     + ["--seed", str(seed), "--out", str(out)]) == EXIT_OK
         want = (Path(WORKLOADS.REFS) / "converge"
                 / f"seed_{seed}.csv").read_text()
-        assert out.read_text() == want
+        got = out.read_text()
+        assert WORKLOADS.compare_converge_csv(got, want) is None
+        rows = [list(csv.reader(text.splitlines())) for text in (got, want)]
+        assert [r[:4] for r in rows[0]] == [r[:4] for r in rows[1]]
+        for g, w in zip(rows[0][1:], rows[1][1:]):
+            assert all(abs(float(a) - float(b)) <= 1e-14
+                       for a, b in zip(g[4:], w[4:])), (g, w)

@@ -6,6 +6,9 @@ tests run.  ``__init__.py`` is skipped, since its imports are the
 package's re-exports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,9 +170,9 @@ def test_every_default_is_overridden(path):
     assert unused == []
 
 
-# Floats enter only for eigensolves and quadrature: the exact layers and
-# the CLI import no numpy
-EXACT_FILES = ["exactnum.py", "intertwine.py", "symbolcalc.py", "cli.py"]
+# The package runs on the standard library alone: numpy serves the tests
+# and the benchmark, and no module under src/su2chan imports it
+PACKAGE_FILES = sorted((ROOT / "src" / "su2chan").glob("*.py"))
 
 
 def numpy_imports(source: str):
@@ -193,6 +196,28 @@ def test_checker_finds_a_numpy_import():
     assert numpy_imports(source) == [1, 2]
 
 
-@pytest.mark.parametrize("name", EXACT_FILES)
-def test_exact_layer_imports_no_numpy(name):
-    assert numpy_imports((ROOT / "src" / "su2chan" / name).read_text()) == []
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
+def test_exact_layer_imports_no_numpy(path):
+    # every module: the exact layers, the float layer and the CLI
+    assert numpy_imports(path.read_text()) == []
+
+
+NO_NUMPY_RUN = """
+import sys
+import su2chan, su2chan.cli
+code = su2chan.cli.main(["converge", "--mu", "2", "--k", "1", "--nu", "4,8",
+                         "--n", "1,2", "--phi", "entropy8",
+                         "--out", sys.argv[1]])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def test_cli_run_loads_no_numpy(tmp_path):
+    # the import and a converge run, in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_RUN,
+                           str(tmp_path / "c.csv")],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() in (["0", "False"], ["1", "False"])

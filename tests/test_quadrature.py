@@ -1,11 +1,13 @@
-"""Tests for invariant-measure quadrature, spectral sampling, the exact
-kernel-integral bounds, and the convergence harness."""
+"""Tests for invariant-measure quadrature, banded trace moments, the
+exact kernel-integral bounds, and the convergence harness.  The numpy
+routes in numpy_oracles.py are the oracles of the float layer."""
 
+import cmath
 import itertools
 import math
 import random
-import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,28 +18,37 @@ from su2chan.quadrature import (
     _fund_bound,
     ENTROPY8,
     ConvergenceRecord,
+    FloatRangeError,
     NonFiniteSampleError,
     QuadratureGrid,
     SpectrumOutOfRangeError,
-    channel_output_spectrum,
-    function_values,
+    channel_output_moments,
+    functional_from_moments,
     fund_ineq_check,
     i_n_integral,
-    limit_functional,
-    limit_moment,
+    limit_moments,
     random_band_limited_state,
     random_operator,
     random_psd_trace_one,
-    symbol_values,
-    trace_functional,
-    trace_moment,
 )
-from su2chan.repspace import operator_trace
+from su2chan.repspace import KernelOperator, operator_trace
 from su2chan.symbolcalc import (
+    IsotypicFunction,
     e_limit_apply,
     functions_equal,
     integrate_exact,
     symbol,
+)
+from numpy_oracles import (
+    DenseGrid,
+    channel_output_spectrum,
+    dense_orthonormal_matrix,
+    function_values,
+    limit_functional,
+    limit_moment,
+    symbol_values,
+    trace_functional,
+    trace_moment,
 )
 from test_exactnum import CQ, binomial
 from test_repspace import (coeff_rows, kernel_from_rows,
@@ -87,11 +98,15 @@ def fraction_fund_sum(kappa, j):
 
 
 def integrate_invariant(f, grid):
-    """Quadrature of f against the invariant probability measure."""
-    vals = np.array([f(z) for z in grid.points])
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteSampleError("integrand not finite on the grid")
-    return float(np.real(np.sum(grid.weights * vals)))
+    """Quadrature of f against the invariant probability measure on the
+    package's rule: its radial nodes and weights, and uniform angles."""
+    n = grid.n_angular
+    total = 0j
+    for t, w in zip(*grid.radial()):
+        r = math.sqrt(t / (1 - t))
+        total += w * sum(f(r * cmath.exp(2j * math.pi * a / n))
+                         for a in range(n)) / n
+    return total
 
 
 def crational_random_operator(mu, rng):
@@ -127,8 +142,20 @@ def _evaluate(f, z):
 class TestGrid:
 
     def test_total_mass_is_one(self):
-        grid = QuadratureGrid.for_degree(6)
-        assert abs(np.sum(grid.weights) - 1.0) < 1e-13
+        _, weights = QuadratureGrid.for_degree(6).radial()
+        assert abs(math.fsum(weights) - 1.0) < 1e-15
+        assert min(weights) > 0
+
+    def test_gauss_legendre_matches_leggauss(self):
+        # Newton's method on the recurrence against numpy's rule, mapped
+        # to [0, 1], for every size up to 64.  Against a 50-digit rule the
+        # nodes of both are within 1.1e-16, and the weights within 1.3e-13
+        # (these) and 1.8e-12 (numpy's) relative
+        for n in range(1, 65):
+            nodes, weights = QuadratureGrid(n, 1).radial()
+            x, w = np.polynomial.legendre.leggauss(n)
+            assert np.max(np.abs(np.array(nodes) - (x + 1) / 2)) < 3e-16, n
+            assert np.max(np.abs(np.array(weights) / (w / 2) - 1)) < 3e-12, n
 
     def test_moment_exactness(self):
         # the grid integrates |z|^(2a) (1+|z|^2)^(-L) exactly within its
@@ -150,27 +177,18 @@ class TestGrid:
 
     def test_one_leggauss_call_per_rule(self, monkeypatch):
         # the moments and the entropy functional of the README converge
-        # example: five grids of five distinct radial sizes, read for both
-        # points and weights
-        phi = list(ENTROPY8)
-        rng = random.Random(RNG_SEED)
-        _, f = random_band_limited_state(3, rng)
+        # example share one Gauss-Legendre rule, of degree 8 mu
         sizes = []
-        leggauss = np.polynomial.legendre.leggauss
+        radial = QuadratureGrid.radial
 
-        def counted(n):
-            sizes.append(n)
-            return leggauss(n)
+        def counted(grid):
+            sizes.append(grid.n_radial)
+            return radial(grid)
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
-        for n in (1, 2, 3, 4):
-            limit_moment(3, 1, f, n)
-        limit_functional(3, 1, f, phi)
-        assert sorted(sizes) == [4, 7, 10, 13, 25]
-        grid = QuadratureGrid.for_degree(6)
-        for _ in range(2):
-            assert grid.points.shape == grid.weights.shape == (7 * 13,)
-        assert sorted(sizes) == [4, 7, 7, 10, 13, 25]
+        monkeypatch.setattr(QuadratureGrid, "radial", counted)
+        _, f = random_band_limited_state(3, random.Random(RNG_SEED))
+        limit_moments(3, 1, f, len(ENTROPY8) - 1)
+        assert sizes == [25]
 
     def test_symbol_values_match_pointwise_evaluation(self):
         rng = random.Random(RNG_SEED)
@@ -181,30 +199,25 @@ class TestGrid:
         slow = np.array([_evaluate(f, z) for z in zs])
         assert np.max(np.abs(fast - slow)) < 1e-12
 
-    def test_symbol_values_in_blocks_match_one_pass(self, monkeypatch):
-        rng = random.Random(RNG_SEED)
-        a = random_operator(3, rng)
-        zs = QuadratureGrid.for_degree(6).points
-        whole = symbol_values(a, zs)
-        monkeypatch.setattr(quadrature, "VANDER_ENTRIES", 3 * a.dim)
-        assert np.array_equal(symbol_values(a, zs), whole)
-
     @pytest.mark.parametrize("mu", [50, 200])
-    def test_symbol_values_finite_far_out(self, mu):
-        # the kernel (1 + x y~)^mu has symbol 1 everywhere, though z^mu
-        # and (1 + |z|^2)^mu overflow at |z| = 1e6
-        zs = np.array([1e6 + 0j, -1e6j, 3e3 + 4e3j, 0.5, 0j])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            vals = symbol_values(reproducing_identity_operator(mu), zs)
-        assert np.max(np.abs(vals - 1)) < 1e-12
+    def test_limit_moments_finite_at_large_level(self, mu, monkeypatch):
+        # the kernel (1 + x y~)^mu has symbol 1 everywhere, though its
+        # coefficients reach C(mu, mu/2) and (1 + |z|^2)^mu overflows at
+        # the nodes nearest t = 1; it stands in for E(f)
+        kernel = SimpleNamespace(
+            numerator=lambda: reproducing_identity_operator(mu))
+        monkeypatch.setattr(quadrature, "e_limit_apply",
+                            lambda mu, k, f: kernel)
+        assert limit_moments(mu, 1, None, 2) == pytest.approx(
+            [1.0, 1.0], rel=1e-12)
 
     def test_quadrature_recovers_exact_integral(self):
         rng = random.Random(RNG_SEED)
         a = random_operator(2, rng)
-        grid = QuadratureGrid.for_degree(8)
-        num = complex(np.sum(grid.weights * symbol_values(a, grid.points)))
-        assert abs(num - complex(CQ.of(integrate_exact(symbol(a))))) < 1e-12
+        f = symbol(a)
+        num = integrate_invariant(lambda z: _evaluate(f, z),
+                                  QuadratureGrid.for_degree(8))
+        assert abs(num - complex(CQ.of(integrate_exact(f)))) < 1e-12
 
 
 class TestRandomStates:
@@ -214,8 +227,7 @@ class TestRandomStates:
         for mu in (1, 2, 3):
             a = random_psd_trace_one(mu, rng)
             assert operator_trace(a) == 1
-            from su2chan.repspace import to_orthonormal_matrix
-            eigs = np.linalg.eigvalsh(to_orthonormal_matrix(a))
+            eigs = np.linalg.eigvalsh(dense_orthonormal_matrix(a))
             assert eigs.min() > -1e-12
 
     def test_band_limited_state_round_trip(self):
@@ -234,9 +246,17 @@ class TestRandomStates:
                 assert rng.getstate() == ref.getstate()
 
 
+# (mu, nu, k): mu = 0, nu = mu, output level L = mu + nu - 2k below mu,
+# and the benchmark's converge levels
+MOMENT_SPECS = [(0, 0, 0), (0, 4, 0), (2, 2, 1), (3, 3, 3), (3, 4, 3),
+                (4, 5, 4), (2, 9, 1), (3, 20, 1), (3, 40, 1), (3, 80, 1),
+                (3, 160, 1)]
+
+
 class TestSpectralFunctionals:
 
     def test_channel_spectrum_in_unit_interval(self):
+        # the exact argument of channel_output_moments, seen on spectra
         rng = random.Random(RNG_SEED)
         for nu in (6, 10):
             spec = ChannelSpec(2, nu, 1)
@@ -245,44 +265,90 @@ class TestSpectralFunctionals:
             assert lam.min() > -1e-10
             assert lam.max() < 1.0 + 1e-10
 
+    @pytest.mark.parametrize("mu,nu,k", MOMENT_SPECS)
+    def test_banded_moments_match_eigvalsh(self, mu, nu, k):
+        spec = ChannelSpec(mu, nu, k)
+        _, f = random_band_limited_state(mu, random.Random(RNG_SEED + nu))
+        lam = channel_output_spectrum(spec, f)
+        got = channel_output_moments(spec, f, 8)
+        want = [trace_moment(lam, n) for n in range(1, 9)]
+        assert np.max(np.abs(np.array(got) - want)) < 1e-12
+
+    def test_moments_reject_non_hermitian_input(self):
+        f = symbol(random_operator(2, random.Random(RNG_SEED)))
+        with pytest.raises(ValueError):
+            channel_output_moments(ChannelSpec(2, 4, 1), f, 2)
+        with pytest.raises(ValueError):
+            limit_moments(2, 1, f, 2)
+
     def test_first_moment_identity(self):
         # (1/dim) Tr T(A) equals (1/(mu+1)) Tr A exactly in the limit too,
         # so the n = 1 moment gap must sit at float noise level
         rng = random.Random(RNG_SEED)
         spec = ChannelSpec(2, 8, 1)
         _, f = random_band_limited_state(2, rng)
-        lhs = trace_moment(channel_output_spectrum(spec, f), 1)
-        rhs = limit_moment(2, 1, f, 1)
+        lhs = channel_output_moments(spec, f, 1)[0]
+        rhs = limit_moments(2, 1, f, 1)[0]
         assert abs(lhs - rhs) < 1e-12
 
     def test_functional_with_polynomial_equals_moments(self):
         rng = random.Random(RNG_SEED)
         spec = ChannelSpec(2, 8, 0)
         _, f = random_band_limited_state(2, rng)
-        # phi(x) = 2x^2 - x as coefficient list
+        # phi(x) = 2x^2 - x as coefficient list, and the entropy fit
         lam = channel_output_spectrum(spec, f)
-        val = trace_functional(lam, [0.0, -1.0, 2.0])
-        mom = 2 * trace_moment(lam, 2) - trace_moment(lam, 1)
-        assert abs(val - mom) < 1e-12
+        moments = channel_output_moments(spec, f, 8)
+        for phi in ([0.0, -1.0, 2.0], list(ENTROPY8)):
+            assert abs(functional_from_moments(phi, moments)
+                       - trace_functional(lam, phi)) < 1e-12
+
+    @pytest.mark.parametrize("mu,k", [(0, 0), (1, 1), (2, 1), (3, 0),
+                                      (3, 1), (3, 3)])
+    def test_limit_moments_match_one_rule_per_statistic(self, mu, k):
+        # one factorised rule of degree 8 mu against the dense rules of
+        # degree n mu and 8 mu, sampled through numpy
+        _, f = random_band_limited_state(mu, random.Random(RNG_SEED + k))
+        phi = list(ENTROPY8)
+        got = limit_moments(mu, k, f, 8)
+        want = [limit_moment(mu, k, f, n) for n in range(1, 9)]
+        assert np.max(np.abs(np.array(got) - want)) < 1e-13
+        assert abs(functional_from_moments(phi, got)
+                   - limit_functional(mu, k, f, phi)) < 1e-12
+
+    def test_limit_coefficients_past_the_float_range(self):
+        # a kernel coefficient of E(f) past the float maximum, as at
+        # mu >= 1030, is a FloatRangeError
+        f = IsotypicFunction(1, 1, [[10 ** 400], [0, 0, 0]],
+                             [[0], [0, 0, 0]])
+        with pytest.raises(FloatRangeError, match="level 1 exceed"):
+            limit_moments(1, 0, f, 1)
+
+    def test_limit_samples_past_the_float_range(self, monkeypatch):
+        # coefficients just inside the float range whose sum is not: the
+        # limit kernel 1.7e308 (1 + x + y~ + x y~) sums to 3.4e308 at
+        # t = 1/2, theta = 0
+        c = int(1.7e308)
+        big = symbol(KernelOperator(1, 1, [[c], [c, c], [c]],
+                                    [[0], [0, 0], [0]]))
+        monkeypatch.setattr(quadrature, "e_limit_apply", lambda mu, k, f: f)
+        with pytest.raises(NonFiniteSampleError):
+            limit_moments(1, 0, big, 1)
 
     def test_functionals_reject_values_outside_unit_interval(self):
         rng = random.Random(RNG_SEED)
         mu, k = 2, 1
         _, f = random_band_limited_state(mu, rng)
-        phi = list(ENTROPY8)
-        # scale f by an integer so that E(f) exceeds 1 on the default grid
-        grid = QuadratureGrid.for_degree(8 * mu)
+        # scale f by an integer so that E(f) exceeds 1 on the rule, or
+        # by -1 so that it falls below 0
+        grid = DenseGrid.for_degree(8 * mu)
         peak = np.max(np.real(function_values(e_limit_apply(mu, k, f),
                                               grid.points)))
         assert 0 < peak <= 1
-        limit_functional(mu, k, f, phi)
-        with pytest.raises(SpectrumOutOfRangeError):
-            limit_functional(mu, k, f.scale_components(
-                [int(2 / peak) + 1] * (f.level + 1)), phi)
-        with pytest.raises(SpectrumOutOfRangeError):
-            trace_functional(np.array([0.5, 1.1]), phi)
-        with pytest.raises(SpectrumOutOfRangeError):
-            trace_functional(np.array([-0.1, 0.5]), phi)
+        limit_moments(mu, k, f, 8)
+        for factor in (int(2 / peak) + 1, -1):
+            with pytest.raises(SpectrumOutOfRangeError):
+                limit_moments(mu, k, f.scale_components(
+                    [factor] * (f.level + 1)), 8)
 
 
 class TestKernelBounds:
@@ -331,7 +397,7 @@ class TestKernelBounds:
         # (nu+1)^n int |prod (1 + s_t conj(s_{t+1}))|^nu
         #              prod (1+|s_t|^2)^{-nu} d iota^n
         for nu in (2, 4):
-            grid = QuadratureGrid.for_degree(6 * nu)
+            grid = DenseGrid.for_degree(6 * nu)
             zs, ws = grid.points, grid.weights
             ker = np.abs(1.0 + np.outer(zs, np.conj(zs))) ** nu
             wt = ws * (1.0 + np.abs(zs) ** 2) ** (-nu)
@@ -408,8 +474,8 @@ class TestConvergenceHarness:
         _, f = random_band_limited_state(2, rng)
         nus = [8, 16, 32]
         rec = ConvergenceRecord(2, 1, nus, "n=2", [
-            trace_moment(channel_output_spectrum(ChannelSpec(2, nu, 1), f), 2)
-            for nu in nus], limit_moment(2, 1, f, 2))
+            channel_output_moments(ChannelSpec(2, nu, 1), f, 2)[1]
+            for nu in nus], limit_moments(2, 1, f, 2)[1])
         assert rec.converged
         assert rec.fitted_slope > 0.5
 
@@ -418,10 +484,21 @@ class TestConvergenceHarness:
         _, f = random_band_limited_state(1, rng)
         nus, phi = [8, 16, 32, 64], list(ENTROPY8)
         rec = ConvergenceRecord(1, 1, nus, "phi=deg8", [
-            trace_functional(
-                channel_output_spectrum(ChannelSpec(1, nu, 1), f), phi)
-            for nu in nus], limit_functional(1, 1, f, phi))
+            functional_from_moments(
+                phi, channel_output_moments(ChannelSpec(1, nu, 1), f, 8))
+            for nu in nus], functional_from_moments(
+                phi, limit_moments(1, 1, f, 8)))
         assert rec.converged
+
+    def test_fitted_slope_matches_polyfit(self):
+        rng = random.Random(RNG_SEED)
+        for _ in range(20):
+            nus = sorted(rng.sample(range(1, 5000), rng.randint(2, 6)))
+            lhs = [1.0 + rng.uniform(1e-9, 1.0) for _ in nus]
+            rec = ConvergenceRecord(3, 1, nus, "n=2", lhs, 1.0)
+            want = -np.polyfit(np.log(nus), np.log(rec.gaps), 1)[0]
+            assert rec.fitted_slope == pytest.approx(want, rel=1e-12,
+                                                     abs=1e-12)
 
     def test_entropy_fit_accuracy(self):
         # ENTROPY8 is the degree-8 fit, up to the fit's LAPACK build; its

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from su2chan.exactnum import CRational
-from su2chan.quadrature import QuadratureGrid, random_operator
+from su2chan.quadrature import _orthonormal_band, random_operator
 from su2chan.symbolcalc import symbol, toeplitz
 from su2chan.repspace import (
     IsotypicDecomposition,
@@ -24,9 +24,10 @@ from su2chan.repspace import (
     compose,
     isotypic_projectors,
     operator_trace,
-    to_orthonormal_matrix,
 )
 
+from numpy_oracles import (DenseGrid, assert_band_matches_dense,
+                           dense_orthonormal_matrix)
 from test_exactnum import CQ, binomial
 
 RNG_SEED = 1234
@@ -87,18 +88,6 @@ def kernel_from_rows(level, coeffs):
     d, ints = _common_denominator([v.re for v in flat]
                                   + [v.im for v in flat])
     return _from_dense(level, d, ints[:n * n], ints[n * n:])
-
-
-def dense_orthonormal_matrix(a):
-    """to_orthonormal_matrix as it was before the band form: every
-    coefficient of the dense CRational rows in floats (float(Fraction)
-    rounds correctly, as x / d does), times sqrt(g_i g_j) from the outer
-    product."""
-    c = np.array([[complex(float(v.re), float(v.im)) if v.re or v.im else 0j
-                   for v in row] for row in a.coeffs])
-    s = np.sqrt(np.array([1 / math.comb(a.level, i)
-                          for i in range(a.level + 1)]))
-    return c * np.outer(s, s)
 
 
 def banded_rows(level, w, diagonals):
@@ -407,7 +396,7 @@ class TestInnerProduct:
     def test_monomial_norms_against_quadrature(self):
         # independent numeric oracle: the weighted integral of |z^i|^2
         for nu in range(0, 7):
-            grid = QuadratureGrid.for_degree(2 * nu + 2)
+            grid = DenseGrid.for_degree(2 * nu + 2)
             space = PolySpaceParams(nu)
             for i in range(nu + 1):
                 zs = grid.points
@@ -498,9 +487,9 @@ class TestKernelOperator:
     def test_orthonormal_matrix_preserves_trace_and_products(self):
         rng = random.Random(RNG_SEED)
         a, b = random_operator(4, rng), random_operator(4, rng)
-        ma, mb = to_orthonormal_matrix(a), to_orthonormal_matrix(b)
+        ma, mb = dense_orthonormal_matrix(a), dense_orthonormal_matrix(b)
         assert abs(np.trace(ma) - complex(CQ.of(operator_trace(a)))) < 1e-12
-        mab = to_orthonormal_matrix(compose(a, b))
+        mab = dense_orthonormal_matrix(compose(a, b))
         assert np.max(np.abs(mab - ma @ mb)) < 1e-12
 
     def test_level_mismatch_rejected(self):
@@ -608,7 +597,8 @@ class TestBandForm:
                 [[-y for y in col] for col in zip(*im)])
 
     def test_orthonormal_matrix_matches_dense_oracle(self):
-        # bit for bit, dense and banded operators, products and sums
+        # the orthonormal band read from the exact diagonals, against the
+        # dense matrix: dense and banded operators, products and sums
         rng = random.Random(RNG_SEED)
         ops = [random_operator(mu, rng) for mu in range(7)]
         ops += [compose(a.adjoint(), a) for a in ops]
@@ -617,9 +607,7 @@ class TestBandForm:
                 kernel_sum(ops[3], ops[3], -1),
                 kernel_sum(ops[2], ops[2].adjoint())]
         for a in ops:
-            got = to_orthonormal_matrix(a)
-            assert got.dtype == complex
-            assert got.tobytes() == dense_orthonormal_matrix(a).tobytes()
+            assert_band_matches_dense(a, _orthonormal_band(a))
 
 
 class TestGroupAction:

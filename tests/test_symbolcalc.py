@@ -10,12 +10,7 @@ import pytest
 
 from su2chan.exactnum import CRational
 from su2chan.intertwine import ChannelSpec, apply_channel, c_squared
-from su2chan.quadrature import (
-    QuadratureGrid,
-    function_values,
-    random_operator,
-    random_band_limited_state,
-)
+from su2chan.quadrature import random_operator, random_band_limited_state
 from su2chan.repspace import (
     _common_denominator,
     compose,
@@ -37,6 +32,7 @@ from su2chan.symbolcalc import (
     symbol,
     toeplitz,
 )
+from numpy_oracles import DenseGrid, function_values
 from test_exactnum import CQ, binomial, factorial, hyp3f2_terminating
 from test_repspace import (
     coeff_rows,
@@ -161,7 +157,7 @@ def assert_same_fraction(got, want, case):
 class TestSymbolToeplitz:
 
     def test_moment_integral_against_quadrature(self):
-        grid = QuadratureGrid.for_degree(20)
+        grid = DenseGrid.for_degree(20)
         for level in range(0, 9):
             for a in range(level + 1):
                 zs = grid.points
@@ -212,7 +208,7 @@ class TestSymbolToeplitz:
         a = random_operator(3, rng)
         sa = symbol(a)
         sastar = symbol(a.adjoint())
-        grid = QuadratureGrid.for_degree(8)
+        grid = DenseGrid.for_degree(8)
         va = function_values(sa, grid.points)
         vb = function_values(sastar, grid.points)
         assert np.max(np.abs(va - vb.conj())) < 1e-12
@@ -224,7 +220,7 @@ def _random_real_function(mu, rng):
 
 
 def _pointwise_integral(f, g, level):
-    grid = QuadratureGrid.for_degree(4 * level + 4)
+    grid = DenseGrid.for_degree(4 * level + 4)
     return complex(np.sum(grid.weights
                           * function_values(f, grid.points)
                           * function_values(g, grid.points)))
