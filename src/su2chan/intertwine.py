@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from typing import List, Tuple
@@ -42,19 +42,16 @@ class InvalidSpecError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(namedtuple("ChannelSpec", "mu nu k")):
     """The triple (mu, nu, k) selecting one component channel."""
 
-    mu: int
-    nu: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.k <= self.mu <= self.nu):
+    def __new__(cls, mu: int, nu: int, k: int):
+        if not (0 <= k <= mu <= nu):
             raise InvalidSpecError(
-                f"need 0 <= k <= mu <= nu, got (mu={self.mu}, nu={self.nu}, "
-                f"k={self.k})")
+                f"need 0 <= k <= mu <= nu, got (mu={mu}, nu={nu}, k={k})")
+        return super().__new__(cls, mu, nu, k)
 
     @property
     def target_level(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -48,12 +48,10 @@ class FloatRangeError(OverflowError):
     """An exact coefficient is too large to read as a float."""
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
+class QuadratureGrid(namedtuple("QuadratureGrid", "n_radial n_angular")):
     """Product rule: Gauss-Legendre in t = r^2/(1+r^2), uniform in angle."""
 
-    n_radial: int
-    n_angular: int
+    __slots__ = ()
 
     @classmethod
     def for_degree(cls, degree: int) -> "QuadratureGrid":
@@ -105,11 +103,16 @@ def random_operator(mu: int, rng: random.Random) -> KernelOperator:
     the imaginary part of each entry, row by row, is a numerator in
     [-3, 3] over a denominator 1 or 2, drawn in that order, so the
     kernel is integers over 2."""
-    def part():
-        num = rng.randint(-3, 3)
-        return num * (2 // rng.randint(1, 2))
-
-    parts = [part() for _ in range(2 * (mu + 1) ** 2)]
+    draw, parts = rng.getrandbits, []
+    for _ in range(2 * (mu + 1) ** 2):
+        # randint(-3, 3), then randint(1, 2), as CPython draws them: 3 and
+        # 2 random bits, redrawn while out of range
+        num, den = draw(3), 2
+        while num == 7:
+            num = draw(3)
+        while den > 1:
+            den = draw(2)
+        parts.append((num - 3) * (2 - den))
     return _from_dense(mu, 2, parts[0::2], parts[1::2])
 
 
@@ -392,21 +395,16 @@ def fund_ineq_check(kappa: int, j: int) -> dict:
 GAP_FLOOR = 1e-12
 
 
-@dataclass
 class ConvergenceRecord:
-    """One gap sequence |lhs(nu) - rhs| along a nu sweep."""
+    """One gap sequence |lhs(nu) - rhs| along a nu sweep, labelled by its
+    moment order "n=2" or "phi=..."; gaps at or below floor count as
+    converged."""
 
-    mu: int
-    k: int
-    nus: List[int]
-    label: str                      # moment order "n=2" or "phi=..."
-    lhs: List[float]
-    rhs: float
-    floor: float = GAP_FLOOR       # gaps below this count as converged
-    gaps: List[float] = field(init=False)
-
-    def __post_init__(self):
-        self.gaps = [abs(v - self.rhs) for v in self.lhs]
+    def __init__(self, mu: int, k: int, nus: List[int], label: str,
+                 lhs: List[float], rhs: float, floor: float = GAP_FLOOR):
+        self.mu, self.k, self.nus, self.label = mu, k, nus, label
+        self.lhs, self.rhs, self.floor = lhs, rhs, floor
+        self.gaps = [abs(v - rhs) for v in lhs]
 
     @property
     def converged(self) -> bool:

@@ -696,10 +696,15 @@ class TestChannelDump:
             "c_squared": "3300/1103", "choi_min_eigenvalue": "0",
             "trace_preserving": True, "unital_scalar": "2/551"}
 
-    def test_invalid_spec_is_config_error(self, tmp_path):
-        code, _ = run(tmp_path, "channel-dump", "--mu", "4",
-                      "--nu", "2", "--k", "0")
-        assert code == EXIT_CONFIG_ERROR
+    def test_invalid_spec_is_config_error(self, tmp_path, capsys):
+        for mu in (4, 3):
+            code, out = run(tmp_path, "channel-dump", "--mu", str(mu),
+                            "--nu", "2", "--k", "0")
+            assert code == EXIT_CONFIG_ERROR
+            assert not out.exists()
+            assert capsys.readouterr().err == (
+                f"error: need 0 <= k <= mu <= nu, got (mu={mu}, nu=2, "
+                f"k=0)\n")
 
     @pytest.mark.parametrize("mu,nu,k,want", [(3, 6, 2, "0"), (1, 1, 0, "0"),
                                               (0, 0, 0, "1")])

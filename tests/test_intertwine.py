@@ -271,13 +271,34 @@ class TestSpec:
     @pytest.mark.parametrize("mu,nu,k", [(3, 2, 0), (2, 5, 3), (2, 5, -1),
                                          (-1, 3, 0)])
     def test_invalid_spec_rejected(self, mu, nu, k):
-        with pytest.raises(InvalidSpecError):
-            ChannelSpec(mu, nu, k)
+        # by position and by keyword, with one message
+        want = f"need 0 <= k <= mu <= nu, got (mu={mu}, nu={nu}, k={k})"
+        for build in (lambda: ChannelSpec(mu, nu, k),
+                      lambda: ChannelSpec(k=k, nu=nu, mu=mu)):
+            with pytest.raises(InvalidSpecError) as info:
+                build()
+            assert str(info.value) == want
 
     def test_boundary_nu_equals_mu(self):
         # the equal-level case is allowed and its top component is scalar
         s = ChannelSpec(2, 2, 2)
         assert s.target_level == 0
+
+    # mu = 0, nu = mu, output level L = mu + nu - 2k below mu
+    @pytest.mark.parametrize("mu,nu,k,level", [(0, 0, 0, 0), (0, 4, 0, 4),
+                                               (2, 2, 1, 2), (3, 4, 3, 1)])
+    def test_value_contract(self, mu, nu, k, level):
+        s = ChannelSpec(mu, nu, k)
+        assert repr(s) == f"ChannelSpec(mu={mu}, nu={nu}, k={k})"
+        assert (s.mu, s.nu, s.k, s.target_level) == (mu, nu, k, level)
+        assert s.tensor_index(mu, nu) == tensor_dim(s) - 1
+        same = ChannelSpec(mu=mu, nu=nu, k=k)
+        assert same == s and hash(same) == hash(s)
+        assert len({s, same}) == 1
+        for field in ("mu", "nu", "k"):
+            with pytest.raises(AttributeError):
+                setattr(s, field, 1)
+        assert (s.mu, s.nu, s.k) == (mu, nu, k)
 
 
 class TestIntertwiner:

@@ -141,6 +141,15 @@ def _evaluate(f, z):
 
 class TestGrid:
 
+    @pytest.mark.parametrize("degree", [0, 1, 6, 16])
+    def test_for_degree_shape(self, degree):
+        grid = QuadratureGrid.for_degree(degree)
+        assert grid == (degree + 1, 2 * degree + 1)
+        assert (grid.n_radial, grid.n_angular) == tuple(grid)
+        assert grid.size == (degree + 1) * (2 * degree + 1)
+        assert repr(grid) == (f"QuadratureGrid(n_radial={degree + 1}, "
+                              f"n_angular={2 * degree + 1})")
+
     def test_total_mass_is_one(self):
         _, weights = QuadratureGrid.for_degree(6).radial()
         assert abs(math.fsum(weights) - 1.0) < 1e-15
@@ -239,7 +248,7 @@ class TestRandomStates:
         # the same operator from the same draws, and the generator left in
         # the same state
         for mu in range(7):
-            for seed in (mu, 100 + mu):
+            for seed in range(100 * mu, 100 * mu + 20):
                 rng, ref = random.Random(seed), random.Random(seed)
                 assert random_operator(mu, rng) == \
                     crational_random_operator(mu, ref), (mu, seed)
@@ -511,6 +520,15 @@ class TestConvergenceHarness:
         err = np.abs(np.polyval(ENTROPY8[::-1], xs) - ref)
         assert err.argmax() == 0 and err[0] == ENTROPY8[0]
         assert 0.0122 < err.max() < 0.01226
+
+    def test_gaps_and_floor_set_at_construction(self):
+        rec = ConvergenceRecord(2, 0, [10, 20], "n=3", [0.5, 0.25], 0.75)
+        assert rec.gaps == [0.25, 0.5]
+        assert rec.floor == quadrature.GAP_FLOOR == 1e-12
+        by_position = ConvergenceRecord(2, 0, [10], "n=1", [1.0], 1.0, 0.5)
+        by_keyword = ConvergenceRecord(2, 0, [10], "n=1", [1.0], 1.0,
+                                       floor=0.5)
+        assert by_position.floor == by_keyword.floor == 0.5
 
     def test_to_row_shape(self):
         rec = ConvergenceRecord(2, 0, [10, 20], "n=3", [0.5, 0.45], 0.4)
