@@ -3,17 +3,13 @@ tensor-product decompositions, their covariant symbol calculus, and the
 large-level trace limit.
 """
 
-from .exactnum import (
-    CRational,
-    NonTerminatingError,
-)
+from .exactnum import NonTerminatingError
 from .repspace import (
     IsotypicDecomposition,
     KernelOperator,
     LevelMismatchError,
     compose,
     isotypic_projectors,
-    operator_trace,
 )
 from .intertwine import (
     ChannelSpec,
@@ -37,7 +33,6 @@ from .symbolcalc import (
     e_nu_apply,
     e_nu_eigenvalue,
     functions_equal,
-    integrate_exact,
     inverse_berezin,
     symbol,
     toeplitz,

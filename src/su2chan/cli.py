@@ -46,7 +46,7 @@ from .quadrature import (
     random_band_limited_state,
     random_operator,
 )
-from .repspace import _trace_integers, operator_trace
+from .repspace import _trace_integers
 from .symbolcalc import (
     _berezin_numerators,
     _limit_eigenvalue,
@@ -150,9 +150,16 @@ def check_trace_preservation(specs, rng, draws, fault=1):
             (da, ra, ia), (dt, rt, it) = map(_trace_integers, (a, ta))
             if ra * dt != rt * da or ia * dt != it * da:
                 wit = {"mu": spec.mu, "nu": spec.nu, "k": spec.k,
-                       "trace_in": str(operator_trace(a)),
-                       "trace_out": str(operator_trace(ta))}
+                       "trace_in": _complex_str(da, ra, ia),
+                       "trace_out": _complex_str(dt, rt, it)}
     return wit, len(specs) * draws
+
+
+def _complex_str(den, re, im):
+    """(re + i im) / den as "re+imj" or "re-imj", each part in lowest
+    terms."""
+    re, im = Fraction(re, den), Fraction(im, den)
+    return f"{re}{'-' if im < 0 else '+'}{abs(im)}j"
 
 
 def check_choi_positive(specs, psd_tol):

@@ -1,44 +1,17 @@
-"""Exact complex-rational scalars and terminating hypergeometric sums.
+"""Terminating hypergeometric sums at 1, in integers.
 
-Every quantity here is a ``fractions.Fraction`` (or a :class:`CRational`
-pair of them) or an integer; nothing in this module ever rounds.
-:class:`CRational` is only the edge type in which exact complex values
-leave the package: the package computes over integer numerators and one
-denominator.
+Every quantity here is an integer; nothing in this module ever rounds.
+The package computes over integer numerators and one denominator; an
+exact complex value leaves it as two ``fractions.Fraction`` parts.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
 
 class NonTerminatingError(ValueError):
     """Raised when a hypergeometric series has no terminating parameter."""
-
-
-class CRational:
-    """Complex number with exact rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        # a Fraction is immutable, so one given is kept as it is
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, CRational):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
-
-    def __repr__(self):
-        return f"CRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        return f"{self.re}{'-' if self.im < 0 else '+'}{abs(self.im)}j"
 
 
 def terminating_pair(nums, dens) -> tuple[int, int]:

@@ -24,8 +24,8 @@ from .repspace import (
     _binomial_row,
     _from_dense,
     _gram_integers,
+    _trace_integers,
     compose,
-    operator_trace,
 )
 from .symbolcalc import (
     IsotypicFunction,
@@ -121,9 +121,9 @@ def random_psd_trace_one(mu: int, rng: random.Random) -> KernelOperator:
     while True:
         b = random_operator(mu, rng)
         a = compose(b.adjoint(), b)
-        tr = operator_trace(a)
-        if tr.re > 0:
-            return a.scale(1 / tr.re)
+        den, re, _ = _trace_integers(a)
+        if re > 0:
+            return a.scale(Fraction(den, re))
 
 
 def random_band_limited_state(mu: int, rng: random.Random) \
@@ -212,11 +212,13 @@ def channel_output_moments(spec: ChannelSpec, f: IsotypicFunction,
 
     T^p, p <= ceil(nmax/2), are banded products, and
     Tr T^n = Tr(T^floor(n/2) T^ceil(n/2)), so a polynomial phi has
-    Tr phi(T) / dim = sum_n c_n moment_n with no eigensolve.  Nothing is
-    clamped, as nothing needs to be: for the states of
-    :func:`random_band_limited_state`, A = R*_mu f = B*B / Tr B*B is PSD
-    with trace 1 exactly, so 0 <= A <= I; T(A) >= 0 because the channel
-    is completely positive (its Kraus form,
+    Tr phi(T) / dim = sum_n c_n moment_n with no eigensolve.  Moments
+    2p - 1 and 2p read T^(p-1) and T^p alone, so only those two powers
+    are kept as p rises.  Nothing is clamped, as nothing needs to be: for
+    the states of :func:`random_band_limited_state`,
+    A = R*_mu f = B*B / Tr B*B is PSD with trace 1 exactly, so
+    0 <= A <= I; T(A) >= 0 because the channel is completely positive
+    (its Kraus form,
     :func:`~su2chan.intertwine.choi_min_eigenvalue`), and T(A) <= I
     because c J_k is a partial isometry: c^2 J_k (A (x) I) J_k* <=
     c^2 J_k J_k* = I.  So the spectrum lies in [0, 1].
@@ -226,11 +228,12 @@ def channel_output_moments(spec: ChannelSpec, f: IsotypicFunction,
         raise ValueError("f must be real-valued (hermitian Toeplitz operator)")
     band = _orthonormal_band(apply_channel(spec, a))
     dim = len(band[0])
-    powers = [[[1.0 + 0j] * dim], band]
-    while len(powers) <= (nmax + 1) // 2:
-        powers.append(_band_product(band, powers[-1], dim))
-    return [_trace_product(powers[n // 2], powers[n - n // 2]) / dim
-            for n in range(1, nmax + 1)]
+    prev, cur, moments = [[1.0 + 0j] * dim], band, []
+    for n in range(1, nmax + 1):
+        if n % 2 and n > 1:
+            prev, cur = cur, _band_product(band, cur, dim)
+        moments.append(_trace_product(prev if n % 2 else cur, cur) / dim)
+    return moments
 
 
 def functional_from_moments(phi: Sequence[float],

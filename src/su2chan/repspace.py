@@ -4,8 +4,8 @@ The space of level nu has orthogonal monomial basis {z^i} with
 ``||z^i||^2 = 1/C(nu, i)`` (the convention forced by the reproducing
 kernel (1 + z w~)^nu) and carries the standard SU(2) action.  An operator
 with kernel A(x, y) = sum a_ij x^i y~^j acts by integration against the
-level measure, so its matrix on the monomial basis is
-``coeffs @ diag(norms)``.  Operators are stored by kernel diagonal
+level measure, so its matrix on the monomial basis is its coefficient
+matrix times ``diag(norms)``.  Operators are stored by kernel diagonal
 i - j = t, |t| <= w, as two integer parts over one denominator, so the
 banded channel outputs cost O(L w), not O(L^2).  The isotypic
 decomposition of the operator space gives each operator its spin
@@ -19,11 +19,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from fractions import Fraction
 from itertools import chain
 from typing import List, Sequence, Tuple
-
-from .exactnum import CRational
 
 
 class LevelMismatchError(ValueError):
@@ -91,8 +88,7 @@ class KernelOperator(_IntegerForm):
     |t| <= w <= level, from its corner cell (max(t, 0), max(-t, 0)) down;
     outer diagonals that are zero in both parts are dropped, and d and all
     entries have gcd 1, so equal operators have equal (level, d, re, im).
-    A dense operator has w = level.  :attr:`coeffs` gives the coefficients
-    as :class:`CRational` rows.
+    A dense operator has w = level.
     """
 
     __slots__ = ()
@@ -115,12 +111,6 @@ class KernelOperator(_IntegerForm):
     def width(self) -> int:
         """The band: every stored diagonal t has |t| <= width."""
         return len(self.re) // 2
-
-    @property
-    def coeffs(self) -> List[List[CRational]]:
-        """``coeffs[i][j]`` is the coefficient of x^i y~^j, as a new list."""
-        return [[CRational(Fraction(x, self.d), Fraction(y, self.d))
-                 for x, y in zip(rr, ri)] for rr, ri in zip(*_rows(self))]
 
     @property
     def dim(self) -> int:
@@ -178,11 +168,6 @@ def _trace_integers(a: KernelOperator) -> Tuple[int, int, int]:
     big_w, w = _gram_integers(a.level)
     return (big_w * a.d, *(sum(map(operator.mul, w, m[a.width]))
                            for m in (a.re, a.im)))
-
-
-def operator_trace(a: KernelOperator) -> CRational:
-    den, re, im = _trace_integers(a)
-    return CRational(Fraction(re, den), Fraction(im, den))
 
 
 def _matmul(a, b):

@@ -12,10 +12,10 @@ leaves the coordinates as they are (see
 levels are equal when their coordinates are equal after zero padding;
 dense lifting of N is the test oracle.  The transforms here scale spin
 components by exact closed-form eigenvalues, multiplying the integer
-rows by the eigenvalues' numerators over their common denominator; a
-:class:`~su2chan.exactnum.CRational` is built only for
-:func:`integrate_exact`'s result.  Quadrature is only an independent
-cross-check.
+rows by the eigenvalues' numerators over their common denominator.  The
+integral of f against the invariant probability measure is its spin-0
+coordinate, (re[0][0] + i im[0][0]) / d, as spin m >= 1 integrates to 0.
+Quadrature is only an independent cross-check.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import List, Sequence
 
-from .exactnum import CRational, terminating_pair
+from .exactnum import terminating_pair
 from .intertwine import ChannelSpec, c_squared
 from .repspace import (
     IsotypicDecomposition,
@@ -71,15 +71,6 @@ class IsotypicFunction(_IntegerForm):
     def numerator(self) -> KernelOperator:
         """The kernel N with f = N(z, z)/(1+|z|^2)^level."""
         return _projectors(self.level).operator(self.d, self.re, self.im)
-
-    @property
-    def components(self) -> List[KernelOperator]:
-        """Kernel operator of each spin component.  Nothing in the package
-        needs them; the benchmark tracer (perfbench/tracer.py) keys
-        channel_output_spectrum calls by them."""
-        dec = _projectors(self.level)
-        return [dec.operator(self.d, [()] * m + [rr], [()] * m + [ri])
-                for m, (rr, ri) in enumerate(zip(self.re, self.im))]
 
     def scale_components(self, factors) -> "IsotypicFunction":
         """Component m times the rational factors[m]: each row times its
@@ -139,13 +130,6 @@ def toeplitz(f: IsotypicFunction, nu: int) -> KernelOperator:
                 operator.mul, x, moment[q + i0:q + i1]))
                 for q in range(max(0, -t), min(nu, nu - t) + 1)])
     return KernelOperator(nu, n.d * den * (total + 1), re, im)
-
-
-def integrate_exact(f: IsotypicFunction) -> CRational:
-    """Integral of f against the invariant probability measure, exactly:
-    the spin-0 part of f is the constant c_{0,0}, and spin m >= 1
-    integrates to 0."""
-    return CRational(Fraction(f.re[0][0], f.d), Fraction(f.im[0][0], f.d))
 
 
 def berezin_eigenvalue(nu: int, m: int) -> Fraction:

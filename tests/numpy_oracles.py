@@ -11,14 +11,15 @@ import numpy as np
 
 from su2chan.intertwine import apply_channel
 from su2chan.quadrature import QuadratureGrid
+from su2chan.repspace import _rows
 from su2chan.symbolcalc import e_limit_apply, toeplitz
 
 
 def coefficient_matrix(a):
-    """The kernel coefficients as a complex matrix, each from its
-    CRational with float(Fraction), which rounds correctly."""
-    return np.array([[complex(float(v.re), float(v.im)) if v.re or v.im
-                      else 0j for v in row] for row in a.coeffs])
+    """The kernel coefficients as a complex matrix, each part an integer
+    over a.d by true division, which rounds correctly."""
+    return np.array([[complex(x / a.d, y / a.d) for x, y in zip(rr, ri)]
+                     for rr, ri in zip(*_rows(a))])
 
 
 def dense_orthonormal_matrix(a):

@@ -25,8 +25,9 @@ from su2chan.cli import (
 )
 from su2chan.intertwine import ChannelSpec, apply_channel
 from su2chan.quadrature import FloatRangeError
+from su2chan.repspace import KernelOperator, _trace_integers
 from su2chan.symbolcalc import toeplitz
-from test_exactnum import fraction_3f2, rising_pochhammer
+from test_exactnum import CQ, fraction_3f2, rising_pochhammer
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,6 +80,16 @@ class TestVerify:
                          if name == "trace_preservation" else None}
                         for name in IDENTITIES],
             "all_ok": False}
+
+    # Tr A of a level-0 operator is its one coefficient; the witness prints
+    # both parts in lowest terms, the sign of the imaginary part between
+    @pytest.mark.parametrize("den,re,im,text", [
+        (2, -1, 6, "-1/2+3j"), (2, 5, -7, "5/2-7/2j"), (3, -12, -3, "-4-1j"),
+        (5, 0, 0, "0+0j")])
+    def test_trace_witness_format(self, den, re, im, text):
+        a = KernelOperator(0, den, [[re]], [[im]])
+        assert cli._complex_str(*_trace_integers(a)) == text
+        assert str(CQ(Fraction(re, den), Fraction(im, den))) == text
 
     # a fault on cli at two cases of one check, edge levels among them:
     # (patched name, faulty argument tuples, fault, identity, the witness

@@ -8,7 +8,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2chan.exactnum import CRational
 from su2chan import intertwine
 from su2chan.intertwine import (
     ChannelSpec,
@@ -26,11 +25,7 @@ from su2chan.quadrature import (
     random_operator,
     random_psd_trace_one,
 )
-from su2chan.repspace import (
-    _common_denominator,
-    _rows,
-    operator_trace,
-)
+from su2chan.repspace import _common_denominator, _rows
 from numpy_oracles import assert_band_matches_dense, dense_orthonormal_matrix
 from test_exactnum import CQ, binomial, falling_pochhammer, rising_pochhammer
 from test_repspace import (
@@ -38,6 +33,7 @@ from test_repspace import (
     gram_diagonal,
     kernel_from_rows,
     reproducing_identity_operator,
+    trace,
 )
 
 RNG_SEED = 777
@@ -424,7 +420,7 @@ class TestChannel:
                     for _ in range(3):
                         a = random_operator(mu, rng)
                         ta = apply_normalized_channel(spec, a)
-                        assert operator_trace(ta) == operator_trace(a)
+                        assert trace(ta) == trace(a)
 
     def test_identity_maps_to_scalar(self):
         # the report's output-index sums against the dense image of I, at
@@ -511,7 +507,7 @@ class TestBandedKernel:
         rng = random.Random(RNG_SEED)
         spec = ChannelSpec(2, 9, 1)
         out = apply_channel(spec, random_nonhermitian(2, rng))
-        for r, row in enumerate(out.coeffs):
+        for r, row in enumerate(coeff_rows(out)):
             for c, v in enumerate(row):
                 if abs(r - c) > spec.mu:
                     assert v == 0, (r, c)
@@ -644,8 +640,8 @@ class TestChoi:
                     want = [sum(r * Fraction(m[i][i], a.d * math.comb(mu, i))
                                 for i, r in enumerate(rows))
                             for m in _rows(a)]
-                    assert operator_trace(apply_normalized_channel(spec, a)) \
-                        == CRational(*want), (mu, nu, k)
+                    assert trace(apply_normalized_channel(spec, a)) \
+                        == CQ(*want), (mu, nu, k)
 
     def test_exact_at_output_levels_past_float_range(self):
         # C(L, L/2) passes the float maximum at L = 1030; the exact form

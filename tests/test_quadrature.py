@@ -6,6 +6,7 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,8 +15,12 @@ import pytest
 
 from su2chan import quadrature
 from su2chan.intertwine import ChannelSpec
+from su2chan.intertwine import apply_channel
 from su2chan.quadrature import (
+    _band_product,
     _fund_bound,
+    _orthonormal_band,
+    _trace_product,
     ENTROPY8,
     ConvergenceRecord,
     FloatRangeError,
@@ -31,13 +36,13 @@ from su2chan.quadrature import (
     random_operator,
     random_psd_trace_one,
 )
-from su2chan.repspace import KernelOperator, operator_trace
+from su2chan.repspace import KernelOperator
 from su2chan.symbolcalc import (
     IsotypicFunction,
     e_limit_apply,
     functions_equal,
-    integrate_exact,
     symbol,
+    toeplitz,
 )
 from numpy_oracles import (
     DenseGrid,
@@ -52,8 +57,9 @@ from numpy_oracles import (
 )
 from test_exactnum import CQ, binomial
 from test_repspace import (coeff_rows, kernel_from_rows,
-                           reproducing_identity_operator)
-from test_symbolcalc import berezin_apply, invariant_monomial_integral
+                           reproducing_identity_operator, trace)
+from test_symbolcalc import (berezin_apply, integral,
+                             invariant_monomial_integral)
 
 RNG_SEED = 9001
 
@@ -118,6 +124,28 @@ def crational_random_operator(mu, rng):
                   Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
     return kernel_from_rows(
         mu, [[entry() for _ in range(mu + 1)] for _ in range(mu + 1)])
+
+
+def all_powers_moments(spec, f, nmax):
+    """channel_output_moments keeping every power T^p, p <= ceil(nmax/2):
+    the same products and traces, in the same order."""
+    band = _orthonormal_band(apply_channel(spec, toeplitz(f, spec.mu)))
+    dim = len(band[0])
+    powers = [[[1.0 + 0j] * dim], band]
+    while len(powers) <= (nmax + 1) // 2:
+        powers.append(_band_product(band, powers[-1], dim))
+    return [_trace_product(powers[n // 2], powers[n - n // 2]) / dim
+            for n in range(1, nmax + 1)]
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def chebyshev_entropy_fit(degree):
@@ -226,7 +254,7 @@ class TestGrid:
         f = symbol(a)
         num = integrate_invariant(lambda z: _evaluate(f, z),
                                   QuadratureGrid.for_degree(8))
-        assert abs(num - complex(CQ.of(integrate_exact(f)))) < 1e-12
+        assert abs(num - complex(integral(f))) < 1e-12
 
 
 class TestRandomStates:
@@ -235,7 +263,7 @@ class TestRandomStates:
         rng = random.Random(RNG_SEED)
         for mu in (1, 2, 3):
             a = random_psd_trace_one(mu, rng)
-            assert operator_trace(a) == 1
+            assert trace(a) == 1
             eigs = np.linalg.eigvalsh(dense_orthonormal_matrix(a))
             assert eigs.min() > -1e-12
 
@@ -282,6 +310,27 @@ class TestSpectralFunctionals:
         got = channel_output_moments(spec, f, 8)
         want = [trace_moment(lam, n) for n in range(1, 9)]
         assert np.max(np.abs(np.array(got) - want)) < 1e-12
+
+    # mu = 0, nu = mu, and output levels L = mu + nu - 2k below mu
+    @pytest.mark.parametrize("mu,nu,k", [(0, 0, 0), (0, 5, 0), (2, 2, 1),
+                                         (3, 3, 0), (3, 3, 3), (3, 4, 3),
+                                         (2, 9, 1)])
+    @pytest.mark.parametrize("nmax", [1, 2, 7, 12])
+    def test_two_powers_give_the_all_powers_moments(self, mu, nu, k, nmax):
+        spec = ChannelSpec(mu, nu, k)
+        _, f = random_band_limited_state(mu, random.Random(RNG_SEED + nu))
+        assert channel_output_moments(spec, f, nmax) == \
+            all_powers_moments(spec, f, nmax)
+
+    def test_moment_memory_does_not_grow_with_nmax(self):
+        # T^p is dense from p = 21 at L = 21; keeping every power to
+        # nmax/2 would hold about 4 dense powers at nmax = 48 and 28 at 96
+        spec = ChannelSpec(1, 20, 0)
+        _, f = random_band_limited_state(1, random.Random(RNG_SEED))
+        channel_output_moments(spec, f, 1)   # the exact caches, warm
+        peaks = [traced_peak(lambda: channel_output_moments(spec, f, n))
+                 for n in (48, 96)]
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
     def test_moments_reject_non_hermitian_input(self):
         f = symbol(random_operator(2, random.Random(RNG_SEED)))

@@ -8,14 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2chan.exactnum import CRational
 from su2chan.intertwine import ChannelSpec, apply_channel, c_squared
 from su2chan.quadrature import random_operator, random_band_limited_state
-from su2chan.repspace import (
-    _common_denominator,
-    compose,
-    operator_trace,
-)
+from su2chan.repspace import _common_denominator, compose, isotypic_projectors
 from su2chan.symbolcalc import (
     BandLimitExceededError,
     IsotypicFunction,
@@ -27,7 +22,6 @@ from su2chan.symbolcalc import (
     e_nu_apply,
     e_nu_eigenvalue,
     functions_equal,
-    integrate_exact,
     inverse_berezin,
     symbol,
     toeplitz,
@@ -40,6 +34,7 @@ from test_repspace import (
     crational_coordinates,
     kernel_from_rows,
     reproducing_identity_operator,
+    trace,
 )
 
 RNG_SEED = 4242
@@ -60,6 +55,13 @@ def function_from_coords(level, coords):
 def coords_of(f):
     """The spin coordinates of f as CQ rows."""
     return coordinate_rows(f.d, f.re, f.im)
+
+
+def integral(f):
+    """The integral of f against the invariant probability measure: its
+    spin-0 coordinate (re[0][0] + i im[0][0]) / d, as spin m >= 1
+    integrates to 0."""
+    return CQ(Fraction(f.re[0][0], f.d), Fraction(f.im[0][0], f.d))
 
 
 def constant_function(level, value):
@@ -185,10 +187,9 @@ class TestSymbolToeplitz:
         for mu in range(5):
             a = random_operator(mu, rng)
             f = symbol(a)
-            assert integrate_exact(f) == \
-                CQ.of(operator_trace(a)) / Fraction(mu + 1)
+            assert integral(f) == trace(a) / Fraction(mu + 1)
             n = coeff_rows(f.numerator())
-            assert integrate_exact(f) == sum(
+            assert integral(f) == sum(
                 n[i][i] * invariant_monomial_integral(i, mu)
                 for i in range(mu + 1))
 
@@ -199,9 +200,9 @@ class TestSymbolToeplitz:
         a = random_operator(nu, rng)
         f, _ = _random_real_function(nu, rng)
         t = toeplitz(f, nu)
-        lhs = operator_trace(compose(t, a.adjoint()))
+        lhs = trace(compose(t, a.adjoint()))
         prod_vals = _pointwise_integral(f, symbol(a.adjoint()), nu)
-        assert abs(complex(CQ.of(lhs)) - prod_vals) < 1e-10
+        assert abs(complex(lhs) - prod_vals) < 1e-10
 
     def test_symbol_respects_adjoint(self):
         rng = random.Random(RNG_SEED)
@@ -284,7 +285,8 @@ def component_numerator_at_level(f, m, level):
         raise BandLimitExceededError(
             f"cannot lower level {f.level} to {level}")
     d = level - f.level
-    src = coeff_rows(f.components[m]) if m <= f.level else None
+    src = coeff_rows(isotypic_projectors(f.level).project(m, f.numerator())) \
+        if m <= f.level else None
     out = [[CQ(0) for _ in range(level + 1)]
            for _ in range(level + 1)]
     if src is None:
@@ -493,7 +495,7 @@ class TestLimitEigenvalues:
 
 
 def crational_scale_components(coords, factors):
-    """scale_components as it ran on CRational coordinates: each
+    """scale_components as it ran on complex-rational coordinates: each
     coordinate times its component's factor."""
     return [[c * v for c in row] for row, v in zip(coords, factors)]
 
@@ -505,9 +507,10 @@ def assert_lowest_terms(f):
 
 
 class TestIntegerCoordinatesAgainstCRationalRoute:
-    """The integer coordinates over one denominator equal the CRational
-    route they replaced: one CRational per coordinate, summed over each
-    (m, d)'s own dual denominator, and scaled coordinate by coordinate."""
+    """The integer coordinates over one denominator equal the
+    complex-rational route they replaced: one CQ per coordinate, summed
+    over each (m, d)'s own dual denominator, and scaled coordinate by
+    coordinate."""
 
     def test_random_operators_every_level_to_20(self):
         rng = random.Random(RNG_SEED)
@@ -527,7 +530,7 @@ class TestIntegerCoordinatesAgainstCRationalRoute:
                 tuple((0,) * (2 * m + 1) for m in range(level + 1)),) * 2)
             assert coords_of(f) == crational_coordinates(zero)
             assert functions_equal(f, constant_function(0, 0))
-            assert integrate_exact(f) == 0
+            assert integral(f) == 0
 
     def test_scale_components_matches_coordinatewise_products(self):
         rng = random.Random(RNG_SEED)
@@ -561,26 +564,3 @@ class TestIntegerCoordinatesAgainstCRationalRoute:
         assert_lowest_terms(lhs)
         assert coords_of(lhs) == coords
         assert functions_equal(lhs, rhs)
-
-
-def test_integer_paths_build_no_crational(monkeypatch):
-    # the Berezin-sum identity at level 10 runs in integers: CRational is
-    # only built where a value leaves the package
-    rng = random.Random(RNG_SEED)
-    spec = ChannelSpec(10, 13, 4)
-    a = random_operator(10, rng)
-    out = apply_channel(spec, a)
-    built = []
-    real = CRational.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        real(self, *args, **kwargs)
-
-    monkeypatch.setattr(CRational, "__init__", counting)
-    f = inverse_berezin(10, symbol(a))
-    assert functions_equal(e_nu_apply(spec, f), symbol(out))
-    assert built == []
-    # the counter sees a construction
-    integrate_exact(f)
-    assert len(built) == 1
