@@ -51,6 +51,7 @@ from .quadrature import (
     random_band_limited_state,
     random_operator,
     random_psd_trace_one,
+    toeplitz_band,
 )
 
 __version__ = "1.0.0"

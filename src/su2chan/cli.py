@@ -45,6 +45,7 @@ from .quadrature import (
     limit_moments,
     random_band_limited_state,
     random_operator,
+    toeplitz_band,
 )
 from .repspace import _trace_integers
 from .symbolcalc import (
@@ -336,8 +337,10 @@ def cmd_converge(args) -> int:
         return EXIT_CONFIG_ERROR
     rng = random.Random(args.seed)
     _, f = random_band_limited_state(args.mu, rng)
-    # one set of moments per level, shared by every moment order and by phi
-    lhs = [channel_output_moments(ChannelSpec(args.mu, nu, args.k), f, nmax)
+    # the input's band once; one set of moments per level, shared by every
+    # moment order and by phi
+    a = toeplitz_band(f, args.mu)
+    lhs = [channel_output_moments(ChannelSpec(args.mu, nu, args.k), a, nmax)
            for nu in args.nu]
     rhs = limit_moments(args.mu, args.k, f, nmax)
     records = [ConvergenceRecord(args.mu, args.k, args.nu, f"n={n}",

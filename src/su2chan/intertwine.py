@@ -17,6 +17,8 @@ banded, |r - c| <= mu, and is written diagonal by diagonal.
 The same columns give each channel's Kraus form as one table of exact
 weights (:func:`_kraus_weights`), from which trace preservation,
 unitality and the Choi spectrum (complete positivity) are read exactly.
+Those weights are squared Clebsch-Gordan coefficients of small integer
+factors (:func:`_cg_factors`), which quadrature reads as floats.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import List, Tuple
 
 from .repspace import (
@@ -240,6 +242,30 @@ def apply_normalized_channel(spec: ChannelSpec,
     return _channel(spec, a, c_squared(spec) * normalization_factor(spec))
 
 
+def _cg_factors(spec: ChannelSpec, i: int):
+    """Row i of the squared Clebsch-Gordan weights, factorised:
+    (bs, ups, downs), CG(i, b)^2 = c^2 C(mu, i) (J(i, b) / d)^2
+    prod_j ups[j] / downs[j] for b in bs, the b with r = i + b - k in
+    0..L.  The product is C(nu, b) / C(L, r) = nu!/L! r!/b! (L-r)!/(nu-b)!,
+    and each x!/y! has x - y = e free of b: the terms y + j, j = 1..e,
+    up, or x + j, j = 1..-e, down, each a range over b (a repeated
+    constant for nu!/L!).  The three e sum to 0, so as many terms go up
+    as down."""
+    mu, nu, k, big_l = spec.mu, spec.nu, spec.k, spec.target_level
+    bs = range(max(0, k - i), min(nu, big_l + k - i) + 1)
+    rs, n = range(bs.start + i - k, bs.stop + i - k), len(bs)
+    e = 2 * k - mu
+    ups = [repeat(big_l + j, n) for j in range(1, e + 1)]
+    downs = [repeat(nu + j, n) for j in range(1, 1 - e)]
+    for x, y in ((rs, bs), (range(big_l - rs.start, big_l - rs.stop, -1),
+                            range(nu - bs.start, nu - bs.stop, -1))):
+        e = x.start - y.start
+        side, z = (ups, y) if e >= 0 else (downs, x)
+        side.extend(range(z.start + j, z.stop + j, z.step)
+                    for j in range(1, abs(e) + 1))
+    return bs, ups, downs
+
+
 def _kraus_weights(spec: ChannelSpec) -> List[List[Fraction]]:
     """The normalized channel in Kraus form, as exact non-negative weights.
 
@@ -252,7 +278,8 @@ def _kraus_weights(spec: ChannelSpec) -> List[List[Fraction]]:
 
     with r = i + b - k the output index, zero where r lies outside 0..L:
     a squared Clebsch-Gordan coefficient (G. Racah, Phys. Rev. 62 (1942)
-    438).  The two orthogonality relations of those coefficients are the
+    438), read from the small integer factors of :func:`_cg_factors`.
+    The two orthogonality relations of those coefficients are the
     channel's two exact identities.  Rows sum to 1: row i is the trace of
     the image of the unit E_ii, and the images of E_ij, i != j, are
     traceless, so this is trace preservation.  The sums over i + b - k = r
@@ -261,16 +288,19 @@ def _kraus_weights(spec: ChannelSpec) -> List[List[Fraction]]:
     permutation the Choi matrix is a direct sum of rank-one blocks, one
     for each b, and column b sums to the one nonzero eigenvalue of block b.
     """
-    mu, nu, k, L = spec.mu, spec.nu, spec.k, spec.target_level
+    mu, nu = spec.mu, spec.nu
     dj, jint = _jk_integers(spec)
     scalar = c_squared(spec) * normalization_factor(spec)
     p, q = scalar.numerator, scalar.denominator * dj * dj
-    cmu, cnu, cl = map(_binomial_row, (mu, nu, L))
     x = [[Fraction(0)] * (nu + 1) for _ in range(mu + 1)]
-    for i in range(mu + 1):
-        for b in range(max(0, k - i), min(nu, L + k - i) + 1):
-            x[i][b] = Fraction(p * cnu[b] * jint[i][b] ** 2 * cmu[i],
-                               q * cl[i + b - k])
+    for i, cmu in enumerate(_binomial_row(mu)):
+        bs, ups, downs = _cg_factors(spec, i)
+        num = [p * cmu * j * j for j in jint[i][bs.start:bs.stop]]
+        den = [q] * len(bs)
+        for up, down in zip(ups, downs):
+            num = list(map(operator.mul, num, up))
+            den = list(map(operator.mul, den, down))
+        x[i][bs.start:bs.stop] = map(Fraction, num, den)
     return x
 
 

@@ -4,9 +4,9 @@ convergence experiments, in the standard library alone.
 The invariant probability measure becomes uniform on [0,1] x [0,2pi)
 under t = r^2/(1+r^2), so a Gauss-Legendre rule in t crossed with a
 uniform angular rule integrates band-limited functions of known degree
-exactly (up to float roundoff).  Channel outputs are computed exactly;
-their trace moments are traces of banded float products, read from the
-exact band, with no eigensolve.
+exactly (up to float roundoff).  A channel output's trace moments are
+traces of banded float products, with no eigensolve; its band is read
+from Clebsch-Gordan weights built from small exact integer factors.
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
-from .intertwine import ChannelSpec, apply_channel
+from .intertwine import ChannelSpec, _cg_factors, _jk_integers, c_squared
 from .repspace import (
     KernelOperator,
     _binomial_row,
@@ -138,29 +140,70 @@ def random_band_limited_state(mu: int, rng: random.Random) \
 # Trace moments and functional calculus
 # ---------------------------------------------------------------------------
 
-def _orthonormal_band(a: KernelOperator) -> List[List[complex]]:
-    """Diagonals t = 0..width of a's matrix in the orthonormal basis
-    z^i / ||z^i||: M[j + t][j] = a_(j+t)j / sqrt(C(L, j+t) C(L, j)).  Each
-    part of an entry, an integer x over a's denominator d, is taken as
-    sign(x) sqrt(x^2 / (d^2 C(L, j+t) C(L, j))): the integer quotient
-    rounds correctly and is at most |M|^2, so no float overflows at any
-    level, as the binomials alone would past level 1029."""
-    binom = _binomial_row(a.level)
-    w, dd = a.width, a.d * a.d
-    band = []
-    for t in range(w + 1):
-        diag = []
-        for j, x, y in zip(range(a.dim - t), a.re[w + t], a.im[w + t]):
-            den = dd * binom[j] * binom[j + t]
-            diag.append(complex(_signed_root(x, den), _signed_root(y, den)))
-        band.append(diag)
+def toeplitz_band(f: IsotypicFunction, mu: int) -> List[List[complex]]:
+    """Diagonals t >= 0 of R*_mu f = toeplitz(f, mu), which must be
+    hermitian, in the orthonormal basis z^i / ||z^i||."""
+    a = toeplitz(f, mu)
+    if not a.is_hermitian():
+        raise ValueError("f must be real-valued (hermitian Toeplitz operator)")
+    w, d = a.width, a.d
+    try:
+        s = [1 / math.sqrt(c) for c in _binomial_row(mu)]
+        return [[complex(x / d, y / d) * s[j] * s[j + t]
+                 for j, (x, y) in enumerate(zip(a.re[w + t], a.im[w + t]))]
+                for t in range(w + 1)]
+    except OverflowError:
+        raise FloatRangeError(f"the input at level {mu} exceeds the float "
+                              "range") from None
+
+
+def _cg_rows(spec: ChannelSpec) -> List[Tuple[int, List[float]]]:
+    """(b0, [CG(i, b) for b from b0]) for each input index i:
+    (J/d) sqrt(c^2 C(mu, i) prod ups / downs) over the terms of
+    :func:`~su2chan.intertwine._cg_factors`, multiplied and divided in
+    turn, with J/d an int true division (d^2 may pass the float range).
+    A value still past the range, or a nonzero J/d below the normal
+    floats, is a :class:`FloatRangeError`."""
+    c2, rows = c_squared(spec), []
+    try:
+        scalars = [float(c2 * c) for c in _binomial_row(spec.mu)]
+        d, jint = _jk_integers(spec)
+        for i, s in enumerate(scalars):
+            bs, ups, downs = _cg_factors(spec, i)
+            j = jint[i][bs.start:bs.stop]
+            v = repeat(s, len(bs))
+            for up, down in zip(ups, downs):
+                v = map(operator.truediv, map(operator.mul, v, up), down)
+            v = list(map(math.sqrt, v))
+            if not math.isfinite(sum(v)) or min(filter(
+                    None, map(abs, j)), default=d) / d < sys.float_info.min:
+                raise OverflowError
+            rows.append((bs.start, list(map(operator.mul, map(
+                operator.truediv, j, repeat(d)), v))))
+    except OverflowError:
+        raise FloatRangeError(f"Clebsch-Gordan factors of {spec} exceed "
+                              "the float range") from None
+    return rows
+
+
+def _output_band(spec: ChannelSpec,
+                 a: List[List[complex]]) -> List[List[complex]]:
+    """Diagonals t >= 0 of the output's orthonormal matrix for the
+    input band a, from T[r + t][r] = sum_b CG(i, b) CG(i', b) a[i][i'],
+    i = r + t + k - b, i' = r + k - b: each pair i = i' + t adds the
+    product of two rows of :func:`_cg_rows` along diagonal t."""
+    rows, k = _cg_rows(spec), spec.k
+    dim = spec.target_level + 1
+    band = [[0j] * (dim - t) for t in range(min(len(a), dim))]
+    for t, out in enumerate(band):
+        for i2, z in enumerate(a[t]):
+            (b1, x), (b2, y) = rows[i2 + t], rows[i2]
+            if z:
+                # row i2 + t starts no later and ends no later than row i2
+                n, r = b1 + len(x) - b2, i2 + b2 - k
+                out[r:r + n] = map(operator.add, out[r:r + n], map(
+                    z.__mul__, map(operator.mul, x[b2 - b1:], y[:n])))
     return band
-
-
-def _signed_root(x: int, den: int) -> float:
-    """sign(x) sqrt(x^2 / den) for integers x and den > 0."""
-    r = math.sqrt(x * x / den) if x else 0.0
-    return r if x > 0 else -r
 
 
 def _full_band(m: List[List[complex]]) -> dict:
@@ -205,10 +248,12 @@ def _trace_product(a: List[List[complex]], b: List[List[complex]]) -> float:
     return total
 
 
-def channel_output_moments(spec: ChannelSpec, f: IsotypicFunction,
+def channel_output_moments(spec: ChannelSpec, a: List[List[complex]],
                            nmax: int) -> List[float]:
     """(1/dim) Tr T^n for n = 1..nmax, T the orthonormal matrix of the
-    exact channel output T(R*_mu f), band |t| <= mu.
+    channel output T(R*_mu f), band |t| <= mu, with a = toeplitz_band(f, mu)
+    and T's band read from the Clebsch-Gordan weights
+    (:func:`_output_band`).
 
     T^p, p <= ceil(nmax/2), are banded products, and
     Tr T^n = Tr(T^floor(n/2) T^ceil(n/2)), so a polynomial phi has
@@ -223,10 +268,7 @@ def channel_output_moments(spec: ChannelSpec, f: IsotypicFunction,
     because c J_k is a partial isometry: c^2 J_k (A (x) I) J_k* <=
     c^2 J_k J_k* = I.  So the spectrum lies in [0, 1].
     """
-    a = toeplitz(f, spec.mu)
-    if not a.is_hermitian():
-        raise ValueError("f must be real-valued (hermitian Toeplitz operator)")
-    band = _orthonormal_band(apply_channel(spec, a))
+    band = _output_band(spec, a)
     dim = len(band[0])
     prev, cur, moments = [[1.0 + 0j] * dim], band, []
     for n in range(1, nmax + 1):

@@ -28,6 +28,7 @@ from su2chan.quadrature import (
     functional_from_moments,
     limit_moments,
     random_band_limited_state,
+    toeplitz_band,
 )
 from su2chan.symbolcalc import (
     berezin_eigenvalue,
@@ -165,10 +166,12 @@ class TestAcceptance:
         n_runs = 0
         for (mu, k), fs in inputs.items():
             # one set of moments per (f, nu), shared by the moment orders
-            # and phi; one set of limit moments per f
+            # and phi, from one input band per f; one set of limit
+            # moments per f
+            bands = [toeplitz_band(f, mu) for f in fs]
             lhs = {(i, nu): channel_output_moments(
-                       ChannelSpec(mu, nu, k), f, len(phi) - 1)
-                   for i, f in enumerate(fs) for nu in nus}
+                       ChannelSpec(mu, nu, k), a, len(phi) - 1)
+                   for i, a in enumerate(bands) for nu in nus}
             rhs = [limit_moments(mu, k, f, len(phi) - 1) for f in fs]
             for n in range(1, 5):
                 gaps = [max(abs(lhs[(i, nu)][n - 1] - rhs[i][n - 1])

@@ -310,7 +310,8 @@ def test_phi_overflowing_a_float_is_config_error(tmp_path, capsys, phi):
 def test_converge_past_the_float_range_matches_exact_moments(tmp_path):
     # output level 1101: its monomial kernel coefficients and binomials
     # pass the float range (about level 1030), but the orthonormal band is
-    # read from exact quotients.  Moments 1 and 2 are the exact rationals
+    # read from Clebsch-Gordan weights of small integer factors.  Against
+    # the exact output of apply_channel, moments 1 and 2 are the rationals
     # Tr T / dim and sum_ij |M_ij|^2 / dim = sum (x^2 + y^2) / (d^2 C_i C_j)
     # / dim over the kernel integers (x + i y) / d
     argv = ["converge", "--mu", "3", "--k", "1", "--nu", "80,1100",

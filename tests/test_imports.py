@@ -1,6 +1,7 @@
 """No module imports a name it never uses, the package defines no
-function or class that nothing reads, and no parameter default that no
-call overrides: the unused-import and dead-code rules of a linter,
+function or class that nothing reads, no parameter default that no
+call overrides, and the exact layers touch no float: the unused-import
+and dead-code rules of a linter, and a layering rule,
 written with the stdlib ``ast`` module so that they run wherever the
 tests run.  ``__init__.py`` is skipped, since its imports are the
 package's re-exports."""
@@ -163,6 +164,45 @@ def test_every_default_is_overridden(path):
               unused_defaults(path.read_text(), readers)
               if (fn, arg) not in OVERRIDE_ALLOWED]
     assert unused == []
+
+
+# The exact layers compute over the integers and the rationals alone:
+# floats start in quadrature, which reads their small integer factors
+EXACT_FILES = [ROOT / "src" / "su2chan" / f"{name}.py" for name in
+               ("exactnum", "repspace", "intertwine", "symbolcalc")]
+
+
+def float_uses(source: str):
+    """(line, what) of every float or complex literal, call of the name
+    ``float``, and ``math.sqrt``, as an attribute or imported by name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) \
+                and isinstance(node.value, (float, complex)):
+            out.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Call) \
+                and getattr(node.func, "id", None) == "float":
+            out.append((node.lineno, "float("))
+        elif isinstance(node, ast.Attribute) and node.attr == "sqrt" \
+                and getattr(node.value, "id", None) == "math":
+            out.append((node.lineno, "math.sqrt"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math" \
+                and any(alias.name == "sqrt" for alias in node.names):
+            out.append((node.lineno, "math.sqrt"))
+    return sorted(out)
+
+
+def test_checker_finds_a_float():
+    source = ("import math\nfrom math import sqrt as root\nx = 2 * 0.5\n"
+              "y = float(3) + 1j\nz = math.sqrt(4) + math.isqrt(4)\n"
+              "w = int('1') + 10 ** 3\n")
+    assert float_uses(source) == [(2, "math.sqrt"), (3, "0.5"), (4, "1j"),
+                                  (4, "float("), (5, "math.sqrt")]
+
+
+@pytest.mark.parametrize("path", EXACT_FILES, ids=lambda p: p.name)
+def test_exact_layer_uses_no_float(path):
+    assert float_uses(path.read_text()) == []
 
 
 # The package runs on the standard library alone: numpy serves the tests

@@ -20,12 +20,9 @@ from su2chan.intertwine import (
     normalization_factor,
     pk_orthogonality_check,
 )
-from su2chan.quadrature import (
-    _orthonormal_band,
-    random_operator,
-    random_psd_trace_one,
-)
+from su2chan.quadrature import random_operator, random_psd_trace_one
 from su2chan.repspace import _common_denominator, _rows
+from bignum_oracles import kraus_weights, orthonormal_band
 from numpy_oracles import assert_band_matches_dense, dense_orthonormal_matrix
 from test_exactnum import CQ, binomial, falling_pochhammer, rising_pochhammer
 from test_repspace import (
@@ -544,7 +541,7 @@ class TestBandedKernel:
             for out in (apply_channel(spec, random_nonhermitian(mu, rng)),
                         apply_normalized_channel(
                             spec, random_psd_trace_one(mu, rng))):
-                assert_band_matches_dense(out, _orthonormal_band(out))
+                assert_band_matches_dense(out, orthonormal_band(out))
 
     def test_normalized_channel_matches_dense_oracle(self):
         rng = random.Random(RNG_SEED)
@@ -626,6 +623,15 @@ class TestChoi:
                                 racah_cg_squared(mu, mu - 2 * i, nu,
                                                  nu - 2 * b, L, L - 2 * r), \
                                 (mu, nu, k, i, b)
+
+    @pytest.mark.parametrize("mu,nu,k", [
+        (mu, nu, k) for mu in range(5) for nu in range(mu, 13)
+        for k in range(mu + 1)] + [(3, 1100, k) for k in range(4)])
+    def test_factorised_kraus_weights_match_whole_binomials(self, mu, nu, k):
+        # mu = 0, nu = mu, k = 0 and k = mu, L < mu, and an output level
+        # whose binomials pass the float range
+        spec = ChannelSpec(mu, nu, k)
+        assert intertwine._kraus_weights(spec) == kraus_weights(spec)
 
     def test_rows_give_the_trace_of_every_operator(self):
         # Tr T(A) = sum_i (row i) A_ii g_i, with A_ii g_i the diagonal of

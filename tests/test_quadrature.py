@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from su2chan import quadrature
-from su2chan.intertwine import ChannelSpec
-from su2chan.intertwine import apply_channel
+from su2chan.intertwine import ChannelSpec, apply_channel
 from su2chan.quadrature import (
     _band_product,
     _fund_bound,
-    _orthonormal_band,
+    _output_band,
     _trace_product,
     ENTROPY8,
     ConvergenceRecord,
@@ -35,6 +34,7 @@ from su2chan.quadrature import (
     random_band_limited_state,
     random_operator,
     random_psd_trace_one,
+    toeplitz_band,
 )
 from su2chan.repspace import KernelOperator
 from su2chan.symbolcalc import (
@@ -44,8 +44,10 @@ from su2chan.symbolcalc import (
     symbol,
     toeplitz,
 )
+from bignum_oracles import orthonormal_band
 from numpy_oracles import (
     DenseGrid,
+    assert_band_matches_dense,
     channel_output_spectrum,
     dense_orthonormal_matrix,
     function_values,
@@ -126,10 +128,10 @@ def crational_random_operator(mu, rng):
         mu, [[entry() for _ in range(mu + 1)] for _ in range(mu + 1)])
 
 
-def all_powers_moments(spec, f, nmax):
+def all_powers_moments(spec, a, nmax):
     """channel_output_moments keeping every power T^p, p <= ceil(nmax/2):
     the same products and traces, in the same order."""
-    band = _orthonormal_band(apply_channel(spec, toeplitz(f, spec.mu)))
+    band = _output_band(spec, a)
     dim = len(band[0])
     powers = [[[1.0 + 0j] * dim], band]
     while len(powers) <= (nmax + 1) // 2:
@@ -290,6 +292,74 @@ MOMENT_SPECS = [(0, 0, 0), (0, 4, 0), (2, 2, 1), (3, 3, 3), (3, 4, 3),
                 (3, 160, 1)]
 
 
+# (mu, nu, k) at the edge levels: mu = 0, nu = mu, k = 0 and k = mu, and
+# output levels L = mu + nu - 2k below mu; then nu up to 640
+BAND_SPECS = [(0, 0, 0), (0, 7, 0), (1, 1, 0), (1, 1, 1), (2, 2, 1),
+              (3, 3, 0), (3, 3, 3), (3, 4, 3), (4, 5, 4), (4, 4, 2),
+              (2, 9, 0), (2, 9, 2), (3, 20, 1), (3, 160, 0), (4, 160, 3),
+              (3, 640, 0), (3, 640, 1), (3, 640, 3)]
+
+
+class TestOutputBand:
+    """The orthonormal band of the channel output from Clebsch-Gordan
+    weights, against the big-integer route: the exact output of
+    apply_channel read entry by entry."""
+
+    def test_input_band_matches_dense(self):
+        rng = random.Random(RNG_SEED)
+        for mu in range(6):
+            _, f = random_band_limited_state(mu, rng)
+            assert_band_matches_dense(toeplitz(f, mu), toeplitz_band(f, mu))
+
+    @pytest.mark.parametrize("mu,nu,k", BAND_SPECS)
+    def test_band_matches_the_bignum_route(self, mu, nu, k):
+        # every entry within 1e-15 of the largest: an entry that is a sum
+        # of terms of both signs keeps its absolute, not its relative,
+        # roundoff
+        spec = ChannelSpec(mu, nu, k)
+        _, f = random_band_limited_state(mu, random.Random(RNG_SEED + nu))
+        want = orthonormal_band(apply_channel(spec, toeplitz(f, mu)))
+        got = _output_band(spec, toeplitz_band(f, mu))
+        assert list(map(len, got)) == list(map(len, want))
+        scale = max(abs(z) for diag in want for z in diag)
+        assert max(abs(x - y) for u, v in zip(got, want)
+                   for x, y in zip(u, v)) <= 1e-15 * scale
+
+    def test_identity_at_a_large_input_level(self):
+        # (mu, nu, k) = (200, 200, 100): the J table's d is about 1e104
+        # and C(mu, i) reaches 9e58.  The constant mu + 1 has R*_mu f = I
+        # and T(I) = I, so every moment is 1
+        f = IsotypicFunction(0, 1, [[201]], [[0]])
+        moments = channel_output_moments(ChannelSpec(200, 200, 100),
+                                         toeplitz_band(f, 200), 3)
+        assert max(abs(m - 1) for m in moments) < 1e-12
+
+    @pytest.mark.parametrize("patch", ["scalar", "column"])
+    def test_factors_past_the_float_range(self, monkeypatch, patch):
+        # a scalar c^2 C(mu, i) past the float maximum, or a nonzero J/d
+        # below the least normal float, is a FloatRangeError
+        spec = ChannelSpec(2, 6, 1)
+        if patch == "scalar":
+            monkeypatch.setattr(quadrature, "c_squared",
+                                lambda spec: Fraction(10 ** 400))
+        else:
+            d, rows = quadrature._jk_integers(spec)
+            monkeypatch.setattr(quadrature, "_jk_integers",
+                                lambda spec: (d * 10 ** 320, rows))
+        with pytest.raises(FloatRangeError, match="exceed the float range"):
+            _output_band(spec, [[1 + 0j] * 3])
+
+    def test_moment_memory_holds_no_bignum_output(self):
+        # the big-integer route held the exact output, nu-bit integers on
+        # 7 diagonals of 2560 cells: a 22.8 MB tracemalloc peak here, where
+        # the weights take 1.9 MB
+        spec = ChannelSpec(3, 2560, 1)
+        _, f = random_band_limited_state(3, random.Random(RNG_SEED))
+        a = toeplitz_band(f, 3)
+        channel_output_moments(spec, a, 1)   # the J table, cached
+        assert traced_peak(lambda: channel_output_moments(spec, a, 4)) < 6e6
+
+
 class TestSpectralFunctionals:
 
     def test_channel_spectrum_in_unit_interval(self):
@@ -307,7 +377,7 @@ class TestSpectralFunctionals:
         spec = ChannelSpec(mu, nu, k)
         _, f = random_band_limited_state(mu, random.Random(RNG_SEED + nu))
         lam = channel_output_spectrum(spec, f)
-        got = channel_output_moments(spec, f, 8)
+        got = channel_output_moments(spec, toeplitz_band(f, mu), 8)
         want = [trace_moment(lam, n) for n in range(1, 9)]
         assert np.max(np.abs(np.array(got) - want)) < 1e-12
 
@@ -319,23 +389,25 @@ class TestSpectralFunctionals:
     def test_two_powers_give_the_all_powers_moments(self, mu, nu, k, nmax):
         spec = ChannelSpec(mu, nu, k)
         _, f = random_band_limited_state(mu, random.Random(RNG_SEED + nu))
-        assert channel_output_moments(spec, f, nmax) == \
-            all_powers_moments(spec, f, nmax)
+        a = toeplitz_band(f, mu)
+        assert channel_output_moments(spec, a, nmax) == \
+            all_powers_moments(spec, a, nmax)
 
     def test_moment_memory_does_not_grow_with_nmax(self):
         # T^p is dense from p = 21 at L = 21; keeping every power to
         # nmax/2 would hold about 4 dense powers at nmax = 48 and 28 at 96
         spec = ChannelSpec(1, 20, 0)
         _, f = random_band_limited_state(1, random.Random(RNG_SEED))
-        channel_output_moments(spec, f, 1)   # the exact caches, warm
-        peaks = [traced_peak(lambda: channel_output_moments(spec, f, n))
+        a = toeplitz_band(f, 1)
+        channel_output_moments(spec, a, 1)   # the exact caches, warm
+        peaks = [traced_peak(lambda: channel_output_moments(spec, a, n))
                  for n in (48, 96)]
         assert peaks[1] < 1.5 * peaks[0], peaks
 
     def test_moments_reject_non_hermitian_input(self):
         f = symbol(random_operator(2, random.Random(RNG_SEED)))
         with pytest.raises(ValueError):
-            channel_output_moments(ChannelSpec(2, 4, 1), f, 2)
+            toeplitz_band(f, 2)
         with pytest.raises(ValueError):
             limit_moments(2, 1, f, 2)
 
@@ -345,7 +417,7 @@ class TestSpectralFunctionals:
         rng = random.Random(RNG_SEED)
         spec = ChannelSpec(2, 8, 1)
         _, f = random_band_limited_state(2, rng)
-        lhs = channel_output_moments(spec, f, 1)[0]
+        lhs = channel_output_moments(spec, toeplitz_band(f, 2), 1)[0]
         rhs = limit_moments(2, 1, f, 1)[0]
         assert abs(lhs - rhs) < 1e-12
 
@@ -355,7 +427,7 @@ class TestSpectralFunctionals:
         _, f = random_band_limited_state(2, rng)
         # phi(x) = 2x^2 - x as coefficient list, and the entropy fit
         lam = channel_output_spectrum(spec, f)
-        moments = channel_output_moments(spec, f, 8)
+        moments = channel_output_moments(spec, toeplitz_band(f, 2), 8)
         for phi in ([0.0, -1.0, 2.0], list(ENTROPY8)):
             assert abs(functional_from_moments(phi, moments)
                        - trace_functional(lam, phi)) < 1e-12
@@ -530,9 +602,9 @@ class TestConvergenceHarness:
     def test_moment_convergence_run(self):
         rng = random.Random(RNG_SEED)
         _, f = random_band_limited_state(2, rng)
-        nus = [8, 16, 32]
+        a, nus = toeplitz_band(f, 2), [8, 16, 32]
         rec = ConvergenceRecord(2, 1, nus, "n=2", [
-            channel_output_moments(ChannelSpec(2, nu, 1), f, 2)[1]
+            channel_output_moments(ChannelSpec(2, nu, 1), a, 2)[1]
             for nu in nus], limit_moments(2, 1, f, 2)[1])
         assert rec.converged
         assert rec.fitted_slope > 0.5
@@ -540,10 +612,10 @@ class TestConvergenceHarness:
     def test_functional_convergence_run(self):
         rng = random.Random(RNG_SEED)
         _, f = random_band_limited_state(1, rng)
-        nus, phi = [8, 16, 32, 64], list(ENTROPY8)
+        a, nus, phi = toeplitz_band(f, 1), [8, 16, 32, 64], list(ENTROPY8)
         rec = ConvergenceRecord(1, 1, nus, "phi=deg8", [
             functional_from_moments(
-                phi, channel_output_moments(ChannelSpec(1, nu, 1), f, 8))
+                phi, channel_output_moments(ChannelSpec(1, nu, 1), a, 8))
             for nu in nus], functional_from_moments(
                 phi, limit_moments(1, 1, f, 8)))
         assert rec.converged

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2chan.quadrature import _orthonormal_band, random_operator
+from su2chan.quadrature import random_operator
 from su2chan.symbolcalc import symbol, toeplitz
 from su2chan.repspace import (
     IsotypicDecomposition,
@@ -25,6 +25,7 @@ from su2chan.repspace import (
     isotypic_projectors,
 )
 
+from bignum_oracles import orthonormal_band
 from numpy_oracles import (DenseGrid, assert_band_matches_dense,
                            dense_orthonormal_matrix)
 from test_exactnum import CQ, binomial
@@ -615,7 +616,7 @@ class TestBandForm:
                 kernel_sum(ops[3], ops[3], -1),
                 kernel_sum(ops[2], ops[2].adjoint())]
         for a in ops:
-            assert_band_matches_dense(a, _orthonormal_band(a))
+            assert_band_matches_dense(a, orthonormal_band(a))
 
 
 class TestGroupAction:
