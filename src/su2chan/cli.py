@@ -9,8 +9,11 @@ byte-identical for identical (config, seed).
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
+import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -44,10 +47,10 @@ from .quadrature import (
     limit_grid,
     limit_moments,
     random_band_limited_state,
-    random_operator,
+    random_entries,
     toeplitz_band,
 )
-from .repspace import _trace_integers
+from .repspace import _from_dense, _trace_integers
 from .symbolcalc import (
     _berezin_numerators,
     _limit_eigenvalue,
@@ -103,28 +106,154 @@ def _emit(path: Optional[str], data: str):
 
 
 # ---------------------------------------------------------------------------
-# verify: one function per identity check.  Each returns (witness, cases):
-# the witness dict of the last failing case, or None, and the case count.
+# One fork map: the parent and a forked worker per further CPU
 # ---------------------------------------------------------------------------
 
-def check_gauss_summation():
-    """2F1(-n, b; c; 1) = (c-b)_n / (c)_n for n, |b| <= 12 and |c| <= 20,
-    the integer Pochhammers read from one table per n and compared
-    crosswise with the unreduced sum top/bot."""
-    wit, cases = None, 0
-    for n in range(0, 13):
-        poch = {c: math.prod(range(c, c + n)) for c in range(-32, 33)}
-        for b in range(-12, 13):
-            for ac in range(n, 21):
-                for c in {ac, -ac} if ac else {0}:
-                    if abs(c) < max(n, 1) or poch[c] == 0:
-                        continue
-                    cases += 1
-                    top, bot = terminating_pair((-n, b), (c,))
-                    if top * poch[c] != bot * poch[c - b]:
-                        wit = {"n": n, "b": b, "c": c,
-                               "lhs": str(Fraction(top, bot)),
-                               "rhs": str(Fraction(poch[c - b], poch[c]))}
+def _worker_count() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _taken(queue: int):
+    """The task indices this process takes from the queue, one 4-byte
+    record at a time, until it is empty."""
+    while record := os.read(queue, 4):
+        yield int.from_bytes(record, "little")
+
+
+_NOT_RUN = object()   # a task that a failed worker took
+
+
+def _fork_map(fn, tasks: Sequence) -> list:
+    """[fn(t) for t in tasks], shared out among the parent, as worker 0,
+    and forked workers: one process per CPU this process may run on, at
+    most one per task.  Each worker takes the next task as it comes
+    free, from a queue of task indices in a pipe, so tasks that come
+    largest first are run largest-job-first.  Workers are forked, not
+    spawned: a spawned worker would start an interpreter and import the
+    package, as long as a whole default ``verify``; the CLI runs no
+    threads, so the fork is safe.
+
+    A forked worker sends its [index, result] pairs back through a pipe
+    as JSON, so ``fn`` returns JSON values (a tuple comes back as a
+    list).  The tasks of a worker that fails, by an exception or a
+    nonzero exit, rerun in the parent in task order, where the exception
+    surfaces as in a serial run.  Every child is waited for before the
+    call returns or raises; one still running when the parent raises is
+    killed first.
+    """
+    n = min(_worker_count(), len(tasks))
+    if n < 2:
+        return [fn(t) for t in tasks]
+    results = [_NOT_RUN] * len(tasks)
+    queue, feed_end = os.pipe()
+    feed = open(feed_end, "wb")
+    children = {}   # pid -> its result pipe, open for reading
+    # the objects made so far stay out of every collection until the map
+    # ends, so that a worker's collections copy none of their pages
+    gc.freeze()
+    try:
+        for _ in range(n - 1):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # a worker: its results and exit 0, or exit 1; no return
+                try:
+                    feed.close()
+                    os.close(read)
+                    with open(write, "w") as fh:
+                        json.dump([[i, fn(tasks[i])] for i in _taken(queue)],
+                                  fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children[pid] = open(read)
+        # every index in task order; closing the feed ends the queue
+        with feed:
+            feed.write(b"".join(i.to_bytes(4, "little")
+                                for i in range(len(tasks))))
+        for i in _taken(queue):
+            results[i] = fn(tasks[i])
+        for pid, fh in list(children.items()):
+            with fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            for i, value in json.loads(data) if status == 0 else ():
+                results[i] = value
+        return [fn(t) if r is _NOT_RUN else r for t, r in zip(tasks, results)]
+    finally:
+        gc.unfreeze()
+        feed.close()
+        os.close(queue)
+        if children:
+            import signal   # for this path alone: the import costs a start
+        for pid, fh in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            fh.close()
+
+
+def _chunks(grid: Sequence, weight, parts: int) -> list:
+    """``grid`` cut into ``parts`` contiguous chunks, some perhaps empty,
+    of about equal total weight: chunk i ends before the case whose
+    running weight reaches (i + 1) / parts of the total."""
+    ends = list(itertools.accumulate(map(weight, grid)))
+    total = ends[-1] if ends else 0
+    bounds = [0, *(bisect.bisect_left(ends, total * i / parts)
+                   for i in range(1, parts)), len(grid)]
+    return [grid[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+# ---------------------------------------------------------------------------
+# verify: one function per identity check.  Each takes a chunk of its grid
+# and returns (witness, cases): the witness dict of the chunk's last
+# failing case, or None, and the case count.
+# ---------------------------------------------------------------------------
+
+# (n, b) of the Gauss sweep, n and |b| <= 12, and (kappa, j) of the
+# binomial-sum check, 0 <= j <= kappa <= 30
+GAUSS_GRID = tuple((n, b) for n in range(13) for b in range(-12, 13))
+BINOMIAL_GRID = tuple((kappa, j) for kappa in range(31)
+                      for j in range(kappa + 1))
+
+
+def kernel_bound_grid(nu_max: int) -> list:
+    """(n, nu) for 1 <= n <= 4 and even nu <= nu_max."""
+    return [(n, nu) for n in range(1, 5) for nu in range(0, nu_max + 1, 2)]
+
+
+def draw_entries(specs, rng, draws) -> list:
+    """(spec, entries) for ``draws`` random operators per spec, drawn in
+    that order by :func:`random_entries`.  A check builds each operator
+    from its entries, in the worker that checks it."""
+    return [(spec, random_entries(spec.mu, rng))
+            for spec in specs for _ in range(draws)]
+
+
+def check_gauss_summation(grid):
+    """2F1(-n, b; c; 1) = (c-b)_n / (c)_n for each (n, b) of the grid and
+    n <= |c| <= 20, the integer Pochhammers read from one table per n
+    and compared crosswise with the unreduced sum top/bot."""
+    wit, cases, tables = None, 0, {}
+    for n, b in grid:
+        if n not in tables:
+            tables[n] = {c: math.prod(range(c, c + n)) for c in range(-32, 33)}
+        poch = tables[n]
+        for ac in range(n, 21):
+            for c in {ac, -ac} if ac else {0}:
+                if abs(c) < max(n, 1) or poch[c] == 0:
+                    continue
+                cases += 1
+                top, bot = terminating_pair((-n, b), (c,))
+                if top * poch[c] != bot * poch[c - b]:
+                    wit = {"n": n, "b": b, "c": c,
+                           "lhs": str(Fraction(top, bot)),
+                           "rhs": str(Fraction(poch[c - b], poch[c]))}
     return wit, cases
 
 
@@ -138,22 +267,22 @@ def check_orthogonality(levels):
     return wit, len(levels)
 
 
-def check_trace_preservation(specs, rng, draws, fault=1):
-    """Tr T(A) = Tr A, crosswise, for ``draws`` random A per spec; a
-    ``fault`` other than 1 scales each T(A), as a wrong c^2 would."""
+def check_trace_preservation(cases, fault=1):
+    """Tr T(A) = Tr A, crosswise, for the random A of each (spec,
+    entries) of the cases; a ``fault`` other than 1 scales each T(A), as
+    a wrong c^2 would."""
     wit = None
-    for spec in specs:
-        for _ in range(draws):
-            a = random_operator(spec.mu, rng)
-            ta = apply_normalized_channel(spec, a)
-            if fault != 1:
-                ta = ta.scale(fault)
-            (da, ra, ia), (dt, rt, it) = map(_trace_integers, (a, ta))
-            if ra * dt != rt * da or ia * dt != it * da:
-                wit = {"mu": spec.mu, "nu": spec.nu, "k": spec.k,
-                       "trace_in": _complex_str(da, ra, ia),
-                       "trace_out": _complex_str(dt, rt, it)}
-    return wit, len(specs) * draws
+    for spec, entries in cases:
+        a = _from_dense(spec.mu, *entries)
+        ta = apply_normalized_channel(spec, a)
+        if fault != 1:
+            ta = ta.scale(fault)
+        (da, ra, ia), (dt, rt, it) = map(_trace_integers, (a, ta))
+        if ra * dt != rt * da or ia * dt != it * da:
+            wit = {"mu": spec.mu, "nu": spec.nu, "k": spec.k,
+                   "trace_in": _complex_str(da, ra, ia),
+                   "trace_out": _complex_str(dt, rt, it)}
+    return wit, len(cases)
 
 
 def _complex_str(den, re, im):
@@ -174,23 +303,21 @@ def check_choi_positive(specs, psd_tol):
     return wit, len(specs)
 
 
-def check_berezin_sum(specs, rng, draws):
+def check_berezin_sum(cases):
     """symbol(T(A)) = E_nu applied to the inverse Berezin transform of
-    symbol(A), for ``draws`` random A per spec."""
+    symbol(A), for the random A of each (spec, entries) of the cases."""
     wit = None
-    for spec in specs:
-        for _ in range(draws):
-            a = random_operator(spec.mu, rng)
-            f = inverse_berezin(spec.mu, symbol(a))
-            if not functions_equal(e_nu_apply(spec, f),
-                                   symbol(apply_channel(spec, a))):
-                wit = {"mu": spec.mu, "nu": spec.nu, "k": spec.k}
-    return wit, len(specs) * draws
+    for spec, entries in cases:
+        a = _from_dense(spec.mu, *entries)
+        f = inverse_berezin(spec.mu, symbol(a))
+        if not functions_equal(e_nu_apply(spec, f),
+                               symbol(apply_channel(spec, a))):
+            wit = {"mu": spec.mu, "nu": spec.nu, "k": spec.k}
+    return wit, len(cases)
 
 
-def check_kernel_bound(nu_max):
-    """I_n(nu) <= 4^n for 1 <= n <= 4 and even nu <= nu_max."""
-    grid = [(n, nu) for n in range(1, 5) for nu in range(0, nu_max + 1, 2)]
+def check_kernel_bound(grid):
+    """I_n(nu) <= 4^n at each (n, nu) of the grid."""
     wit = None
     for n, nu in grid:
         if i_n_integral(n, nu) > 2 ** (2 * n):
@@ -198,9 +325,8 @@ def check_kernel_bound(nu_max):
     return wit, len(grid)
 
 
-def check_binomial_sum():
-    """The binomial-sum identity and bound for 0 <= j <= kappa <= 30."""
-    grid = [(kappa, j) for kappa in range(0, 31) for j in range(kappa + 1)]
+def check_binomial_sum(grid):
+    """The binomial-sum identity and bound at each (kappa, j) of the grid."""
     wit = None
     for kappa, j in grid:
         rep = fund_ineq_check(kappa, j)
@@ -209,38 +335,81 @@ def check_binomial_sum():
     return wit, len(grid)
 
 
+def _spec_cost(spec):
+    """A channel check's rough cost at one spec, for cutting its grid:
+    a fit to the trace, Choi and Berezin checks' times at mu <= 6,
+    nu <= 16."""
+    return (spec.mu + 1) * (spec.nu + 2) + 8
+
+
+def _run_chunk(task):
+    """(witness, cases, seconds) of one check on one chunk of its grid."""
+    check, chunk, args = task
+    start = time.perf_counter()
+    return (*check(chunk, *args), time.perf_counter() - start)
+
+
 def run_verify_suites(mu_max: int, nu_max: int, seed: int,
                       psd_tol: float = 1e-10,
                       corrupt_c_squared: bool = False,
-                      timings: Optional[list] = None) -> dict:
-    """Run the checks in order into a JSON-ready report; a check is ok when
-    it has no witness.  ``corrupt_c_squared`` scales the trace check's
-    outputs by 3/2 (fault injection).  ``timings`` receives one
-    ``{identity, cases, elapsed_s}`` per check; the report holds none."""
+                      timings: Optional[dict] = None) -> dict:
+    """Run the checks into a JSON-ready report; a check is ok when it has
+    no witness.  ``corrupt_c_squared`` scales the trace check's outputs
+    by 3/2 (fault injection).
+
+    Every random operator's entries are drawn here first, in the order
+    of a serial sweep.  Each check's grid is cut into one contiguous
+    chunk per worker, of about equal rough cost, and the workers take
+    the chunks in check order (:func:`_fork_map`).  A check's witness is
+    that of its last failing chunk, so the report is the same for any
+    worker count and any schedule.
+    ``timings`` receives ``workers``, ``wall_s`` and ``suites``: one
+    ``{identity, cases, elapsed_s}`` per check, its seconds summed over
+    its chunks; the report holds none of them."""
+    start = time.perf_counter()
     rng = random.Random(seed)
     levels = [(mu, nu) for mu in range(mu_max + 1)
               for nu in range(mu, nu_max + 1)]
     specs = [ChannelSpec(mu, nu, k) for mu, nu in levels
              for k in range(mu + 1)]
+    # (identity, check, grid, extra arguments, rough relative cost of a
+    # case, read off the checks' times; only its ratios within a check
+    # matter)
     checks = [
-        ("gauss_summation", check_gauss_summation, ()),
-        ("schur_orthogonality_completeness", check_orthogonality, (levels,)),
+        ("gauss_summation", check_gauss_summation, GAUSS_GRID, (),
+         lambda case: 1),
+        ("schur_orthogonality_completeness", check_orthogonality, levels, (),
+         lambda level: (level[0] + 1) ** 2 * (level[1] + 1)),
         ("trace_preservation", check_trace_preservation,
-         (specs, rng, N_RANDOM, Fraction(3, 2) if corrupt_c_squared else 1)),
-        ("choi_positive", check_choi_positive, (specs, psd_tol)),
-        ("berezin_sum_identity", check_berezin_sum, (specs, rng, 1)),
-        ("kernel_integral_bound", check_kernel_bound, (nu_max,)),
-        ("binomial_sum_inequality", check_binomial_sum, ()),
+         draw_entries(specs, rng, N_RANDOM),
+         (Fraction(3, 2) if corrupt_c_squared else 1,),
+         lambda case: _spec_cost(case[0])),
+        ("choi_positive", check_choi_positive, specs, (psd_tol,), _spec_cost),
+        ("berezin_sum_identity", check_berezin_sum,
+         draw_entries(specs, rng, 1), (), lambda case: _spec_cost(case[0])),
+        ("kernel_integral_bound", check_kernel_bound,
+         kernel_bound_grid(nu_max), (),
+         lambda case: case[0] * (case[1] // 2 + 1) ** 2),
+        ("binomial_sum_inequality", check_binomial_sum, BINOMIAL_GRID, (),
+         lambda case: case[0] + 25),
     ]
-    results = []
-    for name, check, args in checks:
-        start = time.perf_counter()
-        witness, cases = check(*args)
-        if timings is not None:
-            timings.append({"identity": name, "cases": cases,
-                            "elapsed_s": time.perf_counter() - start})
+    workers = _worker_count()
+    tasks = [(check, chunk, args) for _, check, grid, args, cost in checks
+             for chunk in _chunks(grid, cost, workers)]
+    done = _fork_map(_run_chunk, tasks)
+    results, suites = [], []
+    for i, (name, *_) in enumerate(checks):
+        chunks = done[i * workers:(i + 1) * workers]
+        witness = next((w for w, _, _ in reversed(chunks) if w is not None),
+                       None)
         results.append({"identity": name, "ok": witness is None,
                         "witness": witness})
+        suites.append({"identity": name,
+                       "cases": sum(cases for _, cases, _ in chunks),
+                       "elapsed_s": sum(s for _, _, s in chunks)})
+    if timings is not None:
+        timings.update(workers=workers, suites=suites,
+                       wall_s=time.perf_counter() - start)
     return {"config": {"mu_max": mu_max, "nu_max": nu_max, "seed": seed,
                        "n_random": N_RANDOM, "psd_tol": psd_tol},
             "results": results, "all_ok": all(r["ok"] for r in results)}
@@ -250,7 +419,7 @@ def cmd_verify(args) -> int:
     if args.mu < 0 or args.nu_max < args.mu:
         print("error: need 0 <= mu <= nu", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    timings: list = []
+    timings: dict = {}
     report = run_verify_suites(args.mu, args.nu_max, args.seed,
                                psd_tol=args.tol,
                                corrupt_c_squared=args.corrupt_c2,
@@ -258,8 +427,8 @@ def cmd_verify(args) -> int:
     _emit(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     if args.timings:
         _atomic_write(args.timings, json.dumps(
-            {"version": __version__, "suites": timings},
-            indent=2, sort_keys=True) + "\n")
+            dict(timings, version=__version__), indent=2,
+            sort_keys=True) + "\n")
     return EXIT_OK if report["all_ok"] else EXIT_ASSERTION_FAILED
 
 
@@ -338,10 +507,12 @@ def cmd_converge(args) -> int:
     rng = random.Random(args.seed)
     _, f = random_band_limited_state(args.mu, rng)
     # the input's band once; one set of moments per level, shared by every
-    # moment order and by phi
+    # moment order and by phi; the levels queue for the workers largest
+    # output first, which for increasing nu is in reverse
     a = toeplitz_band(f, args.mu)
-    lhs = [channel_output_moments(ChannelSpec(args.mu, nu, args.k), a, nmax)
-           for nu in args.nu]
+    specs = [ChannelSpec(args.mu, nu, args.k) for nu in reversed(args.nu)]
+    lhs = _fork_map(lambda spec: channel_output_moments(spec, a, nmax),
+                    specs)[::-1]
     rhs = limit_moments(args.mu, args.k, f, nmax)
     records = [ConvergenceRecord(args.mu, args.k, args.nu, f"n={n}",
                                  [m[n - 1] for m in lhs], rhs[n - 1], args.tol)
@@ -420,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", default=None)
     pv.add_argument("--timings", default=None, metavar="FILE",
                     help="write each suite's case count and elapsed "
-                         "seconds, and the package version, as JSON")
+                         "seconds, the worker count, the wall time and "
+                         "the package version, as JSON")
     pv.add_argument("--corrupt-c2", action="store_true",
                     help=argparse.SUPPRESS)   # fault-injection hook
     pv.set_defaults(func=cmd_verify)

@@ -100,11 +100,12 @@ def _legendre(n: int, x: float) -> Tuple[float, float]:
 # Random band-limited test inputs
 # ---------------------------------------------------------------------------
 
-def random_operator(mu: int, rng: random.Random) -> KernelOperator:
-    """Kernel operator with small random rational entries: the real and
-    the imaginary part of each entry, row by row, is a numerator in
-    [-3, 3] over a denominator 1 or 2, drawn in that order, so the
-    kernel is integers over 2."""
+def random_entries(mu: int, rng: random.Random) \
+        -> Tuple[int, List[int], List[int]]:
+    """(2, re, im): the kernel entries of a random operator at level mu as
+    integers over 2, row by row.  The real and the imaginary part of each
+    entry is a numerator in [-3, 3] over a denominator 1 or 2, drawn in
+    that order."""
     draw, parts = rng.getrandbits, []
     for _ in range(2 * (mu + 1) ** 2):
         # randint(-3, 3), then randint(1, 2), as CPython draws them: 3 and
@@ -115,7 +116,13 @@ def random_operator(mu: int, rng: random.Random) -> KernelOperator:
         while den > 1:
             den = draw(2)
         parts.append((num - 3) * (2 - den))
-    return _from_dense(mu, 2, parts[0::2], parts[1::2])
+    return 2, parts[0::2], parts[1::2]
+
+
+def random_operator(mu: int, rng: random.Random) -> KernelOperator:
+    """Kernel operator with small random rational entries, drawn by
+    :func:`random_entries`."""
+    return _from_dense(mu, *random_entries(mu, rng))
 
 
 def random_psd_trace_one(mu: int, rng: random.Random) -> KernelOperator:
@@ -215,17 +222,18 @@ def _full_band(m: List[List[complex]]) -> dict:
     return full
 
 
-def _band_product(a: List[List[complex]], b: List[List[complex]],
+def _band_product(fa: dict, b: List[List[complex]],
                   dim: int) -> List[List[complex]]:
-    """Diagonals t >= 0 of A B, for hermitian banded A and B, given by
-    their diagonals t >= 0, whose product is hermitian (two powers of one
-    matrix).  Diagonal s of A times diagonal u of B adds to diagonal
-    t = s + u: cell (j + t, j) takes (j + t, j + u) times (j + u, j), the
-    entries j + min(t, u) and j + min(u, 0) of their diagonals."""
-    width = min(len(a) + len(b) - 2, dim - 1)
+    """Diagonals t >= 0 of A B, for hermitian banded A, given whole as
+    :func:`_full_band` writes it, and B, given by its diagonals t >= 0,
+    whose product is hermitian (two powers of one matrix).  Diagonal s of
+    A times diagonal u of B adds to diagonal t = s + u: cell (j + t, j)
+    takes (j + t, j + u) times (j + u, j), the entries j + min(t, u) and
+    j + min(u, 0) of their diagonals."""
+    width = min(max(fa) + len(b) - 1, dim - 1)
     out = [[0j] * (dim - t) for t in range(width + 1)]
     fb = _full_band(b)
-    for s, x in _full_band(a).items():
+    for s, x in fa.items():
         for u in range(max(-s, 1 - len(b)), min(width - s, len(b) - 1) + 1):
             t, j0 = s + u, max(0, -u)
             m = dim - max(t, u) - j0
@@ -259,8 +267,9 @@ def channel_output_moments(spec: ChannelSpec, a: List[List[complex]],
     Tr T^n = Tr(T^floor(n/2) T^ceil(n/2)), so a polynomial phi has
     Tr phi(T) / dim = sum_n c_n moment_n with no eigensolve.  Moments
     2p - 1 and 2p read T^(p-1) and T^p alone, so only those two powers
-    are kept as p rises.  Nothing is clamped, as nothing needs to be: for
-    the states of :func:`random_band_limited_state`,
+    are kept as p rises, and T's diagonals t < 0, the conjugates, are
+    written once for all the products.  Nothing is clamped, as nothing
+    needs to be: for the states of :func:`random_band_limited_state`,
     A = R*_mu f = B*B / Tr B*B is PSD with trace 1 exactly, so
     0 <= A <= I; T(A) >= 0 because the channel is completely positive
     (its Kraus form,
@@ -269,11 +278,11 @@ def channel_output_moments(spec: ChannelSpec, a: List[List[complex]],
     c^2 J_k J_k* = I.  So the spectrum lies in [0, 1].
     """
     band = _output_band(spec, a)
-    dim = len(band[0])
+    dim, full = len(band[0]), _full_band(band)
     prev, cur, moments = [[1.0 + 0j] * dim], band, []
     for n in range(1, nmax + 1):
         if n % 2 and n > 1:
-            prev, cur = cur, _band_product(band, cur, dim)
+            prev, cur = cur, _band_product(full, cur, dim)
         moments.append(_trace_product(prev if n % 2 else cur, cur) / dim)
     return moments
 

@@ -13,12 +13,15 @@ import random
 import numpy as np
 
 from su2chan.cli import (
+    BINOMIAL_GRID,
     check_berezin_sum,
     check_binomial_sum,
     check_choi_positive,
     check_kernel_bound,
     check_orthogonality,
     check_trace_preservation,
+    draw_entries,
+    kernel_bound_grid,
 )
 from su2chan.intertwine import ChannelSpec, c_squared
 from su2chan.quadrature import (
@@ -100,7 +103,8 @@ class TestAcceptance:
     def test_03_channel_structure(self):
         specs = channel_specs(3, 7)
         report_checks(3, "channels trace-preserving and completely positive",
-                      check_trace_preservation(specs, random.Random(SEED), 20),
+                      check_trace_preservation(
+                          draw_entries(specs, random.Random(SEED), 20)),
                       check_choi_positive(specs, 1e-10))
 
     def test_04_berezin_eigenvalues(self):
@@ -129,8 +133,8 @@ class TestAcceptance:
 
     def test_05_berezin_sum_identity(self):
         report_checks(5, "finite-level operator equals its transform-sum form",
-                      check_berezin_sum(channel_specs(3, 7),
-                                        random.Random(SEED), 10))
+                      check_berezin_sum(draw_entries(
+                          channel_specs(3, 7), random.Random(SEED), 10)))
 
     def test_06_limit_spectral_theorem(self):
         ok = True
@@ -152,7 +156,8 @@ class TestAcceptance:
     def test_07_kernel_bound_and_inequality(self):
         report_checks(7, "chain-kernel integrals bounded by 4^n; exact "
                          "binomial identity",
-                      check_kernel_bound(40), check_binomial_sum())
+                      check_kernel_bound(kernel_bound_grid(40)),
+                      check_binomial_sum(BINOMIAL_GRID))
 
     def test_08_trace_limit(self):
         # the gap per statistic is taken over the whole random input set

@@ -3,11 +3,14 @@ report formats, and deterministic output."""
 
 import csv
 import importlib.util
+import itertools
 import json
 import math
 import os
 import random
 import re
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -51,6 +54,13 @@ def run(tmp_path, *argv):
     out = tmp_path / "out.txt"
     code = main(list(argv) + ["--out", str(out)])
     return code, out
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Every fork map runs in this process alone, so that a patched
+    function records its calls where the test reads them."""
+    monkeypatch.setattr(cli, "_worker_count", lambda: 1)
 
 
 class TestVerify:
@@ -109,8 +119,9 @@ class TestVerify:
          lambda real, kappa, j: dict(real(kappa, j), bound_holds=False),
          "binomial_sum_inequality", {"kappa": 2, "j": 1, "sum": "5/6"}),
     ], ids=lambda v: v if isinstance(v, str) else "")
-    def test_fault_gives_the_later_witness(self, tmp_path, monkeypatch, name,
-                                           cases, fault, identity, witness):
+    def test_fault_gives_the_later_witness(self, tmp_path, monkeypatch,
+                                           one_worker, name, cases, fault,
+                                           identity, witness):
         real, hits = getattr(cli, name), []
 
         def faulty(*args):
@@ -195,11 +206,14 @@ class TestVerify:
         assert any(s.target_level < s.mu for s in specs)
         rng = random.Random(cli.DEFAULT_SEED)
         assert cli.check_orthogonality(levels) == (None, 16)
-        assert cli.check_trace_preservation(specs, rng, 5) == (None, 200)
+        assert cli.check_trace_preservation(
+            cli.draw_entries(specs, rng, 5)) == (None, 200)
         assert cli.check_choi_positive(specs, 0.0) == (None, 40)
-        assert cli.check_berezin_sum(specs, rng, 2) == (None, 80)
+        assert cli.check_berezin_sum(
+            cli.draw_entries(specs, rng, 2)) == (None, 80)
 
-    def test_timings_sidecar_leaves_report_unchanged(self, tmp_path):
+    def test_timings_sidecar_leaves_report_unchanged(self, tmp_path,
+                                                     one_worker):
         argv = ["verify", "--mu", "1", "--nu-max", "3", "--seed", "5"]
         assert main(argv + ["--out", str(tmp_path / "plain.json")]) == EXIT_OK
         start = time.perf_counter()
@@ -210,6 +224,8 @@ class TestVerify:
         assert report == (tmp_path / "plain.json").read_text()
         timings = json.loads((tmp_path / "t.json").read_text())
         assert timings["version"] == su2chan.__version__
+        assert timings["workers"] == 1
+        assert 0 <= timings["wall_s"] <= wall
         suites = timings["suites"]
         assert [t["identity"] for t in suites] == \
             [r["identity"] for r in json.loads(report)["results"]]
@@ -624,7 +640,8 @@ class TestConverge:
                      "--n", "0,2", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG_ERROR
 
-    def test_each_spectrum_built_once(self, tmp_path, monkeypatch):
+    def test_each_spectrum_built_once(self, tmp_path, monkeypatch,
+                                      one_worker):
         # every moment order and phi share one set of trace moments of
         # the channel output per level
         real = quadrature.channel_output_moments
@@ -725,6 +742,262 @@ class TestChannelDump:
                         "--nu", str(nu), "--k", str(k))
         assert code == EXIT_OK
         assert json.loads(out.read_text())["choi_min_eigenvalue"] == want
+
+
+# ---------------------------------------------------------------------------
+# The fork map: the same reports from any number of workers
+# ---------------------------------------------------------------------------
+
+def run_on(monkeypatch, tmp_path, workers, *argv):
+    """(exit code, report bytes) of one run with the worker count patched,
+    after which no child of this process is left."""
+    monkeypatch.setattr(cli, "_worker_count", lambda: workers)
+    out = tmp_path / f"out-{workers}.txt"
+    code = main(list(argv) + ["--out", str(out)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, out.read_bytes() if out.exists() else None
+
+
+# 1, 2 and 3 workers, and 8: more than the one level and the one spec of
+# mu = 0, and more than the three levels of the converge run
+WORKER_COUNTS = [1, 2, 3, 8]
+
+
+class TestForkMap:
+
+    def test_results_come_back_in_task_order(self, monkeypatch):
+        # tasks long enough that the worker, started within milliseconds,
+        # takes some while the parent runs its first
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+
+        def square(t):
+            time.sleep(0.1)
+            return [t * t, os.getpid()]
+
+        got = cli._fork_map(square, range(4))
+        assert [v for v, _ in got] == [0, 1, 4, 9]
+        assert len({pid for _, pid in got} - {os.getpid()}) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_every_task_is_taken_once(self, tmp_path, monkeypatch):
+        # more workers than CPUs on one queue: each task is run by exactly
+        # one process, which notes it in one shared append-only file
+        monkeypatch.setattr(cli, "_worker_count", lambda: 8)
+        log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT
+                      | os.O_APPEND)
+
+        def noted(t):
+            os.write(log, f"{t}\n".encode())
+            return -t
+
+        try:
+            assert cli._fork_map(noted, range(300)) == \
+                [-t for t in range(300)]
+        finally:
+            os.close(log)
+        taken = sorted(map(int, (tmp_path / "log").read_text().split()))
+        assert taken == list(range(300))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_for_one_task(self, monkeypatch):
+        monkeypatch.setattr(cli, "_worker_count", lambda: 4)
+        assert cli._fork_map(lambda t: os.getpid(), [0]) == [os.getpid()]
+        assert cli._fork_map(lambda t: t, []) == []
+
+    @pytest.mark.parametrize("how", ["exit", "raise"])
+    def test_failed_worker_reruns_in_the_parent(self, tmp_path, monkeypatch,
+                                                how):
+        # a worker that exits nonzero or raises on the first task it
+        # takes: the parent runs that task again, and its result is kept
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        parent, taken = os.getpid(), tmp_path / "taken"
+
+        def dies_in_a_worker(t):
+            time.sleep(0.05)
+            if os.getpid() != parent:
+                taken.write_text(str(t))
+                if how == "exit":
+                    os._exit(3)
+                raise RuntimeError("worker fault")
+            return t * t
+
+        assert cli._fork_map(dies_in_a_worker, range(4)) == [0, 1, 4, 9]
+        assert int(taken.read_text()) in range(4)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_verify_worker_gives_the_serial_report(self, tmp_path,
+                                                          monkeypatch):
+        # the worker exits nonzero at the first chunk it takes; its chunks
+        # rerun in the parent
+        parent, real = os.getpid(), cli._run_chunk
+        taken = tmp_path / "taken"
+
+        def dies_in_a_worker(task):
+            if os.getpid() != parent:
+                taken.write_text(task[0].__name__)
+                os._exit(3)
+            return real(task)
+
+        argv = ["verify", "--mu", "2", "--nu-max", "3"]
+        _, serial = run_on(monkeypatch, tmp_path, 1, *argv)
+        monkeypatch.setattr(cli, "_run_chunk", dies_in_a_worker)
+        assert run_on(monkeypatch, tmp_path, 2, *argv) == (EXIT_OK, serial)
+        assert taken.read_text().startswith("check_")
+
+    def test_exception_anywhere_surfaces_from_the_parent(self, tmp_path,
+                                                         monkeypatch):
+        # raised in every process: the parent's own chunk raises while the
+        # worker may still run; the worker is stopped and waited for
+        def boom(mu, nu):
+            raise KeyError("pk")
+
+        monkeypatch.setattr(cli, "pk_orthogonality_check", boom)
+        with pytest.raises(KeyError, match="pk"):
+            run_on(monkeypatch, tmp_path, 2, "verify", "--mu", "1",
+                   "--nu-max", "2")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 12])
+    def test_chunks_cover_the_grid_in_order(self, parts):
+        grid = [(n, b) for n in range(4) for b in range(2)]
+        chunks = cli._chunks(grid, lambda case: case[0] + 1, parts)
+        assert len(chunks) == parts
+        assert [case for chunk in chunks for case in chunk] == grid
+        # each chunk ends before the case that takes it past its share
+        share = sum(n + 1 for n, _ in grid) / parts
+        ends = list(itertools.accumulate(
+            sum(n + 1 for n, _ in chunk) for chunk in chunks))
+        assert all(end < share * i or end == ends[-1]
+                   for i, end in enumerate(ends, start=1))
+
+    # mu = 0; nu = mu; output levels L = mu + nu - 2k below mu; a sweep
+    # with nu > mu; the corrupted trace check
+    @pytest.mark.parametrize("argv", [
+        ["--mu", "0", "--nu-max", "0"], ["--mu", "2", "--nu-max", "2"],
+        ["--mu", "3", "--nu-max", "4", "--seed", "9"],
+        ["--mu", "1", "--nu-max", "2", "--corrupt-c2"]],
+        ids=["mu0", "nu_eq_mu", "L_below_mu", "corrupt_c2"])
+    def test_verify_report_matches_one_worker(self, tmp_path, monkeypatch,
+                                              argv):
+        runs = [run_on(monkeypatch, tmp_path, workers, "verify", *argv)
+                for workers in WORKER_COUNTS]
+        assert runs[1:] == runs[:1] * 3
+        code, report = runs[0]
+        assert code == (EXIT_ASSERTION_FAILED if "--corrupt-c2" in argv
+                        else EXIT_OK)
+        if "--corrupt-c2" in argv:
+            failed = [r for r in json.loads(report)["results"] if not r["ok"]]
+            assert failed == [{"identity": "trace_preservation", "ok": False,
+                               "witness": {"mu": 1, "nu": 2, "k": 1,
+                                           "trace_in": "5/2-7/2j",
+                                           "trace_out": "15/4-21/4j"}}]
+
+    def test_gauss_witness_matches_one_worker(self, tmp_path, monkeypatch):
+        # two wrong 2F1 values, in different chunks at 2 and 3 workers:
+        # the witness is the later one in grid order
+        real = cli.terminating_pair
+
+        def faulty(nums, dens):
+            top, bot = real(nums, dens)
+            if (nums, dens) in {((-1, 4), (6,)), ((-11, -3), (-20,))}:
+                return top + bot, bot
+            return top, bot
+
+        monkeypatch.setattr(cli, "terminating_pair", faulty)
+        runs = [run_on(monkeypatch, tmp_path, workers, "verify", "--mu", "0",
+                       "--nu-max", "0") for workers in WORKER_COUNTS]
+        assert runs[1:] == runs[:1] * 3
+        code, report = runs[0]
+        assert code == EXIT_ASSERTION_FAILED
+        failed = [r for r in json.loads(report)["results"] if not r["ok"]]
+        assert [r["witness"]["n"] for r in failed] == [11]
+
+    CONVERGE = ["converge", "--mu", "2", "--k", "1", "--nu", "8,16,32",
+                "--n", "1,2,3", "--phi", "entropy8", "--seed", "11"]
+
+    def test_converge_matches_one_worker(self, tmp_path, monkeypatch):
+        runs = []
+        for workers in WORKER_COUNTS:
+            code, csv_bytes = run_on(monkeypatch, tmp_path, workers,
+                                     *self.CONVERGE)
+            summary = (tmp_path / f"out-{workers}.txt.summary.json")
+            runs.append((code, csv_bytes, summary.read_bytes()))
+        assert runs[1:] == runs[:1] * 3
+        assert runs[0][0] == EXIT_OK
+
+    @pytest.mark.parametrize("where", ["worker", "parent"])
+    def test_float_range_error_in_a_level_is_config_error(
+            self, tmp_path, tmp_path_factory, capsys, monkeypatch, where):
+        # worker: the parent holds level 32 while the worker takes 16 and
+        # then 8, past the float range; the worker fails and the parent,
+        # rerunning its levels, raises.  parent: level 32 is past the
+        # range and the parent raises at once, while the worker still
+        # runs; the worker is killed, not waited out
+        parent, real = os.getpid(), cli.channel_output_moments
+        bad = 8 if where == "worker" else 32
+        ran = tmp_path_factory.mktemp("ran") / "nu"
+
+        def overflow(spec, a, nmax):
+            in_parent = os.getpid() == parent
+            if where == "worker" and in_parent and spec.nu == 32:
+                time.sleep(0.3)
+            if where == "parent" and not in_parent:
+                time.sleep(30)
+            if spec.nu == bad:
+                if not in_parent:
+                    ran.write_text(str(spec.nu))
+                raise FloatRangeError(f"Clebsch-Gordan factors of {spec} "
+                                      "exceed the float range")
+            return real(spec, a, nmax)
+
+        monkeypatch.setattr(cli, "channel_output_moments", overflow)
+        start = time.monotonic()
+        assert run_on(monkeypatch, tmp_path, 2, *self.CONVERGE) \
+            == (EXIT_CONFIG_ERROR, None)
+        assert time.monotonic() - start < 10
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: Clebsch-Gordan factors of ChannelSpec("
+                           f"mu=2, nu={bad}, k=1) exceed the float range\n")
+        assert os.listdir(tmp_path) == []
+        assert ran.exists() == (where == "worker")
+
+    def test_timings_sum_within_workers_times_wall(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        argv = ["verify", "--mu", "1", "--nu-max", "3", "--seed", "5",
+                "--out", str(tmp_path / "r.json")]
+        assert main(argv + ["--timings", str(tmp_path / "t.json")]) == EXIT_OK
+        timings = json.loads((tmp_path / "t.json").read_text())
+        assert timings["workers"] == 2
+        suites = timings["suites"]
+        # the chunks of one worker run one after another inside the run
+        assert sum(t["elapsed_s"] for t in suites) \
+            <= timings["workers"] * timings["wall_s"]
+        assert [t["cases"] for t in suites[1:]] == [7, 50, 10, 10, 8, 496]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity")
+    def test_one_cpu_and_every_cpu_give_one_report(self):
+        # the real worker count: one CPU, set in the child alone, and all
+        # the CPUs this process may use
+        cpu = min(os.sched_getaffinity(0))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        argv = [sys.executable, "-m", "su2chan.cli", "verify", "--mu", "1",
+                "--nu-max", "3"]
+        pinned, free = (
+            subprocess.run(argv, capture_output=True, env=env, timeout=120,
+                           preexec_fn=preexec)
+            for preexec in (lambda: os.sched_setaffinity(0, {cpu}), None))
+        assert pinned.returncode == free.returncode == EXIT_OK
+        assert pinned.stderr == free.stderr == b""
+        assert pinned.stdout == free.stdout
+        assert json.loads(pinned.stdout)["all_ok"]
 
 
 # ---------------------------------------------------------------------------

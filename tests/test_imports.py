@@ -238,9 +238,10 @@ def test_exact_layer_imports_no_numpy(path):
 
 
 # Nor does a CLI start load numpy, or dataclasses and the inspect, ast and
-# dis modules it pulls in: a start that compiles the package from source
-# pays for every module in time and peak memory.  Only the modules the
-# package brings count, not those a site hook loaded before it
+# dis modules it pulls in, or the process pools and pickle that the CLI's
+# own fork map does without: a start that compiles the package from
+# source pays for every module in time and peak memory.  Only the modules
+# the package brings count, not those a site hook loaded before it
 NO_NUMPY_RUN = """
 import json, os, sys
 before = set(sys.modules)
@@ -254,7 +255,8 @@ codes = [su2chan.cli.main(argv + ["--out", os.path.join(sys.argv[1], argv[0])])
          for argv in runs]
 print(json.dumps([codes, sorted(set(sys.modules) - before)]))
 """
-KEPT_OUT = {"dataclasses", "inspect", "numpy"}
+KEPT_OUT = {"concurrent.futures", "dataclasses", "inspect", "multiprocessing",
+            "numpy", "pickle"}
 
 
 def test_cli_run_loads_no_numpy(tmp_path):

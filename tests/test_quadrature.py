@@ -17,6 +17,7 @@ from su2chan import quadrature
 from su2chan.intertwine import ChannelSpec, apply_channel
 from su2chan.quadrature import (
     _band_product,
+    _full_band,
     _fund_bound,
     _output_band,
     _trace_product,
@@ -135,7 +136,7 @@ def all_powers_moments(spec, a, nmax):
     dim = len(band[0])
     powers = [[[1.0 + 0j] * dim], band]
     while len(powers) <= (nmax + 1) // 2:
-        powers.append(_band_product(band, powers[-1], dim))
+        powers.append(_band_product(_full_band(band), powers[-1], dim))
     return [_trace_product(powers[n // 2], powers[n - n // 2]) / dim
             for n in range(1, nmax + 1)]
 
