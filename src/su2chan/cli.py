@@ -9,11 +9,9 @@ byte-identical for identical (config, seed).
 from __future__ import annotations
 
 import argparse
-import bisect
 import csv
 import gc
 import io
-import itertools
 import json
 import math
 import os
@@ -21,6 +19,7 @@ import random
 import sys
 import tempfile
 import time
+import types
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -106,15 +105,35 @@ def _emit(path: Optional[str], data: str):
 
 
 # ---------------------------------------------------------------------------
-# One fork map: the parent and a forked worker per further CPU
+# One fork map: the parent and a forked worker per further CPU, up to
+# MAX_WORKERS
 # ---------------------------------------------------------------------------
 
+MAX_WORKERS = 2   # the most workers whose speed-up has been measured
+
+
 def _worker_count() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot tell."""
+    """The CPUs this process may run on, at most MAX_WORKERS; 1 where the
+    platform cannot tell, or where a function of the package has been
+    wrapped from outside (a span tracer, say), since the wrapper's
+    records of a forked worker's calls would be lost with the worker."""
+    if _wrapped_from_outside():
+        return 1
     try:
-        return len(os.sched_getaffinity(0))
+        return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
     except AttributeError:
         return 1
+
+
+def _wrapped_from_outside() -> bool:
+    """Whether a module of the package binds a function of the package
+    that a ``functools.wraps`` wrapper has replaced."""
+    return any(isinstance(obj, types.FunctionType)
+               and hasattr(obj, "__wrapped__")
+               and str(obj.__module__).partition(".")[0] == __package__
+               for name, mod in list(sys.modules.items())
+               if name.partition(".")[0] == __package__
+               for obj in vars(mod).values())
 
 
 def _taken(queue: int):
@@ -129,8 +148,8 @@ _NOT_RUN = object()   # a task that a failed worker took
 
 def _fork_map(fn, tasks: Sequence) -> list:
     """[fn(t) for t in tasks], shared out among the parent, as worker 0,
-    and forked workers: one process per CPU this process may run on, at
-    most one per task.  Each worker takes the next task as it comes
+    and forked workers: :func:`_worker_count` processes, at most one per
+    task.  Each worker takes the next task as it comes
     free, from a queue of task indices in a pipe, so tasks that come
     largest first are run largest-job-first.  Workers are forked, not
     spawned: a spawned worker would start an interpreter and import the
@@ -198,14 +217,10 @@ def _fork_map(fn, tasks: Sequence) -> list:
             fh.close()
 
 
-def _chunks(grid: Sequence, weight, parts: int) -> list:
+def _chunks(grid: Sequence, parts: int) -> list:
     """``grid`` cut into ``parts`` contiguous chunks, some perhaps empty,
-    of about equal total weight: chunk i ends before the case whose
-    running weight reaches (i + 1) / parts of the total."""
-    ends = list(itertools.accumulate(map(weight, grid)))
-    total = ends[-1] if ends else 0
-    bounds = [0, *(bisect.bisect_left(ends, total * i / parts)
-                   for i in range(1, parts)), len(grid)]
+    whose lengths differ by at most one."""
+    bounds = [len(grid) * i // parts for i in range(parts + 1)]
     return [grid[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
@@ -335,13 +350,6 @@ def check_binomial_sum(grid):
     return wit, len(grid)
 
 
-def _spec_cost(spec):
-    """A channel check's rough cost at one spec, for cutting its grid:
-    a fit to the trace, Choi and Berezin checks' times at mu <= 6,
-    nu <= 16."""
-    return (spec.mu + 1) * (spec.nu + 2) + 8
-
-
 def _run_chunk(task):
     """(witness, cases, seconds) of one check on one chunk of its grid."""
     check, chunk, args = task
@@ -359,10 +367,10 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
 
     Every random operator's entries are drawn here first, in the order
     of a serial sweep.  Each check's grid is cut into one contiguous
-    chunk per worker, of about equal rough cost, and the workers take
-    the chunks in check order (:func:`_fork_map`).  A check's witness is
-    that of its last failing chunk, so the report is the same for any
-    worker count and any schedule.
+    chunk per worker, their lengths equal give or take one case, and
+    the workers take the chunks in check order (:func:`_fork_map`).  A
+    check's witness is that of its last failing chunk, so the report is
+    the same for any worker count and any schedule.
     ``timings`` receives ``workers``, ``wall_s`` and ``suites``: one
     ``{identity, cases, elapsed_s}`` per check, its seconds summed over
     its chunks; the report holds none of them."""
@@ -372,30 +380,23 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
               for nu in range(mu, nu_max + 1)]
     specs = [ChannelSpec(mu, nu, k) for mu, nu in levels
              for k in range(mu + 1)]
-    # (identity, check, grid, extra arguments, rough relative cost of a
-    # case, read off the checks' times; only its ratios within a check
-    # matter)
+    # (identity, check, grid, extra arguments)
     checks = [
-        ("gauss_summation", check_gauss_summation, GAUSS_GRID, (),
-         lambda case: 1),
-        ("schur_orthogonality_completeness", check_orthogonality, levels, (),
-         lambda level: (level[0] + 1) ** 2 * (level[1] + 1)),
+        ("gauss_summation", check_gauss_summation, GAUSS_GRID, ()),
+        ("schur_orthogonality_completeness", check_orthogonality, levels, ()),
         ("trace_preservation", check_trace_preservation,
          draw_entries(specs, rng, N_RANDOM),
-         (Fraction(3, 2) if corrupt_c_squared else 1,),
-         lambda case: _spec_cost(case[0])),
-        ("choi_positive", check_choi_positive, specs, (psd_tol,), _spec_cost),
+         (Fraction(3, 2) if corrupt_c_squared else 1,)),
+        ("choi_positive", check_choi_positive, specs, (psd_tol,)),
         ("berezin_sum_identity", check_berezin_sum,
-         draw_entries(specs, rng, 1), (), lambda case: _spec_cost(case[0])),
+         draw_entries(specs, rng, 1), ()),
         ("kernel_integral_bound", check_kernel_bound,
-         kernel_bound_grid(nu_max), (),
-         lambda case: case[0] * (case[1] // 2 + 1) ** 2),
-        ("binomial_sum_inequality", check_binomial_sum, BINOMIAL_GRID, (),
-         lambda case: case[0] + 25),
+         kernel_bound_grid(nu_max), ()),
+        ("binomial_sum_inequality", check_binomial_sum, BINOMIAL_GRID, ()),
     ]
     workers = _worker_count()
-    tasks = [(check, chunk, args) for _, check, grid, args, cost in checks
-             for chunk in _chunks(grid, cost, workers)]
+    tasks = [(check, chunk, args) for _, check, grid, args in checks
+             for chunk in _chunks(grid, workers)]
     done = _fork_map(_run_chunk, tasks)
     results, suites = [], []
     for i, (name, *_) in enumerate(checks):

@@ -2,8 +2,8 @@
 report formats, and deterministic output."""
 
 import csv
+import functools
 import importlib.util
-import itertools
 import json
 import math
 import os
@@ -865,15 +865,43 @@ class TestForkMap:
     @pytest.mark.parametrize("parts", [1, 2, 3, 12])
     def test_chunks_cover_the_grid_in_order(self, parts):
         grid = [(n, b) for n in range(4) for b in range(2)]
-        chunks = cli._chunks(grid, lambda case: case[0] + 1, parts)
+        chunks = cli._chunks(grid, parts)
         assert len(chunks) == parts
         assert [case for chunk in chunks for case in chunk] == grid
-        # each chunk ends before the case that takes it past its share
-        share = sum(n + 1 for n, _ in grid) / parts
-        ends = list(itertools.accumulate(
-            sum(n + 1 for n, _ in chunk) for chunk in chunks))
-        assert all(end < share * i or end == ends[-1]
-                   for i, end in enumerate(ends, start=1))
+        assert {len(chunk) for chunk in chunks} <= {len(grid) // parts,
+                                                   -(-len(grid) // parts)}
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="needs CPU affinity")
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_worker_count_is_the_cpus_up_to_the_cap(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        assert cli._worker_count() == min(cpus, cli.MAX_WORKERS)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="needs CPU affinity")
+    def test_wrapped_function_keeps_every_call_in_this_process(
+            self, tmp_path, monkeypatch):
+        # a wrapper installed from outside, as a span tracer installs
+        # one, sees every call: the map runs in this process alone
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert cli._worker_count() == 2
+        calls = []
+
+        @functools.wraps(cli.pk_orthogonality_check)
+        def counted(mu, nu):
+            calls.append((mu, nu))
+            return counted.__wrapped__(mu, nu)
+
+        monkeypatch.setattr(cli, "pk_orthogonality_check", counted)
+        assert cli._worker_count() == 1
+        code, out = run(tmp_path, "verify", "--mu", "1", "--nu-max", "3")
+        assert code == EXIT_OK
+        assert calls == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2),
+                         (1, 3)]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     # mu = 0; nu = mu; output levels L = mu + nu - 2k below mu; a sweep
     # with nu > mu; the corrupted trace check

@@ -1,9 +1,7 @@
 """The benchmark tracer (perfbench/tracer.py) wraps su2chan's functions
 and ``IsotypicDecomposition.project`` from outside.  A traced
 ``converge`` or ``verify`` runs in a child interpreter, so the wrapping
-never touches this test process.  The tracer records spans in its own
-process alone, so that interpreter may run on one CPU only: the CLI's
-fork map then runs every task in it."""
+never touches this test process."""
 
 import json
 import os
@@ -31,11 +29,9 @@ def traced_run(*argv):
     su2chan run, which must exit 0."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "perfbench"), str(ROOT / "src")]))
-    cpu = min(os.sched_getaffinity(0))
     proc = subprocess.run([sys.executable, "-c", TRACED, *argv],
                           capture_output=True, text=True, env=env,
-                          timeout=120,
-                          preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["code"] == 0
