@@ -149,12 +149,12 @@ _NOT_RUN = object()   # a task that a failed worker took
 def _fork_map(fn, tasks: Sequence) -> list:
     """[fn(t) for t in tasks], shared out among the parent, as worker 0,
     and forked workers: :func:`_worker_count` processes, at most one per
-    task.  Each worker takes the next task as it comes
-    free, from a queue of task indices in a pipe, so tasks that come
-    largest first are run largest-job-first.  Workers are forked, not
-    spawned: a spawned worker would start an interpreter and import the
-    package, as long as a whole default ``verify``; the CLI runs no
-    threads, so the fork is safe.
+    task.  Each worker takes the next task as it comes free, from a
+    queue of task indices in a pipe, so tasks that come largest first
+    are run largest-job-first.  Workers are forked, not spawned: a
+    spawned worker would start an interpreter and import the package,
+    as long as a whole default ``verify``; the CLI runs no threads, so
+    the fork is safe.
 
     A forked worker sends its [index, result] pairs back through a pipe
     as JSON, so ``fn`` returns JSON values (a tuple comes back as a
