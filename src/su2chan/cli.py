@@ -67,6 +67,7 @@ EXIT_CONFIG_ERROR = 2
 
 DEFAULT_SEED = 20240817
 N_RANDOM = 5    # random operators per (mu, nu, k) in the trace check
+PSD_TOL = 1e-10  # the Choi check's tolerance in verify, kept in its report
 
 
 def _atomic_write(path: str, data: str):
@@ -358,7 +359,6 @@ def _run_chunk(task):
 
 
 def run_verify_suites(mu_max: int, nu_max: int, seed: int,
-                      psd_tol: float = 1e-10,
                       corrupt_c_squared: bool = False,
                       timings: Optional[dict] = None) -> dict:
     """Run the checks into a JSON-ready report; a check is ok when it has
@@ -387,7 +387,7 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
         ("trace_preservation", check_trace_preservation,
          draw_entries(specs, rng, N_RANDOM),
          (Fraction(3, 2) if corrupt_c_squared else 1,)),
-        ("choi_positive", check_choi_positive, specs, (psd_tol,)),
+        ("choi_positive", check_choi_positive, specs, (PSD_TOL,)),
         ("berezin_sum_identity", check_berezin_sum,
          draw_entries(specs, rng, 1), ()),
         ("kernel_integral_bound", check_kernel_bound,
@@ -412,7 +412,7 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
         timings.update(workers=workers, suites=suites,
                        wall_s=time.perf_counter() - start)
     return {"config": {"mu_max": mu_max, "nu_max": nu_max, "seed": seed,
-                       "n_random": N_RANDOM, "psd_tol": psd_tol},
+                       "n_random": N_RANDOM, "psd_tol": PSD_TOL},
             "results": results, "all_ok": all(r["ok"] for r in results)}
 
 
@@ -422,7 +422,6 @@ def cmd_verify(args) -> int:
         return EXIT_CONFIG_ERROR
     timings: dict = {}
     report = run_verify_suites(args.mu, args.nu_max, args.seed,
-                               psd_tol=args.tol,
                                corrupt_c_squared=args.corrupt_c2,
                                timings=timings)
     _emit(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -587,8 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--mu", type=int, default=3, help="max input level")
     pv.add_argument("--nu-max", dest="nu_max", type=int, default=7)
     pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    pv.add_argument("--tol", type=float, default=1e-10,
-                    help="positive-semidefiniteness tolerance")
     pv.add_argument("--out", default=None)
     pv.add_argument("--timings", default=None, metavar="FILE",
                     help="write each suite's case count and elapsed "

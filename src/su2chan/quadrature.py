@@ -408,37 +408,25 @@ def i_n_integral(n: int, nu: int) -> Fraction:
     return Fraction(sum(map(operator.mul, v, w)), d ** n)
 
 
-# i! at index i, up to the largest 2 kappa fund_ineq_check has been asked
-# for: one table for every call, replaced whole (never extended) to grow
-_factorials = [1]
-
-
-def _fund_bound(kappa: int, j: int) -> Fraction:
-    """The bound 2/C(kappa,j) that fund_ineq_check holds its sum to."""
-    return Fraction(2, math.comb(kappa, j))
-
-
 def fund_ineq_check(kappa: int, j: int) -> dict:
     """Exact check of sum_i C(kappa,i)/C(2kappa,i+j) against its closed
     form (2kappa+1)/(kappa+1) / C(kappa,j) and the bound 2/C(kappa,j);
-    as 1/C(2kappa,s) = s! (2kappa-s)! / (2kappa)!, the sum is the integer
-    sum_i C(kappa,i) (i+j)! (2kappa-i-j)! over (2kappa)!."""
+    each 1/C(2kappa,s) is the level-2kappa Gram weight w_s / W of
+    :func:`~su2chan.repspace._gram_integers`, so the sum is the integer
+    sum_i C(kappa,i) w_(i+j) over W."""
     if not 0 <= j <= kappa:
         raise ValueError(f"need 0 <= j <= kappa, got j={j}, kappa={kappa}")
-    global _factorials
-    n, fact = 2 * kappa, _factorials
-    if len(fact) <= n:
-        _factorials = fact = list(map(math.factorial, range(n + 1)))
-    s = Fraction(sum(math.comb(kappa, i) * fact[i + j] * fact[n - i - j]
-                     for i in range(kappa + 1)), fact[n])
-    identity_value = Fraction(n + 1, (kappa + 1) * math.comb(kappa, j))
+    big_w, w = _gram_integers(2 * kappa)
+    s = Fraction(sum(map(operator.mul, _binomial_row(kappa), w[j:])), big_w)
+    c = math.comb(kappa, j)
+    identity_value = Fraction(2 * kappa + 1, (kappa + 1) * c)
     return {
         "kappa": kappa,
         "j": j,
         "sum": s,
         "identity_value": identity_value,
         "identity_holds": s == identity_value,
-        "bound_holds": s <= _fund_bound(kappa, j),
+        "bound_holds": s <= Fraction(2, c),
     }
 
 

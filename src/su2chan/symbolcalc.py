@@ -5,24 +5,22 @@ A band-limited function on the projective line is stored as an
 :class:`IsotypicFunction`: a level L and its (L+1)^2 spin coordinates,
 the 2m+1 scalars of each spin-m component, as integers over one
 denominator in lowest terms.  Its value is N(z, z) / (1 + |z|^2)^L,
-with the kernel N rebuilt from the coordinates only where values are
-needed.  Raising the level multiplies N by a power of (1 + |z|^2) and
-leaves the coordinates as they are (see
+with the kernel N rebuilt from the coordinates only where values or
+operators are needed.  Raising the level multiplies N by a power of
+(1 + |z|^2) and leaves the coordinates as they are (see
 :class:`~su2chan.repspace.IsotypicDecomposition`), so functions of any
-levels are equal when their coordinates are equal after zero padding;
-dense lifting of N is the test oracle.  The transforms here scale spin
-components by exact closed-form eigenvalues, multiplying the integer
-rows by the eigenvalues' numerators over their common denominator.  The
-integral of f against the invariant probability measure is its spin-0
-coordinate, (re[0][0] + i im[0][0]) / d, as spin m >= 1 integrates to 0.
-Quadrature is only an independent cross-check.
+levels are equal when their coordinates are equal after zero padding.
+Every transform here, the Toeplitz map too, scales spin components by
+exact closed-form eigenvalues: the integer rows times the eigenvalues'
+numerators over their common denominator.  The integral of f against
+the invariant probability measure is its spin-0 coordinate.  Dense
+lifting, monomial moments and quadrature are the tests' oracles.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 from itertools import chain
 from typing import List, Sequence
@@ -34,7 +32,6 @@ from .repspace import (
     KernelOperator,
     _IntegerForm,
     _common_denominator,
-    _gram_integers,
     _lowest_terms,
     isotypic_projectors,
 )
@@ -105,31 +102,21 @@ def symbol(a: KernelOperator) -> IsotypicFunction:
 
 
 def toeplitz(f: IsotypicFunction, nu: int) -> KernelOperator:
-    """The operator (1/(nu+1)) T_f at level nu >= f.level, exactly.
-
-    Expands the kernel integral of the compression of multiplication by
-    f through monomial orthogonality; every integral reduces to the
-    rational moment of |z|^(2t) against (1 + |z|^2)^(-total), which is
-    1 / ((total + 1) C(total, t)): the level-total Gram weights over their
-    common denominator, times 1/(total + 1).
-    """
+    """The operator (1/(nu+1)) T_f at level nu >= f.level, exactly.  The
+    compression is SU(2)-equivariant and each spin occurs once in B(H_nu),
+    so it scales spin m by berezin_eigenvalue(nu, m); the kernel with those
+    coordinates is the one at level f.level times (1 + x y~)^(nu - f.level),
+    each factor adding every diagonal to itself one cell down."""
     if nu < f.level:
         raise BandLimitExceededError(
             f"target level {nu} below band limit {f.level}")
-    n = f.numerator()
-    total = f.level + nu
-    den, moment = _gram_integers(total)
-    binom = [math.comb(nu, p) for p in range(nu + 1)]
-    re, im = [], []
-    for t, *diags in zip(range(-n.width, n.width + 1), n.re, n.im):
-        # output cell (q + t, q) sums N's diagonal t, whose cell (i, i - t)
-        # has moment index q + i, i from max(t, 0)
-        i0, i1 = max(t, 0), max(t, 0) + len(diags[0])
-        for out, x in zip((re, im), diags):
-            out.append([binom[q + t] * binom[q] * sum(map(
-                operator.mul, x, moment[q + i0:q + i1]))
-                for q in range(max(0, -t), min(nu, nu - t) + 1)])
-    return KernelOperator(nu, n.d * den * (total + 1), re, im)
+    n = f.scale_components([berezin_eigenvalue(nu, m)
+                            for m in range(f.level + 1)]).numerator()
+    re, im = n.re, n.im
+    for _ in range(nu - f.level):
+        re, im = ([[a + b for a, b in zip((*x, 0), (0, *x))] for x in m]
+                  for m in (re, im))
+    return KernelOperator(nu, n.d, re, im)
 
 
 def berezin_eigenvalue(nu: int, m: int) -> Fraction:
@@ -167,17 +154,17 @@ def _berezin_numerators(mu: int, k: int, m: int) -> List[int]:
 def e_nu_eigenvalue(spec: ChannelSpec, m: int) -> Fraction:
     """Eigenvalue of the finite-level operator on sharp degree 2m: the sum
     over l = 0..k of the weight c^2 (-1)^(k-l) C(nu-k, k-l) (nu-k+l)! k! /
-    (nu! l!) of B_{mu-l} times berezin_eigenvalue(mu - l, m), summed in
-    integers over (nu!/k!) (mu+m+1)! (mu-m)! with c^2 entering once."""
+    (nu! l!) = c^2 (-1)^(k-l) C(nu-k, k-l) perm(k, k-l) perm(nu-k+l, l) /
+    perm(nu, k) of B_{mu-l} times berezin_eigenvalue(mu - l, m), in
+    integers over perm(nu, k) (mu+m+1)! (mu-m)!, c^2 entering once."""
     mu, nu, k = spec.mu, spec.nu, spec.k
     berezin = _berezin_numerators(mu, k, m)
     if not berezin:
         return Fraction(0)
     c2 = c_squared(spec)
-    s = sum((-1) ** (k - l) * math.comb(nu - k, k - l)
-            * math.perm(nu - k + l, nu - k) * b
-            for l, b in enumerate(berezin))
-    return Fraction(c2.numerator * s, c2.denominator * math.perm(nu, nu - k)
+    s = sum((-1) ** (k - l) * math.comb(nu - k, k - l) * math.perm(k, k - l)
+            * math.perm(nu - k + l, l) * b for l, b in enumerate(berezin))
+    return Fraction(c2.numerator * s, c2.denominator * math.perm(nu, k)
                     * math.factorial(mu + m + 1) * math.factorial(mu - m))
 
 

@@ -298,7 +298,9 @@ class TestVerify:
     ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--phi", "0,inf"],
 ])
 def test_nonfinite_or_negative_option_is_config_error(tmp_path, capsys, argv):
-    # a NaN tolerance would silently switch the Choi positivity check off
+    # a converge floor that is not a finite number >= 0 is an input error;
+    # verify has no --tol (its Choi check compares an exact rational), so
+    # there the option is unknown
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv + ["--out", str(tmp_path / "x.txt")])

@@ -1,10 +1,10 @@
 """No module imports a name it never uses, the package defines no
 function or class that nothing reads, no parameter default that no
-call overrides, and the exact layers touch no float: the unused-import
-and dead-code rules of a linter, and a layering rule,
-written with the stdlib ``ast`` module so that they run wherever the
-tests run.  ``__init__.py`` is skipped, since its imports are the
-package's re-exports."""
+call overrides and no ``global`` statement, and the exact layers touch
+no float: the unused-import and dead-code rules of a linter, and a
+layering rule, written with the stdlib ``ast`` module so that they run
+wherever the tests run.  ``__init__.py`` is skipped, since its imports
+are the package's re-exports."""
 
 import ast
 import json
@@ -164,6 +164,28 @@ def test_every_default_is_overridden(path):
               unused_defaults(path.read_text(), readers)
               if (fn, arg) not in OVERRIDE_ALLOWED]
     assert unused == []
+
+
+# Cached tables live in functools.lru_cache functions, which a forked
+# worker inherits whole: no function rebinds a module-level name
+def global_statements(source: str):
+    """(line, names) of every ``global`` statement."""
+    return sorted((node.lineno, tuple(node.names))
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Global))
+
+
+def test_checker_finds_a_global_statement():
+    source = ("_table = [1]\ndef grow(n):\n    global _table, _n\n"
+              "    _table = list(range(n))\n"
+              "def outer():\n    x = 0\n    def inner():\n"
+              "        nonlocal x\n        x = _table\n")
+    assert global_statements(source) == [(3, ("_table", "_n"))]
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
+def test_no_global_statement(path):
+    assert global_statements(path.read_text()) == []
 
 
 # The exact layers compute over the integers and the rationals alone:

@@ -2,6 +2,7 @@
 its eigenvalues, and the induced function-level channel operator."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -10,7 +11,13 @@ import pytest
 
 from su2chan.intertwine import ChannelSpec, apply_channel, c_squared
 from su2chan.quadrature import random_operator, random_band_limited_state
-from su2chan.repspace import _common_denominator, compose, isotypic_projectors
+from su2chan.repspace import (
+    KernelOperator,
+    _common_denominator,
+    _gram_integers,
+    compose,
+    isotypic_projectors,
+)
 from su2chan.symbolcalc import (
     BandLimitExceededError,
     IsotypicFunction,
@@ -86,6 +93,31 @@ def berezin_apply(nu, f):
             f"Berezin level {nu} below band limit {f.level}")
     return f.scale_components(
         [berezin_eigenvalue(nu, m) for m in range(f.level + 1)])
+
+
+def moment_toeplitz(f, nu):
+    """The oracle of toeplitz: (1/(nu+1)) T_f at level nu from the kernel
+    integral of the compression of multiplication by f, through monomial
+    orthogonality.  Every integral is the moment of |z|^(2t) against
+    (1 + |z|^2)^(-total), 1 / ((total + 1) C(total, t)): the level-total
+    Gram weights over their common denominator, times 1/(total + 1)."""
+    if nu < f.level:
+        raise BandLimitExceededError(
+            f"target level {nu} below band limit {f.level}")
+    n = f.numerator()
+    total = f.level + nu
+    den, moment = _gram_integers(total)
+    binom = [math.comb(nu, p) for p in range(nu + 1)]
+    re, im = [], []
+    for t, *diags in zip(range(-n.width, n.width + 1), n.re, n.im):
+        # output cell (q + t, q) sums N's diagonal t, whose cell (i, i - t)
+        # has moment index q + i, i from max(t, 0)
+        i0, i1 = max(t, 0), max(t, 0) + len(diags[0])
+        for out, x in zip((re, im), diags):
+            out.append([binom[q + t] * binom[q] * sum(map(
+                operator.mul, x, moment[q + i0:q + i1]))
+                for q in range(max(0, -t), min(nu, nu - t) + 1)])
+    return KernelOperator(nu, n.d * den * (total + 1), re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +225,25 @@ class TestSymbolToeplitz:
                 n[i][i] * invariant_monomial_integral(i, mu)
                 for i in range(mu + 1))
 
+    def test_toeplitz_matches_moment_oracle(self):
+        # mu = 0, nu = f.level and nu up to f.level + 5: real functions and
+        # the complex symbols of random operators
+        rng = random.Random(RNG_SEED)
+        for mu in range(5):
+            fs = [_random_real_function(mu, rng)[0],
+                  symbol(random_operator(mu, rng))]
+            for f in fs:
+                assert f.level == mu
+                for nu in range(mu, mu + 6):
+                    t = toeplitz(f, nu)
+                    assert t.level == nu
+                    assert t == moment_toeplitz(f, nu), (mu, nu)
+
+    def test_toeplitz_rejects_a_level_below_the_band(self):
+        f = symbol(random_operator(3, random.Random(RNG_SEED)))
+        with pytest.raises(BandLimitExceededError):
+            toeplitz(f, 2)
+
     def test_toeplitz_is_adjoint_of_symbol(self):
         # <T_f/(nu+1), A> = integral of f * conj(symbol(A))
         rng = random.Random(RNG_SEED)
@@ -242,11 +293,13 @@ class TestBerezin:
             assert berezin_eigenvalue(nu, 0) == Fraction(1, nu + 1)
 
     def test_transform_equals_symbol_of_toeplitz(self):
+        # the Berezin identity against the moment route, which does not
+        # scale coordinates
         rng = random.Random(RNG_SEED)
         for nu in (2, 4):
             f, _ = _random_real_function(nu, rng)
             lhs = berezin_apply(nu, f)
-            rhs = symbol(toeplitz(f, nu))
+            rhs = symbol(moment_toeplitz(f, nu))
             assert functions_equal(lhs, rhs)
 
     def test_inverse_round_trip(self):
@@ -386,10 +439,13 @@ class TestFunctionChannel:
                             e_nu_coefficient_sum(spec, l)
 
     def test_eigenvalue_matches_fraction_oracle(self):
-        # nu = mu, and output levels L = mu + nu - 2k below mu, included
+        # the weights' factorials cancelled against the oracle's whole
+        # nu!, k!, (nu-k+l)! and l!, at every mu <= 6 and nu < 40 and at
+        # one larger nu; nu = mu and output levels L = mu + nu - 2k below
+        # mu included
         below = 0
-        for mu in range(0, 6):
-            for nu in range(mu, mu + 9):
+        for mu in range(0, 7):
+            for nu in [*range(mu, 40), 4099]:
                 for k in range(mu + 1):
                     spec = ChannelSpec(mu, nu, k)
                     below += spec.target_level < mu
