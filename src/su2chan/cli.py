@@ -35,10 +35,10 @@ from .intertwine import (
 )
 from .quadrature import (
     ENTROPY8,
-    GAP_FLOOR,
     MAX_LIMIT_GRID_POINTS,
     ConvergenceRecord,
     FloatRangeError,
+    _check_input_level,
     channel_output_moments,
     functional_from_moments,
     fund_ineq_check,
@@ -308,12 +308,12 @@ def _complex_str(den, re, im):
     return f"{re}{'-' if im < 0 else '+'}{abs(im)}j"
 
 
-def check_choi_positive(specs, psd_tol):
-    """The exact least Choi eigenvalue of each spec is >= -psd_tol."""
+def check_choi_positive(specs):
+    """The exact least Choi eigenvalue of each spec is >= -PSD_TOL."""
     wit = None
     for spec in specs:
         mn = choi_min_eigenvalue(spec)
-        if mn < -psd_tol:
+        if mn < -PSD_TOL:
             wit = {"mu": spec.mu, "nu": spec.nu, "k": spec.k,
                    "min_eigenvalue": str(mn)}
     return wit, len(specs)
@@ -387,7 +387,7 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
         ("trace_preservation", check_trace_preservation,
          draw_entries(specs, rng, N_RANDOM),
          (Fraction(3, 2) if corrupt_c_squared else 1,)),
-        ("choi_positive", check_choi_positive, specs, (PSD_TOL,)),
+        ("choi_positive", check_choi_positive, specs, ()),
         ("berezin_sum_identity", check_berezin_sum,
          draw_entries(specs, rng, 1), ()),
         ("kernel_integral_bound", check_kernel_bound,
@@ -481,6 +481,12 @@ def _records_to_csv(records: Sequence[ConvergenceRecord]) -> str:
 
 
 def cmd_converge(args) -> int:
+    # |phi| <= sum |c_i| on [0, 1]; a functional adds <= mu + max nu + 1 values
+    if args.phi is not None and not math.isfinite(sum(map(
+            abs, args.phi)) * (args.mu + max(args.nu, default=0) + 1)):
+        print("error: --phi coefficients too large or not finite",
+              file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     if args.mu < 0 or args.k < 0 or args.k > args.mu:
         print("error: need 0 <= k <= mu", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -504,6 +510,7 @@ def cmd_converge(args) -> int:
               f"degree is mu times the largest n or deg phi) exceeds "
               f"{MAX_LIMIT_GRID_POINTS}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    _check_input_level(args.mu)   # before the input's exact work
     rng = random.Random(args.seed)
     _, f = random_band_limited_state(args.mu, rng)
     # the input's band once; one set of moments per level, shared by every
@@ -515,13 +522,13 @@ def cmd_converge(args) -> int:
                     specs)[::-1]
     rhs = limit_moments(args.mu, args.k, f, nmax)
     records = [ConvergenceRecord(args.mu, args.k, args.nu, f"n={n}",
-                                 [m[n - 1] for m in lhs], rhs[n - 1], args.tol)
+                                 [m[n - 1] for m in lhs], rhs[n - 1])
                for n in args.n]
     if args.phi:
         records.append(ConvergenceRecord(
             args.mu, args.k, args.nu, f"phi=deg{len(args.phi) - 1}",
             [functional_from_moments(args.phi, m) for m in lhs],
-            functional_from_moments(args.phi, rhs), args.tol))
+            functional_from_moments(args.phi, rhs)))
     summary = {
         "config": {"mu": args.mu, "k": args.k, "nu": args.nu, "n": args.n,
                    "phi": args.phi, "seed": args.seed},
@@ -611,8 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="polynomial coefficients, ascending degree; "
                          "'entropy8' for the built-in degree-8 entropy fit")
     pc.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    pc.add_argument("--tol", type=float, default=GAP_FLOOR,
-                    help="noise floor below which gaps count as converged")
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_converge)
 
@@ -647,16 +652,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else 0
-    phi, tol = getattr(args, "phi", None), getattr(args, "tol", 0.0)
-    # |phi| <= sum |c_i| on [0, 1]; a functional adds <= mu + max nu + 1 values
-    if phi is not None and not math.isfinite(
-            sum(map(abs, phi)) * (args.mu + max(args.nu, default=0) + 1)):
-        print("error: --phi coefficients too large or not finite",
-              file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    if not (math.isfinite(tol) and tol >= 0):
-        print("error: --tol must be finite and >= 0", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     # every report target is checked before anything runs
     out = getattr(args, "out", None)
     targets = []

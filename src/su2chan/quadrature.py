@@ -147,21 +147,25 @@ def random_band_limited_state(mu: int, rng: random.Random) \
 # Trace moments and functional calculus
 # ---------------------------------------------------------------------------
 
+def _check_input_level(mu: int):
+    """toeplitz_band's 1/sqrt(C(mu, i)) overflows from mu = 1030 on."""
+    if math.comb(mu, mu // 2) > sys.float_info.max:
+        raise FloatRangeError(f"the input at level {mu} exceeds the float "
+                              "range")
+
+
 def toeplitz_band(f: IsotypicFunction, mu: int) -> List[List[complex]]:
     """Diagonals t >= 0 of R*_mu f = toeplitz(f, mu), which must be
     hermitian, in the orthonormal basis z^i / ||z^i||."""
+    _check_input_level(mu)
     a = toeplitz(f, mu)
     if not a.is_hermitian():
         raise ValueError("f must be real-valued (hermitian Toeplitz operator)")
     w, d = a.width, a.d
-    try:
-        s = [1 / math.sqrt(c) for c in _binomial_row(mu)]
-        return [[complex(x / d, y / d) * s[j] * s[j + t]
-                 for j, (x, y) in enumerate(zip(a.re[w + t], a.im[w + t]))]
-                for t in range(w + 1)]
-    except OverflowError:
-        raise FloatRangeError(f"the input at level {mu} exceeds the float "
-                              "range") from None
+    s = [1 / math.sqrt(c) for c in _binomial_row(mu)]
+    return [[complex(x / d, y / d) * s[j] * s[j + t]
+             for j, (x, y) in enumerate(zip(a.re[w + t], a.im[w + t]))]
+            for t in range(w + 1)]
 
 
 def _cg_rows(spec: ChannelSpec) -> List[Tuple[int, List[float]]]:
@@ -439,20 +443,20 @@ GAP_FLOOR = 1e-12
 
 class ConvergenceRecord:
     """One gap sequence |lhs(nu) - rhs| along a nu sweep, labelled by its
-    moment order "n=2" or "phi=..."; gaps at or below floor count as
+    moment order "n=2" or "phi=..."; gaps at or below GAP_FLOOR count as
     converged."""
 
     def __init__(self, mu: int, k: int, nus: List[int], label: str,
-                 lhs: List[float], rhs: float, floor: float = GAP_FLOOR):
+                 lhs: List[float], rhs: float):
         self.mu, self.k, self.nus, self.label = mu, k, nus, label
-        self.lhs, self.rhs, self.floor = lhs, rhs, floor
+        self.lhs, self.rhs = lhs, rhs
         self.gaps = [abs(v - rhs) for v in lhs]
 
     @property
     def converged(self) -> bool:
         """Strict decay with final gap below a quarter of the first, or
         a sequence already at the float-noise floor."""
-        if all(g <= self.floor for g in self.gaps):
+        if all(g <= GAP_FLOOR for g in self.gaps):
             return True
         strictly_down = all(a > b for a, b in zip(self.gaps, self.gaps[1:]))
         return strictly_down and self.gaps[-1] <= 0.25 * self.gaps[0]
@@ -461,7 +465,7 @@ class ConvergenceRecord:
     def fitted_slope(self) -> Optional[float]:
         """Log-log decay order of the gaps in nu, the negated least-squares
         slope of log gap against log nu; None at the noise floor."""
-        if any(g <= self.floor for g in self.gaps):
+        if any(g <= GAP_FLOOR for g in self.gaps):
             return None
         xs = [math.log(v) for v in self.nus]
         ys = [math.log(g) for g in self.gaps]

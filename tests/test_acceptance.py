@@ -105,7 +105,7 @@ class TestAcceptance:
         report_checks(3, "channels trace-preserving and completely positive",
                       check_trace_preservation(
                           draw_entries(specs, random.Random(SEED), 20)),
-                      check_choi_positive(specs, 1e-10))
+                      check_choi_positive(specs))
 
     def test_04_berezin_eigenvalues(self):
         # oracle: quadrature of the smoothing integral on one generator

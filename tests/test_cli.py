@@ -208,9 +208,30 @@ class TestVerify:
         assert cli.check_orthogonality(levels) == (None, 16)
         assert cli.check_trace_preservation(
             cli.draw_entries(specs, rng, 5)) == (None, 200)
-        assert cli.check_choi_positive(specs, 0.0) == (None, 40)
+        assert cli.check_choi_positive(specs) == (None, 40)
+        # exactly, not only within PSD_TOL
+        assert min(map(cli.choi_min_eigenvalue, specs)) >= 0
         assert cli.check_berezin_sum(
             cli.draw_entries(specs, rng, 2)) == (None, 80)
+
+    @pytest.mark.parametrize("least,witness", [
+        (Fraction(-1, 10 ** 11), None),
+        (Fraction(-1, 10 ** 9), {"mu": 1, "nu": 2, "k": 1,
+                                 "min_eigenvalue": "-1/1000000000"})])
+    def test_choi_tolerance_is_psd_tol(self, tmp_path, monkeypatch, least,
+                                       witness):
+        # a least eigenvalue within PSD_TOL = 1e-10 of 0 passes; one past
+        # it fails, with the last spec as its witness
+        monkeypatch.setattr(cli, "choi_min_eigenvalue", lambda spec: least)
+        code, out = run(tmp_path, "verify", "--mu", "1", "--nu-max", "2")
+        assert code == (EXIT_OK if witness is None else EXIT_ASSERTION_FAILED)
+        report = json.loads(out.read_text())
+        assert report["config"]["psd_tol"] == cli.PSD_TOL == 1e-10
+        results = {r["identity"]: r for r in report["results"]}
+        assert results.pop("choi_positive") == {
+            "identity": "choi_positive", "ok": witness is None,
+            "witness": witness}
+        assert all(r["ok"] for r in results.values())
 
     def test_timings_sidecar_leaves_report_unchanged(self, tmp_path,
                                                      one_worker):
@@ -298,9 +319,9 @@ class TestVerify:
     ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--phi", "0,inf"],
 ])
 def test_nonfinite_or_negative_option_is_config_error(tmp_path, capsys, argv):
-    # a converge floor that is not a finite number >= 0 is an input error;
-    # verify has no --tol (its Choi check compares an exact rational), so
-    # there the option is unknown
+    # a --phi coefficient that is not finite is an input error; neither
+    # verify nor converge has a --tol (the Choi tolerance and the gaps'
+    # noise floor are constants), so there the option is unknown
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv + ["--out", str(tmp_path / "x.txt")])
@@ -353,6 +374,23 @@ def test_converge_past_the_float_range_matches_exact_moments(tmp_path):
                   out.d ** 2 * dim)
     assert lhs["n=1"] == pytest.approx(float(m1), rel=1e-12)
     assert lhs["n=2"] == pytest.approx(float(m2), rel=1e-12)
+
+
+def test_input_past_the_float_range_is_config_error_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    # mu = 1030 passes the grid cap (1031 x 2061 points), but C(mu, mu // 2)
+    # passes the float range: one error line, before the input is drawn
+    monkeypatch.setattr(cli, "random_band_limited_state", _must_not_run)
+    start = time.perf_counter()
+    code = main(["converge", "--mu", "1030", "--k", "0", "--nu", "1030,1031",
+                 "--n", "1", "--out", str(tmp_path / "x.csv")])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: the input at level 1030 exceeds the float "
+                       "range\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_limit_past_the_float_range_is_config_error(tmp_path, capsys,
@@ -543,16 +581,19 @@ class TestConverge:
         assert by_label["n=1"] == pytest.approx(by_label["phi=deg1"],
                                                 abs=1e-12)
 
-    def test_tol_floor_override(self, tmp_path):
-        # n = 1 gaps sit at float noise; a generous floor tolerance
-        # counts them as converged regardless of their ordering
+    def test_floor_needs_no_flag(self, tmp_path):
+        # n = 1 gaps sit at float noise, below quadrature.GAP_FLOOR, and
+        # count as converged although they do not fall
         out = tmp_path / "conv.csv"
-        argv = ["converge", "--mu", "1", "--k", "1", "--nu", "8,16,32",
-                "--n", "1", "--seed", "13", "--out", str(out)]
-        assert main(argv + ["--tol", "1e-6"]) == EXIT_OK
+        assert main(["converge", "--mu", "1", "--k", "1", "--nu", "8,16,32",
+                     "--n", "1", "--seed", "13", "--out", str(out)]) == EXIT_OK
         summary = json.loads((tmp_path / "conv.csv.summary.json").read_text())
+        [record] = summary["records"]
+        assert record["gaps"] == pytest.approx([1.1e-16, 1.1e-16, 1.7e-16],
+                                               rel=0.02)
+        assert record["converged"] and summary["all_converged"]
         # at the floor the fitted decay order is meaningless, so absent
-        assert summary["records"][0]["fitted_slope"] is None
+        assert record["fitted_slope"] is None
 
     @pytest.mark.parametrize("nus", ["20", "40,20", "20,20,40", ""])
     def test_bad_nu_list_is_config_error(self, tmp_path, capsys, nus):

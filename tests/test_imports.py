@@ -1,14 +1,16 @@
 """No module imports a name it never uses, the package defines no
 function or class that nothing reads, no parameter default that no
-call overrides and no ``global`` statement, and the exact layers touch
-no float: the unused-import and dead-code rules of a linter, and a
-layering rule, written with the stdlib ``ast`` module so that they run
-wherever the tests run.  ``__init__.py`` is skipped, since its imports
-are the package's re-exports."""
+call overrides and no ``global`` statement, the exact layers touch
+no float, and README names the standard-library modules the package
+imports: the unused-import and dead-code rules of a linter, a layering
+rule and a documentation rule, written with the stdlib ``ast`` module
+so that they run wherever the tests run.  ``__init__.py`` is skipped,
+since its imports are the package's re-exports."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -257,6 +259,46 @@ def test_checker_finds_a_numpy_import():
 def test_exact_layer_imports_no_numpy(path):
     # every module: the exact layers, the float layer and the CLI
     assert numpy_imports(path.read_text()) == []
+
+
+# README's "Start-up" section lists the standard-library modules the
+# package imports: exactly those its modules import, at any depth
+def absolute_imports(source: str):
+    """Top-level module of every absolute import, in a function body
+    too, ``__future__`` aside (a compiler directive)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {name.split(".")[0] for name in names} - {"__future__"}
+
+
+def startup_modules(readme: str):
+    """The modules named in README's "Start-up" section, from its list
+    up to the modules that ``import su2chan.cli`` must not load."""
+    section = readme.split("\n## Start-up\n", 1)[1].split("\n## ", 1)[0]
+    listed = section.split("standard-library modules:", 1)[1]
+    return set(re.findall(r"`(\w+)`",
+                          listed.split("`import su2chan.cli`", 1)[0]))
+
+
+def test_checker_finds_every_absolute_import():
+    source = ("from __future__ import annotations\nimport os.path, csv\n"
+              "from collections.abc import Sized\nfrom . import cli\n"
+              "def stop():\n    import signal\n    return signal\n")
+    assert absolute_imports(source) == {"os", "csv", "collections", "signal"}
+    readme = ("# x\n## Start-up\nimports only these standard-library "
+              "modules: `os` and `csv` (and `signal`, lazily). "
+              "`import su2chan.cli` loads no `numpy`.\n## Layout\n`gc`\n")
+    assert startup_modules(readme) == {"os", "csv", "signal"}
+
+
+def test_readme_lists_the_imported_modules():
+    imported = set().union(*(absolute_imports(p.read_text())
+                             for p in PACKAGE_FILES))
+    assert startup_modules((ROOT / "README.md").read_text()) == imported
 
 
 # Nor does a CLI start load numpy, or dataclasses and the inspect, ast and

@@ -6,6 +6,7 @@ import cmath
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -349,6 +350,23 @@ class TestOutputBand:
         with pytest.raises(FloatRangeError, match="exceed the float range"):
             _output_band(spec, [[1 + 0j] * 3])
 
+    def test_input_level_check_at_the_float_range(self, monkeypatch):
+        # C(1029, 514) is below the largest float and C(1030, 515) above
+        # it; toeplitz_band checks the level before any exact work
+        assert math.comb(1029, 514) < sys.float_info.max \
+            < math.comb(1030, 515)
+        assert quadrature._check_input_level(1029) is None
+        msg = "the input at level 1030 exceeds the float range"
+        with pytest.raises(FloatRangeError, match=msg):
+            quadrature._check_input_level(1030)
+
+        def must_not_run(f, mu):
+            raise AssertionError("toeplitz ran past the float range")
+
+        monkeypatch.setattr(quadrature, "toeplitz", must_not_run)
+        with pytest.raises(FloatRangeError, match=msg):
+            toeplitz_band(None, 1030)
+
     def test_moment_memory_holds_no_bignum_output(self):
         # the big-integer route held the exact output, nu-bit integers on
         # 7 diagonals of 2560 cells: a 22.8 MB tracemalloc peak here, where
@@ -630,11 +648,17 @@ class TestConvergenceHarness:
     def test_gaps_and_floor_set_at_construction(self):
         rec = ConvergenceRecord(2, 0, [10, 20], "n=3", [0.5, 0.25], 0.75)
         assert rec.gaps == [0.25, 0.5]
-        assert rec.floor == quadrature.GAP_FLOOR == 1e-12
-        by_position = ConvergenceRecord(2, 0, [10], "n=1", [1.0], 1.0, 0.5)
-        by_keyword = ConvergenceRecord(2, 0, [10], "n=1", [1.0], 1.0,
-                                       floor=0.5)
-        assert by_position.floor == by_keyword.floor == 0.5
+        # the floor is the constant GAP_FLOOR, not a parameter: a gap of
+        # exactly 1e-12 is at it, the next float above is not
+        assert quadrature.GAP_FLOOR == 1e-12 and not hasattr(rec, "floor")
+        with pytest.raises(TypeError):
+            ConvergenceRecord(2, 0, [10], "n=1", [1.0], 1.0, 0.5)
+        at = ConvergenceRecord(2, 0, [10, 20], "n=1", [1e-12, 1e-12], 0.0)
+        assert at.gaps == [1e-12, 1e-12]
+        assert at.converged and at.fitted_slope is None
+        above = math.nextafter(1e-12, 1.0)
+        past = ConvergenceRecord(2, 0, [10, 20], "n=1", [above, above], 0.0)
+        assert not past.converged and past.fitted_slope == 0.0
 
     def test_to_row_shape(self):
         rec = ConvergenceRecord(2, 0, [10, 20], "n=3", [0.5, 0.45], 0.4)
