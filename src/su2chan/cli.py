@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import io
 import json
@@ -226,16 +227,24 @@ def _chunks(grid: Sequence, parts: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# verify: one function per identity check.  Each takes a chunk of its grid
-# and returns (witness, cases): the witness dict of the chunk's last
-# failing case, or None, and the case count.
+# verify: one function per identity check.  Each checks one case of its
+# grid and returns the case's witness dict, or None; run_check runs a
+# check over a chunk of its grid.
 # ---------------------------------------------------------------------------
 
-# (n, b) of the Gauss sweep, n and |b| <= 12, and (kappa, j) of the
-# binomial-sum check, 0 <= j <= kappa <= 30
-GAUSS_GRID = tuple((n, b) for n in range(13) for b in range(-12, 13))
+# (kappa, j) of the binomial-sum check, 0 <= j <= kappa <= 30
 BINOMIAL_GRID = tuple((kappa, j) for kappa in range(31)
                       for j in range(kappa + 1))
+
+
+def gauss_grid() -> list:
+    """(n, b, c) of the Gauss sweep: n and |b| <= 12, max(n, 1) <= |c| <= 20,
+    the signs of each |c| in the set order of {|c|, -|c|}.  Built per
+    call: at import its 9,700 cases would slow every command's start."""
+    c_values = {n: [c for ac in range(max(n, 1), 21) for c in {ac, -ac}]
+                for n in range(13)}
+    return [(n, b, c) for n in range(13) for b in range(-12, 13)
+            for c in c_values[n]]
 
 
 def kernel_bound_grid(nu_max: int) -> list:
@@ -251,54 +260,42 @@ def draw_entries(specs, rng, draws) -> list:
             for spec in specs for _ in range(draws)]
 
 
-def check_gauss_summation(grid):
-    """2F1(-n, b; c; 1) = (c-b)_n / (c)_n for each (n, b) of the grid and
-    n <= |c| <= 20, the integer Pochhammers read from one table per n
-    and compared crosswise with the unreduced sum top/bot."""
-    wit, cases, tables = None, 0, {}
-    for n, b in grid:
-        if n not in tables:
-            tables[n] = {c: math.prod(range(c, c + n)) for c in range(-32, 33)}
-        poch = tables[n]
-        for ac in range(n, 21):
-            for c in {ac, -ac} if ac else {0}:
-                if abs(c) < max(n, 1) or poch[c] == 0:
-                    continue
-                cases += 1
-                top, bot = terminating_pair((-n, b), (c,))
-                if top * poch[c] != bot * poch[c - b]:
-                    wit = {"n": n, "b": b, "c": c,
-                           "lhs": str(Fraction(top, bot)),
-                           "rhs": str(Fraction(poch[c - b], poch[c]))}
-    return wit, cases
+@functools.lru_cache(maxsize=13)   # n <= 12
+def _pochhammers(n: int) -> dict:
+    """(c)_n = c(c+1)...(c+n-1) at every c and c - b of the Gauss sweep."""
+    return {c: math.prod(range(c, c + n)) for c in range(-32, 33)}
 
 
-def check_orthogonality(levels):
-    """Schur constant, orthogonality and completeness at each (mu, nu)."""
-    wit = None
-    for mu, nu in levels:
-        rep = pk_orthogonality_check(mu, nu)
-        if not rep["ok"]:
-            wit = rep["witness"]
-    return wit, len(levels)
+def check_gauss_summation(case):
+    """2F1(-n, b; c; 1) = (c-b)_n / (c)_n at (n, b, c), the integer
+    Pochhammers compared crosswise with the unreduced sum top/bot."""
+    n, b, c = case
+    poch = _pochhammers(n)
+    top, bot = terminating_pair((-n, b), (c,))
+    if top * poch[c] != bot * poch[c - b]:
+        return {"n": n, "b": b, "c": c, "lhs": str(Fraction(top, bot)),
+                "rhs": str(Fraction(poch[c - b], poch[c]))}
 
 
-def check_trace_preservation(cases, fault=1):
-    """Tr T(A) = Tr A, crosswise, for the random A of each (spec,
-    entries) of the cases; a ``fault`` other than 1 scales each T(A), as
-    a wrong c^2 would."""
-    wit = None
-    for spec, entries in cases:
-        a = _from_dense(spec.mu, *entries)
-        ta = apply_normalized_channel(spec, a)
-        if fault != 1:
-            ta = ta.scale(fault)
-        (da, ra, ia), (dt, rt, it) = map(_trace_integers, (a, ta))
-        if ra * dt != rt * da or ia * dt != it * da:
-            wit = {"mu": spec.mu, "nu": spec.nu, "k": spec.k,
-                   "trace_in": _complex_str(da, ra, ia),
-                   "trace_out": _complex_str(dt, rt, it)}
-    return wit, len(cases)
+def check_orthogonality(level):
+    """Schur constant, orthogonality and completeness at (mu, nu)."""
+    rep = pk_orthogonality_check(*level)
+    return None if rep["ok"] else rep["witness"]
+
+
+def check_trace_preservation(case, fault=1):
+    """Tr T(A) = Tr A, crosswise, for the random A of (spec, entries); a
+    ``fault`` other than 1 scales T(A), as a wrong c^2 would."""
+    spec, entries = case
+    a = _from_dense(spec.mu, *entries)
+    ta = apply_normalized_channel(spec, a)
+    if fault != 1:
+        ta = ta.scale(fault)
+    (da, ra, ia), (dt, rt, it) = map(_trace_integers, (a, ta))
+    if ra * dt != rt * da or ia * dt != it * da:
+        return {"mu": spec.mu, "nu": spec.nu, "k": spec.k,
+                "trace_in": _complex_str(da, ra, ia),
+                "trace_out": _complex_str(dt, rt, it)}
 
 
 def _complex_str(den, re, im):
@@ -308,54 +305,50 @@ def _complex_str(den, re, im):
     return f"{re}{'-' if im < 0 else '+'}{abs(im)}j"
 
 
-def check_choi_positive(specs):
-    """The exact least Choi eigenvalue of each spec is >= -PSD_TOL."""
-    wit = None
-    for spec in specs:
-        mn = choi_min_eigenvalue(spec)
-        if mn < -PSD_TOL:
-            wit = {"mu": spec.mu, "nu": spec.nu, "k": spec.k,
-                   "min_eigenvalue": str(mn)}
-    return wit, len(specs)
+def check_choi_positive(spec):
+    """The exact least Choi eigenvalue of spec is >= -PSD_TOL."""
+    mn = choi_min_eigenvalue(spec)
+    if mn < -PSD_TOL:
+        return {"mu": spec.mu, "nu": spec.nu, "k": spec.k,
+                "min_eigenvalue": str(mn)}
 
 
-def check_berezin_sum(cases):
+def check_berezin_sum(case):
     """symbol(T(A)) = E_nu applied to the inverse Berezin transform of
-    symbol(A), for the random A of each (spec, entries) of the cases."""
-    wit = None
-    for spec, entries in cases:
-        a = _from_dense(spec.mu, *entries)
-        f = inverse_berezin(spec.mu, symbol(a))
-        if not functions_equal(e_nu_apply(spec, f),
-                               symbol(apply_channel(spec, a))):
-            wit = {"mu": spec.mu, "nu": spec.nu, "k": spec.k}
-    return wit, len(cases)
+    symbol(A), for the random A of (spec, entries)."""
+    spec, entries = case
+    a = _from_dense(spec.mu, *entries)
+    f = inverse_berezin(spec.mu, symbol(a))
+    if not functions_equal(e_nu_apply(spec, f),
+                           symbol(apply_channel(spec, a))):
+        return {"mu": spec.mu, "nu": spec.nu, "k": spec.k}
 
 
-def check_kernel_bound(grid):
-    """I_n(nu) <= 4^n at each (n, nu) of the grid."""
-    wit = None
-    for n, nu in grid:
-        if i_n_integral(n, nu) > 2 ** (2 * n):
-            wit = {"n": n, "nu": nu}
-    return wit, len(grid)
+def check_kernel_bound(case):
+    """I_n(nu) <= 4^n at (n, nu)."""
+    n, nu = case
+    if i_n_integral(n, nu) > 2 ** (2 * n):
+        return {"n": n, "nu": nu}
 
 
-def check_binomial_sum(grid):
-    """The binomial-sum identity and bound at each (kappa, j) of the grid."""
-    wit = None
-    for kappa, j in grid:
-        rep = fund_ineq_check(kappa, j)
-        if not (rep["identity_holds"] and rep["bound_holds"]):
-            wit = {"kappa": kappa, "j": j, "sum": str(rep["sum"])}
-    return wit, len(grid)
+def check_binomial_sum(case):
+    """The binomial-sum identity and bound at (kappa, j)."""
+    kappa, j = case
+    rep = fund_ineq_check(kappa, j)
+    if not (rep["identity_holds"] and rep["bound_holds"]):
+        return {"kappa": kappa, "j": j, "sum": str(rep["sum"])}
 
 
-def _run_chunk(task):
-    """(witness, cases, seconds) of one check on one chunk of its grid."""
-    check, chunk, args = task
-    start = time.perf_counter()
-    return (*check(chunk, *args), time.perf_counter() - start)
+def run_check(check, grid, *args):
+    """(witness, cases, seconds) of ``check(case, *args)`` over the cases
+    of ``grid``: the witness of the last failing case, or None, the case
+    count and the seconds the loop took."""
+    start, witness = time.perf_counter(), None
+    for case in grid:
+        found = check(case, *args)
+        if found is not None:
+            witness = found
+    return witness, len(grid), time.perf_counter() - start
 
 
 def run_verify_suites(mu_max: int, nu_max: int, seed: int,
@@ -382,7 +375,7 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
              for k in range(mu + 1)]
     # (identity, check, grid, extra arguments)
     checks = [
-        ("gauss_summation", check_gauss_summation, GAUSS_GRID, ()),
+        ("gauss_summation", check_gauss_summation, gauss_grid(), ()),
         ("schur_orthogonality_completeness", check_orthogonality, levels, ()),
         ("trace_preservation", check_trace_preservation,
          draw_entries(specs, rng, N_RANDOM),
@@ -395,9 +388,9 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
         ("binomial_sum_inequality", check_binomial_sum, BINOMIAL_GRID, ()),
     ]
     workers = _worker_count()
-    tasks = [(check, chunk, args) for _, check, grid, args in checks
+    tasks = [(check, chunk, *args) for _, check, grid, args in checks
              for chunk in _chunks(grid, workers)]
-    done = _fork_map(_run_chunk, tasks)
+    done = _fork_map(lambda task: run_check(*task), tasks)
     results, suites = [], []
     for i, (name, *_) in enumerate(checks):
         chunks = done[i * workers:(i + 1) * workers]
@@ -481,9 +474,13 @@ def _records_to_csv(records: Sequence[ConvergenceRecord]) -> str:
 
 
 def cmd_converge(args) -> int:
-    # |phi| <= sum |c_i| on [0, 1]; a functional adds <= mu + max nu + 1 values
-    if args.phi is not None and not math.isfinite(sum(map(
-            abs, args.phi)) * (args.mu + max(args.nu, default=0) + 1)):
+    # |phi| <= sum |c_i| on [0, 1]; a functional adds <= mu + max nu + 1
+    # values, a count that must itself read as a float
+    values = args.mu + max(args.nu, default=0) + 1
+    if args.phi is not None and abs(values) > sys.float_info.max:
+        raise FloatRangeError("--mu + max --nu exceeds the float range")
+    if args.phi is not None and not math.isfinite(
+            sum(map(abs, args.phi)) * values):
         print("error: --phi coefficients too large or not finite",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR

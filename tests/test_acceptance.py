@@ -1,6 +1,7 @@
 """Acceptance suite: ten headline guarantees of the package, each
 printed as a single PASS/FAIL line.  Criteria 2, 3, 5 and 7 run
-``su2chan verify``'s checks (``cli.check_*``) on their own grids;
+``su2chan verify``'s checks (``cli.check_*``) on their own grids
+through ``cli.run_check``;
 criterion 10 sums 2F1 in ``Fraction``, the independent oracle of
 verify's integer Gauss check.
 
@@ -22,6 +23,7 @@ from su2chan.cli import (
     check_trace_preservation,
     draw_entries,
     kernel_bound_grid,
+    run_check,
 )
 from su2chan.intertwine import ChannelSpec, c_squared
 from su2chan.quadrature import (
@@ -54,11 +56,12 @@ def report(number: int, name: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {number} ({name}) failed{suffix}"
 
 
-def report_checks(number: int, name: str, *checks):
-    """Criterion from verify's (witness, cases) checks; shows a witness."""
-    witness = next((w for w, _ in checks if w is not None), None)
+def report_checks(number: int, name: str, *runs):
+    """Criterion from verify's checks, each run by :func:`run_check` as
+    (witness, cases, seconds); shows a witness."""
+    witness = next((w for w, _, _ in runs if w is not None), None)
     report(number, name, witness is None,
-           str(witness) if witness else f"{sum(c for _, c in checks)} cases")
+           str(witness) if witness else f"{sum(c for _, c, _ in runs)} cases")
 
 
 def channel_specs(mu_max, nu_max):
@@ -97,15 +100,16 @@ class TestAcceptance:
 
     def test_02_completeness(self):
         report_checks(2, "decomposition completeness and cross-orthogonality",
-                      check_orthogonality([(mu, nu) for mu in range(5)
-                                           for nu in range(mu, 9)]))
+                      run_check(check_orthogonality,
+                                [(mu, nu) for mu in range(5)
+                                 for nu in range(mu, 9)]))
 
     def test_03_channel_structure(self):
         specs = channel_specs(3, 7)
         report_checks(3, "channels trace-preserving and completely positive",
-                      check_trace_preservation(
-                          draw_entries(specs, random.Random(SEED), 20)),
-                      check_choi_positive(specs))
+                      run_check(check_trace_preservation,
+                                draw_entries(specs, random.Random(SEED), 20)),
+                      run_check(check_choi_positive, specs))
 
     def test_04_berezin_eigenvalues(self):
         # oracle: quadrature of the smoothing integral on one generator
@@ -133,7 +137,7 @@ class TestAcceptance:
 
     def test_05_berezin_sum_identity(self):
         report_checks(5, "finite-level operator equals its transform-sum form",
-                      check_berezin_sum(draw_entries(
+                      run_check(check_berezin_sum, draw_entries(
                           channel_specs(3, 7), random.Random(SEED), 10)))
 
     def test_06_limit_spectral_theorem(self):
@@ -156,8 +160,8 @@ class TestAcceptance:
     def test_07_kernel_bound_and_inequality(self):
         report_checks(7, "chain-kernel integrals bounded by 4^n; exact "
                          "binomial identity",
-                      check_kernel_bound(kernel_bound_grid(40)),
-                      check_binomial_sum(BINOMIAL_GRID))
+                      run_check(check_kernel_bound, kernel_bound_grid(40)),
+                      run_check(check_binomial_sum, BINOMIAL_GRID))
 
     def test_08_trace_limit(self):
         # the gap per statistic is taken over the whole random input set

@@ -205,14 +205,42 @@ class TestVerify:
         assert len(specs) == 40
         assert any(s.target_level < s.mu for s in specs)
         rng = random.Random(cli.DEFAULT_SEED)
-        assert cli.check_orthogonality(levels) == (None, 16)
-        assert cli.check_trace_preservation(
-            cli.draw_entries(specs, rng, 5)) == (None, 200)
-        assert cli.check_choi_positive(specs) == (None, 40)
+        run_check = cli.run_check
+        assert run_check(cli.check_orthogonality, levels)[:2] == (None, 16)
+        assert run_check(cli.check_trace_preservation,
+                         cli.draw_entries(specs, rng, 5))[:2] == (None, 200)
+        assert run_check(cli.check_choi_positive, specs)[:2] == (None, 40)
         # exactly, not only within PSD_TOL
         assert min(map(cli.choi_min_eigenvalue, specs)) >= 0
-        assert cli.check_berezin_sum(
-            cli.draw_entries(specs, rng, 2)) == (None, 80)
+        assert run_check(cli.check_berezin_sum,
+                         cli.draw_entries(specs, rng, 2))[:2] == (None, 80)
+
+    def test_run_check_keeps_the_last_witness(self):
+        # of two failing cases in one chunk the later one's witness is
+        # kept; the case count is the grid's length, 0 for an empty grid
+        def fails_on_odd(case, offset):
+            return {"case": case + offset} if case % 2 else None
+
+        witness, cases, seconds = cli.run_check(fails_on_odd, [0, 1, 2, 3, 4],
+                                                10)
+        assert (witness, cases) == ({"case": 13}, 5) and seconds >= 0
+        assert cli.run_check(fails_on_odd, [0, 2], 10)[:2] == (None, 2)
+        assert cli.run_check(fails_on_odd, [], 10)[:2] == (None, 0)
+
+    def test_every_check_runs_once(self, monkeypatch, one_worker):
+        # run_verify_suites' table holds every check_* function of cli,
+        # so that a new check cannot be left out of it
+        ran = []
+
+        def record(check, grid, *args):
+            ran.append(check.__name__)
+            return None, len(grid), 0.0
+
+        monkeypatch.setattr(cli, "run_check", record)
+        cli.run_verify_suites(0, 0, cli.DEFAULT_SEED)
+        assert sorted(ran) == sorted(name for name in vars(cli)
+                                     if name.startswith("check_"))
+        assert len(ran) == len(IDENTITIES)
 
     @pytest.mark.parametrize("least,witness", [
         (Fraction(-1, 10 ** 11), None),
@@ -683,6 +711,24 @@ class TestConverge:
                      "--n", "0,2", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG_ERROR
 
+    # a level past the float range: mu + max nu + 1, the count of values
+    # that the --phi bound multiplies, does not read as a float
+    @pytest.mark.parametrize("mu,nus", [
+        (1, f"2,{10 ** 400}"), (10 ** 400, f"{10 ** 400},{10 ** 400 + 1}")],
+        ids=["nu", "mu"])
+    def test_level_past_the_float_range_is_config_error(
+            self, tmp_path, capsys, monkeypatch, mu, nus):
+        for name in ("random_band_limited_state", "channel_output_moments"):
+            monkeypatch.setattr(cli, name, _must_not_run)
+        code = main(["converge", "--mu", str(mu), "--k", "0", "--nu", nus,
+                     "--n", "1", "--phi", "1,1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --mu + max --nu exceeds the float range\n"
+        assert os.listdir(tmp_path) == []
+
     def test_each_spectrum_built_once(self, tmp_path, monkeypatch,
                                       one_worker):
         # every moment order and phi share one set of trace moments of
@@ -876,18 +922,18 @@ class TestForkMap:
                                                           monkeypatch):
         # the worker exits nonzero at the first chunk it takes; its chunks
         # rerun in the parent
-        parent, real = os.getpid(), cli._run_chunk
+        parent, real = os.getpid(), cli.run_check
         taken = tmp_path / "taken"
 
-        def dies_in_a_worker(task):
+        def dies_in_a_worker(check, grid, *args):
             if os.getpid() != parent:
-                taken.write_text(task[0].__name__)
+                taken.write_text(check.__name__)
                 os._exit(3)
-            return real(task)
+            return real(check, grid, *args)
 
         argv = ["verify", "--mu", "2", "--nu-max", "3"]
         _, serial = run_on(monkeypatch, tmp_path, 1, *argv)
-        monkeypatch.setattr(cli, "_run_chunk", dies_in_a_worker)
+        monkeypatch.setattr(cli, "run_check", dies_in_a_worker)
         assert run_on(monkeypatch, tmp_path, 2, *argv) == (EXIT_OK, serial)
         assert taken.read_text().startswith("check_")
 

@@ -95,8 +95,8 @@ def test_no_dead_definition(path):
 
 
 # A default is a knob: some call must turn it.  The verify registry hands
-# check_trace_preservation its fault through check(*args), which the AST
-# cannot follow
+# check_trace_preservation its fault through run_check(check, grid, *args),
+# which the AST cannot follow
 OVERRIDE_ALLOWED = {("check_trace_preservation", "fault")}
 
 
