@@ -139,65 +139,82 @@ def _wrapped_from_outside() -> bool:
 
 
 def _taken(queue: int):
-    """The task indices this process takes from the queue, one 4-byte
-    record at a time, until it is empty."""
+    """The task indices, 4 bytes each, this process takes from the queue."""
     while record := os.read(queue, 4):
         yield int.from_bytes(record, "little")
 
 
 _NOT_RUN = object()   # a task that a failed worker took
+FORK_AFTER_S = 0.05   # the seconds a map runs alone before it forks
 
 
 def _fork_map(fn, tasks: Sequence) -> list:
-    """[fn(t) for t in tasks], shared out among the parent, as worker 0,
-    and forked workers: :func:`_worker_count` processes, at most one per
-    task.  Each worker takes the next task as it comes free, from a
-    queue of task indices in a pipe, so tasks that come largest first
-    are run largest-job-first.  Workers are forked, not spawned: a
-    spawned worker would start an interpreter and import the package,
-    as long as a whole default ``verify``; the CLI runs no threads, so
-    the fork is safe.
+    """[fn(t) for t in tasks], run in the parent alone unless a one-shot
+    ITIMER_REAL of FORK_AFTER_S fires first.  Its SIGALRM handler then
+    forks the workers, amid the parent's task, and queues the indices not
+    yet taken in a pipe; each process, the parent as worker 0, takes the
+    next as it comes free, so tasks that come largest first run
+    largest-job-first, on at most :func:`_worker_count` processes, one
+    per task at most (the CLI runs no threads, so the fork is safe).  The
+    map stays serial off the main thread, under a caller's ITIMER_REAL
+    and where a pipe or a fork fails.
 
-    A forked worker sends its [index, result] pairs back through a pipe
-    as JSON, so ``fn`` returns JSON values (a tuple comes back as a
-    list).  The tasks of a worker that fails, by an exception or a
-    nonzero exit, rerun in the parent in task order, where the exception
-    surfaces as in a serial run.  Every child is waited for before the
-    call returns or raises; one still running when the parent raises is
-    killed first.
+    A worker sends its [index, result] pairs back through a pipe as
+    JSON, so ``fn`` returns JSON values (a tuple comes back as a list).
+    A failed worker's tasks (an exception or a nonzero exit) rerun in the
+    parent in task order, where an exception surfaces as in a serial run.
+    Every child is waited for, or killed first if the parent raises.
     """
     n = min(_worker_count(), len(tasks))
-    if n < 2:
+    if n > 1:
+        import _signal as signal   # signal's C core, with no enum wrappers
+    if n < 2 or signal.getitimer(signal.ITIMER_REAL)[0]:
         return [fn(t) for t in tasks]
-    results = [_NOT_RUN] * len(tasks)
-    queue, feed_end = os.pipe()
-    feed = open(feed_end, "wb")
-    children = {}   # pid -> its result pipe, open for reading
-    # the objects made so far stay out of every collection until the map
-    # ends, so that a worker's collections copy none of their pages
-    gc.freeze()
+    results, pending = [_NOT_RUN] * len(tasks), iter(range(len(tasks)))
+    children, queue = {}, []   # pid -> its result pipe; the queue's end
+
+    def fork_workers(signum, frame):
+        # never raises into the task it interrupts: a failed fork forks fewer
+        fds = []   # the queue's read end and feed, then a worker's pipe
+        try:
+            fds += os.pipe()
+            gc.freeze()   # a worker's collections then copy no parent page
+            for _ in range(n - 1):
+                fds += os.pipe()
+                if (pid := os.fork()) == 0:
+                    # a worker: its results and exit 0, or exit 1; no return
+                    try:
+                        os.close(fds[1])
+                        with open(fds[3], "w") as fh:
+                            json.dump([[i, fn(tasks[i])]
+                                       for i in _taken(fds[0])], fh)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(fds.pop())   # the worker's write end
+                children[pid] = open(fds.pop())   # and its read end
+        except OSError:
+            pass
+        for fd in fds[2:] if children else fds:
+            os.close(fd)
+        if children:   # queue the rest; closing the feed ends the queue
+            queue.append(fds[0])
+            with open(fds[1], "wb") as feed:
+                feed.write(b"".join(i.to_bytes(4, "little") for i in pending))
+
     try:
-        for _ in range(n - 1):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                # a worker: its results and exit 0, or exit 1; no return
-                try:
-                    feed.close()
-                    os.close(read)
-                    with open(write, "w") as fh:
-                        json.dump([[i, fn(tasks[i])] for i in _taken(queue)],
-                                  fh)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(write)
-            children[pid] = open(read)
-        # every index in task order; closing the feed ends the queue
-        with feed:
-            feed.write(b"".join(i.to_bytes(4, "little")
-                                for i in range(len(tasks))))
-        for i in _taken(queue):
+        previous = signal.signal(signal.SIGALRM, fork_workers)
+    except ValueError:   # off the main thread
+        return [fn(t) for t in tasks]
+    try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, FORK_AFTER_S)
+            for i in pending:
+                results[i] = fn(tasks[i])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)   # runs a handler due
+        for i in _taken(queue[0]) if queue else ():
             results[i] = fn(tasks[i])
         for pid, fh in list(children.items()):
             with fh:
@@ -209,10 +226,8 @@ def _fork_map(fn, tasks: Sequence) -> list:
         return [fn(t) if r is _NOT_RUN else r for t, r in zip(tasks, results)]
     finally:
         gc.unfreeze()
-        feed.close()
-        os.close(queue)
-        if children:
-            import signal   # for this path alone: the import costs a start
+        for fd in queue:
+            os.close(fd)
         for pid, fh in children.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -592,9 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pv.add_argument("--out", default=None)
     pv.add_argument("--timings", default=None, metavar="FILE",
-                    help="write each suite's case count and elapsed "
-                         "seconds, the worker count, the wall time and "
-                         "the package version, as JSON")
+                    help="write each suite's cases and seconds, the most "
+                         "processes the run may use (a short run forks "
+                         "none), the wall time and the version, as JSON")
     pv.add_argument("--corrupt-c2", action="store_true",
                     help=argparse.SUPPRESS)   # fault-injection hook
     pv.set_defaults(func=cmd_verify)

@@ -9,6 +9,7 @@ import math
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -837,14 +838,20 @@ class TestChannelDump:
 # The fork map: the same reports from any number of workers
 # ---------------------------------------------------------------------------
 
-def run_on(monkeypatch, tmp_path, workers, *argv):
-    """(exit code, report bytes) of one run with the worker count patched,
-    after which no child of this process is left."""
-    monkeypatch.setattr(cli, "_worker_count", lambda: workers)
-    out = tmp_path / f"out-{workers}.txt"
-    code = main(list(argv) + ["--out", str(out)])
+def no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def run_on(monkeypatch, tmp_path, workers, *argv):
+    """(exit code, report bytes) of one run with the worker count patched
+    and the workers forked at once, after which no child of this process
+    is left."""
+    monkeypatch.setattr(cli, "_worker_count", lambda: workers)
+    monkeypatch.setattr(cli, "FORK_AFTER_S", 1e-6)
+    out = tmp_path / f"out-{workers}.txt"
+    code = main(list(argv) + ["--out", str(out)])
+    no_child_left()
     return code, out.read_bytes() if out.exists() else None
 
 
@@ -853,9 +860,27 @@ def run_on(monkeypatch, tmp_path, workers, *argv):
 WORKER_COUNTS = [1, 2, 3, 8]
 
 
+@pytest.fixture
+def fork_at_once(monkeypatch):
+    """Workers are forked as soon as a map starts, however short it is."""
+    monkeypatch.setattr(cli, "FORK_AFTER_S", 1e-6)
+
+
+@pytest.fixture
+def alarm_handler():
+    """A SIGALRM handler of the caller's, in place for the test."""
+    def callers(signum, frame):
+        raise AssertionError("the caller's SIGALRM handler ran")
+
+    previous = signal.signal(signal.SIGALRM, callers)
+    yield callers
+    signal.signal(signal.SIGALRM, previous)
+
+
 class TestForkMap:
 
-    def test_results_come_back_in_task_order(self, monkeypatch):
+    def test_results_come_back_in_task_order(self, monkeypatch,
+                                             fork_at_once):
         # tasks long enough that the worker, started within milliseconds,
         # takes some while the parent runs its first
         monkeypatch.setattr(cli, "_worker_count", lambda: 2)
@@ -867,10 +892,10 @@ class TestForkMap:
         got = cli._fork_map(square, range(4))
         assert [v for v, _ in got] == [0, 1, 4, 9]
         assert len({pid for _, pid in got} - {os.getpid()}) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
-    def test_every_task_is_taken_once(self, tmp_path, monkeypatch):
+    def test_every_task_is_taken_once(self, tmp_path, monkeypatch,
+                                      fork_at_once):
         # more workers than CPUs on one queue: each task is run by exactly
         # one process, which notes it in one shared append-only file
         monkeypatch.setattr(cli, "_worker_count", lambda: 8)
@@ -888,17 +913,109 @@ class TestForkMap:
             os.close(log)
         taken = sorted(map(int, (tmp_path / "log").read_text().split()))
         assert taken == list(range(300))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
     def test_no_fork_for_one_task(self, monkeypatch):
         monkeypatch.setattr(cli, "_worker_count", lambda: 4)
         assert cli._fork_map(lambda t: os.getpid(), [0]) == [os.getpid()]
         assert cli._fork_map(lambda t: t, []) == []
 
+    def test_quick_map_runs_in_the_parent_alone(self, monkeypatch):
+        # tasks that end well within the delay: no pipe and no fork
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        calls = []
+        for name in ("fork", "pipe"):
+            real = getattr(os, name)
+            monkeypatch.setattr(os, name, lambda real=real, name=name:
+                                calls.append(name) or real())
+        assert cli._fork_map(lambda t: [t, os.getpid()], range(50)) == \
+            [[t, os.getpid()] for t in range(50)]
+        assert calls == []
+        no_child_left()
+
+    @pytest.mark.parametrize("delay", [1e-6, cli.FORK_AFTER_S],
+                             ids=["forks", "serial"])
+    @pytest.mark.parametrize("how", ["returns", "raises"])
+    def test_signal_state_is_restored(self, monkeypatch, alarm_handler,
+                                      delay, how):
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        monkeypatch.setattr(cli, "FORK_AFTER_S", delay)
+
+        def task(t):
+            time.sleep(0.001)
+            if how == "raises" and t == 2:
+                raise KeyError("task")
+            return t
+
+        if how == "returns":
+            assert cli._fork_map(task, range(4)) == [0, 1, 2, 3]
+        else:
+            # raised in the parent, or in a worker and then in the parent,
+            # which reruns the worker's tasks
+            with pytest.raises(KeyError, match="task"):
+                cli._fork_map(task, range(4))
+        assert signal.getsignal(signal.SIGALRM) is alarm_handler
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        no_child_left()
+
+    def test_long_first_task_forks_a_worker_amid_it(self, monkeypatch):
+        # at the default delay: the worker starts while the parent's
+        # first task still sleeps, and takes the tasks after it
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+
+        def task(t):
+            start = time.monotonic()
+            time.sleep(10 * cli.FORK_AFTER_S if t == 0 else 0.001)
+            return [os.getpid(), start, time.monotonic()]
+
+        got = cli._fork_map(task, range(6))
+        (first, _, first_end), rest = got[0], got[1:]
+        assert first == os.getpid()
+        worker = [start for pid, start, _ in rest if pid != os.getpid()]
+        assert worker and min(worker) < first_end
+        no_child_left()
+
+    def test_callers_timer_is_left_alone(self, monkeypatch, fork_at_once,
+                                         alarm_handler):
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        forks = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+        signal.setitimer(signal.ITIMER_REAL, 100)
+        try:
+            assert cli._fork_map(lambda t: os.getpid(), range(8)) == \
+                [os.getpid()] * 8
+            left, interval = signal.getitimer(signal.ITIMER_REAL)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        assert forks == []
+        assert 90 < left <= 100 and interval == 0
+        assert signal.getsignal(signal.SIGALRM) is alarm_handler
+        no_child_left()
+
+    def test_more_tasks_than_the_queue_pipe_holds(self, monkeypatch,
+                                                  fork_at_once):
+        # 20,000 indices of 4 bytes: more than a 64 KiB pipe holds, so
+        # the handler's feed waits for the worker to take some
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        got = cli._fork_map(lambda t: [t, os.getpid()], range(20000))
+        assert [t for t, _ in got] == list(range(20000))
+        assert len({pid for _, pid in got}) == 2
+        no_child_left()
+
+    def test_timer_near_the_maps_end_leaves_no_child(self, monkeypatch):
+        # tasks that add up to about the delay: the timer fires now before
+        # the last task ends, now after the loop, now not at all
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        for run in range(50):
+            total = cli.FORK_AFTER_S * (0.9 + 0.2 * run / 49)
+            assert cli._fork_map(lambda t: time.sleep(total / 5) or t,
+                                 range(5)) == list(range(5))
+            no_child_left()
+
     @pytest.mark.parametrize("how", ["exit", "raise"])
     def test_failed_worker_reruns_in_the_parent(self, tmp_path, monkeypatch,
-                                                how):
+                                                fork_at_once, how):
         # a worker that exits nonzero or raises on the first task it
         # takes: the parent runs that task again, and its result is kept
         monkeypatch.setattr(cli, "_worker_count", lambda: 2)
@@ -915,8 +1032,7 @@ class TestForkMap:
 
         assert cli._fork_map(dies_in_a_worker, range(4)) == [0, 1, 4, 9]
         assert int(taken.read_text()) in range(4)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
     def test_failed_verify_worker_gives_the_serial_report(self, tmp_path,
                                                           monkeypatch):
@@ -948,8 +1064,7 @@ class TestForkMap:
         with pytest.raises(KeyError, match="pk"):
             run_on(monkeypatch, tmp_path, 2, "verify", "--mu", "1",
                    "--nu-max", "2")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 12])
     def test_chunks_cover_the_grid_in_order(self, parts):
@@ -989,8 +1104,7 @@ class TestForkMap:
         assert code == EXIT_OK
         assert calls == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2),
                          (1, 3)]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
 
     # mu = 0; nu = mu; output levels L = mu + nu - 2k below mu; a sweep
     # with nu > mu; the corrupted trace check
@@ -1085,7 +1199,7 @@ class TestForkMap:
         assert ran.exists() == (where == "worker")
 
     def test_timings_sum_within_workers_times_wall(self, tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch, fork_at_once):
         monkeypatch.setattr(cli, "_worker_count", lambda: 2)
         argv = ["verify", "--mu", "1", "--nu-max", "3", "--seed", "5",
                 "--out", str(tmp_path / "r.json")]
@@ -1102,11 +1216,13 @@ class TestForkMap:
                         reason="needs CPU affinity")
     def test_one_cpu_and_every_cpu_give_one_report(self):
         # the real worker count: one CPU, set in the child alone, and all
-        # the CPUs this process may use
+        # the CPUs this process may use, whose workers are forked at once
         cpu = min(os.sched_getaffinity(0))
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        argv = [sys.executable, "-m", "su2chan.cli", "verify", "--mu", "1",
-                "--nu-max", "3"]
+        argv = [sys.executable, "-c",
+                "import sys; from su2chan import cli; "
+                "cli.FORK_AFTER_S = 1e-6; sys.exit(cli.main(sys.argv[1:]))",
+                "verify", "--mu", "1", "--nu-max", "3"]
         pinned, free = (
             subprocess.run(argv, capture_output=True, env=env, timeout=120,
                            preexec_fn=preexec)
