@@ -28,6 +28,7 @@ from . import __version__
 from .exactnum import terminating_pair
 from .intertwine import (
     ChannelSpec,
+    InvalidSpecError,
     apply_channel,
     apply_normalized_channel,
     channel_report,
@@ -71,12 +72,21 @@ N_RANDOM = 5    # random operators per (mu, nu, k) in the trace check
 PSD_TOL = 1e-10  # the Choi check's tolerance in verify, kept in its report
 
 
+class ConfigError(ValueError):
+    """Bad input, which :func:`main` reports as one 'error:' line, exit 2."""
+
+
 def _atomic_write(path: str, data: str):
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
+        # open()'s mode, not mkstemp's 0600; two umask calls are safe, as
+        # the CLI runs no threads and writes after the map reaps its workers
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -426,8 +436,7 @@ def run_verify_suites(mu_max: int, nu_max: int, seed: int,
 
 def cmd_verify(args) -> int:
     if args.mu < 0 or args.nu_max < args.mu:
-        print("error: need 0 <= mu <= nu", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError("need 0 <= mu <= nu")
     timings: dict = {}
     report = run_verify_suites(args.mu, args.nu_max, args.seed,
                                corrupt_c_squared=args.corrupt_c2,
@@ -466,8 +475,7 @@ def spectrum_rows(mu: int) -> List[dict]:
 
 def cmd_spectrum(args) -> int:
     if args.mu < 0:
-        print("error: mu must be nonnegative", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError("mu must be nonnegative")
     rows = spectrum_rows(args.mu)
     _emit(args.out, json.dumps(rows, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -496,32 +504,25 @@ def cmd_converge(args) -> int:
         raise FloatRangeError("--mu + max --nu exceeds the float range")
     if args.phi is not None and not math.isfinite(
             sum(map(abs, args.phi)) * values):
-        print("error: --phi coefficients too large or not finite",
-              file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError("--phi coefficients too large or not finite")
     if args.mu < 0 or args.k < 0 or args.k > args.mu:
-        print("error: need 0 <= k <= mu", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError("need 0 <= k <= mu")
     if len(args.nu) < 2 or args.nu[0] < args.mu \
             or any(a >= b for a, b in zip(args.nu, args.nu[1:])):
-        print("error: --nu needs two or more strictly increasing levels, "
-              "each >= mu", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError("--nu needs two or more strictly increasing "
+                          "levels, each >= mu")
     if any(n < 1 for n in args.n):
-        print("error: every moment order n must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError("every moment order n must be >= 1")
     if not args.n and not args.phi:
-        print("error: nothing to check: give a moment order (--n) or --phi",
-              file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError("nothing to check: give a moment order (--n) or "
+                          "--phi")
     # the highest moment that any n or phi needs
     nmax = max(args.n + [len(args.phi) - 1 if args.phi else 0])
     points = limit_grid(args.mu, nmax).size
     if points > MAX_LIMIT_GRID_POINTS:
-        print(f"error: a limit quadrature grid of {points} points (its "
-              f"degree is mu times the largest n or deg phi) exceeds "
-              f"{MAX_LIMIT_GRID_POINTS}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        raise ConfigError(f"a limit quadrature grid of {points} points (its "
+                          f"degree is mu times the largest n or deg phi) "
+                          f"exceeds {MAX_LIMIT_GRID_POINTS}")
     _check_input_level(args.mu)   # before the input's exact work
     rng = random.Random(args.seed)
     _, f = random_band_limited_state(args.mu, rng)
@@ -558,11 +559,7 @@ def cmd_converge(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_channel_dump(args) -> int:
-    try:
-        spec = ChannelSpec(args.mu, args.nu_single, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    spec = ChannelSpec(args.mu, args.nu_single, args.k)
     _emit(args.out, json.dumps(channel_report(spec), indent=2,
                                sort_keys=True) + "\n")
     return EXIT_OK
@@ -586,11 +583,11 @@ def _phi_arg(text: str) -> List[float]:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a value it cannot parse, a missing or an unknown argument
-    as one 'error:' line, as every other config error is reported."""
+    """Raises a value it cannot parse, a missing or an unknown argument as
+    a :class:`ConfigError`, as every other check of the input does."""
 
     def error(self, message):
-        self.exit(EXIT_CONFIG_ERROR, f"error: {message}\n")
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -658,34 +655,30 @@ def _attach_dash_values(argv: Sequence[str]) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command; bad input, wherever it is found, is one 'error:'
+    line on stderr and exit 2."""
     try:
-        args = parser.parse_args(_attach_dash_values(
+        args = build_parser().parse_args(_attach_dash_values(
             sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return EXIT_CONFIG_ERROR if exc.code not in (0, None) else 0
-    # every report target is checked before anything runs
-    out = getattr(args, "out", None)
-    targets = []
-    if out:
-        targets = [("--out", out)] + ([("--out", out + ".summary.json")]
-                                      if args.command == "converge" else [])
-    if getattr(args, "timings", None):
-        # the sidecar, written last, would replace a report in its file
-        if out and os.path.realpath(out) == os.path.realpath(args.timings):
-            print(f"error: --out and --timings name the same file {out}",
-                  file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-        targets.append(("--timings", args.timings))
-    for option, target in targets:
-        problem = _unwritable(target)
-        if problem:
-            print(f"error: cannot write {option} {target}: {problem}",
-                  file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-    try:
+        # every report target is checked before anything runs
+        out = getattr(args, "out", None)
+        targets = [("--out", out)] if out else []
+        if out and args.command == "converge":
+            targets.append(("--out", out + ".summary.json"))
+        if getattr(args, "timings", None):
+            # the sidecar, written last, would replace a report in its file
+            if out and os.path.realpath(out) == os.path.realpath(args.timings):
+                raise ConfigError(
+                    f"--out and --timings name the same file {out}")
+            targets.append(("--timings", args.timings))
+        for option, target in targets:
+            problem = _unwritable(target)
+            if problem:
+                raise ConfigError(f"cannot write {option} {target}: {problem}")
         return args.func(args)
-    except FloatRangeError as exc:
+    except SystemExit as exc:   # --help and --version print and exit 0
+        return exc.code or EXIT_OK
+    except (ConfigError, FloatRangeError, InvalidSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -304,9 +304,9 @@ class TestVerify:
                      "--out", str(tmp_path / "r.json"),
                      "--timings", str(tmp_path / target)])
         assert code == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot write --timings")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write --timings {tmp_path / target}: "
+            f"{UNWRITABLE[target]}\n")
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("timings", ["r.json", "./r.json"])
@@ -318,13 +318,14 @@ class TestVerify:
         code = main(["verify", "--mu", "0", "--nu-max", "0",
                      "--out", "r.json", "--timings", timings])
         assert code == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            "error: --out and --timings name the same file r.json\n")
         assert os.listdir(tmp_path) == []
 
-    def test_bad_range_is_config_error(self, tmp_path):
+    def test_bad_range_is_config_error(self, tmp_path, capsys):
         code, _ = run(tmp_path, "verify", "--mu", "3", "--nu-max", "1")
         assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "error: need 0 <= mu <= nu\n"
 
     def test_deterministic_output(self, tmp_path):
         _, out1 = run(tmp_path, "verify", "--mu", "1", "--nu-max", "2",
@@ -335,19 +336,35 @@ class TestVerify:
         assert out2.read_text() == text1
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--mu", "1", "--nu-max", "2", "--tol", "nan"],
-    ["verify", "--mu", "1", "--nu-max", "2", "--tol", "inf"],
-    ["verify", "--mu", "1", "--nu-max", "2", "--tol", "-1"],
-    ["verify", "--mu", "1", "--nu-max", "2", "--tol", "-1e-3"],
-    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "-inf"],
-    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "-nan"],
-    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "nan"],
-    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol=-inf"],
-    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--phi", "nan,1"],
-    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--phi", "0,inf"],
-])
-def test_nonfinite_or_negative_option_is_config_error(tmp_path, capsys, argv):
+# (argv, its one error line): the ids are those of the argv alone
+NONFINITE = [
+    (["verify", "--mu", "1", "--nu-max", "2", "--tol", "nan"],
+     "unrecognized arguments: --tol nan"),
+    (["verify", "--mu", "1", "--nu-max", "2", "--tol", "inf"],
+     "unrecognized arguments: --tol inf"),
+    (["verify", "--mu", "1", "--nu-max", "2", "--tol", "-1"],
+     "unrecognized arguments: --tol=-1"),
+    (["verify", "--mu", "1", "--nu-max", "2", "--tol", "-1e-3"],
+     "unrecognized arguments: --tol=-1e-3"),
+    (["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "-inf"],
+     "unrecognized arguments: --tol=-inf"),
+    (["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "-nan"],
+     "unrecognized arguments: --tol=-nan"),
+    (["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "nan"],
+     "unrecognized arguments: --tol nan"),
+    (["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol=-inf"],
+     "unrecognized arguments: --tol=-inf"),
+    (["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--phi", "nan,1"],
+     "--phi coefficients too large or not finite"),
+    (["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--phi", "0,inf"],
+     "--phi coefficients too large or not finite"),
+]
+
+
+@pytest.mark.parametrize("argv,line", NONFINITE,
+                         ids=[f"argv{i}" for i in range(len(NONFINITE))])
+def test_nonfinite_or_negative_option_is_config_error(tmp_path, capsys, argv,
+                                                      line):
     # a --phi coefficient that is not finite is an input error; neither
     # verify nor converge has a --tol (the Choi tolerance and the gaps'
     # noise floor are constants), so there the option is unknown
@@ -355,8 +372,7 @@ def test_nonfinite_or_negative_option_is_config_error(tmp_path, capsys, argv):
         warnings.simplefilter("error")
         code = main(argv + ["--out", str(tmp_path / "x.txt")])
     assert code == EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize("phi", ["1e307", "1e308,1e308"])
@@ -370,8 +386,8 @@ def test_phi_overflowing_a_float_is_config_error(tmp_path, capsys, phi):
                      "--n", "1", "--phi", phi,
                      "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        "error: --phi coefficients too large or not finite\n")
     assert os.listdir(tmp_path) == []
 
 
@@ -441,28 +457,43 @@ def test_limit_past_the_float_range_is_config_error(tmp_path, capsys,
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "abc"],
-    ["converge", "--mu", "1", "--k", "0", "--nu", "8,x"],
-    ["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--phi", "a,1"],
-    ["verify", "--nu-max", "x"],
-    ["verify", "--mu", "1.5"],
-    ["spectrum"],
-    ["verify", "--no-such-option"],
+# (argv, its one error line, with no usage): the ids are those of the argv
+UNPARSABLE = [
+    (["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "abc"],
+     "unrecognized arguments: --tol abc"),
+    (["converge", "--mu", "1", "--k", "0", "--nu", "8,x"],
+     "argument --nu: invalid _int_list value: '8,x'"),
+    (["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--phi", "a,1"],
+     "argument --phi: invalid _phi_arg value: 'a,1'"),
+    (["verify", "--nu-max", "x"], "argument --nu-max: invalid int value: 'x'"),
+    (["verify", "--mu", "1.5"], "argument --mu: invalid int value: '1.5'"),
+    (["spectrum"], "the following arguments are required: --mu"),
+    (["verify", "--no-such-option"],
+     "unrecognized arguments: --no-such-option"),
     # no --phi coefficient at all, not one too large
-    ["converge", "--mu", "3", "--k", "1", "--nu", "10,20", "--phi", ""],
-    ["converge", "--mu", "3", "--k", "1", "--nu", "10,20", "--phi", ","],
-])
-def test_unparsable_argument_is_one_error_line(tmp_path, capsys, argv):
+    (["converge", "--mu", "3", "--k", "1", "--nu", "10,20", "--phi", ""],
+     "argument --phi: needs at least one coefficient"),
+    (["converge", "--mu", "3", "--k", "1", "--nu", "10,20", "--phi", ","],
+     "argument --phi: needs at least one coefficient"),
+]
+
+
+@pytest.mark.parametrize("argv,line", UNPARSABLE,
+                         ids=[f"argv{i}" for i in range(len(UNPARSABLE))])
+def test_unparsable_argument_is_one_error_line(tmp_path, capsys, argv, line):
     code = main(argv + ["--out", str(tmp_path / "x.txt")])
     assert code == EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "usage:" not in err
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("ran although the report cannot be written")
+
+
+# why a report target cannot be written
+UNWRITABLE = {"missing/x.json": "No such file or directory",
+              "missing/t.json": "No such file or directory",
+              ".": "is a directory"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -481,8 +512,9 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch, argv,
         monkeypatch.setattr(cli, name, _must_not_run)
     code = main(argv + ["--out", str(tmp_path / target)])
     assert code == EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write --out {tmp_path / target}: "
+        f"{UNWRITABLE[target]}\n")
     assert os.listdir(tmp_path) == []
 
 
@@ -491,8 +523,9 @@ def test_unwritable_converge_summary_is_config_error(tmp_path, capsys):
     code = main(["converge", "--mu", "1", "--k", "0", "--nu", "8,16",
                  "--out", str(tmp_path / "c.csv")])
     assert code == EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write --out {tmp_path / 'c.csv.summary.json'}: "
+        "is a directory\n")
     assert os.listdir(tmp_path) == ["c.csv.summary.json"]
 
 
@@ -501,6 +534,37 @@ def test_unwritable_converge_summary_is_config_error(tmp_path, capsys):
 def test_help_still_prints_usage(capsys, argv):
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out.startswith("usage:")
+
+
+# Under the umask of argv[2], a report, a converge summary and a --timings
+# sidecar, each written through a temporary file, and a file that open()
+# makes, with the mode of each
+UMASK_RUN = """
+import json, os, sys
+from su2chan.cli import main
+os.umask(int(sys.argv[2], 8))
+os.chdir(sys.argv[1])
+main(["verify", "--mu", "0", "--nu-max", "0", "--out", "report.json",
+      "--timings", "sidecar.json"])
+main(["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--n", "1",
+      "--out", "c.csv"])
+open("plain", "w").close()
+print(json.dumps({name: os.stat(name).st_mode & 0o777
+                  for name in sorted(os.listdir())}))
+"""
+
+
+@pytest.mark.parametrize("umask,mode", [("022", 0o644), ("077", 0o600)],
+                         ids=["022", "077"])
+def test_reports_keep_the_umask_mode(tmp_path, umask, mode):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", UMASK_RUN, str(tmp_path),
+                           umask], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == dict.fromkeys(
+        ["c.csv", "c.csv.summary.json", "plain", "report.json",
+         "sidecar.json"], mode)
 
 
 class TestSpectrum:
@@ -515,9 +579,10 @@ class TestSpectrum:
         assert top["berezin_exact"] == "1/4"
         assert top["e_3f2_exact"] == "1/4"
 
-    def test_negative_mu_rejected(self, tmp_path):
+    def test_negative_mu_rejected(self, tmp_path, capsys):
         code, _ = run(tmp_path, "spectrum", "--mu", "-1")
         assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "error: mu must be nonnegative\n"
 
     @pytest.mark.parametrize("mu", [0, 1, 16])
     def test_rows_match_fraction_oracle(self, mu):
@@ -589,10 +654,11 @@ class TestConverge:
         with open(a) as fh:
             assert "phi=deg1" in {r["n_or_phi"] for r in csv.DictReader(fh)}
 
-    def test_k_out_of_range_is_config_error(self, tmp_path):
+    def test_k_out_of_range_is_config_error(self, tmp_path, capsys):
         code = main(["converge", "--mu", "1", "--k", "2", "--out",
                      str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "error: need 0 <= k <= mu\n"
 
     def test_identity_phi_matches_first_moment(self, tmp_path):
         # phi(x) = x runs through the functional path but must produce
@@ -631,16 +697,17 @@ class TestConverge:
             code = main(["converge", "--mu", "2", "--k", "1", "--nu", nus,
                          "--n", "2", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            "error: --nu needs two or more strictly increasing levels, "
+            "each >= mu\n")
 
     def test_nothing_to_check_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         code = main(["converge", "--mu", "2", "--k", "1", "--nu", "10,20",
                      "--n", "", "--out", str(out)])
         assert code == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            "error: nothing to check: give a moment order (--n) or --phi\n")
         assert not out.exists()
 
     def test_phi_alone_runs(self, tmp_path):
@@ -707,10 +774,12 @@ class TestConverge:
                        "coefficient\n")
         assert os.listdir(tmp_path) == []
 
-    def test_moment_order_below_one_is_config_error(self, tmp_path):
+    def test_moment_order_below_one_is_config_error(self, tmp_path, capsys):
         code = main(["converge", "--mu", "1", "--k", "0", "--nu", "8,16",
                      "--n", "0,2", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "error: every moment order n must be >= 1\n")
 
     # a level past the float range: mu + max nu + 1, the count of values
     # that the --phi bound multiplies, does not read as a float

@@ -1,10 +1,11 @@
 """No module imports a name it never uses, the package defines no
 function or class that nothing reads, no parameter default that no
-call overrides and no ``global`` statement, the exact layers touch
-no float, and README names the standard-library modules the package
-imports: the unused-import and dead-code rules of a linter, a layering
-rule and a documentation rule, written with the stdlib ``ast`` module
-so that they run wherever the tests run.  ``__init__.py`` is skipped,
+call overrides and no ``global`` statement, only ``cli.main`` reports
+bad input, the exact layers touch no float, and README names the
+standard-library modules the package imports: the unused-import and
+dead-code rules of a linter, an error-path rule, a layering rule and a
+documentation rule, written with the stdlib ``ast`` module so that
+they run wherever the tests run.  ``__init__.py`` is skipped,
 since its imports are the package's re-exports."""
 
 import ast
@@ -188,6 +189,48 @@ def test_checker_finds_a_global_statement():
 @pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
 def test_no_global_statement(path):
     assert global_statements(path.read_text()) == []
+
+
+# Bad input leaves by one path: a check raises cli.ConfigError (or a
+# FloatRangeError or InvalidSpecError), and cli.main alone writes the
+# 'error:' line and returns EXIT_CONFIG_ERROR
+def error_exits(source: str):
+    """(line, function) of every read of ``sys.stderr`` or of the name
+    ``EXIT_CONFIG_ERROR`` in a function, the innermost one named."""
+    out = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif function and (
+                isinstance(node, ast.Name) and node.id == "EXIT_CONFIG_ERROR"
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == "stderr"
+                and getattr(node.value, "id", None) == "sys"):
+            out.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sorted(out)
+
+
+def test_checker_finds_an_error_exit():
+    source = ("import sys\nEXIT_CONFIG_ERROR = 2\n"
+              "def check(x):\n    if x < 0:\n"
+              "        print('error: x < 0', file=sys.stderr)\n"
+              "        return EXIT_CONFIG_ERROR\n"
+              "def main():\n    def inner():\n        sys.stderr.write('')\n"
+              "    return EXIT_CONFIG_ERROR\n")
+    assert error_exits(source) == [(5, "check"), (6, "check"), (9, "inner"),
+                                   (10, "main")]
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
+def test_only_main_reports_bad_input(path):
+    allowed = {"main"} if path.name == "cli.py" else set()
+    assert [(line, fn) for line, fn in error_exits(path.read_text())
+            if fn not in allowed] == []
 
 
 # The exact layers compute over the integers and the rationals alone:
