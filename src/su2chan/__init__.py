@@ -9,7 +9,6 @@ from .repspace import (
     KernelOperator,
     LevelMismatchError,
     compose,
-    isotypic_projectors,
 )
 from .intertwine import (
     ChannelSpec,
@@ -35,7 +34,6 @@ from .symbolcalc import (
     functions_equal,
     inverse_berezin,
     symbol,
-    toeplitz,
 )
 from .quadrature import (
     ConvergenceRecord,
@@ -47,11 +45,11 @@ from .quadrature import (
     functional_from_moments,
     fund_ineq_check,
     i_n_integral,
+    input_band,
     limit_moments,
     random_band_limited_state,
     random_operator,
     random_psd_trace_one,
-    toeplitz_band,
 )
 
 __version__ = "1.0.0"

@@ -45,11 +45,11 @@ from .quadrature import (
     functional_from_moments,
     fund_ineq_check,
     i_n_integral,
+    input_band,
     limit_grid,
     limit_moments,
     random_band_limited_state,
     random_entries,
-    toeplitz_band,
 )
 from .repspace import _from_dense, _trace_integers
 from .symbolcalc import (
@@ -76,7 +76,19 @@ class ConfigError(ValueError):
     """Bad input, which :func:`main` reports as one 'error:' line, exit 2."""
 
 
+def _not_regular(path: str) -> bool:
+    """path exists and is no regular file: a device or a FIFO, which a
+    replace would swap for a regular file."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
 def _atomic_write(path: str, data: str):
+    """Write data to path through a temporary file replaced onto it, or
+    straight into a device or FIFO."""
+    if _not_regular(path):
+        with open(path, "w") as fh:
+            fh.write(data)
+        return
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
@@ -96,9 +108,12 @@ def _atomic_write(path: str, data: str):
 
 def _unwritable(path: str) -> Optional[str]:
     """Why a report cannot be written to path, or None.  The probe makes
-    and removes a temporary file where :func:`_atomic_write` makes one."""
+    and removes a temporary file where :func:`_atomic_write` makes one,
+    or asks for write access to a device or FIFO."""
     if os.path.isdir(path):
         return "is a directory"
+    if _not_regular(path):
+        return None if os.access(path, os.W_OK) else "Permission denied"
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".tmp-")
@@ -525,13 +540,13 @@ def cmd_converge(args) -> int:
                           f"exceeds {MAX_LIMIT_GRID_POINTS}")
     _check_input_level(args.mu)   # before the input's exact work
     rng = random.Random(args.seed)
-    _, f = random_band_limited_state(args.mu, rng)
+    a, f = random_band_limited_state(args.mu, rng)
     # the input's band once; one set of moments per level, shared by every
     # moment order and by phi; the levels queue for the workers largest
     # output first, which for increasing nu is in reverse
-    a = toeplitz_band(f, args.mu)
+    band = input_band(a)
     specs = [ChannelSpec(args.mu, nu, args.k) for nu in reversed(args.nu)]
-    lhs = _fork_map(lambda spec: channel_output_moments(spec, a, nmax),
+    lhs = _fork_map(lambda spec: channel_output_moments(spec, band, nmax),
                     specs)[::-1]
     rhs = limit_moments(args.mu, args.k, f, nmax)
     records = [ConvergenceRecord(args.mu, args.k, args.nu, f"n={n}",

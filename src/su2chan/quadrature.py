@@ -34,7 +34,6 @@ from .symbolcalc import (
     e_limit_apply,
     inverse_berezin,
     symbol,
-    toeplitz,
 )
 
 
@@ -137,7 +136,9 @@ def random_psd_trace_one(mu: int, rng: random.Random) -> KernelOperator:
 
 def random_band_limited_state(mu: int, rng: random.Random) \
         -> Tuple[KernelOperator, IsotypicFunction]:
-    """PSD trace-1 operator A and the f with toeplitz(f, mu) = A."""
+    """PSD trace-1 operator A and the f whose Toeplitz operator
+    (1/(mu+1)) T_f at level mu is A: the inverse Berezin transform of A's
+    symbol."""
     a = random_psd_trace_one(mu, rng)
     f = inverse_berezin(mu, symbol(a))
     return a, f
@@ -148,21 +149,20 @@ def random_band_limited_state(mu: int, rng: random.Random) \
 # ---------------------------------------------------------------------------
 
 def _check_input_level(mu: int):
-    """toeplitz_band's 1/sqrt(C(mu, i)) overflows from mu = 1030 on."""
+    """input_band's 1/sqrt(C(mu, i)) overflows from mu = 1030 on."""
     if math.comb(mu, mu // 2) > sys.float_info.max:
         raise FloatRangeError(f"the input at level {mu} exceeds the float "
                               "range")
 
 
-def toeplitz_band(f: IsotypicFunction, mu: int) -> List[List[complex]]:
-    """Diagonals t >= 0 of R*_mu f = toeplitz(f, mu), which must be
-    hermitian, in the orthonormal basis z^i / ||z^i||."""
-    _check_input_level(mu)
-    a = toeplitz(f, mu)
+def input_band(a: KernelOperator) -> List[List[complex]]:
+    """Diagonals t >= 0 of the hermitian operator A in the orthonormal
+    basis z^i / ||z^i||."""
+    _check_input_level(a.level)
     if not a.is_hermitian():
-        raise ValueError("f must be real-valued (hermitian Toeplitz operator)")
+        raise ValueError("the input must be hermitian")
     w, d = a.width, a.d
-    s = [1 / math.sqrt(c) for c in _binomial_row(mu)]
+    s = [1 / math.sqrt(c) for c in _binomial_row(a.level)]
     return [[complex(x / d, y / d) * s[j] * s[j + t]
              for j, (x, y) in enumerate(zip(a.re[w + t], a.im[w + t]))]
             for t in range(w + 1)]
@@ -263,8 +263,8 @@ def _trace_product(a: List[List[complex]], b: List[List[complex]]) -> float:
 def channel_output_moments(spec: ChannelSpec, a: List[List[complex]],
                            nmax: int) -> List[float]:
     """(1/dim) Tr T^n for n = 1..nmax, T the orthonormal matrix of the
-    channel output T(R*_mu f), band |t| <= mu, with a = toeplitz_band(f, mu)
-    and T's band read from the Clebsch-Gordan weights
+    channel output T(A), for the input band a = input_band(A), |t| <= mu,
+    with T's band read from the Clebsch-Gordan weights
     (:func:`_output_band`).
 
     T^p, p <= ceil(nmax/2), are banded products, and

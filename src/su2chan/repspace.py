@@ -305,7 +305,3 @@ class IsotypicDecomposition:
             raise IndexError(f"component {m} out of range for level {self.level}")
         den, re, im = self.coordinates(a)
         return self.operator(den, [()] * m + [re[m]], [()] * m + [im[m]])
-
-
-def isotypic_projectors(mu: int) -> IsotypicDecomposition:
-    return IsotypicDecomposition(mu)

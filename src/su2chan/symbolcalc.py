@@ -1,5 +1,5 @@
-"""Symbol and Toeplitz maps, the Berezin transform and the component
-operators obtained from channels.
+"""The symbol map, the Berezin transform and the component operators
+obtained from channels.
 
 A band-limited function on the projective line is stored as an
 :class:`IsotypicFunction`: a level L and its (L+1)^2 spin coordinates,
@@ -10,11 +10,11 @@ operators are needed.  Raising the level multiplies N by a power of
 (1 + |z|^2) and leaves the coordinates as they are (see
 :class:`~su2chan.repspace.IsotypicDecomposition`), so functions of any
 levels are equal when their coordinates are equal after zero padding.
-Every transform here, the Toeplitz map too, scales spin components by
-exact closed-form eigenvalues: the integer rows times the eigenvalues'
-numerators over their common denominator.  The integral of f against
-the invariant probability measure is its spin-0 coordinate.  Dense
-lifting, monomial moments and quadrature are the tests' oracles.
+Every transform here scales spin components by exact closed-form
+eigenvalues: the integer rows times the eigenvalues' numerators over
+their common denominator.  The integral of f against the invariant
+probability measure is its spin-0 coordinate.  The Toeplitz map,
+dense lifting, monomial moments and quadrature are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .repspace import (
     _IntegerForm,
     _common_denominator,
     _lowest_terms,
-    isotypic_projectors,
 )
 
 
@@ -91,32 +90,12 @@ def functions_equal(f: IsotypicFunction, g: IsotypicFunction) -> bool:
         and not any(chain(*high.re[n:], *high.im[n:]))
 
 
-@functools.lru_cache(maxsize=None)
-def _projectors(level: int) -> IsotypicDecomposition:
-    return isotypic_projectors(level)
+_projectors = functools.lru_cache(maxsize=None)(IsotypicDecomposition)
 
 
 def symbol(a: KernelOperator) -> IsotypicFunction:
     """The function A(z, z) / (1 + |z|^2)^level in spin coordinates."""
     return IsotypicFunction(a.level, *_projectors(a.level).coordinates(a))
-
-
-def toeplitz(f: IsotypicFunction, nu: int) -> KernelOperator:
-    """The operator (1/(nu+1)) T_f at level nu >= f.level, exactly.  The
-    compression is SU(2)-equivariant and each spin occurs once in B(H_nu),
-    so it scales spin m by berezin_eigenvalue(nu, m); the kernel with those
-    coordinates is the one at level f.level times (1 + x y~)^(nu - f.level),
-    each factor adding every diagonal to itself one cell down."""
-    if nu < f.level:
-        raise BandLimitExceededError(
-            f"target level {nu} below band limit {f.level}")
-    n = f.scale_components([berezin_eigenvalue(nu, m)
-                            for m in range(f.level + 1)]).numerator()
-    re, im = n.re, n.im
-    for _ in range(nu - f.level):
-        re, im = ([[a + b for a, b in zip((*x, 0), (0, *x))] for x in m]
-                  for m in (re, im))
-    return KernelOperator(nu, n.d, re, im)
 
 
 def berezin_eigenvalue(nu: int, m: int) -> Fraction:

@@ -1,7 +1,9 @@
 """The big-integer routes that the float band and the factorised Kraus
 table replaced, kept as their oracles: the orthonormal band of an exact
 kernel operator, read entry by entry through one big-integer quotient,
-and the Kraus weights over whole binomials C(nu, b) and C(L, r)."""
+the Kraus weights over whole binomials C(nu, b) and C(L, r), and the
+Toeplitz map, which rebuilt converge's input A = R*_mu f from its
+function f before the input band read the drawn A."""
 
 import math
 from fractions import Fraction
@@ -11,7 +13,12 @@ from su2chan.intertwine import (
     c_squared,
     normalization_factor,
 )
-from su2chan.repspace import _binomial_row
+from su2chan.repspace import KernelOperator, _binomial_row
+from su2chan.symbolcalc import (
+    BandLimitExceededError,
+    IsotypicFunction,
+    berezin_eigenvalue,
+)
 
 
 def orthonormal_band(a):
@@ -53,3 +60,21 @@ def kraus_weights(spec):
             x[i][b] = Fraction(p * cnu[b] * jint[i][b] ** 2 * cmu[i],
                                q * cl[i + b - k])
     return x
+
+
+def toeplitz(f: IsotypicFunction, nu: int) -> KernelOperator:
+    """The operator (1/(nu+1)) T_f at level nu >= f.level, exactly.  The
+    compression is SU(2)-equivariant and each spin occurs once in B(H_nu),
+    so it scales spin m by berezin_eigenvalue(nu, m); the kernel with those
+    coordinates is the one at level f.level times (1 + x y~)^(nu - f.level),
+    each factor adding every diagonal to itself one cell down."""
+    if nu < f.level:
+        raise BandLimitExceededError(
+            f"target level {nu} below band limit {f.level}")
+    n = f.scale_components([berezin_eigenvalue(nu, m)
+                            for m in range(f.level + 1)]).numerator()
+    re, im = n.re, n.im
+    for _ in range(nu - f.level):
+        re, im = ([[a + b for a, b in zip((*x, 0), (0, *x))] for x in m]
+                  for m in (re, im))
+    return KernelOperator(nu, n.d, re, im)

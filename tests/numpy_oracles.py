@@ -12,7 +12,9 @@ import numpy as np
 from su2chan.intertwine import apply_channel
 from su2chan.quadrature import QuadratureGrid
 from su2chan.repspace import _rows
-from su2chan.symbolcalc import e_limit_apply, toeplitz
+from su2chan.symbolcalc import e_limit_apply
+
+from bignum_oracles import toeplitz
 
 
 def coefficient_matrix(a):

@@ -32,8 +32,8 @@ from su2chan.quadrature import (
     channel_output_moments,
     functional_from_moments,
     limit_moments,
+    input_band,
     random_band_limited_state,
-    toeplitz_band,
 )
 from su2chan.symbolcalc import (
     berezin_eigenvalue,
@@ -71,13 +71,14 @@ def channel_specs(mu_max, nu_max):
 
 def _criterion8_inputs():
     """Shared input set for criteria 8 and 9: five random PSD trace-one
-    band-limited functions per (mu, k)."""
+    states A per (mu, k), each with the band-limited function f whose
+    Toeplitz operator it is."""
     rng = random.Random(STATE_SEED)
     out = {}
     for mu in range(0, 4):
-        fs = [random_band_limited_state(mu, rng)[1] for _ in range(5)]
+        states = [random_band_limited_state(mu, rng) for _ in range(5)]
         for k in range(mu + 1):
-            out[(mu, k)] = fs
+            out[(mu, k)] = states
     return out
 
 
@@ -173,18 +174,18 @@ class TestAcceptance:
         phi = list(ENTROPY8)
         ok, detail = True, ""
         n_runs = 0
-        for (mu, k), fs in inputs.items():
-            # one set of moments per (f, nu), shared by the moment orders
-            # and phi, from one input band per f; one set of limit
+        for (mu, k), states in inputs.items():
+            # one set of moments per (A, nu), shared by the moment orders
+            # and phi, from one input band per A; one set of limit
             # moments per f
-            bands = [toeplitz_band(f, mu) for f in fs]
+            bands = [input_band(a) for a, _ in states]
             lhs = {(i, nu): channel_output_moments(
                        ChannelSpec(mu, nu, k), a, len(phi) - 1)
                    for i, a in enumerate(bands) for nu in nus}
-            rhs = [limit_moments(mu, k, f, len(phi) - 1) for f in fs]
+            rhs = [limit_moments(mu, k, f, len(phi) - 1) for _, f in states]
             for n in range(1, 5):
                 gaps = [max(abs(lhs[(i, nu)][n - 1] - rhs[i][n - 1])
-                            for i in range(len(fs)))
+                            for i in range(len(states)))
                         for nu in nus]
                 rec = ConvergenceRecord(mu, k, nus, f"n={n}", gaps, 0.0)
                 n_runs += 1
@@ -192,7 +193,7 @@ class TestAcceptance:
                     ok, detail = False, f"mu={mu},k={k},n={n}"
             gaps = [max(abs(functional_from_moments(phi, lhs[(i, nu)])
                             - functional_from_moments(phi, rhs[i]))
-                        for i in range(len(fs))) for nu in nus]
+                        for i in range(len(states))) for nu in nus]
             rec = ConvergenceRecord(mu, k, nus, "phi", gaps, 0.0)
             n_runs += 1
             if not rec.converged:
@@ -209,8 +210,8 @@ class TestAcceptance:
         ])
         assert len(pts) == 1000
         ok, lo, hi = True, 0.0, 0.0
-        for (mu, k), fs in _criterion8_inputs().items():
-            for f in fs:
+        for (mu, k), states in _criterion8_inputs().items():
+            for _, f in states:
                 vals = function_values(e_limit_apply(mu, k, f), pts)
                 re = vals.real
                 if np.max(np.abs(vals.imag)) > 1e-10:

@@ -10,6 +10,7 @@ import os
 import random
 import re
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -30,7 +31,6 @@ from su2chan.cli import (
 from su2chan.intertwine import ChannelSpec, apply_channel
 from su2chan.quadrature import FloatRangeError
 from su2chan.repspace import KernelOperator, _trace_integers
-from su2chan.symbolcalc import toeplitz
 from test_exactnum import CQ, fraction_3f2, rising_pochhammer
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -406,9 +406,9 @@ def test_converge_past_the_float_range_matches_exact_moments(tmp_path):
     with open(tmp_path / "x.csv") as fh:
         lhs = {r["n_or_phi"]: float(r["lhs"]) for r in csv.DictReader(fh)
                if r["nu"] == "1100"}
-    _, f = quadrature.random_band_limited_state(3, random.Random(3))
+    a, _ = quadrature.random_band_limited_state(3, random.Random(3))
     spec = ChannelSpec(3, 1100, 1)
-    out = apply_channel(spec, toeplitz(f, 3))
+    out = apply_channel(spec, a)
     dim, w = out.dim, out.width
     binom = [math.comb(out.level, i) for i in range(dim)]
     m1 = Fraction(sum(x * Fraction(1, c) for x, c in zip(out.re[w], binom)),
@@ -527,6 +527,45 @@ def test_unwritable_converge_summary_is_config_error(tmp_path, capsys):
         f"error: cannot write --out {tmp_path / 'c.csv.summary.json'}: "
         "is a directory\n")
     assert os.listdir(tmp_path) == ["c.csv.summary.json"]
+
+
+@pytest.mark.parametrize("option", ["--out", "--timings"])
+def test_fifo_target_is_written_through(tmp_path, capsys, option):
+    # a target that is no regular file is opened and written, not
+    # replaced by a regular file: the FIFO stays one and carries the report
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    argv = ["verify", "--mu", "0", "--nu-max", "1"]
+    assert main(argv) == EXIT_OK
+    plain = capsys.readouterr().out
+    if option == "--timings":
+        argv += ["--out", str(tmp_path / "r.json")]
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(argv + [option, str(fifo)]) == EXIT_OK
+        data = os.read(fd, 1 << 16).decode()
+    finally:
+        os.close(fd)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    if option == "--out":
+        assert data == plain
+    else:
+        assert json.loads(data)["version"] == su2chan.__version__
+        assert (tmp_path / "r.json").read_text() == plain
+
+
+def test_fifo_without_write_access_is_config_error(tmp_path, capsys,
+                                                  monkeypatch):
+    # the probe asks for write access, as no temporary file is made
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(cli, "run_verify_suites", _must_not_run)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    code = main(["verify", "--mu", "0", "--nu-max", "0", "--out", str(fifo)])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == (
+        f"error: cannot write --out {fifo}: Permission denied\n")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"],

@@ -1,7 +1,8 @@
 """No module imports a name it never uses, the package defines no
 function or class that nothing reads, no parameter default that no
 call overrides and no ``global`` statement, only ``cli.main`` reports
-bad input, the exact layers touch no float, and README names the
+bad input, only ``cli._atomic_write`` replaces a file, the exact layers
+touch no float, and README names the
 standard-library modules the package imports: the unused-import and
 dead-code rules of a linter, an error-path rule, a layering rule and a
 documentation rule, written with the stdlib ``ast`` module so that
@@ -230,6 +231,49 @@ def test_checker_finds_an_error_exit():
 def test_only_main_reports_bad_input(path):
     allowed = {"main"} if path.name == "cli.py" else set()
     assert [(line, fn) for line, fn in error_exits(path.read_text())
+            if fn not in allowed] == []
+
+
+# A report reaches its file by one path, cli._atomic_write, which writes
+# into a device or FIFO that a replace would swap for a regular file
+def file_replaces(source: str):
+    """(line, function) of every call of ``os.replace`` or ``os.rename``,
+    as an attribute or imported by name, the innermost function named."""
+    tree = ast.parse(source)
+    by_name = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "os"
+               for alias in node.names
+               if alias.name in ("replace", "rename")}
+    out = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("replace", "rename")
+                and getattr(node.func.value, "id", None) == "os"
+                or getattr(node.func, "id", None) in by_name):
+            out.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return sorted(out)
+
+
+def test_checker_finds_a_file_replace():
+    source = ("import os\nfrom os import rename as mv\n"
+              "def write(a, b):\n    os.replace(a, b)\n"
+              "    'x'.replace('x', 'y')\n"
+              "def move(a, b):\n    mv(a, b)\nos.rename('a', 'b')\n")
+    assert file_replaces(source) == [(4, "write"), (7, "move"), (8, None)]
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
+def test_only_atomic_write_replaces_a_file(path):
+    allowed = {"_atomic_write"} if path.name == "cli.py" else set()
+    assert [(line, fn) for line, fn in file_replaces(path.read_text())
             if fn not in allowed] == []
 
 

@@ -31,11 +31,11 @@ from su2chan.quadrature import (
     functional_from_moments,
     fund_ineq_check,
     i_n_integral,
+    input_band,
     limit_moments,
     random_band_limited_state,
     random_operator,
     random_psd_trace_one,
-    toeplitz_band,
 )
 from su2chan.repspace import KernelOperator
 from su2chan.symbolcalc import (
@@ -43,9 +43,8 @@ from su2chan.symbolcalc import (
     e_limit_apply,
     functions_equal,
     symbol,
-    toeplitz,
 )
-from bignum_oracles import orthonormal_band
+from bignum_oracles import orthonormal_band, toeplitz
 from numpy_oracles import (
     DenseGrid,
     assert_band_matches_dense,
@@ -309,8 +308,16 @@ class TestOutputBand:
     def test_input_band_matches_dense(self):
         rng = random.Random(RNG_SEED)
         for mu in range(6):
-            _, f = random_band_limited_state(mu, rng)
-            assert_band_matches_dense(toeplitz(f, mu), toeplitz_band(f, mu))
+            a, _ = random_band_limited_state(mu, rng)
+            assert_band_matches_dense(a, input_band(a))
+
+    @pytest.mark.parametrize("mu", [0, 1, 3, 30])
+    def test_drawn_state_is_the_toeplitz_operator_of_its_function(self, mu):
+        # the band of the drawn A, bit for bit the band of the operator
+        # that the Toeplitz map rebuilds from A's function
+        a, f = random_band_limited_state(mu, random.Random(RNG_SEED + mu))
+        assert toeplitz(f, mu) == a
+        assert input_band(a) == input_band(toeplitz(f, mu))
 
     @pytest.mark.parametrize("mu,nu,k", BAND_SPECS)
     def test_band_matches_the_bignum_route(self, mu, nu, k):
@@ -318,9 +325,9 @@ class TestOutputBand:
         # of terms of both signs keeps its absolute, not its relative,
         # roundoff
         spec = ChannelSpec(mu, nu, k)
-        _, f = random_band_limited_state(mu, random.Random(RNG_SEED + nu))
-        want = orthonormal_band(apply_channel(spec, toeplitz(f, mu)))
-        got = _output_band(spec, toeplitz_band(f, mu))
+        a, _ = random_band_limited_state(mu, random.Random(RNG_SEED + nu))
+        want = orthonormal_band(apply_channel(spec, a))
+        got = _output_band(spec, input_band(a))
         assert list(map(len, got)) == list(map(len, want))
         scale = max(abs(z) for diag in want for z in diag)
         assert max(abs(x - y) for u, v in zip(got, want)
@@ -328,11 +335,11 @@ class TestOutputBand:
 
     def test_identity_at_a_large_input_level(self):
         # (mu, nu, k) = (200, 200, 100): the J table's d is about 1e104
-        # and C(mu, i) reaches 9e58.  The constant mu + 1 has R*_mu f = I
-        # and T(I) = I, so every moment is 1
-        f = IsotypicFunction(0, 1, [[201]], [[0]])
-        moments = channel_output_moments(ChannelSpec(200, 200, 100),
-                                         toeplitz_band(f, 200), 3)
+        # and C(mu, i) reaches 9e58.  The identity's output is T(I) = I,
+        # so every moment is 1
+        moments = channel_output_moments(
+            ChannelSpec(200, 200, 100),
+            input_band(reproducing_identity_operator(200)), 3)
         assert max(abs(m - 1) for m in moments) < 1e-12
 
     @pytest.mark.parametrize("patch", ["scalar", "column"])
@@ -352,7 +359,7 @@ class TestOutputBand:
 
     def test_input_level_check_at_the_float_range(self, monkeypatch):
         # C(1029, 514) is below the largest float and C(1030, 515) above
-        # it; toeplitz_band checks the level before any exact work
+        # it; input_band checks the level before any float work
         assert math.comb(1029, 514) < sys.float_info.max \
             < math.comb(1030, 515)
         assert quadrature._check_input_level(1029) is None
@@ -360,20 +367,21 @@ class TestOutputBand:
         with pytest.raises(FloatRangeError, match=msg):
             quadrature._check_input_level(1030)
 
-        def must_not_run(f, mu):
-            raise AssertionError("toeplitz ran past the float range")
+        def must_not_run(n):
+            raise AssertionError("the band ran past the float range")
 
-        monkeypatch.setattr(quadrature, "toeplitz", must_not_run)
+        zero = KernelOperator(1030, 1, [[0] * 1031], [[0] * 1031])
+        monkeypatch.setattr(quadrature, "_binomial_row", must_not_run)
         with pytest.raises(FloatRangeError, match=msg):
-            toeplitz_band(None, 1030)
+            input_band(zero)
 
     def test_moment_memory_holds_no_bignum_output(self):
         # the big-integer route held the exact output, nu-bit integers on
         # 7 diagonals of 2560 cells: a 22.8 MB tracemalloc peak here, where
         # the weights take 1.9 MB
         spec = ChannelSpec(3, 2560, 1)
-        _, f = random_band_limited_state(3, random.Random(RNG_SEED))
-        a = toeplitz_band(f, 3)
+        state, _ = random_band_limited_state(3, random.Random(RNG_SEED))
+        a = input_band(state)
         channel_output_moments(spec, a, 1)   # the J table, cached
         assert traced_peak(lambda: channel_output_moments(spec, a, 4)) < 6e6
 
@@ -393,9 +401,9 @@ class TestSpectralFunctionals:
     @pytest.mark.parametrize("mu,nu,k", MOMENT_SPECS)
     def test_banded_moments_match_eigvalsh(self, mu, nu, k):
         spec = ChannelSpec(mu, nu, k)
-        _, f = random_band_limited_state(mu, random.Random(RNG_SEED + nu))
+        a, f = random_band_limited_state(mu, random.Random(RNG_SEED + nu))
         lam = channel_output_spectrum(spec, f)
-        got = channel_output_moments(spec, toeplitz_band(f, mu), 8)
+        got = channel_output_moments(spec, input_band(a), 8)
         want = [trace_moment(lam, n) for n in range(1, 9)]
         assert np.max(np.abs(np.array(got) - want)) < 1e-12
 
@@ -406,8 +414,9 @@ class TestSpectralFunctionals:
     @pytest.mark.parametrize("nmax", [1, 2, 7, 12])
     def test_two_powers_give_the_all_powers_moments(self, mu, nu, k, nmax):
         spec = ChannelSpec(mu, nu, k)
-        _, f = random_band_limited_state(mu, random.Random(RNG_SEED + nu))
-        a = toeplitz_band(f, mu)
+        state, _ = random_band_limited_state(
+            mu, random.Random(RNG_SEED + nu))
+        a = input_band(state)
         assert channel_output_moments(spec, a, nmax) == \
             all_powers_moments(spec, a, nmax)
 
@@ -415,37 +424,37 @@ class TestSpectralFunctionals:
         # T^p is dense from p = 21 at L = 21; keeping every power to
         # nmax/2 would hold about 4 dense powers at nmax = 48 and 28 at 96
         spec = ChannelSpec(1, 20, 0)
-        _, f = random_band_limited_state(1, random.Random(RNG_SEED))
-        a = toeplitz_band(f, 1)
+        state, _ = random_band_limited_state(1, random.Random(RNG_SEED))
+        a = input_band(state)
         channel_output_moments(spec, a, 1)   # the exact caches, warm
         peaks = [traced_peak(lambda: channel_output_moments(spec, a, n))
                  for n in (48, 96)]
         assert peaks[1] < 1.5 * peaks[0], peaks
 
     def test_moments_reject_non_hermitian_input(self):
-        f = symbol(random_operator(2, random.Random(RNG_SEED)))
+        a = random_operator(2, random.Random(RNG_SEED))
         with pytest.raises(ValueError):
-            toeplitz_band(f, 2)
+            input_band(a)
         with pytest.raises(ValueError):
-            limit_moments(2, 1, f, 2)
+            limit_moments(2, 1, symbol(a), 2)
 
     def test_first_moment_identity(self):
         # (1/dim) Tr T(A) equals (1/(mu+1)) Tr A exactly in the limit too,
         # so the n = 1 moment gap must sit at float noise level
         rng = random.Random(RNG_SEED)
         spec = ChannelSpec(2, 8, 1)
-        _, f = random_band_limited_state(2, rng)
-        lhs = channel_output_moments(spec, toeplitz_band(f, 2), 1)[0]
+        a, f = random_band_limited_state(2, rng)
+        lhs = channel_output_moments(spec, input_band(a), 1)[0]
         rhs = limit_moments(2, 1, f, 1)[0]
         assert abs(lhs - rhs) < 1e-12
 
     def test_functional_with_polynomial_equals_moments(self):
         rng = random.Random(RNG_SEED)
         spec = ChannelSpec(2, 8, 0)
-        _, f = random_band_limited_state(2, rng)
+        a, f = random_band_limited_state(2, rng)
         # phi(x) = 2x^2 - x as coefficient list, and the entropy fit
         lam = channel_output_spectrum(spec, f)
-        moments = channel_output_moments(spec, toeplitz_band(f, 2), 8)
+        moments = channel_output_moments(spec, input_band(a), 8)
         for phi in ([0.0, -1.0, 2.0], list(ENTROPY8)):
             assert abs(functional_from_moments(phi, moments)
                        - trace_functional(lam, phi)) < 1e-12
@@ -604,8 +613,8 @@ class TestConvergenceHarness:
 
     def test_moment_convergence_run(self):
         rng = random.Random(RNG_SEED)
-        _, f = random_band_limited_state(2, rng)
-        a, nus = toeplitz_band(f, 2), [8, 16, 32]
+        state, f = random_band_limited_state(2, rng)
+        a, nus = input_band(state), [8, 16, 32]
         rec = ConvergenceRecord(2, 1, nus, "n=2", [
             channel_output_moments(ChannelSpec(2, nu, 1), a, 2)[1]
             for nu in nus], limit_moments(2, 1, f, 2)[1])
@@ -614,8 +623,8 @@ class TestConvergenceHarness:
 
     def test_functional_convergence_run(self):
         rng = random.Random(RNG_SEED)
-        _, f = random_band_limited_state(1, rng)
-        a, nus, phi = toeplitz_band(f, 1), [8, 16, 32, 64], list(ENTROPY8)
+        state, f = random_band_limited_state(1, rng)
+        a, nus, phi = input_band(state), [8, 16, 32, 64], list(ENTROPY8)
         rec = ConvergenceRecord(1, 1, nus, "phi=deg8", [
             functional_from_moments(
                 phi, channel_output_moments(ChannelSpec(1, nu, 1), a, 8))

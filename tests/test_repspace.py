@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from su2chan.quadrature import random_operator
-from su2chan.symbolcalc import symbol, toeplitz
+from su2chan.symbolcalc import symbol
 from su2chan.repspace import (
     IsotypicDecomposition,
     KernelOperator,
@@ -22,10 +22,9 @@ from su2chan.repspace import (
     _trace_integers,
     LevelMismatchError,
     compose,
-    isotypic_projectors,
 )
 
-from bignum_oracles import orthonormal_band
+from bignum_oracles import orthonormal_band, toeplitz
 from numpy_oracles import (DenseGrid, assert_band_matches_dense,
                            dense_orthonormal_matrix)
 from test_exactnum import CQ, binomial
@@ -682,7 +681,7 @@ class TestLieAlgebra:
         # checked against the generator-built Casimir
         for mu in range(7):
             cas = casimir_on_operators(mu)
-            dec = isotypic_projectors(mu)
+            dec = IsotypicDecomposition(mu)
             for a_idx in range(3):
                 rng = random.Random(RNG_SEED + a_idx)
                 a = random_operator(mu, rng)
@@ -696,7 +695,7 @@ class TestIsotypicProjectors:
     def test_completeness_orthogonality_idempotence(self):
         rng = random.Random(RNG_SEED)
         for mu in range(7):
-            dec = isotypic_projectors(mu)
+            dec = IsotypicDecomposition(mu)
             a = random_operator(mu, rng)
             parts = [dec.project(m, a) for m in range(mu + 1)]
             total = parts[0]
@@ -714,7 +713,7 @@ class TestIsotypicProjectors:
         # coordinates is some operator's
         rng = random.Random(RNG_SEED)
         for mu in range(7):
-            dec = isotypic_projectors(mu)
+            dec = IsotypicDecomposition(mu)
             a = random_operator(mu, rng)
             assert dec.operator(*dec.coordinates(a)) == a
             den = rng.randint(1, 6)
@@ -733,7 +732,7 @@ class TestIsotypicProjectors:
     def test_coordinates_match_fraction_dual_oracle(self):
         rng = random.Random(RNG_SEED)
         for mu in range(7):
-            dec = isotypic_projectors(mu)
+            dec = IsotypicDecomposition(mu)
             for _ in range(2):
                 a = random_operator(mu, rng)
                 assert coordinate_rows(*dec.coordinates(a)) == \
@@ -743,7 +742,7 @@ class TestIsotypicProjectors:
         g = GroupElement(CQ(Fraction(3, 5)), CQ(Fraction(4, 5)))
         rng = random.Random(RNG_SEED)
         mu = 3
-        dec = isotypic_projectors(mu)
+        dec = IsotypicDecomposition(mu)
         a = random_operator(mu, rng)
         for m in range(mu + 1):
             assert conjugate_operator(dec.project(m, a), g) == \

@@ -12,11 +12,11 @@ import pytest
 from su2chan.intertwine import ChannelSpec, apply_channel, c_squared
 from su2chan.quadrature import random_operator, random_band_limited_state
 from su2chan.repspace import (
+    IsotypicDecomposition,
     KernelOperator,
     _common_denominator,
     _gram_integers,
     compose,
-    isotypic_projectors,
 )
 from su2chan.symbolcalc import (
     BandLimitExceededError,
@@ -31,8 +31,8 @@ from su2chan.symbolcalc import (
     functions_equal,
     inverse_berezin,
     symbol,
-    toeplitz,
 )
+from bignum_oracles import toeplitz
 from numpy_oracles import DenseGrid, function_values
 from test_exactnum import CQ, binomial, factorial, hyp3f2_terminating
 from test_repspace import (
@@ -338,7 +338,7 @@ def component_numerator_at_level(f, m, level):
         raise BandLimitExceededError(
             f"cannot lower level {f.level} to {level}")
     d = level - f.level
-    src = coeff_rows(isotypic_projectors(f.level).project(m, f.numerator())) \
+    src = coeff_rows(IsotypicDecomposition(f.level).project(m, f.numerator())) \
         if m <= f.level else None
     out = [[CQ(0) for _ in range(level + 1)]
            for _ in range(level + 1)]
