@@ -3,11 +3,9 @@ tensor-product decompositions, their covariant symbol calculus, and the
 large-level trace limit.
 """
 
-from .exactnum import NonTerminatingError
 from .repspace import (
     IsotypicDecomposition,
     KernelOperator,
-    LevelMismatchError,
     compose,
 )
 from .intertwine import (
@@ -22,9 +20,7 @@ from .intertwine import (
     pk_orthogonality_check,
 )
 from .symbolcalc import (
-    BandLimitExceededError,
     IsotypicFunction,
-    SingularComponentError,
     berezin_eigenvalue,
     e_eigenvalue_3f2,
     e_limit_apply,
@@ -38,9 +34,7 @@ from .symbolcalc import (
 from .quadrature import (
     ConvergenceRecord,
     FloatRangeError,
-    NonFiniteSampleError,
     QuadratureGrid,
-    SpectrumOutOfRangeError,
     channel_output_moments,
     functional_from_moments,
     fund_ineq_check,

@@ -84,13 +84,15 @@ def _not_regular(path: str) -> bool:
 
 def _atomic_write(path: str, data: str):
     """Write data to path through a temporary file replaced onto it, or
-    straight into a device or FIFO."""
+    straight into a device or FIFO.  A symlink is followed: the file it
+    names is written, in its own directory, and the link is kept."""
+    path = os.path.realpath(path)
     if _not_regular(path):
         with open(path, "w") as fh:
             fh.write(data)
         return
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-",
+                               text=True)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
@@ -110,13 +112,13 @@ def _unwritable(path: str) -> Optional[str]:
     """Why a report cannot be written to path, or None.  The probe makes
     and removes a temporary file where :func:`_atomic_write` makes one,
     or asks for write access to a device or FIFO."""
+    path = os.path.realpath(path)
     if os.path.isdir(path):
         return "is a directory"
     if _not_regular(path):
         return None if os.access(path, os.W_OK) else "Permission denied"
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".tmp-")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
     except OSError as exc:
         return exc.strerror or str(exc)
     os.close(fd)

@@ -10,10 +10,6 @@ from __future__ import annotations
 import operator
 
 
-class NonTerminatingError(ValueError):
-    """Raised when a hypergeometric series has no terminating parameter."""
-
-
 def terminating_pair(nums, dens) -> tuple[int, int]:
     """pFq(nums; dens; 1) over integer parameters, for a series that
     terminates, as an unreduced integer pair (top, bot) with bot != 0.
@@ -30,7 +26,7 @@ def terminating_pair(nums, dens) -> tuple[int, int]:
     dens = list(map(operator.index, dens))
     stops = [-p for p in nums if p <= 0]
     if not stops:
-        raise NonTerminatingError(
+        raise ValueError(
             f"{len(nums)}F{len(dens)}({', '.join(map(str, nums))}; ...; 1) "
             "has no nonpositive-integer numerator parameter")
     m = min(stops)

@@ -33,7 +33,6 @@ from typing import List, Tuple
 
 from .repspace import (
     KernelOperator,
-    LevelMismatchError,
     _binomial_row,
     _gram_integers,
     _lowest_terms,
@@ -195,7 +194,7 @@ def _channel(spec: ChannelSpec, a: KernelOperator,
     A of band w, at O(L w mu) integer operations; p/q = scalar enters
     once, p in the weights and q in the denominator."""
     if a.level != spec.mu:
-        raise LevelMismatchError(
+        raise ValueError(
             f"operator level {a.level} does not match spec mu={spec.mu}")
     mu, nu, k, n = spec.mu, spec.nu, spec.k, spec.target_level + 1
     dj, jint = _jk_integers(spec)

@@ -37,14 +37,6 @@ from .symbolcalc import (
 )
 
 
-class NonFiniteSampleError(ValueError):
-    pass
-
-
-class SpectrumOutOfRangeError(ValueError):
-    pass
-
-
 class FloatRangeError(OverflowError):
     """An exact coefficient is too large to read as a float."""
 
@@ -316,7 +308,7 @@ def _unit_interval(vals: List[float]) -> List[float]:
     [0, 1])."""
     lo, hi = min(vals), max(vals)
     if lo < -1e-8 or hi > 1 + 1e-8:
-        raise SpectrumOutOfRangeError(f"values [{lo}, {hi}] exit [0, 1]")
+        raise ValueError(f"values [{lo}, {hi}] exit [0, 1]")
     if lo < 0 or hi > 1:
         return [min(max(v, 0.0), 1.0) for v in vals]
     return vals
@@ -334,7 +326,8 @@ def limit_moments(mu: int, k: int, f: IsotypicFunction,
     angular sum is G_0 + 2 Re sum_(s>0) G_s e^(i s theta).  The samples
     are taken one radial node at a time, range-checked by
     :func:`_unit_interval`.  A kernel coefficient past the float range,
-    as at mu >= 1030, is a :class:`FloatRangeError`.
+    as at mu >= 1030, is a :class:`FloatRangeError`, and so is a sample
+    whose angular sum passes that range.
     """
     e = e_limit_apply(mu, k, f).numerator()
     if not e.is_hermitian():
@@ -370,7 +363,7 @@ def limit_moments(mu: int, k: int, f: IsotypicFunction,
         # each |G_s| is at most the largest coefficient, but their sum
         # may pass the float range
         if not math.isfinite(sum(vals)):
-            raise NonFiniteSampleError("limit integrand not finite on the grid")
+            raise FloatRangeError("limit integrand not finite on the grid")
         vals = _unit_interval(vals)
         power = vals
         for n in range(nmax):

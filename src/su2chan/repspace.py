@@ -23,10 +23,6 @@ from itertools import chain
 from typing import List, Sequence, Tuple
 
 
-class LevelMismatchError(ValueError):
-    pass
-
-
 def _binomial_row(n: int) -> List[int]:
     """C(n, i) for i = 0..n, each from the one before:
     C(n, i+1) = C(n, i) (n - i) / (i + 1), a small factor and an exact
@@ -152,7 +148,7 @@ def compose(a: KernelOperator, b: KernelOperator) -> KernelOperator:
     """Kernel composition: coefficient matrix a . G . b, with the complex
     product as one real product [[a_re, -a_im], [a_im, a_re]] [b_re; b_im]."""
     if a.level != b.level:
-        raise LevelMismatchError(f"levels differ: {a.level} vs {b.level}")
+        raise ValueError(f"levels differ: {a.level} vs {b.level}")
     big_w, w = _gram_integers(a.level)
     ar, ai = ([[x * v for x, v in zip(row, w)] for row in m]
               for m in _rows(a))
@@ -272,8 +268,7 @@ class IsotypicDecomposition:
         """Spin coordinates of A over one denominator: (den, re, im) with
         (re[m][m + d] + i im[m][m + d]) / den = c_{m,d}, d = -m..m."""
         if a.level != self.level:
-            raise LevelMismatchError(
-                f"expected level {self.level}, got {a.level}")
+            raise ValueError(f"expected level {self.level}, got {a.level}")
         L, w = self.level, a.width
         re, im = ([[0] * (2 * m + 1) for m in range(L + 1)] for _ in range(2))
         for d, xr, xi in zip(range(-w, w + 1), a.re, a.im):

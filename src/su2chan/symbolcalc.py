@@ -36,14 +36,6 @@ from .repspace import (
 )
 
 
-class BandLimitExceededError(ValueError):
-    pass
-
-
-class SingularComponentError(ValueError):
-    pass
-
-
 class IsotypicFunction(_IntegerForm):
     """Band-limited function in spin coordinates over one denominator: the
     coordinate of spin m on kernel diagonal d, |d| <= m <= level, is
@@ -110,7 +102,7 @@ def berezin_eigenvalue(nu: int, m: int) -> Fraction:
 def inverse_berezin(nu: int, f: IsotypicFunction) -> IsotypicFunction:
     """Componentwise division by the Berezin eigenvalues at level nu."""
     if nu < f.level:
-        raise SingularComponentError(
+        raise ValueError(
             f"components above index {nu} have eigenvalue 0; cannot invert "
             f"at band limit {f.level}")
     return f.scale_components(
@@ -151,7 +143,7 @@ def e_nu_apply(spec: ChannelSpec, f: IsotypicFunction) -> IsotypicFunction:
     """The operator R_{out} T R_mu* on band-limited functions, via its
     expansion as a weighted sum of Berezin transforms."""
     if f.level > spec.mu:
-        raise BandLimitExceededError(
+        raise ValueError(
             f"band limit {f.level} exceeds channel input level {spec.mu}")
     return f.scale_components(
         [e_nu_eigenvalue(spec, m) for m in range(f.level + 1)])
@@ -179,8 +171,7 @@ def _limit_eigenvalue(mu: int, k: int, m: int, berezin) -> Fraction:
 def e_limit_apply(mu: int, k: int, f: IsotypicFunction) -> IsotypicFunction:
     """The large-level limit of the channel-induced function operator."""
     if f.level > mu:
-        raise BandLimitExceededError(
-            f"band limit {f.level} exceeds level {mu}")
+        raise ValueError(f"band limit {f.level} exceeds level {mu}")
     return f.scale_components(
         [e_limit_eigenvalue(mu, k, m) for m in range(f.level + 1)])
 

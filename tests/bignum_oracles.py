@@ -15,7 +15,6 @@ from su2chan.intertwine import (
 )
 from su2chan.repspace import KernelOperator, _binomial_row
 from su2chan.symbolcalc import (
-    BandLimitExceededError,
     IsotypicFunction,
     berezin_eigenvalue,
 )
@@ -69,7 +68,7 @@ def toeplitz(f: IsotypicFunction, nu: int) -> KernelOperator:
     coordinates is the one at level f.level times (1 + x y~)^(nu - f.level),
     each factor adding every diagonal to itself one cell down."""
     if nu < f.level:
-        raise BandLimitExceededError(
+        raise ValueError(
             f"target level {nu} below band limit {f.level}")
     n = f.scale_components([berezin_eigenvalue(nu, m)
                             for m in range(f.level + 1)]).numerator()

@@ -31,6 +31,7 @@ from su2chan.cli import (
 from su2chan.intertwine import ChannelSpec, apply_channel
 from su2chan.quadrature import FloatRangeError
 from su2chan.repspace import KernelOperator, _trace_integers
+from su2chan.symbolcalc import symbol
 from test_exactnum import CQ, fraction_3f2, rising_pochhammer
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -309,18 +310,23 @@ class TestVerify:
             f"{UNWRITABLE[target]}\n")
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("timings", ["r.json", "./r.json"])
+    @pytest.mark.parametrize("out,timings", [
+        ("r.json", "r.json"), ("r.json", "./r.json"), ("a.json", "b.json")],
+        ids=["r.json", "./r.json", "two-links"])
     def test_timings_on_the_report_is_config_error(self, tmp_path, capsys,
-                                                   monkeypatch, timings):
-        # the sidecar would silently replace the report
+                                                   monkeypatch, out, timings):
+        # the sidecar would silently replace the report, also where two
+        # symlinks name the one file
         monkeypatch.chdir(tmp_path)
+        os.symlink("r.json", "a.json")
+        os.symlink("r.json", "b.json")
         monkeypatch.setattr(cli, "run_verify_suites", _must_not_run)
         code = main(["verify", "--mu", "0", "--nu-max", "0",
-                     "--out", "r.json", "--timings", timings])
+                     "--out", out, "--timings", timings])
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == (
-            "error: --out and --timings name the same file r.json\n")
-        assert os.listdir(tmp_path) == []
+            f"error: --out and --timings name the same file {out}\n")
+        assert sorted(os.listdir(tmp_path)) == ["a.json", "b.json"]
 
     def test_bad_range_is_config_error(self, tmp_path, capsys):
         code, _ = run(tmp_path, "verify", "--mu", "3", "--nu-max", "1")
@@ -457,6 +463,23 @@ def test_limit_past_the_float_range_is_config_error(tmp_path, capsys,
     assert os.listdir(tmp_path) == []
 
 
+def test_limit_samples_past_the_float_range_are_config_error(
+        tmp_path, capsys, monkeypatch):
+    # coefficients just inside the float range whose sum is not: the
+    # limit kernel 1.7e308 (1 + x + y~ + x y~) sums to 3.4e308 at t = 1/2,
+    # theta = 0, one error line and exit 2
+    c = int(1.7e308)
+    big = symbol(KernelOperator(1, 1, [[c], [c, c], [c]], [[0], [0, 0], [0]]))
+    monkeypatch.setattr(quadrature, "e_limit_apply", lambda mu, k, f: big)
+    code = main(["converge", "--mu", "1", "--k", "0", "--nu", "8,16",
+                 "--n", "1", "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: limit integrand not finite on the grid\n"
+    assert os.listdir(tmp_path) == []
+
+
 # (argv, its one error line, with no usage): the ids are those of the argv
 UNPARSABLE = [
     (["converge", "--mu", "1", "--k", "0", "--nu", "8,16", "--tol", "abc"],
@@ -552,6 +575,34 @@ def test_fifo_target_is_written_through(tmp_path, capsys, option):
     else:
         assert json.loads(data)["version"] == su2chan.__version__
         assert (tmp_path / "r.json").read_text() == plain
+
+
+def test_symlinked_out_writes_its_target(tmp_path, capsys):
+    # the report goes into the file the link names, and the link stays
+    target = tmp_path / "target"
+    target.write_text("old")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert main(["spectrum", "--mu", "1"]) == EXIT_OK
+    plain = capsys.readouterr().out
+    assert main(["spectrum", "--mu", "1", "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == plain
+    assert sorted(os.listdir(tmp_path)) == ["link", "target"]
+
+
+def test_dangling_symlinked_out_is_config_error(tmp_path, capsys,
+                                                monkeypatch):
+    # a link into a missing directory cannot be written, as open() finds
+    monkeypatch.setattr(cli, "spectrum_rows", _must_not_run)
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "nowhere" / "x")
+    code = main(["spectrum", "--mu", "1", "--out", str(dangling)])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == (
+        f"error: cannot write --out {dangling}: No such file or directory\n")
+    assert dangling.is_symlink()
+    assert os.listdir(tmp_path) == ["dangling"]
 
 
 def test_fifo_without_write_access_is_config_error(tmp_path, capsys,

@@ -1,15 +1,16 @@
 """No module imports a name it never uses, the package defines no
 function or class that nothing reads, no parameter default that no
 call overrides and no ``global`` statement, only ``cli.main`` reports
-bad input, only ``cli._atomic_write`` replaces a file, the exact layers
-touch no float, and README names the
-standard-library modules the package imports: the unused-import and
-dead-code rules of a linter, an error-path rule, a layering rule and a
-documentation rule, written with the stdlib ``ast`` module so that
-they run wherever the tests run.  ``__init__.py`` is skipped,
-since its imports are the package's re-exports."""
+bad input, every exception class the package defines is caught, only
+``cli._atomic_write`` replaces a file, the exact layers touch no float,
+and README names the standard-library modules the package imports: the
+unused-import and dead-code rules of a linter, two error-path rules, a
+layering rule and a documentation rule, written with the stdlib ``ast``
+module so that they run wherever the tests run.  ``__init__.py`` is
+skipped, since its imports are the package's re-exports."""
 
 import ast
+import builtins
 import json
 import os
 import re
@@ -232,6 +233,50 @@ def test_only_main_reports_bad_input(path):
     allowed = {"main"} if path.name == "cli.py" else set()
     assert [(line, fn) for line, fn in error_exits(path.read_text())
             if fn not in allowed] == []
+
+
+# An exception class is worth defining only where some handler tells it
+# apart from its base: each one the package defines is named in an
+# ``except`` clause of the package, in any module, since the classes are
+# defined where they are raised and caught in cli.main
+def uncaught_exceptions(sources):
+    """Name of every exception class that ``sources`` define, one whose
+    bases include a builtin exception or such a class, and that no
+    ``except`` clause of ``sources`` names, as a name or an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    bases, caught = {}, set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.ClassDef):
+            bases[node.name] = [getattr(b, "id", getattr(b, "attr", ""))
+                                for b in node.bases]
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) \
+                else [node.type]
+            caught.update(getattr(t, "id", getattr(t, "attr", None))
+                          for t in types)
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(map(is_exception, bases.get(name, ())))
+
+    return sorted(name for name in bases
+                  if is_exception(name) and name not in caught)
+
+
+def test_checker_finds_an_uncaught_exception():
+    defining = ("class AError(ValueError): pass\n"
+                "class BError(AError): pass\nclass Plain: pass\n"
+                "class DError(errors.Base, OverflowError): pass\n")
+    catching = ("try:\n    f()\nexcept (AError, m.DError):\n    pass\n"
+                "except Plain:\n    pass\nexcept:\n    pass\n")
+    assert uncaught_exceptions([defining, catching]) == ["BError"]
+    assert uncaught_exceptions([defining]) == ["AError", "BError", "DError"]
+
+
+def test_every_exception_class_is_caught():
+    assert uncaught_exceptions([p.read_text() for p in SRC_FILES]) == []
 
 
 # A report reaches its file by one path, cli._atomic_write, which writes

@@ -20,7 +20,6 @@ from su2chan.repspace import (
     _gram_integers,
     _rows,
     _trace_integers,
-    LevelMismatchError,
     compose,
 )
 
@@ -501,7 +500,7 @@ class TestKernelOperator:
         assert np.max(np.abs(mab - ma @ mb)) < 1e-12
 
     def test_level_mismatch_rejected(self):
-        with pytest.raises(LevelMismatchError):
+        with pytest.raises(ValueError, match="levels differ: 2 vs 3"):
             compose(reproducing_identity_operator(2),
                     reproducing_identity_operator(3))
 
