@@ -54,7 +54,7 @@ from .quadrature import (
 from .repspace import _from_dense, _trace_integers
 from .symbolcalc import (
     _berezin_numerators,
-    _limit_eigenvalue,
+    _limit_numerator,
     berezin_eigenvalue,
     e_eigenvalue_3f2,
     e_nu_apply,
@@ -113,6 +113,8 @@ def _unwritable(path: str) -> Optional[str]:
     and removes a temporary file where :func:`_atomic_write` makes one,
     or asks for write access to a device or FIFO."""
     path = os.path.realpath(path)
+    if os.path.islink(path):    # a loop, which realpath leaves unresolved
+        return "Too many levels of symbolic links"
     if os.path.isdir(path):
         return "is a directory"
     if _not_regular(path):
@@ -471,22 +473,27 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def spectrum_rows(mu: int) -> List[dict]:
-    # once per m: the Berezin eigenvalue, and its numerator row, whose
-    # prefix of length k + 1 is _berezin_numerators(mu, k, m)
+    """Rows (k, m), k, m <= mu, of the limit eigenvalue as its 3F2 form and
+    as the Berezin sum, whose numerator over (mu+m+1)! (mu-m)! forms_agree
+    compares crosswise with the 3F2 fraction; one Berezin row per m."""
     per_m = []
     for m in range(mu + 1):
         b = berezin_eigenvalue(mu, m)
-        per_m.append((str(b), float(b), _berezin_numerators(mu, mu, m)))
+        per_m.append((str(b), float(b), _berezin_numerators(mu, mu, m),
+                      math.factorial(mu + m + 1) * math.factorial(mu - m)))
     rows = []
     for k in range(mu + 1):
-        for m, (b_str, b_float, berezin) in enumerate(per_m):
+        for m, (b_str, b_float, berezin, den) in enumerate(per_m):
             e3 = e_eigenvalue_3f2(mu, k, m)
-            es = _limit_eigenvalue(mu, k, m, berezin[:k + 1])
+            num = _limit_numerator(mu, k, berezin)
+            e3_str = str(e3)
+            agree = num * e3.denominator == den * e3.numerator
             rows.append({
                 "mu": mu, "k": k, "m": m,
                 "berezin_exact": b_str, "berezin_float": b_float,
-                "e_3f2_exact": str(e3), "e_3f2_float": float(e3),
-                "e_sum_exact": str(es), "forms_agree": e3 == es})
+                "e_3f2_exact": e3_str, "e_3f2_float": float(e3),
+                "e_sum_exact": e3_str if agree else str(Fraction(num, den)),
+                "forms_agree": agree})
     return rows
 
 

@@ -410,20 +410,18 @@ def fund_ineq_check(kappa: int, j: int) -> dict:
     form (2kappa+1)/(kappa+1) / C(kappa,j) and the bound 2/C(kappa,j);
     each 1/C(2kappa,s) is the level-2kappa Gram weight w_s / W of
     :func:`~su2chan.repspace._gram_integers`, so the sum is the integer
-    sum_i C(kappa,i) w_(i+j) over W."""
+    sum_i C(kappa,i) w_(i+j) over W, held to both crosswise in integers."""
     if not 0 <= j <= kappa:
         raise ValueError(f"need 0 <= j <= kappa, got j={j}, kappa={kappa}")
     big_w, w = _gram_integers(2 * kappa)
-    s = Fraction(sum(map(operator.mul, _binomial_row(kappa), w[j:])), big_w)
+    s = sum(map(operator.mul, _binomial_row(kappa), w[j:]))
     c = math.comb(kappa, j)
-    identity_value = Fraction(2 * kappa + 1, (kappa + 1) * c)
     return {
-        "kappa": kappa,
-        "j": j,
-        "sum": s,
-        "identity_value": identity_value,
-        "identity_holds": s == identity_value,
-        "bound_holds": s <= Fraction(2, c),
+        "kappa": kappa, "j": j,
+        "sum": Fraction(s, big_w),
+        "identity_value": Fraction(2 * kappa + 1, (kappa + 1) * c),
+        "identity_holds": s * (kappa + 1) * c == (2 * kappa + 1) * big_w,
+        "bound_holds": s * c <= 2 * big_w,
     }
 
 

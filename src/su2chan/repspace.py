@@ -23,14 +23,15 @@ from itertools import chain
 from typing import List, Sequence, Tuple
 
 
-def _binomial_row(n: int) -> List[int]:
-    """C(n, i) for i = 0..n, each from the one before:
-    C(n, i+1) = C(n, i) (n - i) / (i + 1), a small factor and an exact
-    division where math.comb would start over for every i."""
+@functools.lru_cache(maxsize=256)
+def _binomial_row(n: int) -> Tuple[int, ...]:
+    """C(n, i) for i = 0..n, each from the one before: C(n, i+1) =
+    C(n, i) (n - i) / (i + 1), a small factor and an exact division where
+    math.comb would start over for every i; cached as _gram_integers is."""
     row = [1]
     for i in range(n):
         row.append(row[-1] * (n - i) // (i + 1))
-    return row
+    return tuple(row)
 
 
 @functools.lru_cache(maxsize=256)

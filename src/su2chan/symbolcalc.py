@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from itertools import chain
 from typing import List, Sequence
@@ -31,6 +32,7 @@ from .repspace import (
     IsotypicDecomposition,
     KernelOperator,
     _IntegerForm,
+    _binomial_row,
     _common_denominator,
     _lowest_terms,
 )
@@ -155,17 +157,19 @@ def e_limit_eigenvalue(mu: int, k: int, m: int) -> Fraction:
     over (mu+m+1)! (mu-m)!."""
     if not 0 <= k <= mu:
         raise ValueError(f"need 0 <= k <= mu, got k={k}, mu={mu}")
-    return _limit_eigenvalue(mu, k, m, _berezin_numerators(mu, k, m))
-
-
-def _limit_eigenvalue(mu: int, k: int, m: int, berezin) -> Fraction:
-    """e_limit_eigenvalue(mu, k, m) from _berezin_numerators(mu, k, m)."""
-    if not berezin:
+    if m > mu:
         return Fraction(0)
-    s = sum((-1) ** (k - l) * math.comb(k, l) * b
-            for l, b in enumerate(berezin))
-    return Fraction(math.comb(mu, k) * s,
+    return Fraction(_limit_numerator(mu, k, _berezin_numerators(mu, k, m)),
                     math.factorial(mu + m + 1) * math.factorial(mu - m))
+
+
+def _limit_numerator(mu: int, k: int, berezin: Sequence[int]) -> int:
+    """(mu+m+1)! (mu-m)! e_limit_eigenvalue(mu, k, m) from a row that starts
+    with _berezin_numerators(mu, k, m): a dot product with C(k, l) per sign."""
+    row, p = _binomial_row(k), k % 2
+    return math.comb(mu, k) * (
+        sum(map(operator.mul, row[p::2], berezin[p:k + 1:2]))
+        - sum(map(operator.mul, row[1 - p::2], berezin[1 - p:k + 1:2])))
 
 
 def e_limit_apply(mu: int, k: int, f: IsotypicFunction) -> IsotypicFunction:

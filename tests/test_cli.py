@@ -31,7 +31,7 @@ from su2chan.cli import (
 from su2chan.intertwine import ChannelSpec, apply_channel
 from su2chan.quadrature import FloatRangeError
 from su2chan.repspace import KernelOperator, _trace_integers
-from su2chan.symbolcalc import symbol
+from su2chan.symbolcalc import e_limit_eigenvalue, symbol
 from test_exactnum import CQ, fraction_3f2, rising_pochhammer
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -605,6 +605,24 @@ def test_dangling_symlinked_out_is_config_error(tmp_path, capsys,
     assert os.listdir(tmp_path) == ["dangling"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--mu", "1", "--out", "loop"],
+    ["verify", "--mu", "0", "--nu-max", "0", "--out", "r.json",
+     "--timings", "loop"]], ids=["--out", "--timings"])
+def test_symlink_loop_is_config_error(tmp_path, capsys, monkeypatch, argv):
+    # realpath leaves a loop a link; it is reported and kept as it was
+    monkeypatch.chdir(tmp_path)
+    for name in ("spectrum_rows", "run_verify_suites"):
+        monkeypatch.setattr(cli, name, _must_not_run)
+    os.symlink("loop", "loop")
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == (
+        f"error: cannot write {argv[-2]} loop: "
+        "Too many levels of symbolic links\n")
+    assert os.listdir(tmp_path) == ["loop"]
+    assert os.readlink("loop") == "loop"
+
+
 def test_fifo_without_write_access_is_config_error(tmp_path, capsys,
                                                   monkeypatch):
     # the probe asks for write access, as no temporary file is made
@@ -695,6 +713,34 @@ class TestSpectrum:
                              "e_3f2_exact": str(e3), "e_3f2_float": float(e3),
                              "e_sum_exact": str(es), "forms_agree": True})
         assert cli.spectrum_rows(mu) == want
+
+    def test_disagreeing_forms_are_reported(self, monkeypatch):
+        # a wrong closed form at one (k, m): that row alone shows the two
+        # forms apart, the sum's string built from its own value
+        mu, bad = 4, (2, 3)
+        want = cli.spectrum_rows(mu)
+        real = cli.e_eigenvalue_3f2
+        wrong = real(mu, *bad) + Fraction(1, 7)
+        monkeypatch.setattr(cli, "e_eigenvalue_3f2", lambda mu, k, m:
+                            wrong if (k, m) == bad else real(mu, k, m))
+        got = cli.spectrum_rows(mu)
+        i = bad[0] * (mu + 1) + bad[1]
+        assert (got[i]["k"], got[i]["m"]) == bad
+        assert got[i] == dict(want[i], e_3f2_exact=str(wrong),
+                              e_3f2_float=float(wrong), forms_agree=False)
+        assert got[i]["e_sum_exact"] == str(e_limit_eigenvalue(mu, *bad))
+        assert got[:i] + got[i + 1:] == want[:i] + want[i + 1:]
+
+    def test_each_row_built_once(self, monkeypatch):
+        # the Berezin numerator row once per m, the sum once per (k, m)
+        calls = {"_berezin_numerators": 0, "_limit_numerator": 0}
+        for name in calls:
+            def counting(*args, real=getattr(cli, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(cli, name, counting)
+        cli.spectrum_rows(6)
+        assert calls == {"_berezin_numerators": 7, "_limit_numerator": 49}
 
 
 class TestConverge:

@@ -587,6 +587,26 @@ class TestKernelBounds:
                                "bound_holds": total <= bound}, (kappa, j)
                 assert total == closed and closed <= bound
 
+    def test_fund_ineq_flags_follow_a_wrong_sum(self, monkeypatch):
+        # a binomial row with one entry raised by 1: the integer verdicts
+        # are those of the Fraction comparisons of the sum returned
+        real = quadrature._binomial_row
+        bounds = set()
+        for kappa in range(13):
+            for i in range(kappa + 1):
+                row = list(real(kappa))
+                row[i] += 1
+                monkeypatch.setattr(quadrature, "_binomial_row",
+                                    lambda n, row=tuple(row): row)
+                for j in range(kappa + 1):
+                    rep = fund_ineq_check(kappa, j)
+                    assert not rep["identity_holds"]
+                    assert rep["sum"] != rep["identity_value"]
+                    assert rep["bound_holds"] == \
+                        (rep["sum"] <= Fraction(2, binomial(kappa, j)))
+                    bounds.add(rep["bound_holds"])
+        assert bounds == {False, True}
+
     def test_fund_ineq_rejects_j_out_of_range(self):
         for kappa, j in ((0, 1), (3, -1), (3, 4)):
             with pytest.raises(ValueError):

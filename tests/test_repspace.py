@@ -15,6 +15,7 @@ from su2chan.symbolcalc import symbol
 from su2chan.repspace import (
     IsotypicDecomposition,
     KernelOperator,
+    _binomial_row,
     _common_denominator,
     _from_dense,
     _gram_integers,
@@ -429,6 +430,13 @@ class TestInnerProduct:
     def test_gram_diagonal(self):
         assert gram_diagonal(3) == [Fraction(1, 1), Fraction(1, 3),
                                     Fraction(1, 3), Fraction(1, 1)]
+
+    def test_binomial_row_is_a_bounded_cached_tuple(self):
+        for n in range(65):
+            row = _binomial_row(n)
+            assert type(row) is tuple
+            assert list(row) == [math.comb(n, i) for i in range(n + 1)], n
+        assert _binomial_row.cache_info().maxsize == 256
 
     def test_gram_integers_match_fraction_gram(self):
         for level in range(41):
