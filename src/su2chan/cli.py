@@ -54,7 +54,7 @@ from .quadrature import (
 from .repspace import _from_dense, _trace_integers
 from .symbolcalc import (
     _berezin_numerators,
-    _limit_numerator,
+    _berezin_sum,
     berezin_eigenvalue,
     e_eigenvalue_3f2,
     e_nu_apply,
@@ -129,10 +129,17 @@ def _unwritable(path: str) -> Optional[str]:
 
 
 def _emit(path: Optional[str], data: str):
-    if path:
-        _atomic_write(path, data)
-    else:
-        sys.stdout.write(data)
+    """Write data to path by :func:`_atomic_write`, or to stdout, flushed:
+    a failed write, a full disk say, is a :class:`ConfigError` here."""
+    try:
+        if path:
+            _atomic_write(path, data)
+        else:
+            sys.stdout.write(data)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path or 'stdout'}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +469,7 @@ def cmd_verify(args) -> int:
                                timings=timings)
     _emit(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     if args.timings:
-        _atomic_write(args.timings, json.dumps(
+        _emit(args.timings, json.dumps(
             dict(timings, version=__version__), indent=2,
             sort_keys=True) + "\n")
     return EXIT_OK if report["all_ok"] else EXIT_ASSERTION_FAILED
@@ -479,13 +486,12 @@ def spectrum_rows(mu: int) -> List[dict]:
     per_m = []
     for m in range(mu + 1):
         b = berezin_eigenvalue(mu, m)
-        per_m.append((str(b), float(b), _berezin_numerators(mu, mu, m),
-                      math.factorial(mu + m + 1) * math.factorial(mu - m)))
+        per_m.append((str(b), float(b), *_berezin_numerators(mu, mu, m)))
     rows = []
     for k in range(mu + 1):
-        for m, (b_str, b_float, berezin, den) in enumerate(per_m):
+        for m, (b_str, b_float, den, berezin) in enumerate(per_m):
             e3 = e_eigenvalue_3f2(mu, k, m)
-            num = _limit_numerator(mu, k, berezin)
+            num = _berezin_sum(mu, k, berezin)
             e3_str = str(e3)
             agree = num * e3.denominator == den * e3.numerator
             rows.append({

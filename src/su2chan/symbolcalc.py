@@ -24,10 +24,10 @@ import math
 import operator
 from fractions import Fraction
 from itertools import chain
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .exactnum import terminating_pair
-from .intertwine import ChannelSpec, c_squared
+from .intertwine import ChannelSpec
 from .repspace import (
     IsotypicDecomposition,
     KernelOperator,
@@ -115,30 +115,41 @@ def inverse_berezin(nu: int, f: IsotypicFunction) -> IsotypicFunction:
 # The channel-induced function operators
 # ---------------------------------------------------------------------------
 
-def _berezin_numerators(mu: int, k: int, m: int) -> List[int]:
-    """berezin_eigenvalue(mu - l, m) (mu+m+1)! (mu-m)!, integers, for
-    l = 0..min(k, mu - m); the eigenvalues with l > mu - m vanish."""
+def _berezin_numerators(mu: int, k: int, m: int) -> Tuple[int, List[int]]:
+    """den = (mu+m+1)! (mu-m)! and the integers den berezin_eigenvalue(mu-l, m)
+    for l = 0..min(k, mu - m); the eigenvalues with l > mu - m vanish, so
+    for m > mu it is (1, [])."""
     if m < 0:
         raise ValueError(f"component index must be nonnegative, got {m}")
-    return [math.factorial(mu - l) ** 2 * math.perm(mu + m + 1, l)
-            * math.perm(mu - m, l) for l in range(min(k, mu - m) + 1)]
+    if m > mu:
+        return 1, []
+    return (math.factorial(mu + m + 1) * math.factorial(mu - m),
+            [math.factorial(mu - l) ** 2 * math.perm(mu + m + 1, l)
+             * math.perm(mu - m, l) for l in range(min(k, mu - m) + 1)])
+
+
+def _berezin_sum(mu: int, k: int, row: Sequence[int]) -> int:
+    """C(mu,k) sum_l (-1)^(k-l) C(k,l) row[l], two dot products with C(k, l),
+    one per sign: den e_limit_eigenvalue(mu, k, m) on the row of
+    _berezin_numerators(mu, k', m) for any k' >= k."""
+    binomials, p = _binomial_row(k), k % 2
+    return math.comb(mu, k) * (
+        sum(map(operator.mul, binomials[p::2], row[p:k + 1:2]))
+        - sum(map(operator.mul, binomials[1 - p::2], row[1 - p:k + 1:2])))
 
 
 def e_nu_eigenvalue(spec: ChannelSpec, m: int) -> Fraction:
-    """Eigenvalue of the finite-level operator on sharp degree 2m: the sum
-    over l = 0..k of the weight c^2 (-1)^(k-l) C(nu-k, k-l) (nu-k+l)! k! /
-    (nu! l!) = c^2 (-1)^(k-l) C(nu-k, k-l) perm(k, k-l) perm(nu-k+l, l) /
-    perm(nu, k) of B_{mu-l} times berezin_eigenvalue(mu - l, m), in
-    integers over perm(nu, k) (mu+m+1)! (mu-m)!, c^2 entering once."""
+    """Eigenvalue of the finite-level operator on sharp degree 2m: the
+    limit's Berezin sum, term l times W_l = perm(nu-k, k-l) perm(nu-k+l, l),
+    over perm(L+k+1, k) den.  It is the paper's sum, whose weight of B_{mu-l}
+    is c^2 (-1)^(k-l) C(nu-k, k-l) (nu-k+l)! k! / (nu! l!): C(nu-k, k-l) k!/l!
+    = C(k,l) perm(nu-k, k-l), and c^2 = perm(nu,k) C(mu,k) / perm(L+k+1, k)."""
     mu, nu, k = spec.mu, spec.nu, spec.k
-    berezin = _berezin_numerators(mu, k, m)
-    if not berezin:
-        return Fraction(0)
-    c2 = c_squared(spec)
-    s = sum((-1) ** (k - l) * math.comb(nu - k, k - l) * math.perm(k, k - l)
-            * math.perm(nu - k + l, l) * b for l, b in enumerate(berezin))
-    return Fraction(c2.numerator * s, c2.denominator * math.perm(nu, k)
-                    * math.factorial(mu + m + 1) * math.factorial(mu - m))
+    den, berezin = _berezin_numerators(mu, k, m)
+    weighted = [math.perm(nu - k, k - l) * math.perm(nu - k + l, l) * b
+                for l, b in enumerate(berezin)]
+    return Fraction(_berezin_sum(mu, k, weighted),
+                    math.perm(spec.target_level + k + 1, k) * den)
 
 
 def e_nu_apply(spec: ChannelSpec, f: IsotypicFunction) -> IsotypicFunction:
@@ -152,24 +163,12 @@ def e_nu_apply(spec: ChannelSpec, f: IsotypicFunction) -> IsotypicFunction:
 
 
 def e_limit_eigenvalue(mu: int, k: int, m: int) -> Fraction:
-    """Limit-operator eigenvalue as the direct alternating binomial sum of
-    C(mu,k) (-1)^(k-l) C(k,l) berezin_eigenvalue(mu - l, m), in integers
-    over (mu+m+1)! (mu-m)!."""
+    """Limit-operator eigenvalue, the alternating binomial sum C(mu,k)
+    sum_l (-1)^(k-l) C(k,l) berezin_eigenvalue(mu - l, m), in integers."""
     if not 0 <= k <= mu:
         raise ValueError(f"need 0 <= k <= mu, got k={k}, mu={mu}")
-    if m > mu:
-        return Fraction(0)
-    return Fraction(_limit_numerator(mu, k, _berezin_numerators(mu, k, m)),
-                    math.factorial(mu + m + 1) * math.factorial(mu - m))
-
-
-def _limit_numerator(mu: int, k: int, berezin: Sequence[int]) -> int:
-    """(mu+m+1)! (mu-m)! e_limit_eigenvalue(mu, k, m) from a row that starts
-    with _berezin_numerators(mu, k, m): a dot product with C(k, l) per sign."""
-    row, p = _binomial_row(k), k % 2
-    return math.comb(mu, k) * (
-        sum(map(operator.mul, row[p::2], berezin[p:k + 1:2]))
-        - sum(map(operator.mul, row[1 - p::2], berezin[1 - p:k + 1:2])))
+    den, berezin = _berezin_numerators(mu, k, m)
+    return Fraction(_berezin_sum(mu, k, berezin), den)
 
 
 def e_limit_apply(mu: int, k: int, f: IsotypicFunction) -> IsotypicFunction:

@@ -2,6 +2,7 @@
 report formats, and deterministic output."""
 
 import csv
+import errno
 import functools
 import importlib.util
 import json
@@ -14,6 +15,7 @@ import stat
 import subprocess
 import sys
 import time
+import types
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -637,6 +639,82 @@ def test_fifo_without_write_access_is_config_error(tmp_path, capsys,
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
+# A report that fails while it is written, on a full disk say, is one
+# 'error:' line and exit 2, as at the probe before the run; exit 1 would
+# claim a failed identity
+FULL_REPORTS = [["spectrum", "--mu", "2", "--out", "{}"],
+                ["verify", "--mu", "1", "--nu-max", "1", "--timings", "{}"],
+                ["converge", "--mu", "1", "--k", "0", "--nu", "8,16",
+                 "--out", "{}"]]
+NO_SPACE = os.strerror(errno.ENOSPC)
+
+
+def _no_space(*args):
+    raise OSError(errno.ENOSPC, NO_SPACE)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", FULL_REPORTS + [["spectrum", "--mu", "2"]],
+                         ids=["--out", "--timings", "converge", "stdout"])
+def test_full_device_is_config_error(argv):
+    # a fresh interpreter, so that nothing is left to flush at its exit
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    where = "/dev/full" if "{}" in argv else "stdout"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "su2chan.cli"]
+            + [a.format("/dev/full") for a in argv],
+            stdout=full if where == "stdout" else subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (
+        EXIT_CONFIG_ERROR, f"error: cannot write {where}: {NO_SPACE}\n")
+
+
+class _FullFile:
+    """A file whose writes fail as on a full disk; closing closes fh."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        _no_space()
+
+
+@pytest.mark.parametrize("argv", FULL_REPORTS,
+                         ids=["--out", "--timings", "converge"])
+def test_full_disk_keeps_the_old_report(tmp_path, capsys, monkeypatch, argv):
+    # the temporary file goes, and the file it was to replace stays
+    report = tmp_path / "report"
+    report.write_text("old")
+    real = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda fd, *args, **kwargs:
+                        _FullFile(real(fd, *args, **kwargs)))
+    code = main([a.format(report) for a in argv])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == (
+        f"error: cannot write {report}: {NO_SPACE}\n")
+    assert os.listdir(tmp_path) == ["report"]
+    assert report.read_text() == "old"
+
+
+def test_stdout_is_flushed_before_exit(capsys, monkeypatch):
+    # the write is buffered and the flush fails: the error surfaces in
+    # _emit, not at interpreter exit
+    buffered = []
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(
+        write=buffered.append, flush=_no_space))
+    assert main(["spectrum", "--mu", "1"]) == EXIT_CONFIG_ERROR
+    assert len(buffered) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write stdout: {NO_SPACE}\n")
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"],
                                   ["converge", "--help"]])
 def test_help_still_prints_usage(capsys, argv):
@@ -733,14 +811,14 @@ class TestSpectrum:
 
     def test_each_row_built_once(self, monkeypatch):
         # the Berezin numerator row once per m, the sum once per (k, m)
-        calls = {"_berezin_numerators": 0, "_limit_numerator": 0}
+        calls = {"_berezin_numerators": 0, "_berezin_sum": 0}
         for name in calls:
             def counting(*args, real=getattr(cli, name), name=name):
                 calls[name] += 1
                 return real(*args)
             monkeypatch.setattr(cli, name, counting)
         cli.spectrum_rows(6)
-        assert calls == {"_berezin_numerators": 7, "_limit_numerator": 49}
+        assert calls == {"_berezin_numerators": 7, "_berezin_sum": 49}
 
 
 class TestConverge:

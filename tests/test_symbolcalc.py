@@ -478,6 +478,29 @@ class TestFunctionChannel:
                                 - e_limit_eigenvalue(mu, k, m)))
             assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
 
+    def test_limit_is_the_leading_coefficient(self):
+        # N(nu) = e_nu(m) perm(L+k+1, k) (mu+m+1)! (mu-m)! is an integer
+        # polynomial of degree k in nu, and perm(L+k+1, k) is monic of
+        # degree k: so its k-th difference, constant, is k! times the
+        # limit over the same denominator, the operator limit exactly.
+        # mu = 0, k = 0, k = mu, L < mu (nu = mu < 2k) and m > mu included
+        for mu in range(7):
+            for k in range(mu + 1):
+                for m in range(mu + 2):
+                    den = (math.factorial(mu + m + 1) * math.factorial(mu - m)
+                           if m <= mu else 1)
+                    diffs = []
+                    for nu in range(mu, mu + k + 2):
+                        n = e_nu_eigenvalue(ChannelSpec(mu, nu, k), m) \
+                            * math.perm(nu + mu - k + 1, k) * den
+                        assert n.denominator == 1, (mu, k, m, nu)
+                        diffs.append(n.numerator)
+                    for _ in range(k):
+                        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+                    leading = math.factorial(k) * den \
+                        * e_limit_eigenvalue(mu, k, m)
+                    assert diffs == [leading, leading], (mu, k, m)
+
     def test_finite_coefficients_converge_to_limit_weights(self):
         mu, k = 3, 2
         for l in range(k + 1):
