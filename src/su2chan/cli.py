@@ -181,19 +181,19 @@ def _taken(queue: int):
 
 
 _NOT_RUN = object()   # a task that a failed worker took
-FORK_AFTER_S = 0.05   # the seconds a map runs alone before it forks
 
 
 def _fork_map(fn, tasks: Sequence) -> list:
-    """[fn(t) for t in tasks], run in the parent alone unless a one-shot
-    ITIMER_REAL of FORK_AFTER_S fires first.  Its SIGALRM handler then
-    forks the workers, amid the parent's task, and queues the indices not
-    yet taken in a pipe; each process, the parent as worker 0, takes the
-    next as it comes free, so tasks that come largest first run
-    largest-job-first, on at most :func:`_worker_count` processes, one
-    per task at most (the CLI runs no threads, so the fork is safe).  The
-    map stays serial off the main thread, under a caller's ITIMER_REAL
-    and where a pipe or a fork fails.
+    """[fn(t) for t in tasks], shared out among the parent, as worker 0,
+    and workers forked before its first task: :func:`_worker_count`
+    processes, at most one per task (the CLI runs no threads, so the
+    fork is safe).  Each takes the next task index as it comes free from
+    a queue in a pipe, so tasks that come largest first run
+    largest-job-first.  The parent feeds the queue without blocking, in
+    writes that the pipe takes whole or not at all; while the pipe is
+    full it runs the next index not yet queued itself, so a worker that
+    dies never leaves it waiting on the pipe.  A failed pipe or fork
+    forks fewer workers, or none and the map runs serially.
 
     A worker sends its [index, result] pairs back through a pipe as
     JSON, so ``fn`` returns JSON values (a tuple comes back as a list).
@@ -202,25 +202,20 @@ def _fork_map(fn, tasks: Sequence) -> list:
     Every child is waited for, or killed first if the parent raises.
     """
     n = min(_worker_count(), len(tasks))
-    if n > 1:
-        import _signal as signal   # signal's C core, with no enum wrappers
-    if n < 2 or signal.getitimer(signal.ITIMER_REAL)[0]:
+    if n < 2:
         return [fn(t) for t in tasks]
-    results, pending = [_NOT_RUN] * len(tasks), iter(range(len(tasks)))
-    children, queue = {}, []   # pid -> its result pipe; the queue's end
-
-    def fork_workers(signum, frame):
-        # never raises into the task it interrupts: a failed fork forks fewer
-        fds = []   # the queue's read end and feed, then a worker's pipe
+    results, fds, children = [_NOT_RUN] * len(tasks), [], {}
+    gc.freeze()   # a worker's collections then copy no parent page
+    try:
         try:
-            fds += os.pipe()
-            gc.freeze()   # a worker's collections then copy no parent page
+            fds += os.pipe()   # the queue's read end and its feed
             for _ in range(n - 1):
-                fds += os.pipe()
+                fds += os.pipe()   # a worker's results
                 if (pid := os.fork()) == 0:
                     # a worker: its results and exit 0, or exit 1; no return
                     try:
                         os.close(fds[1])
+                        os.close(fds[2])
                         with open(fds[3], "w") as fh:
                             json.dump([[i, fn(tasks[i])]
                                        for i in _taken(fds[0])], fh)
@@ -229,28 +224,29 @@ def _fork_map(fn, tasks: Sequence) -> list:
                         os._exit(1)
                 os.close(fds.pop())   # the worker's write end
                 children[pid] = open(fds.pop())   # and its read end
-        except OSError:
-            pass
-        for fd in fds[2:] if children else fds:
-            os.close(fd)
-        if children:   # queue the rest; closing the feed ends the queue
-            queue.append(fds[0])
-            with open(fds[1], "wb") as feed:
-                feed.write(b"".join(i.to_bytes(4, "little") for i in pending))
-
-    try:
-        previous = signal.signal(signal.SIGALRM, fork_workers)
-    except ValueError:   # off the main thread
-        return [fn(t) for t in tasks]
-    try:
-        try:
-            signal.setitimer(signal.ITIMER_REAL, FORK_AFTER_S)
-            for i in pending:
-                results[i] = fn(tasks[i])
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)   # runs a handler due
-        for i in _taken(queue[0]) if queue else ():
+        except OSError:   # a failed pipe or fork forks fewer workers
+            while len(fds) > 2:
+                os.close(fds.pop())
+        if not children:
+            return [fn(t) for t in tasks]
+        queue, feed = fds
+        os.set_blocking(feed, False)
+        # the indices one write puts in the pipe whole, or none of them
+        whole = os.fpathconf(feed, "PC_PIPE_BUF") // 4
+        sent = 0   # the indices queued, or run here while the pipe was full
+        while sent < len(tasks):
+            end = min(sent + whole, len(tasks))
+            try:
+                os.write(feed, b"".join(i.to_bytes(4, "little")
+                                        for i in range(sent, end)))
+                sent = end
+                continue
+            except BlockingIOError:   # full: the parent takes the next index
+                pass
+            results[sent] = fn(tasks[sent])
+            sent += 1
+        os.close(fds.pop())   # closing the feed ends the queue
+        for i in _taken(queue):
             results[i] = fn(tasks[i])
         for pid, fh in list(children.items()):
             with fh:
@@ -262,8 +258,10 @@ def _fork_map(fn, tasks: Sequence) -> list:
         return [fn(t) if r is _NOT_RUN else r for t, r in zip(tasks, results)]
     finally:
         gc.unfreeze()
-        for fd in queue:
+        for fd in fds:
             os.close(fd)
+        if children:
+            import _signal as signal   # signal's C core: no enum wrappers
         for pid, fh in children.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -635,8 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", default=None)
     pv.add_argument("--timings", default=None, metavar="FILE",
                     help="write each suite's cases and seconds, the most "
-                         "processes the run may use (a short run forks "
-                         "none), the wall time and the version, as JSON")
+                         "processes the run may use, the wall time and the "
+                         "version, as JSON")
     pv.add_argument("--corrupt-c2", action="store_true",
                     help=argparse.SUPPRESS)   # fault-injection hook
     pv.set_defaults(func=cmd_verify)

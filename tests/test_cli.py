@@ -10,7 +10,6 @@ import math
 import os
 import random
 import re
-import signal
 import stat
 import subprocess
 import sys
@@ -1127,11 +1126,9 @@ def no_child_left():
 
 
 def run_on(monkeypatch, tmp_path, workers, *argv):
-    """(exit code, report bytes) of one run with the worker count patched
-    and the workers forked at once, after which no child of this process
-    is left."""
+    """(exit code, report bytes) of one run with the worker count patched,
+    after which no child of this process is left."""
     monkeypatch.setattr(cli, "_worker_count", lambda: workers)
-    monkeypatch.setattr(cli, "FORK_AFTER_S", 1e-6)
     out = tmp_path / f"out-{workers}.txt"
     code = main(list(argv) + ["--out", str(out)])
     no_child_left()
@@ -1143,27 +1140,9 @@ def run_on(monkeypatch, tmp_path, workers, *argv):
 WORKER_COUNTS = [1, 2, 3, 8]
 
 
-@pytest.fixture
-def fork_at_once(monkeypatch):
-    """Workers are forked as soon as a map starts, however short it is."""
-    monkeypatch.setattr(cli, "FORK_AFTER_S", 1e-6)
-
-
-@pytest.fixture
-def alarm_handler():
-    """A SIGALRM handler of the caller's, in place for the test."""
-    def callers(signum, frame):
-        raise AssertionError("the caller's SIGALRM handler ran")
-
-    previous = signal.signal(signal.SIGALRM, callers)
-    yield callers
-    signal.signal(signal.SIGALRM, previous)
-
-
 class TestForkMap:
 
-    def test_results_come_back_in_task_order(self, monkeypatch,
-                                             fork_at_once):
+    def test_results_come_back_in_task_order(self, monkeypatch):
         # tasks long enough that the worker, started within milliseconds,
         # takes some while the parent runs its first
         monkeypatch.setattr(cli, "_worker_count", lambda: 2)
@@ -1177,8 +1156,7 @@ class TestForkMap:
         assert len({pid for _, pid in got} - {os.getpid()}) == 1
         no_child_left()
 
-    def test_every_task_is_taken_once(self, tmp_path, monkeypatch,
-                                      fork_at_once):
+    def test_every_task_is_taken_once(self, tmp_path, monkeypatch):
         # more workers than CPUs on one queue: each task is run by exactly
         # one process, which notes it in one shared append-only file
         monkeypatch.setattr(cli, "_worker_count", lambda: 8)
@@ -1203,102 +1181,77 @@ class TestForkMap:
         assert cli._fork_map(lambda t: os.getpid(), [0]) == [os.getpid()]
         assert cli._fork_map(lambda t: t, []) == []
 
-    def test_quick_map_runs_in_the_parent_alone(self, monkeypatch):
-        # tasks that end well within the delay: no pipe and no fork
-        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
-        calls = []
-        for name in ("fork", "pipe"):
-            real = getattr(os, name)
-            monkeypatch.setattr(os, name, lambda real=real, name=name:
-                                calls.append(name) or real())
-        assert cli._fork_map(lambda t: [t, os.getpid()], range(50)) == \
-            [[t, os.getpid()] for t in range(50)]
-        assert calls == []
-        no_child_left()
-
-    @pytest.mark.parametrize("delay", [1e-6, cli.FORK_AFTER_S],
-                             ids=["forks", "serial"])
-    @pytest.mark.parametrize("how", ["returns", "raises"])
-    def test_signal_state_is_restored(self, monkeypatch, alarm_handler,
-                                      delay, how):
-        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
-        monkeypatch.setattr(cli, "FORK_AFTER_S", delay)
-
-        def task(t):
-            time.sleep(0.001)
-            if how == "raises" and t == 2:
-                raise KeyError("task")
-            return t
-
-        if how == "returns":
-            assert cli._fork_map(task, range(4)) == [0, 1, 2, 3]
-        else:
-            # raised in the parent, or in a worker and then in the parent,
-            # which reruns the worker's tasks
-            with pytest.raises(KeyError, match="task"):
-                cli._fork_map(task, range(4))
-        assert signal.getsignal(signal.SIGALRM) is alarm_handler
-        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
-        no_child_left()
-
-    def test_long_first_task_forks_a_worker_amid_it(self, monkeypatch):
-        # at the default delay: the worker starts while the parent's
-        # first task still sleeps, and takes the tasks after it
-        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
-
-        def task(t):
-            start = time.monotonic()
-            time.sleep(10 * cli.FORK_AFTER_S if t == 0 else 0.001)
-            return [os.getpid(), start, time.monotonic()]
-
-        got = cli._fork_map(task, range(6))
-        (first, _, first_end), rest = got[0], got[1:]
-        assert first == os.getpid()
-        worker = [start for pid, start, _ in rest if pid != os.getpid()]
-        assert worker and min(worker) < first_end
-        no_child_left()
-
-    def test_callers_timer_is_left_alone(self, monkeypatch, fork_at_once,
-                                         alarm_handler):
-        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
-        forks = []
-        real = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
-        signal.setitimer(signal.ITIMER_REAL, 100)
-        try:
-            assert cli._fork_map(lambda t: os.getpid(), range(8)) == \
-                [os.getpid()] * 8
-            left, interval = signal.getitimer(signal.ITIMER_REAL)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-        assert forks == []
-        assert 90 < left <= 100 and interval == 0
-        assert signal.getsignal(signal.SIGALRM) is alarm_handler
-        no_child_left()
-
-    def test_more_tasks_than_the_queue_pipe_holds(self, monkeypatch,
-                                                  fork_at_once):
+    def test_more_tasks_than_the_queue_pipe_holds(self, monkeypatch):
         # 20,000 indices of 4 bytes: more than a 64 KiB pipe holds, so
-        # the handler's feed waits for the worker to take some
+        # the parent queues the rest as the worker takes some, and runs
+        # the next one itself while the pipe is full
         monkeypatch.setattr(cli, "_worker_count", lambda: 2)
         got = cli._fork_map(lambda t: [t, os.getpid()], range(20000))
         assert [t for t, _ in got] == list(range(20000))
         assert len({pid for _, pid in got}) == 2
         no_child_left()
 
-    def test_timer_near_the_maps_end_leaves_no_child(self, monkeypatch):
-        # tasks that add up to about the delay: the timer fires now before
-        # the last task ends, now after the loop, now not at all
+    def test_short_map_forks_its_worker_before_the_first_task(
+            self, monkeypatch):
+        # two tasks of 1 ms at two workers: the worker is forked however
+        # short the map, and is collected when it ends
         monkeypatch.setattr(cli, "_worker_count", lambda: 2)
-        for run in range(50):
-            total = cli.FORK_AFTER_S * (0.9 + 0.2 * run / 49)
-            assert cli._fork_map(lambda t: time.sleep(total / 5) or t,
-                                 range(5)) == list(range(5))
-            no_child_left()
+        forks, real = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+        assert cli._fork_map(lambda t: time.sleep(0.001) or t, range(2)) \
+            == [0, 1]
+        assert forks == [1]
+        no_child_left()
+
+    def test_dead_worker_beside_a_full_queue_pipe_does_not_hang(self):
+        # 20,000 indices, more than a 64 KiB pipe holds, and a worker that
+        # exits at the first task it takes: the parent, which holds the
+        # pipe's read end too, must not wait for room in it.  Run in a
+        # child of its own, so that a hang fails here, not the whole suite
+        script = (
+            "import os, time; from su2chan import cli\n"
+            "cli._worker_count = lambda: 2\n"
+            "parent = os.getpid()\n"
+            "def task(t):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(3)\n"
+            "    return time.sleep(0.1) if t == 0 else t\n"
+            "got = cli._fork_map(task, range(20000))\n"
+            "assert got == [None] + list(range(1, 20000))\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("where", [None, "parent", "worker"],
+                             ids=["returns", "parent_raises",
+                                  "worker_raises"])
+    def test_no_descriptor_is_left_open(self, monkeypatch, where):
+        # a worker's raise reruns its tasks in the parent, where they pass
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        parent = os.getpid()
+
+        def task(t):
+            time.sleep(0.01)
+            if where == ("parent" if os.getpid() == parent else "worker"):
+                raise KeyError("task")
+            return t
+
+        before = sorted(os.listdir("/proc/self/fd"))
+        if where == "parent":
+            with pytest.raises(KeyError, match="task"):
+                cli._fork_map(task, range(8))
+        else:
+            assert cli._fork_map(task, range(8)) == list(range(8))
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        no_child_left()
 
     @pytest.mark.parametrize("how", ["exit", "raise"])
     def test_failed_worker_reruns_in_the_parent(self, tmp_path, monkeypatch,
-                                                fork_at_once, how):
+                                                how):
         # a worker that exits nonzero or raises on the first task it
         # takes: the parent runs that task again, and its result is kept
         monkeypatch.setattr(cli, "_worker_count", lambda: 2)
@@ -1482,7 +1435,7 @@ class TestForkMap:
         assert ran.exists() == (where == "worker")
 
     def test_timings_sum_within_workers_times_wall(self, tmp_path,
-                                                   monkeypatch, fork_at_once):
+                                                   monkeypatch):
         monkeypatch.setattr(cli, "_worker_count", lambda: 2)
         argv = ["verify", "--mu", "1", "--nu-max", "3", "--seed", "5",
                 "--out", str(tmp_path / "r.json")]
@@ -1499,12 +1452,12 @@ class TestForkMap:
                         reason="needs CPU affinity")
     def test_one_cpu_and_every_cpu_give_one_report(self):
         # the real worker count: one CPU, set in the child alone, and all
-        # the CPUs this process may use, whose workers are forked at once
+        # the CPUs this process may use
         cpu = min(os.sched_getaffinity(0))
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         argv = [sys.executable, "-c",
                 "import sys; from su2chan import cli; "
-                "cli.FORK_AFTER_S = 1e-6; sys.exit(cli.main(sys.argv[1:]))",
+                "sys.exit(cli.main(sys.argv[1:]))",
                 "verify", "--mu", "1", "--nu-max", "3"]
         pinned, free = (
             subprocess.run(argv, capture_output=True, env=env, timeout=120,
